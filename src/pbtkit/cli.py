@@ -341,10 +341,13 @@ def _cmd_audit_signaling(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
+    try:
+        cfg = SolverConfig(max_iterations=args.max_iterations, seed=args.seed)
+    except ValueError as exc:
+        raise UsageError(f"--max-iterations: {exc}") from exc
     out_dir = _output_dir(args)
     n = args.qubits or 1
     big_n = args.ports or 1
-    cfg = SolverConfig(max_iterations=args.max_iterations, seed=args.seed)
     if args.fixed_resource:
         resource = standard_resource(n, big_n)
         result = solve(build_sdp(n, big_n, resource), cfg)
@@ -366,14 +369,16 @@ def _cmd_optimize(args) -> int:
     with open(out_dir / "solver_trace.csv", "w", newline="") as fh:
         fh.write(f"# manifest: {json.dumps(manifest.to_dict(), sort_keys=True)}\n")
         writer = csv.writer(fh)
-        writer.writerow(["iteration", "objective", "residual"])
+        writer.writerow(["iteration", "objective", "residual", "phase"])
         for it, obj, res in result.trace:
-            writer.writerow([it, repr(obj), repr(res)])
+            phase = "stiff" if it >= result.switch_iteration else "adaptive"
+            writer.writerow([it, repr(obj), repr(res), phase])
     payload = {"manifest": manifest.to_dict(),
                "p_opt": result.p_opt,
                "bound": float(bound(n, big_n)),
                "converged": result.converged,
                "iterations": result.iterations,
+               "switch_iteration": result.switch_iteration,
                "residuals": result.residuals,
                "certification": cert.to_dict()}
     _write_json(out_dir / "certification.json", payload)
@@ -487,7 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, protocol_input=False)
     p.add_argument("--fixed-resource", action="store_true",
                    help="keep the resource pinned to maximally entangled pairs")
-    p.add_argument("--max-iterations", type=int, default=20_000)
+    p.add_argument("--max-iterations", type=int, default=20_000,
+                   help="iteration cap; the solver stops earlier once converged")
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("bound-table", help="CSV of bounds over an (n, N) grid")

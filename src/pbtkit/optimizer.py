@@ -31,6 +31,7 @@ true lower bound.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -78,84 +79,70 @@ def hermitian_basis_entries(d: int) -> list[list[tuple[int, int, complex]]]:
     return entries
 
 
-def hermitian_basis(d: int) -> list[np.ndarray]:
-    out = []
-    for spec in hermitian_basis_entries(d):
-        m = np.zeros((d, d), dtype=np.complex128)
-        for i, j, w in spec:
-            m[i, j] += w
-        out.append(m)
-    return out
+@lru_cache(maxsize=None)
+def _coordinate_map(d: int) -> tuple[np.ndarray, ...]:
+    """Index arrays of the Hermitian coordinate map over the interleaved
+    (Re, Im) storage of a d x d complex matrix.
 
-
-def _pair_offsets(d: int) -> dict[tuple[int, int], int]:
-    offsets = {}
-    idx = d
-    for i in range(d):
-        for j in range(i + 1, d):
-            offsets[(i, j)] = idx
-            idx += 2
-    return offsets
+    Coordinates are the diagonal, then sqrt(2) (Re, Im) of each upper entry
+    in row-major order.  Returns, for ``herm_to_vec``, the storage slot and
+    weight of each coordinate, and for ``vec_to_herm``, the coordinate and
+    weight of each storage slot (weight 0 for the diagonal's imaginary parts)."""
+    rows, cols = np.triu_indices(d, 1)
+    upper = np.stack([2 * (rows * d + cols), 2 * (rows * d + cols) + 1], -1).ravel()
+    lower = np.stack([2 * (cols * d + rows), 2 * (cols * d + rows) + 1], -1).ravel()
+    slots = np.concatenate([2 * (d + 1) * np.arange(d), upper])
+    slot_weights = np.concatenate([np.ones(d), np.full(upper.size, np.sqrt(2.0))])
+    coords = np.zeros(2 * d * d, dtype=np.intp)
+    weights = np.zeros(2 * d * d)
+    coords[slots] = np.arange(d * d)
+    weights[slots] = np.concatenate([np.ones(d), np.full(upper.size, 1.0 / np.sqrt(2.0))])
+    coords[lower] = coords[upper]
+    weights[lower] = weights[upper] * np.tile([1.0, -1.0], rows.size)  # conjugate
+    return slots, slot_weights, coords, weights
 
 
 def herm_to_vec(m: np.ndarray) -> np.ndarray:
-    """Coordinates in the orthonormal Hermitian basis (a Frobenius isometry)."""
-    d = m.shape[0]
-    vec = np.empty(d * d)
-    vec[:d] = np.diag(m).real
-    idx = d
-    s = np.sqrt(2.0)
-    for i in range(d):
-        for j in range(i + 1, d):
-            vec[idx] = s * m[i, j].real
-            vec[idx + 1] = s * m[i, j].imag
-            idx += 2
-    return vec
+    """Coordinates in the orthonormal Hermitian basis (a Frobenius isometry);
+    leading axes are batch axes."""
+    m = np.ascontiguousarray(m, dtype=np.complex128)
+    d = m.shape[-1]
+    slots, slot_weights, _, _ = _coordinate_map(d)
+    storage = m.reshape(m.shape[:-2] + (d * d,)).view(np.float64)
+    return storage[..., slots] * slot_weights
 
 
 def vec_to_herm(vec: np.ndarray, d: int) -> np.ndarray:
-    m = np.zeros((d, d), dtype=np.complex128)
-    np.fill_diagonal(m, vec[:d])
-    idx = d
-    s = 1.0 / np.sqrt(2.0)
-    for i in range(d):
-        for j in range(i + 1, d):
-            val = (vec[idx] + 1j * vec[idx + 1]) * s
-            m[i, j] = val
-            m[j, i] = np.conj(val)
-            idx += 2
-    return m
+    """Inverse of ``herm_to_vec``; leading axes are batch axes."""
+    vec = np.asarray(vec, dtype=np.float64)
+    _, _, coords, weights = _coordinate_map(d)
+    storage = np.ascontiguousarray(vec[..., coords] * weights)
+    return storage.view(np.complex128).reshape(vec.shape[:-1] + (d, d))
 
 
-def _basis_positions(d: int, offsets, i: int, j: int) -> list[tuple[int, complex]]:
+def hermitian_basis(d: int) -> np.ndarray:
+    """The orthonormal Hermitian basis of C^{d x d}, stacked as (d^2, d, d)."""
+    return vec_to_herm(np.eye(d * d), d)
+
+
+def _basis_positions(d: int, i: int, j: int) -> list[tuple[int, complex]]:
     """Which basis coordinates see entry (i, j), with conjugated weights."""
     s = 1.0 / np.sqrt(2.0)
     if i == j:
         return [(i, 1.0 + 0j)]
-    if i < j:
-        base = offsets[(i, j)]
-        return [(base, s + 0j), (base + 1, -1j * s)]
-    base = offsets[(j, i)]
-    return [(base, s + 0j), (base + 1, 1j * s)]
+    lo, hi = min(i, j), max(i, j)
+    base = d + 2 * (lo * d - lo * (lo + 1) // 2 + hi - lo - 1)
+    return [(base, s + 0j), (base + 1, (-1j if i < j else 1j) * s)]
 
 
 def _lift_matrix(basis: np.ndarray) -> np.ndarray:
     """Real-coordinate matrix of Y -> V Y V^dag for an isometry V (big^2 x r^2)."""
-    r = basis.shape[1]
-    cols = []
-    for spec in hermitian_basis_entries(r):
-        y = np.zeros((r, r), dtype=np.complex128)
-        for i, j, w in spec:
-            y[i, j] += w
-        cols.append(herm_to_vec(basis @ y @ basis.conj().T))
-    return np.stack(cols, axis=1)
+    ys = hermitian_basis(basis.shape[1])
+    return np.ascontiguousarray(herm_to_vec(basis @ ys @ basis.conj().T).T)
 
 
 def _omega_vec(d: int) -> np.ndarray:
-    vec = np.zeros(d * d, dtype=np.complex128)
-    for i in range(d):
-        vec[i * d + i] = 1.0
-    return vec
+    return np.eye(d, dtype=np.complex128).reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +160,36 @@ def standard_resource(n: int, N: int) -> StateVector:
     return merge_subsystems(resource, [f"A{j}" for j in range(1, N + 1)], "A")
 
 
+class _TeleportationRows:
+    """Per-port teleportation constraints shared by both problem forms:
+    blocks[k] @ herm_to_vec(X_k) = q_k * rhs_pattern."""
+
+    blocks: list[np.ndarray]
+    rhs_pattern: np.ndarray
+
+    @property
+    def rows_per_port(self) -> int:
+        return self.rhs_pattern.size
+
+    def port_map_residual(self, ops: Sequence[np.ndarray], qs: Sequence[float]) -> float:
+        """Max violation of the teleportation constraints, in basis coordinates."""
+        return max(float(np.max(np.abs(block @ herm_to_vec(op) - q * self.rhs_pattern)))
+                   for block, op, q in zip(self.blocks, ops, qs))
+
+    def fit_q(self, op: np.ndarray, k: int) -> float:
+        lhs = self.blocks[k] @ herm_to_vec(op)
+        return float(lhs @ self.rhs_pattern / (self.rhs_pattern @ self.rhs_pattern))
+
+    @staticmethod
+    def psd_violation(ms: Sequence[np.ndarray]) -> float:
+        """Most negative eigenvalue over the elements and the leftover
+        identity - sum(ms), as a non-negative violation."""
+        slack = np.eye(ms[0].shape[0]) - sum(ms)
+        return max(float(max(0.0, -np.linalg.eigvalsh(m)[0])) for m in [*ms, slack])
+
+
 @dataclass
-class PbtSdp:
+class PbtSdp(_TeleportationRows):
     """The teleportation SDP for a fixed resource: per-port affine constraint
     blocks over real Hermitian coordinates, plus the q-coupling pattern."""
 
@@ -184,29 +199,6 @@ class PbtSdp:
     dim_povm: int                 # 2^n * dim(A)
     blocks: list[np.ndarray]      # per port: rows x dim_povm^2
     rhs_pattern: np.ndarray       # q-coupling vector over the constraint rows
-
-    @property
-    def rows_per_port(self) -> int:
-        return self.rhs_pattern.size
-
-    def port_map_residual(self, ms: Sequence[np.ndarray], qs: Sequence[float]) -> float:
-        """Max violation of the teleportation constraints, in basis coordinates."""
-        worst = 0.0
-        for k in range(self.N):
-            lhs = self.blocks[k] @ herm_to_vec(ms[k])
-            worst = max(worst, float(np.max(np.abs(lhs - qs[k] * self.rhs_pattern))))
-        return worst
-
-    def fit_q(self, m: np.ndarray, k: int) -> float:
-        lhs = self.blocks[k] @ herm_to_vec(m)
-        return float(lhs @ self.rhs_pattern / (self.rhs_pattern @ self.rhs_pattern))
-
-    def psd_violation(self, ms: Sequence[np.ndarray]) -> float:
-        worst = 0.0
-        for m in ms:
-            worst = max(worst, float(max(0.0, -np.linalg.eigvalsh(m)[0])))
-        slack = np.eye(self.dim_povm) - sum(ms)
-        return max(worst, float(max(0.0, -np.linalg.eigvalsh(slack)[0])))
 
     def faces(self) -> list[np.ndarray]:
         """Exact support faces forced by the teleportation constraints.
@@ -223,9 +215,7 @@ class PbtSdp:
         for k in range(1, self.N + 1):
             vecs = []
             for t in range(d ** (self.N - 1)):
-                w = np.zeros((d, d**self.N), dtype=np.complex128)
-                w_t = _choi_face_vector(d, self.N, k, t)
-                w = w_t.reshape(d, d**self.N)
+                w = _choi_face_vector(d, self.N, k, t).reshape(d, d**self.N)
                 u = (w @ c_pinv.T).reshape(-1).conj()
                 vecs.append(u)
             basis, _ = np.linalg.qr(np.stack(vecs, axis=1))
@@ -317,7 +307,7 @@ def build_sdp(n: int, N: int, resource: StateVector) -> PbtSdp:
 
 
 @dataclass
-class JointPbtSdp:
+class JointPbtSdp(_TeleportationRows):
     """Choi-form teleportation SDP with the resource marginal as a variable.
 
     Variables: Choi blocks J_1..J_N on (input x ports), the port-side
@@ -332,21 +322,6 @@ class JointPbtSdp:
     blocks: list[np.ndarray]       # per port: rows x dim_choi^2
     rhs_pattern: np.ndarray        # Choi of the identity map, in row coordinates
     embed: np.ndarray              # sigma coordinates -> (identity x sigma) coordinates
-
-    @property
-    def rows_per_port(self) -> int:
-        return self.rhs_pattern.size
-
-    def port_map_residual(self, js: Sequence[np.ndarray], qs: Sequence[float]) -> float:
-        worst = 0.0
-        for k in range(self.N):
-            lhs = self.blocks[k] @ herm_to_vec(js[k])
-            worst = max(worst, float(np.max(np.abs(lhs - qs[k] * self.rhs_pattern))))
-        return worst
-
-    def fit_q(self, j: np.ndarray, k: int) -> float:
-        lhs = self.blocks[k] @ herm_to_vec(j)
-        return float(lhs @ self.rhs_pattern / (self.rhs_pattern @ self.rhs_pattern))
 
     def faces(self) -> list[np.ndarray]:
         d = 2**self.n
@@ -368,7 +343,6 @@ def build_joint_sdp(n: int, N: int) -> JointPbtSdp:
             f"{DIMENSION_CAP}"
         )
     dims = (d,) + (d,) * N
-    offsets_out = _pair_offsets(d * d)
     in_entries = hermitian_basis_entries(dim_choi)
     n_rows = (d * d) ** 2
 
@@ -390,7 +364,7 @@ def build_joint_sdp(n: int, N: int) -> JointPbtSdp:
                     continue
                 i_out = ri[0] * d + ri[k]
                 j_out = ci[0] * d + ci[k]
-                for c, cw in _basis_positions(d * d, offsets_out, i_out, j_out):
+                for c, cw in _basis_positions(d * d, i_out, j_out):
                     block[c, e] += (cw * w).real
         blocks.append(block)
 
@@ -401,13 +375,12 @@ def build_joint_sdp(n: int, N: int) -> JointPbtSdp:
         rhs[c] = float(sum(np.conj(w) * target[i, j] for i, j, w in spec).real)
 
     embed = np.zeros((dim_choi * dim_choi, dim_sigma * dim_sigma))
-    offsets_choi = _pair_offsets(dim_choi)
     for e, spec in enumerate(hermitian_basis_entries(dim_sigma)):
         for i, j, w in spec:
             for a in range(d):
                 pos_i = a * dim_sigma + i
                 pos_j = a * dim_sigma + j
-                for c, cw in _basis_positions(dim_choi, offsets_choi, pos_i, pos_j):
+                for c, cw in _basis_positions(dim_choi, pos_i, pos_j):
                     embed[c, e] += (cw * w).real
     return JointPbtSdp(n=n, N=N, dim_choi=dim_choi, dim_sigma=dim_sigma,
                        blocks=blocks, rhs_pattern=rhs, embed=embed)
@@ -422,11 +395,21 @@ class SolverConfig:
     """Splitting-scheme knobs.  The run has two phases: an adaptive-penalty
     phase that makes objective progress, then a stiff-penalty refinement
     phase (no over-relaxation, no adaptation) that drives the iterate onto
-    the constraint set so the final rounding loses almost nothing."""
+    the constraint set so the final rounding loses almost nothing.
+
+    The switch fires once the adaptive phase stalls: the best relative
+    primal residual of a window of ``4 * adapt_every`` iterations fails to
+    halve the previous window's best.  ``refine_fraction`` only bounds it:
+    the switch happens at the latest when that fraction of
+    ``max_iterations`` is left.  The run stops (``converged``) once, after
+    at least ``2 * adapt_every`` stiff iterations, the relative primal
+    residual is below ``primal_tolerance`` and the objective moved less
+    than ``objective_tolerance`` over those last ``2 * adapt_every``
+    iterations; otherwise ``max_iterations`` ends it."""
 
     max_iterations: int = 20_000
-    primal_tolerance: float = 1e-9
-    objective_tolerance: float = 1e-10
+    primal_tolerance: float = 1e-6
+    objective_tolerance: float = 1e-6
     penalty: float = 1.0
     over_relaxation: float = 1.6
     seed: int = 0
@@ -437,6 +420,10 @@ class SolverConfig:
     rounding_passes: int = 500
 
     def __post_init__(self):
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
+        if self.adapt_every < 1:
+            raise ValueError(f"adapt_every must be at least 1, got {self.adapt_every}")
         if self.primal_tolerance <= 0 or self.objective_tolerance <= 0:
             raise ValueError("tolerances must be positive")
         if self.penalty <= 0 or self.refine_penalty <= 0:
@@ -454,6 +441,7 @@ class SolveResult:
     converged: bool
     iterations: int
     trace: list[tuple[int, float, float]] = field(default_factory=list)
+    switch_iteration: int = 0     # first iteration of the stiff phase
     resource: Optional[StateVector] = None
     protocol: Optional[PbtProtocol] = None
 
@@ -464,27 +452,32 @@ class _FaceProblem:
     Variables: per-port face blocks Y_k (PSD), optionally the resource
     marginal sigma (PSD, unit trace), and the weights q (box [0, 1]).
     Consensus slots add the shared big-space slack, which must stay PSD:
-    slack = base + embed(sigma) - sum_k lift_k(Y_k).
+    slack = base + embed(sigma) - sum_k lift_k(Y_k).  Cone-side iterates are
+    flat vectors laid out as [Y_1 .. Y_N, slack, sigma, q].
     """
 
-    def __init__(self, blocks, rhs, faces, dim_big,
-                 embed: Optional[np.ndarray] = None, base_identity: bool = True):
+    def __init__(self, blocks, rhs, faces, dim_big, embed: Optional[np.ndarray] = None):
         self.N = len(blocks)
         self.rhs = rhs
         self.rows = rhs.size
         self.dim_big = dim_big
-        self.face_dims = [v.shape[1] for v in faces]
+        # every port face is spanned by the same number of vectors
+        self.face_dim = faces[0].shape[1]
         self.lifts = [_lift_matrix(v) for v in faces]
         self.red_blocks = [blocks[k] @ self.lifts[k] for k in range(self.N)]
         self.embed = embed
         self.dim_sigma = None if embed is None else int(np.sqrt(embed.shape[1]))
-        self.base = (herm_to_vec(np.eye(dim_big, dtype=np.complex128))
-                     if base_identity else np.zeros(dim_big * dim_big))
-        self.y_sizes = [r * r for r in self.face_dims]
-        self.y_offsets = np.cumsum([0] + self.y_sizes)
-        n_y = int(self.y_offsets[-1])
+        # the fixed form's slack is I - sum M_k; the joint form's is I x sigma - sum J_k
+        self.base = (herm_to_vec(np.eye(dim_big)) if embed is None
+                     else np.zeros(dim_big * dim_big))
+        n_y = self.N * self.face_dim**2
         n_s = 0 if embed is None else embed.shape[1]
         self.n_y, self.n_s = n_y, n_s
+        n_slack = dim_big * dim_big
+        self.sl_y = slice(0, n_y)
+        self.sl_slack = slice(n_y, n_y + n_slack)
+        self.sl_s = slice(n_y + n_slack, n_y + n_slack + n_s)
+        self.sl_q = slice(n_y + n_slack + n_s, None)
 
         # H = I + W^T W with W = [-L_1 .. -L_N, embed]: small, materialized
         w_cols = np.hstack([-lift for lift in self.lifts]
@@ -495,198 +488,184 @@ class _FaceProblem:
 
         # constraint rows: per port [B_k | -rhs on q_k], plus unit trace of sigma
         n_rows = self.N * self.rows + (0 if embed is None else 1)
-        self.n_rows = n_rows
         a_mat = np.zeros((n_rows, n_y + n_s + self.N))
-        for k in range(self.N):
-            a_mat[k * self.rows : (k + 1) * self.rows,
-                  self.y_offsets[k] : self.y_offsets[k + 1]] = self.red_blocks[k]
-            a_mat[k * self.rows : (k + 1) * self.rows, n_y + n_s + k] = -rhs
+        for k, red in enumerate(self.red_blocks):
+            rows = slice(k * self.rows, (k + 1) * self.rows)
+            a_mat[rows, k * red.shape[1] : (k + 1) * red.shape[1]] = red
+            a_mat[rows, n_y + n_s + k] = -rhs
         self.b_vec = np.zeros(n_rows)
         if embed is not None:
-            trace_row = np.zeros(n_s)
-            trace_row[: self.dim_sigma] = 1.0
-            a_mat[-1, n_y : n_y + n_s] = trace_row
+            a_mat[-1, n_y : n_y + self.dim_sigma] = 1.0
             self.b_vec[-1] = 1.0
         self.a_mat = a_mat
         h_inv_full = np.block([
             [self.h_inv, np.zeros((n_y + n_s, self.N))],
             [np.zeros((self.N, n_y + n_s)), np.eye(self.N)],
         ])
-        self.h_inv_full = h_inv_full
         gram = a_mat @ h_inv_full @ a_mat.T
         self.gram_inv = np.linalg.inv(gram + 1e-13 * np.eye(n_rows))
         self.hia_t = h_inv_full @ a_mat.T
 
-    def slack_of(self, y_all: np.ndarray, s: Optional[np.ndarray]) -> np.ndarray:
+    def port_blocks(self, y: np.ndarray) -> np.ndarray:
+        """The flat Y_1 .. Y_N coordinates as one (N, r^2) view."""
+        return y.reshape(self.N, -1)
+
+    def slack_of(self, y: np.ndarray, s: np.ndarray) -> np.ndarray:
         out = self.base.copy()
-        if self.embed is not None and s is not None:
+        if self.embed is not None:
             out += self.embed @ s
-        for k in range(self.N):
-            out -= self.lifts[k] @ y_all[self.y_offsets[k] : self.y_offsets[k + 1]]
+        for lift, yk in zip(self.lifts, self.port_blocks(y)):
+            out -= lift @ yk
         return out
 
-    def affine_step(self, v_y, v_s, v_slack, v_q, rho):
-        """Penalized minimization over the affine constraint set."""
-        g_ys = np.concatenate([v_y, v_s]) if self.n_s else v_y
-        g_ys = g_ys + self.w_cols.T @ (v_slack - self.base)
-        g_q = v_q + 1.0 / rho
-        x_ys = self.h_inv @ g_ys
-        x = np.concatenate([x_ys, g_q])
+    def affine_step(self, v: np.ndarray, rho: float) -> np.ndarray:
+        """Penalized minimization over the affine constraint set, from the
+        cone-side point ``v``; returns the matching flat iterate."""
+        g_ys = np.concatenate([v[self.sl_y], v[self.sl_s]])
+        g_ys = g_ys + self.w_cols.T @ (v[self.sl_slack] - self.base)
+        x = np.concatenate([self.h_inv @ g_ys, v[self.sl_q] + 1.0 / rho])
         lam = self.gram_inv @ (self.a_mat @ x - self.b_vec)
         x = x - self.hia_t @ lam
-        y = x[: self.n_y]
-        s = x[self.n_y : self.n_y + self.n_s] if self.n_s else None
-        return y, s, x[self.n_y + self.n_s :]
+        y, s = x[: self.n_y], x[self.n_y : self.n_y + self.n_s]
+        return np.concatenate([y, self.slack_of(y, s), s, x[self.n_y + self.n_s :]])
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """Cone-side step: PSD clips of every block, box clip of q."""
+        z = np.empty_like(x)
+        z[self.sl_y] = _psd_clip_vec(self.port_blocks(x[self.sl_y]),
+                                     self.face_dim).reshape(-1)
+        z[self.sl_slack] = _psd_clip_vec(x[self.sl_slack], self.dim_big)
+        if self.n_s:
+            z[self.sl_s] = _psd_clip_vec(x[self.sl_s], self.dim_sigma)
+        z[self.sl_q] = np.clip(x[self.sl_q], 0.0, 1.0)
+        return z
 
 
 def _psd_clip_vec(vec: np.ndarray, d: int) -> np.ndarray:
+    """Nearest PSD matrix in coordinates; leading axes are batch axes, so
+    equal-size blocks share one stacked ``eigh``."""
     w, v = np.linalg.eigh(vec_to_herm(vec, d))
     w = np.clip(w, 0.0, None)
-    return herm_to_vec((v * w) @ v.conj().T)
+    return herm_to_vec((v * w[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
 
 def _run_splitting(fp: _FaceProblem, cfg: SolverConfig, rng: np.random.Generator):
-    """Iterate the consensus splitting; returns final cone-side variables."""
-    n_y, n_s, n_big = fp.n_y, fp.n_s, fp.dim_big
-    y = np.zeros(n_y)
-    for k in range(fp.N):
-        r = fp.face_dims[k]
-        init = np.eye(r, dtype=np.complex128) / (fp.N + 1)
-        if cfg.init_noise > 0:
-            g = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
-            init = init + cfg.init_noise * (g + g.conj().T) / 2
-        y[fp.y_offsets[k] : fp.y_offsets[k + 1]] = herm_to_vec(init)
-    s = None
-    if n_s:
-        sigma0 = np.eye(fp.dim_sigma, dtype=np.complex128) / fp.dim_sigma
-        s = herm_to_vec(sigma0)
-    q = np.zeros(fp.N)
-    for k in range(fp.N):
-        yk = y[fp.y_offsets[k] : fp.y_offsets[k + 1]]
-        q[k] = float((fp.red_blocks[k] @ yk) @ fp.rhs / (fp.rhs @ fp.rhs))
+    """Iterate the consensus splitting; returns the final cone-side iterate
+    and the run record: whether the stop test fired, the iteration count,
+    the first iteration of the stiff phase, and the (iteration, objective,
+    relative primal residual) trace."""
+    r = fp.face_dim
+    init = np.broadcast_to(np.eye(r) / (fp.N + 1), (fp.N, r, r))
+    if cfg.init_noise > 0:
+        g = rng.standard_normal((fp.N, 2, r, r))
+        g = g[:, 0] + 1j * g[:, 1]
+        init = init + cfg.init_noise * (g + g.conj().swapaxes(-1, -2)) / 2
+    y = herm_to_vec(init).reshape(-1)
+    s = (herm_to_vec(np.eye(fp.dim_sigma) / fp.dim_sigma) if fp.n_s
+         else np.zeros(0))
+    q = [float((red @ yk) @ fp.rhs / (fp.rhs @ fp.rhs))
+         for red, yk in zip(fp.red_blocks, fp.port_blocks(y))]
+    z = np.concatenate([y, fp.slack_of(y, s), s, q])
+    u = np.zeros_like(z)
+    watched = slice(0, fp.sl_slack.stop)  # Y and slack: residuals are measured here
 
-    z_y, z_s, z_q = y.copy(), (None if s is None else s.copy()), q.copy()
-    z_slack = fp.slack_of(y, s)
-    u_y = np.zeros_like(y)
-    u_s = None if s is None else np.zeros_like(s)
-    u_q = np.zeros_like(q)
-    u_slack = np.zeros_like(z_slack)
-
+    window = 4 * cfg.adapt_every     # stall test: best residual per window
+    min_stiff = 2 * cfg.adapt_every  # stiff iterations before the stop test
+    latest_switch = max(1, int(cfg.max_iterations * (1.0 - cfg.refine_fraction)))
+    best_prev = best_now = np.inf
+    stalled = False
     rho = cfg.penalty
     alpha = cfg.over_relaxation
-    refine_start = int(cfg.max_iterations * (1.0 - cfg.refine_fraction))
+    switch = 0
     trace: list[tuple[int, float, float]] = []
-    history: list[float] = []
     converged = False
-    iteration = 0
     for iteration in range(1, cfg.max_iterations + 1):
-        if iteration == refine_start:
-            scale_u = rho / cfg.refine_penalty
-            u_y *= scale_u
-            u_slack *= scale_u
-            u_q *= scale_u
-            if u_s is not None:
-                u_s *= scale_u
+        if not switch and (stalled or iteration >= latest_switch):
+            u *= rho / cfg.refine_penalty
             rho = cfg.refine_penalty
             alpha = 1.0
-        v_s = None if s is None else z_s - u_s
-        y, s, q = fp.affine_step(z_y - u_y,
-                                 v_s if v_s is not None else np.zeros(0),
-                                 z_slack - u_slack, z_q - u_q, rho)
-        e_slack = fp.slack_of(y, s)
-        y_hat = alpha * y + (1 - alpha) * z_y
-        slack_hat = alpha * e_slack + (1 - alpha) * z_slack
-        q_hat = alpha * q + (1 - alpha) * z_q
-        s_hat = None if s is None else alpha * s + (1 - alpha) * z_s
-        z_prev = np.concatenate([z_y, z_slack])
-        for k in range(fp.N):
-            sl = slice(fp.y_offsets[k], fp.y_offsets[k + 1])
-            z_y[sl] = _psd_clip_vec(y_hat[sl] + u_y[sl], fp.face_dims[k])
-        z_slack = _psd_clip_vec(slack_hat + u_slack, n_big)
-        if s is not None:
-            z_s = _psd_clip_vec(s_hat + u_s, fp.dim_sigma)
-            u_s += s_hat - z_s
-        z_q = np.clip(q_hat + u_q, 0.0, 1.0)
-        u_y += y_hat - z_y
-        u_slack += slack_hat - z_slack
-        u_q += q_hat - z_q
+            switch = iteration
+        x = fp.affine_step(z - u, rho)
+        x_hat = alpha * x + (1 - alpha) * z
+        z_prev = z[watched]
+        z = fp.project(x_hat + u)
+        u += x_hat - z
 
-        primal = float(np.sqrt(np.linalg.norm(y - z_y) ** 2
-                               + np.linalg.norm(e_slack - z_slack) ** 2))
-        dual = float(rho * np.linalg.norm(np.concatenate([z_y, z_slack]) - z_prev))
-        scale = max(1.0, float(np.linalg.norm(y)), float(np.linalg.norm(z_y)))
-        obj = float(q.sum())
-        history.append(obj)
-        trace.append((iteration, obj, primal / scale))
+        primal = float(np.sqrt(np.linalg.norm(x[fp.sl_y] - z[fp.sl_y]) ** 2
+                               + np.linalg.norm(x[fp.sl_slack] - z[fp.sl_slack]) ** 2))
+        dual = float(rho * np.linalg.norm(z[watched] - z_prev))
+        scale = max(1.0, float(np.linalg.norm(x[fp.sl_y])),
+                    float(np.linalg.norm(z[fp.sl_y])))
+        obj, relative = float(x[fp.sl_q].sum()), primal / scale
+        trace.append((iteration, obj, relative))
 
-        if iteration % cfg.adapt_every == 0 and iteration < refine_start:
+        if switch:
+            if (iteration - switch >= min_stiff and relative < cfg.primal_tolerance
+                    and abs(obj - trace[-1 - min_stiff][1]) < cfg.objective_tolerance):
+                converged = True
+                break
+            continue
+        best_now = min(best_now, relative)
+        if iteration % window == 0:
+            stalled = best_now >= 0.5 * best_prev
+            best_prev, best_now = best_now, np.inf
+        if iteration % cfg.adapt_every == 0:
             if primal > 10 * dual:
                 rho *= 2.0
-                u_y /= 2.0
-                u_slack /= 2.0
-                u_q /= 2.0
-                if u_s is not None:
-                    u_s /= 2.0
+                u /= 2.0
             elif dual > 10 * primal:
                 rho /= 2.0
-                u_y *= 2.0
-                u_slack *= 2.0
-                u_q *= 2.0
-                if u_s is not None:
-                    u_s *= 2.0
+                u *= 2.0
 
-        if (primal / scale < cfg.primal_tolerance and len(history) > 50
-                and abs(history[-1] - history[-51]) < cfg.objective_tolerance):
-            converged = True
-            break
-
-    return z_y, z_s, z_q, converged, iteration, trace
+    return z, dict(converged=converged, iterations=iteration, switch_iteration=switch,
+                   trace=trace)
 
 
-def _round_on_face(fp: _FaceProblem, z_y: np.ndarray, z_q: np.ndarray,
-                   passes: int) -> tuple[list[np.ndarray], np.ndarray, float]:
+def _round_on_face(fp: _FaceProblem, z: np.ndarray,
+                   passes: int) -> tuple[list[np.ndarray], np.ndarray]:
     """Alternate affine projection and PSD clipping per port, in face coords."""
+    r = fp.face_dim
     ys = []
     qs = np.zeros(fp.N)
-    worst = 0.0
-    for k in range(fp.N):
-        r = fp.face_dims[k]
+    for k, y_vec in enumerate(fp.port_blocks(z[fp.sl_y])):
         bar = np.hstack([fp.red_blocks[k], -fp.rhs[:, None]])
         factor = np.linalg.inv(bar @ bar.T + 1e-14 * np.eye(bar.shape[0]))
-        y_vec = z_y[fp.y_offsets[k] : fp.y_offsets[k + 1]].copy()
-        q = float(z_q[k])
-        residual = np.inf
+        q = float(z[fp.sl_q][k])
         for _ in range(passes):
             x = np.append(y_vec, q)
             lam = factor @ (bar @ x)
             x = x - bar.T @ lam
             y_vec, q = x[:-1], float(x[-1])
-            y_mat = vec_to_herm(y_vec, r)
-            lam_y, v_y = np.linalg.eigh(y_mat)
+            lam_y, v_y = np.linalg.eigh(vec_to_herm(y_vec, r))
             clip = float(max(0.0, -lam_y[0]))
             y_vec = herm_to_vec((v_y * np.clip(lam_y, 0.0, None)) @ v_y.conj().T)
             residual = float(np.max(np.abs(fp.red_blocks[k] @ y_vec - q * fp.rhs)))
             if residual < 1e-13 and clip < 1e-13:
                 break
-        worst = max(worst, residual)
         ys.append(vec_to_herm(y_vec, r))
         qs[k] = max(q, 0.0)
-    return ys, qs, worst
+    return ys, qs
+
+
+def _solve_on_faces(sdp: _TeleportationRows, faces: list[np.ndarray], dim_big: int,
+                    cfg: SolverConfig, embed: Optional[np.ndarray] = None):
+    """Run the splitting scheme and the rounding pass; returns the rounded
+    big-space blocks, their weights, the final sigma coordinates (empty
+    without ``embed``), and the run record (``SolveResult`` fields)."""
+    fp = _FaceProblem(sdp.blocks, sdp.rhs_pattern, faces, dim_big, embed)
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    z, run = _run_splitting(fp, cfg, rng)
+    ys, qs = _round_on_face(fp, z, cfg.rounding_passes)
+    ops = [face @ y @ face.conj().T for face, y in zip(faces, ys)]
+    ops = [0.5 * (op + op.conj().T) for op in ops]
+    return ops, qs, z[fp.sl_s], run
 
 
 def solve(sdp: PbtSdp, cfg: Optional[SolverConfig] = None) -> SolveResult:
     """Splitting solve of the fixed-resource problem."""
-    cfg = cfg or SolverConfig()
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    faces = sdp.faces()
-    fp = _FaceProblem(sdp.blocks, sdp.rhs_pattern, faces, sdp.dim_povm,
-                      embed=None, base_identity=True)
-    z_y, _, z_q, converged, iterations, trace = _run_splitting(fp, cfg, rng)
-    ys, qs, _ = _round_on_face(fp, z_y, z_q, cfg.rounding_passes)
-    ms = [faces[k] @ ys[k] @ faces[k].conj().T for k in range(sdp.N)]
-    ms = [0.5 * (m + m.conj().T) for m in ms]
-    total = sum(ms)
-    lam_max = float(np.linalg.eigvalsh(total)[-1])
+    ms, qs, _, run = _solve_on_faces(sdp, sdp.faces(), sdp.dim_povm,
+                                     cfg or SolverConfig())
+    lam_max = float(np.linalg.eigvalsh(sum(ms))[-1])
     if lam_max > 1.0:
         factor = (1.0 - 1e-12) / lam_max
         ms = [m * factor for m in ms]
@@ -700,48 +679,24 @@ def solve(sdp: PbtSdp, cfg: Optional[SolverConfig] = None) -> SolveResult:
         "completeness": 0.0,  # the failure element is the exact leftover
         "psd": sdp.psd_violation(ms),
     }
-    return SolveResult(
-        p_opt=float(qs.sum()),
-        povm=povm,
-        q=qs,
-        residuals=residuals,
-        converged=converged,
-        iterations=iterations,
-        trace=trace,
-        resource=sdp.resource,
-    )
+    return SolveResult(p_opt=float(qs.sum()), povm=povm, q=qs, residuals=residuals,
+                       resource=sdp.resource, **run)
 
 
 def solve_joint(sdp: JointPbtSdp, cfg: Optional[SolverConfig] = None) -> SolveResult:
     """Optimize measurement and resource together; extract a concrete protocol."""
-    cfg = cfg or SolverConfig()
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    faces = sdp.faces()
-    fp = _FaceProblem(sdp.blocks, sdp.rhs_pattern, faces, sdp.dim_choi,
-                      embed=sdp.embed, base_identity=False)
-    z_y, z_s, z_q, converged, iterations, trace = _run_splitting(fp, cfg, rng)
-    ys, qs, _ = _round_on_face(fp, z_y, z_q, cfg.rounding_passes)
-    js = [faces[k] @ ys[k] @ faces[k].conj().T for k in range(sdp.N)]
-    js = [0.5 * (j + j.conj().T) for j in js]
-    sigma = vec_to_herm(z_s, sdp.dim_sigma)
-    protocol, qs = extract_protocol(sdp.n, sdp.N, js, sigma)
+    js, _, s, run = _solve_on_faces(sdp, sdp.faces(), sdp.dim_choi,
+                                    cfg or SolverConfig(), embed=sdp.embed)
+    protocol, qs = extract_protocol(sdp.n, sdp.N, js, vec_to_herm(s, sdp.dim_sigma))
     residuals = {
         "teleportation": sdp.port_map_residual(
             js, [sdp.fit_q(j, k) for k, j in enumerate(js)]),
-        "completeness": 0.0,
-        "psd": 0.0,
+        "completeness": 0.0,  # the failure element is the exact leftover
+        "psd": sdp.psd_violation([m.entries for m in protocol.povm[1:]]),
     }
-    return SolveResult(
-        p_opt=float(qs.sum()),
-        povm=protocol.povm,
-        q=qs,
-        residuals=residuals,
-        converged=converged,
-        iterations=iterations,
-        trace=trace,
-        resource=protocol.resource,
-        protocol=protocol,
-    )
+    return SolveResult(p_opt=float(qs.sum()), povm=protocol.povm, q=qs,
+                       residuals=residuals, resource=protocol.resource,
+                       protocol=protocol, **run)
 
 
 def extract_protocol(n: int, N: int, js: Sequence[np.ndarray], sigma: np.ndarray,

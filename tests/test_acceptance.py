@@ -170,9 +170,11 @@ def test_criterion_7_optimizer_reproduces_known_optimum(optimizer_results):
         res, cert = optimizer_results[N]
         gap = abs(res.p_opt - target)
         fid_check = [c for c in cert.checks if "perfectly" in c.name][0]
-        ok = ok and gap < tol and cert.passed and fid_check.deviation < 1e-6
+        ok = (ok and gap < tol and cert.passed and fid_check.deviation < 1e-6
+              and res.converged)
         details.append(f"N={N}: p={res.p_opt:.6f} (|gap|={gap:.1e} < {tol:g}, "
-                       f"certified, 1-fid={fid_check.deviation:.1e})")
+                       f"certified, 1-fid={fid_check.deviation:.1e}, "
+                       f"converged in {res.iterations} iterations)")
     elapsed = optimizer_results["elapsed"]
     ok = ok and elapsed < 600.0
     announce(7, "optimizer recovers N/(N+3) with certified measurements",

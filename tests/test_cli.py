@@ -138,9 +138,25 @@ def test_optimize_fixed_resource(tmp_path):
     assert cert["certification"]["passed"]
     rows = (tmp_path / "solver_trace.csv").read_text().splitlines()
     assert rows[0].startswith("# manifest:")
-    assert rows[1] == "iteration,objective,residual"
+    assert rows[1] == "iteration,objective,residual,phase"
+    # the solver stops on its own, well inside the cap
+    assert cert["converged"] is True
+    assert len(rows) - 2 == cert["iterations"] < 3000
+    phases = [row.rsplit(",", 1)[1] for row in rows[2:]]
+    switch = cert["switch_iteration"]
+    assert 1 < switch <= cert["iterations"]
+    assert phases == ["adaptive"] * (switch - 1) + ["stiff"] * (len(phases) - switch + 1)
     proto = read_json(tmp_path / "optimized_protocol.json")
     assert proto["kind"] == "pbt-protocol"
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_optimize_rejects_non_positive_iteration_budget(tmp_path, capsys, budget):
+    code = dispatch(["optimize", "--qubits", "1", "--ports", "1",
+                     "--max-iterations", budget, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "max_iterations" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_bound_table(tmp_path):

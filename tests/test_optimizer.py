@@ -14,6 +14,7 @@ from pbtkit.errors import LayoutError
 from pbtkit.pauli import haar_states
 from pbtkit.optimizer import (
     SolverConfig,
+    _psd_clip_vec,
     build_joint_sdp,
     build_sdp,
     certify,
@@ -70,6 +71,57 @@ def test_hermitian_basis_orthonormal():
             for j, b in enumerate(basis):
                 ip = np.trace(a.conj().T @ b).real
                 assert ip == pytest.approx(1.0 if i == j else 0.0, abs=1e-14)
+
+
+def reference_herm_to_vec(m):
+    """Entry-by-entry expansion in the basis: diagonal, then sqrt(2) (Re, Im)
+    of each upper entry in row-major order."""
+    d = m.shape[0]
+    vec = [m[i, i].real for i in range(d)]
+    for i in range(d):
+        for j in range(i + 1, d):
+            vec += [np.sqrt(2.0) * m[i, j].real, np.sqrt(2.0) * m[i, j].imag]
+    return np.array(vec)
+
+
+def reference_vec_to_herm(vec, d):
+    m = np.zeros((d, d), dtype=complex)
+    np.fill_diagonal(m, vec[:d])
+    idx = d
+    for i in range(d):
+        for j in range(i + 1, d):
+            m[i, j] = (vec[idx] + 1j * vec[idx + 1]) * (1.0 / np.sqrt(2.0))
+            m[j, i] = np.conj(m[i, j])
+            idx += 2
+    return m
+
+
+@pytest.mark.parametrize("d", range(1, 17))
+def test_coordinate_map_matches_reference_expansion(d):
+    rng = np.random.default_rng(d)
+    g = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
+    hs = g + g.conj().swapaxes(1, 2)
+    vecs = rng.standard_normal((3, d * d))
+    for h, vec in zip(hs, vecs):
+        np.testing.assert_array_equal(herm_to_vec(h), reference_herm_to_vec(h))
+        np.testing.assert_array_equal(vec_to_herm(vec, d), reference_vec_to_herm(vec, d))
+    # batched calls agree exactly with the single ones
+    np.testing.assert_array_equal(herm_to_vec(hs),
+                                  [reference_herm_to_vec(h) for h in hs])
+    np.testing.assert_array_equal(vec_to_herm(vecs, d),
+                                  [reference_vec_to_herm(v, d) for v in vecs])
+    np.testing.assert_array_equal(hermitian_basis(d),
+                                  [reference_vec_to_herm(e, d) for e in np.eye(d * d)])
+
+
+@pytest.mark.parametrize("d, blocks", [(1, 3), (2, 2), (4, 3), (8, 2)])
+def test_stacked_psd_clip_equals_per_block_clip(d, blocks):
+    rng = np.random.default_rng(10 * d + blocks)
+    vecs = rng.standard_normal((blocks, d * d))
+    stacked = _psd_clip_vec(vecs, d)
+    np.testing.assert_array_equal(stacked, [_psd_clip_vec(v, d) for v in vecs])
+    for vec in stacked:
+        assert np.linalg.eigvalsh(vec_to_herm(vec, d))[0] > -1e-12
 
 
 def test_vec_roundtrip():
@@ -213,3 +265,42 @@ def test_bound_never_exceeded_across_runs(fixed_result_n1, joint_result_12):
 
     assert fixed_result_n1.p_opt <= float(bound(1, 1)) + 1e-8
     assert joint_result_12.p_opt <= float(bound(1, 2)) + 1e-8
+
+
+@pytest.mark.parametrize("joint, N", [(False, 1), (False, 2), (True, 1), (True, 2)])
+def test_default_solve_stops_when_converged(joint, N):
+    cfg = SolverConfig()
+    if joint:
+        res = solve_joint(build_joint_sdp(1, N), cfg)
+    else:
+        res = solve(build_sdp(1, N, standard_resource(1, N)), cfg)
+    assert res.converged is True
+    assert res.iterations < cfg.max_iterations
+    # the switch comes from a stalled adaptive phase, not from the cap
+    assert 1 < res.switch_iteration < cfg.max_iterations * (1 - cfg.refine_fraction)
+    assert res.iterations - res.switch_iteration >= 2 * cfg.adapt_every
+    assert res.trace[-1][2] < cfg.primal_tolerance
+
+
+def test_budget_ending_before_stall_is_not_converged():
+    cfg = SolverConfig(max_iterations=60)
+    res = solve_joint(build_joint_sdp(1, 2), cfg)
+    assert res.converged is False
+    assert res.iterations == cfg.max_iterations == len(res.trace)
+    # the cap still leaves a refinement phase
+    assert res.switch_iteration == int(60 * (1 - cfg.refine_fraction))
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_solver_config_rejects_non_positive_budget(budget):
+    with pytest.raises(ValueError, match="max_iterations"):
+        SolverConfig(max_iterations=budget)
+
+
+def test_joint_psd_residual_is_measured(joint_result_12):
+    res = joint_result_12
+    elements = [m.entries for m in res.povm[1:]]
+    slack = np.eye(elements[0].shape[0]) - sum(elements)
+    expected = max(max(0.0, -np.linalg.eigvalsh(m)[0]) for m in elements + [slack])
+    assert res.residuals["psd"] == expected
+    assert res.residuals["psd"] < 1e-12
