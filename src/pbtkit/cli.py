@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -153,9 +152,9 @@ def _load_input_protocol(args) -> tuple[PbtProtocol, Optional[dict], list[str]]:
             raise UsageError(f"{args.protocol}: {exc}") from exc
         return proto, raw, [args.protocol]
     if args.builtin == "bell":
-        if args.qubits not in (None, 1):
+        if args.qubits != 1:
             raise UsageError("the bell builtin is single-qubit (--qubits 1)")
-        return bell_pbt_protocol(args.ports or 1), None, []
+        return bell_pbt_protocol(args.ports), None, []
     raise UsageError("one of --protocol or --builtin is required")
 
 
@@ -220,42 +219,30 @@ def _cmd_simulate(args) -> int:
 
 
 def _verify_reports(proto: PbtProtocol, samples: int, seed: int,
-                    tol: dict[str, float], parallel: bool) -> list[AuditReport]:
-    def eq3_suite() -> AuditReport:
-        rep = AuditReport(subject="port marginal decomposition", seed=seed)
-        worst = 0.0
-        for psi in haar_states(proto.port_dim, samples, seed):
-            for j in range(1, proto.N + 1):
-                sub = verify_port_decomposition(proto, psi, j, tolerance=tol["eq3"])
-                worst = max(worst, sub.max_deviation())
-        rep.add("decomposition residual over all ports and inputs", "Eq.3",
-                worst, tol["eq3"], ports=proto.N, samples=samples)
-        return rep
-
-    def lemma_suite() -> AuditReport:
-        return verify_psi_independence(proto, samples, seed,
-                                       q_tolerance=tol["lemma_q"],
-                                       fid_tolerance=tol["lemma_residual"])
-
-    def theorem_suite() -> AuditReport:
-        op = pointer_form(proto)
-        return verify_theorem(op, samples, seed,
-                              q_tolerance=tol["theorem_q"],
-                              residual_tolerance=tol["theorem_residual"],
-                              overlap_tolerance=tol["theorem_overlap"])
-
-    suites = [eq3_suite, lemma_suite, theorem_suite]
-    if parallel:
-        with ThreadPoolExecutor(max_workers=len(suites)) as pool:
-            return list(pool.map(lambda fn: fn(), suites))
-    return [fn() for fn in suites]
+                    tol: dict[str, float]) -> list[AuditReport]:
+    eq3 = AuditReport(subject="port marginal decomposition", seed=seed)
+    worst = 0.0
+    for psi in haar_states(proto.port_dim, samples, seed):
+        for j in range(1, proto.N + 1):
+            sub = verify_port_decomposition(proto, psi, j, tolerance=tol["eq3"])
+            worst = max(worst, sub.max_deviation())
+    eq3.add("decomposition residual over all ports and inputs", "Eq.3",
+            worst, tol["eq3"], ports=proto.N, samples=samples)
+    lemma = verify_psi_independence(proto, samples, seed,
+                                    q_tolerance=tol["lemma_q"],
+                                    fid_tolerance=tol["lemma_residual"])
+    theorem = verify_theorem(pointer_form(proto), samples, seed,
+                             q_tolerance=tol["theorem_q"],
+                             residual_tolerance=tol["theorem_residual"],
+                             overlap_tolerance=tol["theorem_overlap"])
+    return [eq3, lemma, theorem]
 
 
 def _cmd_verify(args) -> int:
     proto, _, paths = _load_input_protocol(args)
     out_dir = _output_dir(args)
     tol = _parse_tolerances(args.tolerance)
-    reports = _verify_reports(proto, args.samples, args.seed, tol, args.parallel)
+    reports = _verify_reports(proto, args.samples, args.seed, tol)
     manifest = RunManifest("verify", {"samples": args.samples, "seed": args.seed,
                                       "n": proto.n, "N": proto.N,
                                       "tolerances": tol},
@@ -307,15 +294,7 @@ def _cmd_audit_signaling(args) -> int:
     for m in messages:
         if not 1 <= m <= 4**proto.n:
             raise UsageError(f"message {m} out of range [1, {4 ** proto.n}]")
-
-    def audit(m: int):
-        return compute_chain_exact(primed, m)
-
-    if args.parallel and len(messages) > 1:
-        with ThreadPoolExecutor(max_workers=min(4, len(messages))) as pool:
-            sig_reports = list(pool.map(audit, messages))
-    else:
-        sig_reports = [audit(m) for m in messages]
+    sig_reports = [compute_chain_exact(primed, m) for m in messages]
 
     mc_reports = []
     if args.mc_rounds:
@@ -346,8 +325,7 @@ def _cmd_optimize(args) -> int:
     except ValueError as exc:
         raise UsageError(f"--max-iterations: {exc}") from exc
     out_dir = _output_dir(args)
-    n = args.qubits or 1
-    big_n = args.ports or 1
+    n, big_n = args.qubits, args.ports
     if args.fixed_resource:
         resource = standard_resource(n, big_n)
         result = solve(build_sdp(n, big_n, resource), cfg)
@@ -389,7 +367,7 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_bound_table(args) -> int:
     out_dir = _output_dir(args)
-    n_lo = args.qubits or 1
+    n_lo = args.qubits
     n_hi = args.max_qubits or n_lo
     if n_hi < n_lo:
         raise UsageError("--max-qubits must be >= --n")
@@ -443,21 +421,30 @@ def _cmd_bound_table(args) -> int:
 # argument wiring
 
 
+def _at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``, checked at parse time."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _add_common(parser: argparse.ArgumentParser, protocol_input: bool = True) -> None:
     if protocol_input:
         parser.add_argument("--protocol", help="protocol JSON file")
         parser.add_argument("--builtin", choices=["bell"], help="built-in protocol")
-    parser.add_argument("--ports", type=int, help="number of ports N")
-    parser.add_argument("--qubits", "--n", dest="qubits", type=int,
+    parser.add_argument("--ports", type=_at_least(1), default=1, help="number of ports N")
+    parser.add_argument("--qubits", "--n", dest="qubits", type=_at_least(1), default=1,
                         help="qubits per port n")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--samples", type=int, default=20)
+    parser.add_argument("--seed", type=_at_least(0), default=0)
+    parser.add_argument("--samples", type=_at_least(1), default=20)
     parser.add_argument("--tolerance", action="append", metavar="NAME=VALUE",
                         help="override a named tolerance (repeatable)")
     parser.add_argument("--out", help=f"output directory (default ${OUTPUT_DIR_ENV} "
                                       "or ./pbtkit-out)")
-    parser.add_argument("--parallel", action="store_true",
-                        help="run independent sweeps concurrently")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -484,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--message", type=int, default=1)
     p.add_argument("--all-messages", action="store_true")
-    p.add_argument("--mc-rounds", type=int, default=0,
+    p.add_argument("--mc-rounds", type=_at_least(0), default=0,
                    help="also sample this many chain rounds as a cross-check")
     p.set_defaults(func=_cmd_audit_signaling)
 
@@ -498,8 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound-table", help="CSV of bounds over an (n, N) grid")
     _add_common(p, protocol_input=False)
-    p.add_argument("--max-ports", type=int, required=True)
-    p.add_argument("--max-qubits", type=int)
+    p.add_argument("--max-ports", type=_at_least(1), required=True)
+    p.add_argument("--max-qubits", type=_at_least(1))
     p.add_argument("--optimizer-json", action="append",
                    help="optimizer output JSON to fill the optimizer column")
     p.set_defaults(func=_cmd_bound_table)

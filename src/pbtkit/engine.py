@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -80,6 +81,14 @@ class PbtProtocol:
 
     def global_layout(self) -> SystemLayout:
         return SystemLayout.of(("a", self.port_dim)).concat(self.resource.layout)
+
+    @cached_property
+    def kraus(self) -> tuple[np.ndarray, ...]:
+        """Measurement update maps sqrt(M_k), computed on first use (read-only)."""
+        roots = tuple(sqrt_psd(m.entries) for m in self.povm)
+        for root in roots:
+            root.setflags(write=False)
+        return roots
 
     def validate(self) -> None:
         """Raise ProtocolError naming the first violated invariant."""
@@ -158,25 +167,25 @@ def sqrt_psd(mat: np.ndarray, clip_atol: float = POVM_ATOL) -> np.ndarray:
     return (v * w) @ v.conj().T
 
 
-def povm_branches(state: StateVector, elements: Sequence[np.ndarray],
-                  targets: Sequence[str]) -> list[tuple[float, Optional[StateVector]]]:
+def povm_branches(state: StateVector, roots: Sequence[np.ndarray],
+                  targets: Sequence[str]) -> list[MeasurementBranch]:
     """Generalized measurement on the target subsystems of a pure state.
 
-    Returns (probability, normalized post state) per element, using the
-    Hermitian square root of each element as the update map.  Branches with
-    probability below BRANCH_PRUNE get probability 0 and no state.
+    Returns one branch per update map, normally the Hermitian roots
+    ``PbtProtocol.kraus``.  Branches with probability below BRANCH_PRUNE get
+    probability 0 and no state.
     """
     axes = [state.layout.axis(lbl) for lbl in targets]
     dims = state.layout.dims
-    out: list[tuple[float, Optional[StateVector]]] = []
-    for m in elements:
-        root = sqrt_psd(np.asarray(m, dtype=np.complex128))
+    out: list[MeasurementBranch] = []
+    for k, root in enumerate(roots):
         arr = _apply_matrix(state.tensorized(), dims, axes, root).reshape(-1)
         prob = float(np.vdot(arr, arr).real)
         if prob < BRANCH_PRUNE:
-            out.append((0.0, None))
+            out.append(MeasurementBranch(k, 0.0, None))
         else:
-            out.append((prob, StateVector(state.layout, arr / np.sqrt(prob))))
+            post = StateVector(state.layout, arr / np.sqrt(prob))
+            out.append(MeasurementBranch(k, prob, post))
     return out
 
 
@@ -188,10 +197,7 @@ def build_global_state(psi: StateVector, proto: PbtProtocol) -> StateVector:
 
 def measure(proto: PbtProtocol, psi: StateVector) -> list[MeasurementBranch]:
     """All measurement branches of one protocol run on input psi."""
-    proto.validate()
-    state = build_global_state(psi, proto)
-    raw = povm_branches(state, [m.entries for m in proto.povm], ("a", "A"))
-    return [MeasurementBranch(k, p, st) for k, (p, st) in enumerate(raw)]
+    return povm_branches(build_global_state(psi, proto), proto.kraus, ("a", "A"))
 
 
 def branch_probabilities(proto: PbtProtocol, psi: StateVector) -> np.ndarray:
@@ -226,22 +232,26 @@ def teleport_report(branch: MeasurementBranch, psi: StateVector,
     return fid, residual
 
 
-def port_marginals(proto: PbtProtocol, psi: StateVector, j: int) -> PortMarginals:
-    """Marginals of port B_j: before measurement, per miss outcome, and on failure."""
-    if not 1 <= j <= proto.N:
-        raise LayoutError(f"port index {j} out of range [1, {proto.N}]")
-    port = port_label(j)
-    eta = reduced_density(proto.resource, {port})
-    branches = measure(proto, psi)
-    gamma: dict[int, HermitianMatrix] = {}
-    for i in range(1, proto.N + 1):
-        if i == j or branches[i].post_state is None:
-            continue
-        gamma[i] = reduced_density(branches[i].post_state, {port})
+def marginals_from_branches(resource: StateVector,
+                            branches: Sequence[MeasurementBranch], j: int) -> PortMarginals:
+    """Marginals of port B_j: of the pre-measurement ``resource``, per miss
+    outcome, and on failure, read off already computed ``branches``."""
+    big_n = len(branches) - 1
+    if not 1 <= j <= big_n:
+        raise LayoutError(f"port index {j} out of range [1, {big_n}]")
+    port = {port_label(j)}
+    gamma = {i: reduced_density(branches[i].post_state, port)
+             for i in range(1, big_n + 1)
+             if i != j and branches[i].post_state is not None}
     omega = None
     if branches[0].post_state is not None:
-        omega = reduced_density(branches[0].post_state, {port})
-    return PortMarginals(j=j, eta=eta, gamma=gamma, omega=omega)
+        omega = reduced_density(branches[0].post_state, port)
+    return PortMarginals(j=j, eta=reduced_density(resource, port), gamma=gamma, omega=omega)
+
+
+def port_marginals(proto: PbtProtocol, psi: StateVector, j: int) -> PortMarginals:
+    """Marginals of port B_j: before measurement, per miss outcome, and on failure."""
+    return marginals_from_branches(proto.resource, measure(proto, psi), j)
 
 
 def verify_port_decomposition(proto: PbtProtocol, psi: StateVector, j: int,
@@ -249,7 +259,7 @@ def verify_port_decomposition(proto: PbtProtocol, psi: StateVector, j: int,
     """Check the port-marginal mixture identity for port j on input psi."""
     psi = _as_input_state(psi, proto.n)
     branches = measure(proto, psi)
-    marg = port_marginals(proto, psi, j)
+    marg = marginals_from_branches(proto.resource, branches, j)
     mix = branches[j].probability * outer(psi).entries
     for i, gam in marg.gamma.items():
         mix = mix + branches[i].probability * gam.entries
@@ -260,6 +270,20 @@ def verify_port_decomposition(proto: PbtProtocol, psi: StateVector, j: int,
     rep.add("eta_j equals success/miss/failure mixture", "Eq.3", residual, tolerance,
             port=j, q=[b.probability for b in branches])
     return rep
+
+
+def constancy_deviations(q_rows: Sequence[np.ndarray],
+                         residuals: dict[int, list[StateVector]]) -> tuple[float, float]:
+    """How far per-input results drift: the largest spread of one outcome
+    probability across the rows of ``q_rows``, and the largest infidelity
+    between an outcome's residual states and its first one."""
+    q_matrix = np.vstack(q_rows)
+    spread = float(np.max(q_matrix.max(axis=0) - q_matrix.min(axis=0)))
+    worst = 0.0
+    for states in residuals.values():
+        for other in states[1:]:
+            worst = max(worst, 1.0 - state_fidelity(states[0], other))
+    return spread, worst
 
 
 def verify_psi_independence(proto: PbtProtocol, sample_count: int, seed: int,
@@ -294,14 +318,9 @@ def verify_psi_independence(proto: PbtProtocol, sample_count: int, seed: int,
         if branches[0].post_state is not None:
             for j in range(1, proto.N + 1):
                 omegas[j].append(reduced_density(branches[0].post_state, {port_label(j)}))
-    q_matrix = np.vstack(qs)
-    spread = float(np.max(q_matrix.max(axis=0) - q_matrix.min(axis=0)))
+    spread, worst = constancy_deviations(qs, residuals)
     rep.add("outcome probabilities constant across inputs", "Lemma", spread, q_tolerance,
             samples=sample_count)
-    worst = 0.0
-    for k, states in residuals.items():
-        for idx in range(1, len(states)):
-            worst = max(worst, 1.0 - state_fidelity(states[0], states[idx]))
     rep.add("residual states constant across inputs", "Lemma", worst, fid_tolerance)
     omega_spread = 0.0
     for j, mats in omegas.items():

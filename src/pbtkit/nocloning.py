@@ -19,7 +19,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .engine import BRANCH_PRUNE, PbtProtocol, complex_pairs, from_complex_pairs, sqrt_psd
+from .engine import (
+    BRANCH_PRUNE,
+    PbtProtocol,
+    complex_pairs,
+    constancy_deviations,
+    from_complex_pairs,
+)
 from .errors import ProtocolError, UnitarityError
 from .pauli import haar_states
 from .report import AuditReport
@@ -30,7 +36,6 @@ from .tensor import (
     outer,
     reduced_density,
     schmidt_decompose,
-    state_fidelity,
     tensor_product,
 )
 
@@ -167,7 +172,8 @@ def verify_theorem(op: PointerOperation, samples: int, seed: int,
     Haar-sampled inputs: constant branch probabilities, constant residual
     states, and inner-product preservation between failure states."""
     rep = AuditReport(subject="information-extraction impossibility", seed=seed)
-    for psi in _hypothesis_states(op.dim_a):
+    hypothesis_states = _hypothesis_states(op.dim_a)
+    for psi in hypothesis_states:
         ok, info = _check_hypothesis(op, psi)
         if not ok:
             rep.preconditions_met = False
@@ -176,7 +182,7 @@ def verify_theorem(op: PointerOperation, samples: int, seed: int,
                          "Thm", False, **info)
             return rep
     rep.add_flag("hypothesis holds on basis and pairwise superpositions", "Thm", True,
-                 states_checked=len(_hypothesis_states(op.dim_a)))
+                 states_checked=len(hypothesis_states))
 
     sampled = haar_states(op.dim_a, samples, seed)
     q_rows = []
@@ -191,15 +197,9 @@ def verify_theorem(op: PointerOperation, samples: int, seed: int,
         if records[0].conditional_state is not None:
             failures.append((psi, records[0].conditional_state))
 
-    q_matrix = np.vstack(q_rows)
-    q_spread = float(np.max(q_matrix.max(axis=0) - q_matrix.min(axis=0)))
+    q_spread, worst_res = constancy_deviations(q_rows, residuals)
     rep.add("branch probabilities constant across inputs", "Eq.a6", q_spread, q_tolerance,
             samples=samples)
-
-    worst_res = 0.0
-    for k, states in residuals.items():
-        for idx in range(1, len(states)):
-            worst_res = max(worst_res, 1.0 - state_fidelity(states[0], states[idx]))
     rep.add("residual auxiliary states constant across inputs", "Eq.a7", worst_res,
             residual_tolerance,
             outcomes_present=[k for k, v in residuals.items() if v])
@@ -232,14 +232,13 @@ def pointer_form(proto: PbtProtocol,
     several update operators K with sum K^dag K = M_k; these are routed into
     an extra ancilla inside b, keeping every conditional branch pure.
     """
-    proto.validate()
     da = proto.port_dim
     db_ports = da**proto.N
     d_ab = da * proto.alice_dim * db_ports
     npi = proto.N + 1
 
     kraus: list[list[np.ndarray]] = []
-    for k, m in enumerate(proto.povm):
+    for k, (m, root) in enumerate(zip(proto.povm, proto.kraus)):
         if fine_grained and k in fine_grained:
             ops = [np.asarray(x, dtype=np.complex128) for x in fine_grained[k]]
             total = sum(x.conj().T @ x for x in ops)
@@ -249,7 +248,7 @@ def pointer_form(proto: PbtProtocol,
                 )
             kraus.append(ops)
         else:
-            kraus.append([sqrt_psd(m.entries)])
+            kraus.append([root])
     danc = max(len(ops) for ops in kraus)
 
     # isometry |v> -> sum_{k, kappa} (K_{k,kappa} x I_ports)|v> |kappa>_anc |k>_pi
@@ -266,26 +265,17 @@ def pointer_form(proto: PbtProtocol,
     # iso has orthonormal columns, so the left singular vectors beyond column
     # d_ab are exactly an orthonormal basis of the orthogonal complement
     u_left, _, _ = np.linalg.svd(iso, full_matrices=True)
-    complement = u_left[:, d_ab:]
-    free_cols = sorted(set(range(d_full)) - set(known_cols.tolist()))
-    u0[:, free_cols] = complement
+    free_cols = np.ones(d_full, dtype=bool)
+    free_cols[known_cols] = False
+    u0[:, free_cols] = u_left[:, d_ab:]
 
-    swap_total = np.zeros((d_full, d_full), dtype=np.complex128)
-    dims_ab = (da, proto.alice_dim) + (da,) * proto.N
-    for k in range(npi):
-        if k == 0:
-            perm_mat = np.eye(d_ab)
-        else:
-            axes = list(range(len(dims_ab)))
-            axes[0], axes[1 + k] = axes[1 + k], axes[0]
-            perm_flat = np.transpose(np.arange(d_ab).reshape(dims_ab), axes).reshape(-1)
-            perm_mat = np.zeros((d_ab, d_ab))
-            perm_mat[np.arange(d_ab), perm_flat] = 1.0
-        pointer_proj = np.zeros((npi, npi))
-        pointer_proj[k, k] = 1.0
-        swap_total += np.kron(np.kron(perm_mat, np.eye(danc)), pointer_proj)
-
-    u = swap_total @ u0
+    # outcome k >= 1 swaps a with B_k: gather each row (x, kappa, k) from the
+    # row whose (a, A, ports) index is x with those two axes exchanged
+    flat = np.arange(d_ab).reshape((da, proto.alice_dim) + (da,) * proto.N)
+    perms = np.stack([flat.reshape(-1)] + [np.swapaxes(flat, 0, 1 + k).reshape(-1)
+                                           for k in range(1, npi)], axis=1)
+    src = (perms[:, None, :] * danc + np.arange(danc)[:, None]) * npi + np.arange(npi)
+    u = u0[src.reshape(-1)]
     db = proto.alice_dim * db_ports * danc
     xi_b = tensor_product([
         StateVector(SystemLayout.of(("b0", proto.alice_dim * db_ports)),

@@ -21,6 +21,7 @@ from .engine import (
     MeasurementBranch,
     PbtProtocol,
     PortMarginals,
+    marginals_from_branches,
     measure,
     port_label,
     povm_branches,
@@ -143,27 +144,12 @@ def primed_global_state(p: PrimedProtocol, psi: StateVector) -> StateVector:
 
 def run_primed(p: PrimedProtocol, psi: StateVector) -> list[MeasurementBranch]:
     """Measurement branches of the primed protocol (base POVM on (a, A) only)."""
-    state = primed_global_state(p, psi)
-    raw = povm_branches(state, [m.entries for m in p.base.povm], ("a", "A"))
-    return [MeasurementBranch(k, prob, st) for k, (prob, st) in enumerate(raw)]
+    return povm_branches(primed_global_state(p, psi), p.base.kraus, ("a", "A"))
 
 
 def primed_port_marginals(p: PrimedProtocol, psi: StateVector, j: int) -> PortMarginals:
     """Marginals of port B_j in the primed protocol."""
-    if not 1 <= j <= p.base.N:
-        raise ProtocolError(f"port index {j} out of range [1, {p.base.N}]")
-    port = port_label(j)
-    eta = reduced_density(p.primed_resource, {port})
-    branches = run_primed(p, psi)
-    gamma = {}
-    for i in range(1, p.base.N + 1):
-        if i == j or branches[i].post_state is None:
-            continue
-        gamma[i] = reduced_density(branches[i].post_state, {port})
-    omega = None
-    if branches[0].post_state is not None:
-        omega = reduced_density(branches[0].post_state, {port})
-    return PortMarginals(j=j, eta=eta, gamma=gamma, omega=omega)
+    return marginals_from_branches(p.primed_resource, run_primed(p, psi), j)
 
 
 def _perfection_gap(base: PbtProtocol, probe: StateVector,
@@ -218,7 +204,7 @@ def verify_eq5(p: PrimedProtocol, psi_samples: Sequence[StateVector],
             if branches[j].post_state is not None:
                 rho_port = reduced_density(branches[j].post_state, {port_label(j)})
                 fid_dev = max(fid_dev, 1.0 - fidelity(psi, rho_port))
-            marg = primed_port_marginals(p, psi, j)
+            marg = marginals_from_branches(p.primed_resource, branches, j)
             for i, gam in marg.gamma.items():
                 gamma_terms += 1
                 gamma_dev = max(gamma_dev, float(np.max(np.abs(gam.entries - mixed))))
@@ -307,14 +293,14 @@ def commutation_witness(p: PrimedProtocol, psi: StateVector) -> AuditReport:
     port_names = [port_label(j) for j in range(1, big_n + 1)]
 
     before = run_primed(p, psi)
-    raw_after = povm_branches(start, [m.entries for m in base.povm], ("a", "A"))
+    after = povm_branches(start, base.kraus, ("a", "A"))
     prob_dev = 0.0
     state_dev = 0.0
-    for k, (prob, st) in enumerate(raw_after):
-        prob_dev = max(prob_dev, abs(prob - before[k].probability))
-        if st is None or before[k].post_state is None:
+    for k, branch in enumerate(after):
+        prob_dev = max(prob_dev, abs(branch.probability - before[k].probability))
+        if branch.post_state is None or before[k].post_state is None:
             continue
-        twirled = apply_on_subsystems(st, cv, [ANCILLA_LABEL] + port_names)
+        twirled = apply_on_subsystems(branch.post_state, cv, [ANCILLA_LABEL] + port_names)
         state_dev = max(state_dev,
                         float(np.max(np.abs(twirled.amplitudes
                                             - before[k].post_state.amplitudes))))

@@ -218,22 +218,23 @@ def analyze_chain(primed: PrimedProtocol, message: int, j: int,
     psi_ab = sdc_encode(message, n)
     state = tensor_product([psi_ab, primed.primed_resource])
     state = apply_on_subsystems(state, primed.w, ["a", "ap"])
-    raw = povm_branches(state, [m.entries for m in base.povm], ("a", "A"))
-    q = np.array([p for p, _ in raw])
+    branches = povm_branches(state, base.kraus, ("a", "A"))
+    q = np.array([b.probability for b in branches])
+    post = [b.post_state for b in branches]
     p_success = float(q[1:].sum())
 
     case1 = None
-    if raw[j][1] is not None:
-        case1 = _bob_marginal_probs(raw[j][1], j, basis)
+    if post[j] is not None:
+        case1 = _bob_marginal_probs(post[j], j, basis)
     case2 = {}
     for i in range(1, big_n + 1):
-        if i == j or raw[i][1] is None:
+        if i == j or post[i] is None:
             continue
-        case2[i] = _analyze_case2(raw[i][1], i, j, n, basis, message)
+        case2[i] = _analyze_case2(post[i], i, j, n, basis, message)
     case0 = None
     r_j = 0.0
-    if raw[0][1] is not None:
-        case0 = _bob_marginal_probs(raw[0][1], j, basis)
+    if post[0] is not None:
+        case0 = _bob_marginal_probs(post[0], j, basis)
         r_j = float(case0[message - 1])
 
     p_prime = 0.0

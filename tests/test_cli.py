@@ -122,7 +122,7 @@ def test_audit_signaling(tmp_path):
 
 def test_audit_signaling_all_messages_parallel(tmp_path):
     code = dispatch(["audit-signaling", "--builtin", "bell", "--ports", "2",
-                     "--all-messages", "--parallel", "--out", str(tmp_path)])
+                     "--all-messages", "--out", str(tmp_path)])
     assert code == 0
     doc = read_json(tmp_path / "signaling_report.json")
     assert len(doc["signaling"]) == 4
@@ -202,3 +202,23 @@ def test_output_dir_env_var(tmp_path, monkeypatch):
     code = dispatch(["bound-table", "--n", "1", "--max-ports", "1"])
     assert code == 0
     assert (tmp_path / "envout" / "bounds.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--builtin", "bell", "--samples", "0"],
+    ["prime", "--builtin", "bell", "--samples", "0"],
+    ["simulate", "--builtin", "bell", "--ports", "-1"],
+    ["simulate", "--builtin", "bell", "--ports", "0"],
+    ["optimize", "--ports", "0"],
+    ["optimize", "--qubits", "0"],
+    ["verify", "--builtin", "bell", "--seed", "-1"],
+    ["bound-table", "--max-ports", "0"],
+    ["bound-table", "--max-ports", "2", "--max-qubits", "0"],
+    ["audit-signaling", "--builtin", "bell", "--mc-rounds", "-5"],
+    ["verify", "--builtin", "bell", "--samples", "two"],
+])
+def test_bad_counts_are_rejected_at_parse_time(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert dispatch(argv + ["--out", str(out)]) == 2
+    assert "error: argument --" in capsys.readouterr().err
+    assert not out.exists()

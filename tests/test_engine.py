@@ -276,3 +276,43 @@ def test_protocol_from_dict_names_missing_field():
     del doc["povm"]
     with pytest.raises(ProtocolError, match="povm"):
         protocol_from_dict(doc)
+
+
+def test_kraus_roots_square_to_povm_and_are_cached():
+    proto = bell_pbt_protocol(3)
+    roots = proto.kraus
+    assert proto.kraus is roots
+    assert len(roots) == len(proto.povm)
+    for root, m in zip(roots, proto.povm):
+        np.testing.assert_allclose(root @ root, m.entries, atol=1e-12)
+
+
+def test_kraus_roots_and_povm_entries_are_read_only():
+    proto = bell_pbt_protocol(2)
+    for root, m in zip(proto.kraus, proto.povm):
+        with pytest.raises(ValueError):
+            root[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            m.entries[0, 0] = 1.0
+
+
+def test_measure_computes_each_root_once_and_never_revalidates(monkeypatch):
+    import pbtkit.engine as engine
+
+    proto = bell_pbt_protocol(2)
+    calls = {"sqrt": 0, "validate": 0}
+    real_sqrt = engine.sqrt_psd
+
+    def counting_sqrt(mat, *args, **kwargs):
+        calls["sqrt"] += 1
+        return real_sqrt(mat, *args, **kwargs)
+
+    def counting_validate(self):
+        calls["validate"] += 1
+
+    monkeypatch.setattr(engine, "sqrt_psd", counting_sqrt)
+    monkeypatch.setattr(PbtProtocol, "validate", counting_validate)
+    for psi in haar_states(2, 4, seed=12):
+        measure(proto, psi)
+        port_marginals(proto, psi, 1)
+    assert calls == {"sqrt": len(proto.povm), "validate": 0}

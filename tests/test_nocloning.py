@@ -189,3 +189,40 @@ def test_pointer_from_dict_names_missing_field():
     del doc["chi"]
     with pytest.raises(ProtocolError, match="chi"):
         pointer_from_dict(doc)
+
+
+def dense_pointer_unitary(proto):
+    """Reference dilation: the isometry completed by its SVD complement, then
+    the outcome-controlled swap of a and B_k as a dense permutation matrix."""
+    da, big_n = proto.port_dim, proto.N
+    db_ports = da**big_n
+    d_ab = da * proto.alice_dim * db_ports
+    npi = big_n + 1
+    d_full = d_ab * npi
+    iso = np.zeros((d_full, d_ab), dtype=complex)
+    for k, root in enumerate(proto.kraus):
+        iso[np.arange(d_ab) * npi + k, :] = np.kron(root, np.eye(db_ports))
+    known = np.arange(d_ab) * npi
+    u0 = np.zeros((d_full, d_full), dtype=complex)
+    u0[:, known] = iso
+    u0[:, sorted(set(range(d_full)) - set(known.tolist()))] = (
+        np.linalg.svd(iso, full_matrices=True)[0][:, d_ab:])
+    dims_ab = (da, proto.alice_dim) + (da,) * big_n
+    swap = np.zeros((d_full, d_full))
+    for k in range(npi):
+        axes = list(range(len(dims_ab)))
+        if k:
+            axes[0], axes[1 + k] = axes[1 + k], axes[0]
+        perm_flat = np.transpose(np.arange(d_ab).reshape(dims_ab), axes).reshape(-1)
+        perm = np.zeros((d_ab, d_ab))
+        perm[np.arange(d_ab), perm_flat] = 1.0
+        proj = np.zeros((npi, npi))
+        proj[k, k] = 1.0
+        swap += np.kron(perm, proj)
+    return swap @ u0
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_pointer_form_swap_equals_dense_permutation(N):
+    proto = bell_pbt_protocol(N)
+    np.testing.assert_array_equal(pointer_form(proto).u, dense_pointer_unitary(proto))

@@ -10,7 +10,7 @@ from pbtkit.engine import (
     measure,
     success_probability,
 )
-from pbtkit.errors import ProtocolError
+from pbtkit.errors import LayoutError, ProtocolError
 from pbtkit.pauli import SIGMA, haar_states
 from pbtkit.primed import (
     build_primed,
@@ -162,3 +162,27 @@ def test_primed_serialization_roundtrip():
                                primed.primed_resource.amplitudes, atol=1e-14)
     with pytest.raises(ProtocolError, match="primed"):
         primed_from_dict({**doc, "primed": False})
+
+
+@pytest.mark.parametrize("j", [0, 3])
+def test_primed_port_marginals_rejects_port_out_of_range(j):
+    primed = build_primed(bell_pbt_protocol(2))
+    with pytest.raises(LayoutError, match="out of range"):
+        primed_port_marginals(primed, ket([1, 0]), j)
+
+
+def test_verify_eq5_runs_the_primed_protocol_once_per_input(monkeypatch):
+    import pbtkit.primed as primed_mod
+
+    primed = build_primed(bell_pbt_protocol(3))
+    samples = haar_states(2, 3, seed=61)
+    calls = []
+    real_run = primed_mod.run_primed
+
+    def counting_run(p, psi):
+        calls.append(psi)
+        return real_run(p, psi)
+
+    monkeypatch.setattr(primed_mod, "run_primed", counting_run)
+    assert verify_eq5(primed, samples).passed
+    assert len(calls) == len(samples)
