@@ -32,6 +32,7 @@ from .errors import (  # noqa: F401
     KindMismatchError,
     LayoutError,
     ProtocolError,
+    SampleCountError,
     ToolkitError,
     UnitarityError,
 )

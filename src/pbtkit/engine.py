@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import LayoutError, ProtocolError
+from .errors import LayoutError, ProtocolError, SampleCountError
 from .pauli import haar_states
 from .report import AuditReport
 from .tensor import (
@@ -272,6 +272,12 @@ def verify_port_decomposition(proto: PbtProtocol, psi: StateVector, j: int,
     return rep
 
 
+def require_samples(samples: int) -> None:
+    """Raise ``SampleCountError`` unless at least one input is to be sampled."""
+    if samples < 1:
+        raise SampleCountError(f"samples must be at least 1, got {samples}")
+
+
 def constancy_deviations(q_rows: Sequence[np.ndarray],
                          residuals: dict[int, list[StateVector]]) -> tuple[float, float]:
     """How far per-input results drift: the largest spread of one outcome
@@ -295,7 +301,9 @@ def verify_psi_independence(proto: PbtProtocol, sample_count: int, seed: int,
     precondition is checked first and a failing protocol is reported as
     out of scope rather than asserted against.  The failure-branch port
     marginal is allowed to vary: its spread is reported, never asserted.
+    ``sample_count`` must be at least 1 (``SampleCountError`` otherwise).
     """
+    require_samples(sample_count)
     rep = AuditReport(subject="input independence of success branches", seed=seed)
     samples = haar_states(proto.port_dim, sample_count, seed)
     qs: list[np.ndarray] = []

@@ -23,3 +23,7 @@ class ProtocolError(ToolkitError, ValueError):
 
 class ChainPreconditionError(ToolkitError, ValueError):
     """The message-chain protocol was invoked on a protocol that does not qualify."""
+
+
+class SampleCountError(ToolkitError, ValueError):
+    """A check was asked for fewer input samples than it needs (at least 1)."""

@@ -25,6 +25,7 @@ from .engine import (
     complex_pairs,
     constancy_deviations,
     from_complex_pairs,
+    require_samples,
 )
 from .errors import ProtocolError, UnitarityError
 from .pauli import haar_states
@@ -70,13 +71,16 @@ class PointerOperation:
         d = self.dim_a * self.dim_b * self.dim_pointer
         if u.shape != (d, d):
             raise ProtocolError(f"unitary shape {u.shape} != ({d}, {d})")
-        if np.max(np.abs(u.conj().T @ u - np.eye(d))) > 1e-10:
+        deviation = u.conj().T @ u
+        deviation.flat[::d + 1] -= 1.0
+        if np.max(np.abs(deviation)) > 1e-10:
             raise UnitarityError("pointer-form operation matrix is not unitary within 1e-10")
         if self.xi_b.dim != self.dim_b or self.chi_pi.dim != self.dim_pointer:
             raise ProtocolError("auxiliary/pointer start states do not match declared dims")
-        gram = np.array([[complex(np.vdot(x.amplitudes, y.amplitudes))
-                          for y in self.pointer_basis] for x in self.pointer_basis])
-        if np.max(np.abs(gram - np.eye(len(self.pointer_basis)))) > 1e-12:
+        basis = np.array([v.amplitudes for v in self.pointer_basis])
+        gram = basis.conj() @ basis.T
+        gram.flat[::len(basis) + 1] -= 1.0
+        if np.max(np.abs(gram)) > 1e-12:
             raise ProtocolError("pointer basis is not orthonormal within 1e-12")
 
     @property
@@ -170,7 +174,9 @@ def verify_theorem(op: PointerOperation, samples: int, seed: int,
                    overlap_tolerance: float = 1e-8) -> AuditReport:
     """Check hypothesis on basis + superpositions, then the three conclusions on
     Haar-sampled inputs: constant branch probabilities, constant residual
-    states, and inner-product preservation between failure states."""
+    states, and inner-product preservation between failure states.
+    ``samples`` must be at least 1 (``SampleCountError`` otherwise)."""
+    require_samples(samples)
     rep = AuditReport(subject="information-extraction impossibility", seed=seed)
     hypothesis_states = _hypothesis_states(op.dim_a)
     for psi in hypothesis_states:
@@ -231,12 +237,14 @@ def pointer_form(proto: PbtProtocol,
     as the theorem requires.  ``fine_grained`` may decompose outcome k into
     several update operators K with sum K^dag K = M_k; these are routed into
     an extra ancilla inside b, keeping every conditional branch pure.
-    """
-    da = proto.port_dim
-    db_ports = da**proto.N
-    d_ab = da * proto.alice_dim * db_ports
-    npi = proto.N + 1
 
+    Every K acts on (a, A) only: the isometry is completed to a unitary on
+    (a, A) x ancilla x pointer (SVD complement in the free columns) and lifted
+    to the full space, identity on the ports, by one index scatter that also
+    applies the swap.  Only the free columns depend on the completion.
+    """
+    da, npi = proto.port_dim, proto.N + 1
+    ds, db_ports = da * proto.alice_dim, da**proto.N
     kraus: list[list[np.ndarray]] = []
     for k, (m, root) in enumerate(zip(proto.povm, proto.kraus)):
         if fine_grained and k in fine_grained:
@@ -251,45 +259,35 @@ def pointer_form(proto: PbtProtocol,
             kraus.append([root])
     danc = max(len(ops) for ops in kraus)
 
-    # isometry |v> -> sum_{k, kappa} (K_{k,kappa} x I_ports)|v> |kappa>_anc |k>_pi
-    d_full = d_ab * danc * npi
-    iso = np.zeros((d_full, d_ab), dtype=np.complex128)
+    # isometry |x> -> sum_{k, kappa} K_{k,kappa}|x> |kappa>_anc |k>_pi in the start
+    # columns (kappa = k = 0), left singular vectors past ds in the others, in order
+    iso = np.zeros((ds * danc * npi, ds), dtype=np.complex128)
     for k, ops in enumerate(kraus):
         for kap, kop in enumerate(ops):
-            block = np.kron(kop, np.eye(db_ports))
-            rows = (np.arange(d_ab) * danc + kap) * npi + k
-            iso[rows, :] += block
-    u0 = np.zeros((d_full, d_full), dtype=np.complex128)
-    known_cols = (np.arange(d_ab) * danc + 0) * npi + 0
-    u0[:, known_cols] = iso
-    # iso has orthonormal columns, so the left singular vectors beyond column
-    # d_ab are exactly an orthonormal basis of the orthogonal complement
-    u_left, _, _ = np.linalg.svd(iso, full_matrices=True)
-    free_cols = np.ones(d_full, dtype=bool)
-    free_cols[known_cols] = False
-    u0[:, free_cols] = u_left[:, d_ab:]
+            iso[(np.arange(ds) * danc + kap) * npi + k] += kop
+    start = np.arange(iso.shape[0]) % (danc * npi) == 0
+    u_small = np.empty((iso.shape[0],) * 2, dtype=np.complex128)
+    u_small[:, start] = iso
+    u_small[:, ~start] = np.linalg.svd(iso, full_matrices=True)[0][:, ds:]
 
-    # outcome k >= 1 swaps a with B_k: gather each row (x, kappa, k) from the
-    # row whose (a, A, ports) index is x with those two axes exchanged
-    flat = np.arange(d_ab).reshape((da, proto.alice_dim) + (da,) * proto.N)
+    # row (v, kappa, k) of u, v over (a, A, ports), is small row (x, kappa, k)
+    # on the columns of port index p, where (x, p) is v with a and B_k exchanged
+    flat = np.arange(ds * db_ports).reshape((da, proto.alice_dim) + (da,) * proto.N)
     perms = np.stack([flat.reshape(-1)] + [np.swapaxes(flat, 0, 1 + k).reshape(-1)
                                            for k in range(1, npi)], axis=1)
-    src = (perms[:, None, :] * danc + np.arange(danc)[:, None]) * npi + np.arange(npi)
-    u = u0[src.reshape(-1)]
-    db = proto.alice_dim * db_ports * danc
-    xi_b = tensor_product([
-        StateVector(SystemLayout.of(("b0", proto.alice_dim * db_ports)),
-                    proto.resource.amplitudes),
-        basis_state(SystemLayout.of(("anc", danc)), 0),
-    ])
-    xi_b = StateVector(SystemLayout.of(("b", db)), xi_b.amplitudes)
-    chi = basis_state(SystemLayout.of(("pi", npi)), 0)
+    x_src, p_src = np.divmod(perms[:, None, :], db_ports)
+    rows = ((x_src * danc + np.arange(danc)[:, None]) * npi + np.arange(npi)).reshape(-1)
+    u = np.zeros((rows.size, rows.size), dtype=np.complex128)
+    u.reshape(rows.size, ds, db_ports, -1)[
+        np.arange(rows.size), :, np.broadcast_to(p_src, (ds * db_ports, danc, npi)).reshape(-1)
+    ] = u_small[rows].reshape(rows.size, ds, -1)
+    xi = np.kron(proto.resource.amplitudes, np.eye(danc)[0])
     return PointerOperation(
         dim_a=da,
-        dim_b=db,
+        dim_b=xi.size,
         u=u,
-        xi_b=xi_b,
-        chi_pi=chi,
+        xi_b=StateVector(SystemLayout.of(("b", xi.size)), xi),
+        chi_pi=basis_state(SystemLayout.of(("pi", npi)), 0),
         pointer_basis=computational_pointer_basis(npi),
     )
 

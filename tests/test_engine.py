@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pbtkit.errors import LayoutError, ProtocolError
+from pbtkit.errors import LayoutError, ProtocolError, SampleCountError
 from pbtkit.engine import (
     PbtProtocol,
     bell_pbt_protocol,
@@ -316,3 +316,9 @@ def test_measure_computes_each_root_once_and_never_revalidates(monkeypatch):
         measure(proto, psi)
         port_marginals(proto, psi, 1)
     assert calls == {"sqrt": len(proto.povm), "validate": 0}
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_verify_psi_independence_rejects_sample_count_below_one(samples):
+    with pytest.raises(SampleCountError, match="samples must be at least 1"):
+        verify_psi_independence(bell_pbt_protocol(1), samples, seed=1)

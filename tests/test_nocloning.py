@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pbtkit.engine import bell_pbt_protocol
-from pbtkit.errors import ProtocolError, UnitarityError
+from pbtkit.errors import ProtocolError, SampleCountError, UnitarityError
 from pbtkit.nocloning import (
     PointerOperation,
     computational_pointer_basis,
@@ -191,23 +191,45 @@ def test_pointer_from_dict_names_missing_field():
         pointer_from_dict(doc)
 
 
-def dense_pointer_unitary(proto):
-    """Reference dilation: the isometry completed by its SVD complement, then
-    the outcome-controlled swap of a and B_k as a dense permutation matrix."""
+def fine_failure(N):
+    """Outcome 0 of the bell protocol as the three failing Bell projections on (a, A1)."""
+    return {0: [np.kron(np.outer(v, v.conj()), np.eye(2 ** (N - 1))) for v in BELL_VECS[1:]]}
+
+
+def stacked_isometry(kraus, d, danc, npi):
+    """|v> -> sum_{k, kappa} K_{k,kappa}|v> |kappa>_anc |k>_pi for operators on dim d."""
+    iso = np.zeros((d * danc * npi, d), dtype=complex)
+    for k, ops in enumerate(kraus):
+        for kap, kop in enumerate(ops):
+            iso[(np.arange(d) * danc + kap) * npi + k] += kop
+    return iso
+
+
+def svd_completion(iso, danc, npi):
+    """The isometry in the start columns (ancilla and pointer at 0), its SVD
+    complement in the other columns in index order."""
+    d = iso.shape[1]
+    start = np.arange(d) * danc * npi
+    free = sorted(set(range(iso.shape[0])) - set(start.tolist()))
+    u0 = np.zeros((iso.shape[0],) * 2, dtype=complex)
+    u0[:, start] = iso
+    u0[:, free] = np.linalg.svd(iso, full_matrices=True)[0][:, d:]
+    return u0
+
+
+def dilation_parts(proto, fine_grained):
+    fine_grained = fine_grained or {}
+    kraus = [list(fine_grained.get(k, [root])) for k, root in enumerate(proto.kraus)]
+    return kraus, max(len(ops) for ops in kraus)
+
+
+def dense_swap(proto, danc):
+    """Outcome k >= 1 exchanges a and B_k: a dense permutation on (a, A, ports, anc, pi)."""
     da, big_n = proto.port_dim, proto.N
-    db_ports = da**big_n
-    d_ab = da * proto.alice_dim * db_ports
-    npi = big_n + 1
-    d_full = d_ab * npi
-    iso = np.zeros((d_full, d_ab), dtype=complex)
-    for k, root in enumerate(proto.kraus):
-        iso[np.arange(d_ab) * npi + k, :] = np.kron(root, np.eye(db_ports))
-    known = np.arange(d_ab) * npi
-    u0 = np.zeros((d_full, d_full), dtype=complex)
-    u0[:, known] = iso
-    u0[:, sorted(set(range(d_full)) - set(known.tolist()))] = (
-        np.linalg.svd(iso, full_matrices=True)[0][:, d_ab:])
     dims_ab = (da, proto.alice_dim) + (da,) * big_n
+    d_ab = int(np.prod(dims_ab))
+    npi = big_n + 1
+    d_full = d_ab * danc * npi
     swap = np.zeros((d_full, d_full))
     for k in range(npi):
         axes = list(range(len(dims_ab)))
@@ -218,11 +240,83 @@ def dense_pointer_unitary(proto):
         perm[np.arange(d_ab), perm_flat] = 1.0
         proj = np.zeros((npi, npi))
         proj[k, k] = 1.0
-        swap += np.kron(perm, proj)
-    return swap @ u0
+        swap += np.kron(perm, np.kron(np.eye(danc), proj))
+    return swap
+
+
+def dense_pointer_unitary(proto, fine_grained=None):
+    """Reference dilation: the isometry on (a, A) x ancilla x pointer completed
+    by its SVD complement, tensored with the identity on the ports, then the
+    outcome-controlled swap of a and B_k as a dense permutation matrix."""
+    kraus, danc = dilation_parts(proto, fine_grained)
+    ds, ports, npi = proto.port_dim * proto.alice_dim, proto.port_dim**proto.N, proto.N + 1
+    u_small = svd_completion(stacked_isometry(kraus, ds, danc, npi), danc, npi)
+    d_full = ds * ports * danc * npi
+    # kron rows ((x, kappa, k), p) reordered to (x, p, kappa, k), columns alike
+    u0 = (np.kron(u_small, np.eye(ports))
+          .reshape(ds, danc * npi, ports, ds, danc * npi, ports)
+          .transpose(0, 2, 1, 3, 5, 4).reshape(d_full, d_full))
+    return dense_swap(proto, danc) @ u0
+
+
+def full_svd_pointer_unitary(proto, fine_grained=None):
+    """The dilation as built before the small-space completion: the isometry on
+    the whole (a, A, ports) x ancilla x pointer space, completed by the SVD
+    complement of that isometry, then the swap as a row gather."""
+    kraus, danc = dilation_parts(proto, fine_grained)
+    ports, npi = proto.port_dim**proto.N, proto.N + 1
+    d_ab = proto.port_dim * proto.alice_dim * ports
+    lifted = [[np.kron(kop, np.eye(ports)) for kop in ops] for ops in kraus]
+    u0 = svd_completion(stacked_isometry(lifted, d_ab, danc, npi), danc, npi)
+    return u0[np.argmax(dense_swap(proto, danc), axis=1)]
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_pointer_form_swap_equals_dense_permutation(N):
     proto = bell_pbt_protocol(N)
     np.testing.assert_array_equal(pointer_form(proto).u, dense_pointer_unitary(proto))
+
+
+def test_pointer_form_fine_grained_equals_dense_reference():
+    proto = bell_pbt_protocol(2)
+    np.testing.assert_array_equal(pointer_form(proto, fine_grained=fine_failure(2)).u,
+                                  dense_pointer_unitary(proto, fine_failure(2)))
+
+
+@pytest.mark.parametrize("fine", [False, True])
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_pointer_start_columns_match_full_svd_construction(N, fine):
+    proto = bell_pbt_protocol(N)
+    fine_grained = fine_failure(N) if fine else None
+    op = pointer_form(proto, fine_grained=fine_grained)
+    old = full_svd_pointer_unitary(proto, fine_grained)
+    # columns reached from xi_b x chi_pi: ancilla and pointer both at 0
+    start = np.arange(0, op.u.shape[1], (3 if fine else 1) * op.dim_pointer)
+    assert op.u[:, start].tobytes() == old[:, start].tobytes()
+
+
+@pytest.mark.parametrize("fine", [False, True])
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_pointer_form_svd_stays_on_the_small_space(monkeypatch, N, fine):
+    shapes = []
+    real_svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    proto = bell_pbt_protocol(N)
+    danc = 3 if fine else 1
+    op = pointer_form(proto, fine_grained=fine_failure(N) if fine else None)
+    assert shapes
+    assert all(rows <= proto.port_dim * proto.alice_dim * danc * (N + 1)
+               for rows, _ in shapes)
+    d = op.u.shape[0]
+    assert np.max(np.abs(op.u.conj().T @ op.u - np.eye(d))) < 1e-12
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_verify_theorem_rejects_sample_count_below_one(samples):
+    with pytest.raises(SampleCountError, match="samples must be at least 1"):
+        verify_theorem(pointer_form(bell_pbt_protocol(1)), samples, seed=1)
