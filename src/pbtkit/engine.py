@@ -272,10 +272,10 @@ def verify_port_decomposition(proto: PbtProtocol, psi: StateVector, j: int,
     return rep
 
 
-def require_samples(samples: int) -> None:
-    """Raise ``SampleCountError`` unless at least one input is to be sampled."""
+def require_samples(samples: int, name: str = "samples") -> None:
+    """Raise ``SampleCountError``, naming the count, unless it is at least 1."""
     if samples < 1:
-        raise SampleCountError(f"samples must be at least 1, got {samples}")
+        raise SampleCountError(f"{name} must be at least 1, got {samples}")
 
 
 def constancy_deviations(q_rows: Sequence[np.ndarray],

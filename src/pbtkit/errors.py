@@ -26,4 +26,4 @@ class ChainPreconditionError(ToolkitError, ValueError):
 
 
 class SampleCountError(ToolkitError, ValueError):
-    """A check was asked for fewer input samples than it needs (at least 1)."""
+    """A check was asked for fewer input samples or sampled rounds than it needs (at least 1)."""

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -46,6 +47,50 @@ POINTER_FORMAT_VERSION = "1"
 HYPOTHESIS_ATOL = 1e-8
 
 
+def unitarity_deviation(u: np.ndarray) -> float:
+    """``max |u^dag u - I|`` of a square matrix, over the blocks of its nonzero pattern.
+
+    Columns that share a nonzero row form one block (rows go with their
+    columns); Gram entries between columns of different blocks are exactly
+    zero, so the result is exact for any ``u``.  A dense ``u`` is one block.
+    A zero row or column, or a block with more rows than columns or fewer,
+    cannot be unitary and raises ``UnitarityError``.
+    """
+    d = u.shape[0]
+    rows, cols = np.nonzero(u != 0)
+    if not (np.bincount(rows, minlength=d).all() and np.bincount(cols, minlength=d).all()):
+        raise UnitarityError("pointer-form operation matrix has a zero row or column")
+    # min-label propagation: every column takes the smallest column index of
+    # its block; nonzero() lists entries row-major, so row runs are contiguous
+    by_col = np.argsort(cols, kind="stable")
+    row_starts = np.searchsorted(rows, np.arange(d))
+    col_starts = np.searchsorted(cols[by_col], np.arange(d))
+    label = np.arange(d)
+    while True:
+        row_label = np.minimum.reduceat(label[cols], row_starts)
+        new = np.minimum.reduceat(row_label[rows[by_col]], col_starts)
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    sizes = np.bincount(label, minlength=d)
+    if not np.array_equal(sizes, np.bincount(row_label, minlength=d)):
+        raise UnitarityError("pointer-form operation matrix has a non-square block")
+    # blocks in label order, each one contiguous in these index orders
+    col_order = np.argsort(label, kind="stable")
+    row_order = np.argsort(row_label, kind="stable")
+    block_sizes = sizes[sizes > 0]
+    offsets = np.cumsum(block_sizes) - block_sizes
+    worst = []
+    for s in np.unique(block_sizes):
+        idx = offsets[block_sizes == s][:, None] + np.arange(s)
+        blocks = u[row_order[idx][:, :, None], col_order[idx][:, None, :]]
+        gram = blocks.conj().transpose(0, 2, 1) @ blocks
+        gram.reshape(len(idx), -1)[:, ::s + 1] -= 1.0
+        worst.append(np.max(np.abs(gram)))
+    return float(np.max(worst))
+
+
 @dataclass(frozen=True)
 class PointerOperation:
     """Unitary + pointer readout form of a physical operation.
@@ -71,9 +116,7 @@ class PointerOperation:
         d = self.dim_a * self.dim_b * self.dim_pointer
         if u.shape != (d, d):
             raise ProtocolError(f"unitary shape {u.shape} != ({d}, {d})")
-        deviation = u.conj().T @ u
-        deviation.flat[::d + 1] -= 1.0
-        if np.max(np.abs(deviation)) > 1e-10:
+        if not unitarity_deviation(u) <= 1e-10:
             raise UnitarityError("pointer-form operation matrix is not unitary within 1e-10")
         if self.xi_b.dim != self.dim_b or self.chi_pi.dim != self.dim_pointer:
             raise ProtocolError("auxiliary/pointer start states do not match declared dims")
@@ -82,6 +125,17 @@ class PointerOperation:
         gram.flat[::len(basis) + 1] -= 1.0
         if np.max(np.abs(gram)) > 1e-12:
             raise ProtocolError("pointer basis is not orthonormal within 1e-12")
+
+    @cached_property
+    def _start_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Indices of the columns of ``u`` where ``psi x xi_b x chi_pi`` can be
+        nonzero (the only ones an input reaches), and a contiguous copy of
+        those columns (read-only)."""
+        aux = np.kron(self.xi_b.amplitudes, self.chi_pi.amplitudes)
+        cols = (np.arange(self.dim_a)[:, None] * aux.size + np.flatnonzero(aux)).ravel()
+        block = np.ascontiguousarray(self.u[:, cols])
+        block.setflags(write=False)
+        return cols, block
 
     @property
     def dim_pointer(self) -> int:
@@ -119,8 +173,8 @@ def decompose_by_pointer(op: PointerOperation, psi: StateVector) -> list[BranchR
                         normalized=psi.normalized)
     chi = StateVector(SystemLayout.of(("pi", op.dim_pointer)), op.chi_pi.amplitudes)
     xi = StateVector(SystemLayout.of(("b", op.dim_b)), op.xi_b.amplitudes)
-    start = tensor_product([psi_a, xi, chi])
-    evolved = op.u @ start.amplitudes
+    cols, block = op._start_columns
+    evolved = block @ tensor_product([psi_a, xi, chi]).amplitudes[cols]
     mat = evolved.reshape(op.dim_a * op.dim_b, op.dim_pointer)
     ab_layout = SystemLayout.of(("a", op.dim_a), ("b", op.dim_b))
     out = []

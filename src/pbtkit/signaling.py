@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .engine import BRANCH_PRUNE, port_label, povm_branches
+from .engine import BRANCH_PRUNE, port_label, povm_branches, require_samples
 from .errors import ChainPreconditionError
 from .pauli import PauliIndex, haar_states, pauli_element
 from .primed import PrimedProtocol, verify_eq5
@@ -269,40 +269,94 @@ def run_chain(primed: PrimedProtocol, message: int, seed: int, j: int = 1,
 def run_chain_batch(primed: PrimedProtocol, message: int, rounds: int, seed: int,
                     j: int = 1, force_k: Optional[int] = None,
                     analysis: Optional[ChainAnalysis] = None) -> list[ChainOutcome]:
-    """Sample many chain rounds; the conditional tree is computed once."""
+    """Sample many chain rounds; the conditional tree is computed once.
+
+    ``rounds`` must be at least 1 (``SampleCountError`` otherwise) and
+    ``force_k`` in ``[0, N]``.  The rounds are computed as arrays from the
+    stream a round-by-round ``Generator.choice`` loop reads: one uniform per
+    categorical draw (outcome k unless forced; on a miss the fallback outcome
+    t; the decoded message r), resolved on the cumulative table ``choice``
+    builds, so a seed gives the same outcomes it always gave.
+    """
+    require_samples(rounds, "rounds")
+    big_n = primed.base.N
+    if force_k is not None and not 0 <= force_k <= big_n:
+        raise ValueError(f"forced outcome {force_k} out of range [0, {big_n}]")
     if analysis is None:
         analysis = analyze_chain(primed, message, j)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    big_n = primed.base.N
     q = analysis.q
-    outcomes: list[ChainOutcome] = []
-    for _ in range(rounds):
-        if force_k is None:
-            k = int(rng.choice(big_n + 1, p=q / q.sum()))
-        else:
-            if q[force_k] <= 0.0:
-                raise ValueError(f"cannot force outcome {force_k}: probability 0")
-            k = force_k
-        if k == j:
-            case = "port_hit"
-            r = int(rng.choice(len(analysis.case1_probs),
-                               p=analysis.case1_probs / analysis.case1_probs.sum())) + 1
-        elif k == 0:
-            case = "failure"
-            r = int(rng.choice(len(analysis.case0_probs),
-                               p=analysis.case0_probs / analysis.case0_probs.sum())) + 1
-        else:
-            case = "port_miss"
-            c2 = analysis.case2[k]
-            probs = np.append(c2.teleport_probs, c2.leak_prob)
-            t = int(rng.choice(len(probs), p=probs / probs.sum()))
-            if t == len(c2.teleport_probs):
-                raise ChainPreconditionError("sampled the leak branch of an invalid chain")
-            row = c2.bob_probs[t]
-            r = int(rng.choice(len(row), p=row / row.sum())) + 1
-        outcomes.append(ChainOutcome(case=case, alice_outcome=k, bob_message=r,
-                                     correct=(r == message)))
-    return outcomes
+    if force_k is not None and q[force_k] <= 0.0:
+        raise ValueError(f"cannot force outcome {force_k}: probability 0")
+    rng = np.random.Generator(np.random.PCG64(seed))
+    if force_k is None:
+        draws = rng.random(3 * rounds)
+        k_at = _draw(q, draws)
+        # a round takes 2 draws on a hit or a failure and 3 on a miss
+        start = _round_starts(np.where((k_at == j) | (k_at == 0), 2, 3), rounds)
+        k = k_at[start]
+        start += 1  # the draws after k
+    else:
+        per_round = 1 if force_k in (0, j) else 2
+        draws = rng.random(per_round * rounds)
+        start = np.arange(rounds) * per_round
+        k = np.full(rounds, force_k)
+
+    r = np.empty(rounds, dtype=np.intp)
+    for case_k, probs in ((j, analysis.case1_probs), (0, analysis.case0_probs)):
+        sel = k == case_k
+        if sel.any():
+            r[sel] = _draw(probs, draws[start[sel]])
+    for i in np.unique(k[(k != j) & (k != 0)]).tolist():
+        c2 = analysis.case2[i]
+        sel = np.flatnonzero(k == i)
+        t = _draw(np.append(c2.teleport_probs, c2.leak_prob), draws[start[sel]])
+        if np.any(t == len(c2.teleport_probs)):
+            raise ChainPreconditionError("sampled the leak branch of an invalid chain")
+        for tt in np.unique(t).tolist():
+            rows = sel[t == tt]
+            r[rows] = _draw(c2.bob_probs[tt], draws[start[rows] + 1])
+    r += 1
+
+    # outcomes are immutable, so rounds with equal (k, r) share one object
+    width = int(r.max()) + 1
+    keys, which = np.unique(k * width + r, return_inverse=True)
+    shared = []
+    for kk, rr in (divmod(key, width) for key in keys.tolist()):
+        case = "port_hit" if kk == j else "failure" if kk == 0 else "port_miss"
+        shared.append(ChainOutcome(case=case, alice_outcome=kk, bob_message=rr,
+                                   correct=(rr == message)))
+    return [shared[w] for w in which.tolist()]
+
+
+def _draw(weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Categorical draws with ``Generator.choice(len(w), p=w / w.sum())``'s
+    checks and table: the index whose cumulative bin holds each uniform."""
+    p = weights / weights.sum()
+    if not np.all(np.isfinite(p)):
+        raise ValueError("probabilities are not finite")
+    if np.any(p < 0):
+        raise ValueError("probabilities are not non-negative")
+    if abs(p.sum() - 1.0) > np.sqrt(np.finfo(np.float64).eps):
+        raise ValueError("probabilities do not sum to 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(uniforms, side="right")
+
+
+def _round_starts(step: np.ndarray, rounds: int) -> np.ndarray:
+    """The first ``rounds`` points 0, f(0), f(f(0)), ... of f(p) = p + step[p],
+    composing f with itself (f, f^2, f^4, ...) instead of stepping."""
+    # clipping only touches points past the last round's draws
+    jump = np.minimum(np.arange(step.size) + step, step.size - 1)
+    start = np.zeros(rounds, dtype=np.intp)
+    index = np.arange(rounds)
+    bit = 1
+    while bit < rounds:
+        sel = (index & bit) != 0
+        start[sel] = jump[start[sel]]
+        jump = jump[jump]
+        bit <<= 1
+    return start
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +492,9 @@ def compute_chain_exact(primed: PrimedProtocol, message: int,
 
 def monte_carlo_check(primed: PrimedProtocol, message: int, j: int, rounds: int,
                       seed: int) -> AuditReport:
-    """Sampled cross-check: empirical success within 3 sigma of 4^-n."""
+    """Sampled cross-check: empirical success within 3 sigma of 4^-n.
+    ``rounds`` must be at least 1 (``SampleCountError`` otherwise)."""
+    require_samples(rounds, "rounds")
     ana = analyze_chain(primed, message, j)
     outcomes = run_chain_batch(primed, message, rounds, seed, j=j, analysis=ana)
     hits = sum(1 for o in outcomes if o.correct)

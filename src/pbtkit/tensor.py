@@ -348,8 +348,8 @@ def _canonical_phase(u: np.ndarray, vh: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _lex_key(vec: np.ndarray) -> tuple:
-    return tuple(x for pair in ((round(c.real, 10), round(c.imag, 10)) for c in vec)
-                 for x in pair)
+    """(Re, Im) of every amplitude in order, rounded to 10 decimals."""
+    return tuple(np.round(np.ascontiguousarray(vec).view(np.float64), 10).tolist())
 
 
 def schmidt_decompose(state: StateVector, left_labels: Iterable[str]):

@@ -1,17 +1,22 @@
 """Pointer-form decomposition and impossibility-theorem verifier tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from pbtkit.engine import bell_pbt_protocol
+from pbtkit.engine import BRANCH_PRUNE, bell_pbt_protocol
 from pbtkit.errors import ProtocolError, SampleCountError, UnitarityError
 from pbtkit.nocloning import (
     PointerOperation,
     computational_pointer_basis,
     decompose_by_pointer,
+    load_pointer,
     pointer_form,
     pointer_from_dict,
     pointer_to_dict,
+    save_pointer,
+    unitarity_deviation,
     verify_theorem,
 )
 from pbtkit.pauli import haar_states
@@ -320,3 +325,128 @@ def test_pointer_form_svd_stays_on_the_small_space(monkeypatch, N, fine):
 def test_verify_theorem_rejects_sample_count_below_one(samples):
     with pytest.raises(SampleCountError, match="samples must be at least 1"):
         verify_theorem(pointer_form(bell_pbt_protocol(1)), samples, seed=1)
+
+
+@pytest.mark.parametrize("fine", [False, True])
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_start_column_evolution_equals_the_dense_product(N, fine):
+    op = pointer_form(bell_pbt_protocol(N), fine_grained=fine_failure(N) if fine else None)
+    inputs = list(haar_states(2, 3, seed=N)) + [ket([1, 0]), ket([0, 1]), ket([1, 1j])]
+    for psi in inputs:
+        start = np.kron(psi.amplitudes, np.kron(op.xi_b.amplitudes, op.chi_pi.amplitudes))
+        mat = (op.u @ start).reshape(-1, op.dim_pointer)
+        for rec, kvec in zip(decompose_by_pointer(op, psi), op.pointer_basis):
+            vec = mat @ kvec.amplitudes.conj()
+            prob = float(np.vdot(vec, vec).real)
+            if rec.conditional_state is None:
+                assert rec.probability == 0.0 and prob < BRANCH_PRUNE
+            else:
+                assert rec.probability == prob
+                assert rec.conditional_state.amplitudes.tobytes() == (
+                    vec / np.sqrt(prob)).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# block-wise unitarity check
+
+
+def dense_deviation(u):
+    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+
+
+def haar_unitary(d, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def pointer_op_with(u, dim_b=2, npi=2):
+    return PointerOperation(
+        dim_a=2,
+        dim_b=dim_b,
+        u=u,
+        xi_b=basis_state(SystemLayout.of(("b", dim_b)), 0),
+        chi_pi=basis_state(SystemLayout.of(("pi", npi)), 0),
+        pointer_basis=computational_pointer_basis(npi),
+    )
+
+
+def scattered_blocks(sizes, seed):
+    """Haar blocks of the given sizes on the diagonal, rows and columns shuffled."""
+    d = sum(sizes)
+    u = np.zeros((d, d), dtype=complex)
+    at = 0
+    for i, s in enumerate(sizes):
+        u[at:at + s, at:at + s] = haar_unitary(s, seed + i)
+        at += s
+    rng = np.random.default_rng(seed)
+    return u[rng.permutation(d)][:, rng.permutation(d)]
+
+
+@pytest.mark.parametrize("N,fine", [(1, False), (2, False), (3, False), (4, False),
+                                    (1, True), (2, True), (3, True)])
+def test_blockwise_unitarity_matches_the_dense_product(N, fine):
+    op = pointer_form(bell_pbt_protocol(N), fine_grained=fine_failure(N) if fine else None)
+    deviation = unitarity_deviation(op.u)
+    assert deviation <= 1e-10
+    assert abs(deviation - dense_deviation(op.u)) <= 1e-15
+
+
+def test_blockwise_unitarity_on_blocks_of_several_sizes():
+    u = scattered_blocks([3, 5, 1, 3, 5, 3, 8], seed=2)
+    assert abs(unitarity_deviation(u) - dense_deviation(u)) <= 1e-15
+    pointer_op_with(scattered_blocks([3, 1, 3, 1], seed=4))
+
+
+def test_haar_random_dense_unitary_is_accepted():
+    u = haar_unitary(8, seed=5)
+    assert np.count_nonzero(u) == u.size
+    op = pointer_op_with(u)
+    assert abs(unitarity_deviation(op.u) - dense_deviation(u)) <= 1e-15
+
+
+def test_perturbation_inside_one_block_is_rejected():
+    op = pointer_form(bell_pbt_protocol(2))
+    u = np.array(op.u)
+    u[np.unravel_index(np.argmax(np.abs(u)), u.shape)] += 1e-9
+    assert np.array_equal(u != 0, op.u != 0)
+    with pytest.raises(UnitarityError, match="within 1e-10"):
+        dataclasses.replace(op, u=u)
+
+
+def test_zero_column_is_rejected():
+    u = np.eye(8, dtype=complex)
+    u[:, 5] = 0.0
+    with pytest.raises(UnitarityError, match="zero row or column"):
+        pointer_op_with(u)
+
+
+def test_non_square_block_is_rejected():
+    # rows 0, 1 touch only column 0; rows 2..7 touch only columns 1..7
+    u = np.zeros((8, 8), dtype=complex)
+    u[0:2, 0] = 1.0 / np.sqrt(2)
+    u[2:8, 1:8] = 0.1
+    with pytest.raises(UnitarityError, match="non-square block"):
+        pointer_op_with(u)
+
+
+def test_non_finite_entry_is_rejected():
+    u = np.eye(8, dtype=complex)
+    u[3, 3] = np.nan
+    with pytest.raises(UnitarityError, match="within 1e-10"):
+        pointer_op_with(u)
+
+
+def test_save_and_load_pointer_round_trip(tmp_path):
+    op = pointer_form(bell_pbt_protocol(2), fine_grained=fine_failure(2))
+    path = tmp_path / "pointer.json"
+    save_pointer(op, path)
+    back = load_pointer(path)
+    assert back.u.tobytes() == op.u.tobytes()
+    assert back.xi_b.amplitudes.tobytes() == op.xi_b.amplitudes.tobytes()
+    assert back.chi_pi.amplitudes.tobytes() == op.chi_pi.amplitudes.tobytes()
+    assert (back.dim_a, back.dim_b, back.dim_pointer) == (op.dim_a, op.dim_b, op.dim_pointer)
+    psi = haar_states(2, 1, 3)[0]
+    for x, y in zip(decompose_by_pointer(op, psi), decompose_by_pointer(back, psi)):
+        assert x.probability == y.probability

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from pbtkit.engine import HermitianMatrix, PbtProtocol, bell_pbt_protocol
-from pbtkit.errors import ChainPreconditionError
+from pbtkit import signaling
+from pbtkit.errors import ChainPreconditionError, SampleCountError
 from pbtkit.pauli import SIGMA
 from pbtkit.primed import build_primed
 from pbtkit.signaling import (
+    ChainOutcome,
     analyze_chain,
     bound,
     compute_chain_exact,
@@ -211,6 +213,95 @@ def test_run_chain_deterministic_and_single():
     a = run_chain(primed, message=3, seed=11)
     b = run_chain(primed, message=3, seed=11)
     assert a == b
+
+
+def loop_chain_batch(primed, message, rounds, seed, j, force_k, analysis):
+    """The round-by-round sampler the array sampler replaced: one
+    ``Generator.choice`` call per categorical draw, kept as the reference
+    for the random stream."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    big_n = primed.base.N
+    q = analysis.q
+    outcomes = []
+    for _ in range(rounds):
+        if force_k is None:
+            k = int(rng.choice(big_n + 1, p=q / q.sum()))
+        else:
+            if q[force_k] <= 0.0:
+                raise ValueError(f"cannot force outcome {force_k}: probability 0")
+            k = force_k
+        if k == j:
+            case = "port_hit"
+            r = int(rng.choice(len(analysis.case1_probs),
+                               p=analysis.case1_probs / analysis.case1_probs.sum())) + 1
+        elif k == 0:
+            case = "failure"
+            r = int(rng.choice(len(analysis.case0_probs),
+                               p=analysis.case0_probs / analysis.case0_probs.sum())) + 1
+        else:
+            case = "port_miss"
+            c2 = analysis.case2[k]
+            probs = np.append(c2.teleport_probs, c2.leak_prob)
+            t = int(rng.choice(len(probs), p=probs / probs.sum()))
+            if t == len(c2.teleport_probs):
+                raise ChainPreconditionError("sampled the leak branch of an invalid chain")
+            row = c2.bob_probs[t]
+            r = int(rng.choice(len(row), p=row / row.sum())) + 1
+        outcomes.append(ChainOutcome(case=case, alice_outcome=k, bob_message=r,
+                                     correct=(r == message)))
+    return outcomes
+
+
+# (N, j, force_k): free k, a forced failure, a forced hit (j = 1) and a forced
+# miss (j = 2, port 1); the primed reference protocol only ever succeeds at port 1
+CHAIN_CASES = [(1, 1, None), (1, 1, 0), (1, 1, 1),
+               (2, 1, None), (2, 1, 0), (2, 1, 1),
+               (2, 2, None), (2, 2, 0), (2, 2, 1)]
+
+
+@pytest.mark.parametrize("N,j,force_k", CHAIN_CASES)
+def test_run_chain_batch_equals_the_loop_sampler(N, j, force_k):
+    primed = primed_bell(N)
+    for message in (1, 3):
+        ana = analyze_chain(primed, message, j)
+        for seed, rounds in ((0, 1), (1, 2), (7, 333), (12345, 2000)):
+            expected = loop_chain_batch(primed, message, rounds, seed, j, force_k, ana)
+            got = run_chain_batch(primed, message, rounds, seed, j=j, force_k=force_k,
+                                  analysis=ana)
+            assert got == expected, (message, seed, rounds)
+
+
+def test_run_chain_batch_free_k_visits_every_case():
+    # j = 2 on two ports: free draws give hits never (q_2 = 0), misses and failures
+    cases = {o.case for o in run_chain_batch(primed_bell(2), 1, 2000, 4, j=2)}
+    assert cases == {"port_miss", "failure"}
+    cases = {o.case for o in run_chain_batch(primed_bell(2), 1, 2000, 4, j=1)}
+    assert cases == {"port_hit", "failure"}
+
+
+def refuse_analysis(*args, **kwargs):
+    raise AssertionError("a bad count must be rejected before any work")
+
+
+@pytest.mark.parametrize("rounds", [0, -5])
+def test_round_count_below_one_is_rejected(monkeypatch, rounds):
+    monkeypatch.setattr(signaling, "analyze_chain", refuse_analysis)
+    with pytest.raises(SampleCountError, match="rounds must be at least 1"):
+        run_chain_batch(primed_bell(1), message=1, rounds=rounds, seed=0)
+    with pytest.raises(SampleCountError, match="rounds must be at least 1"):
+        monte_carlo_check(primed_bell(1), message=1, j=1, rounds=rounds, seed=0)
+
+
+@pytest.mark.parametrize("N,force_k", [(1, 7), (1, 2), (1, -1), (2, 3)])
+def test_forced_outcome_out_of_range_is_rejected(monkeypatch, N, force_k):
+    monkeypatch.setattr(signaling, "analyze_chain", refuse_analysis)
+    with pytest.raises(ValueError, match=rf"\[0, {N}\]"):
+        run_chain_batch(primed_bell(N), message=1, rounds=10, seed=0, force_k=force_k)
+
+
+def test_forced_outcome_of_probability_zero_is_rejected():
+    with pytest.raises(ValueError, match="probability 0"):
+        run_chain_batch(primed_bell(2), message=1, rounds=10, seed=0, j=1, force_k=2)
 
 
 def test_monte_carlo_check_passes():
