@@ -17,6 +17,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 from typing import Optional
 
@@ -321,7 +322,7 @@ def _cmd_audit_signaling(args) -> int:
 
 def _cmd_optimize(args) -> int:
     try:
-        cfg = SolverConfig(max_iterations=args.max_iterations, seed=args.seed)
+        cfg = SolverConfig(max_iterations=args.max_iterations)
     except ValueError as exc:
         raise UsageError(f"--max-iterations: {exc}") from exc
     out_dir = _output_dir(args)
@@ -447,7 +448,9 @@ def _add_common(parser: argparse.ArgumentParser, protocol_input: bool = True) ->
                                       "or ./pbtkit-out)")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="pbtkit",
         description="Simulate and verify port-based teleportation protocols.")

@@ -28,7 +28,7 @@ from .engine import (
     from_complex_pairs,
     require_samples,
 )
-from .errors import ProtocolError, UnitarityError
+from .errors import LayoutError, ProtocolError, UnitarityError
 from .pauli import haar_states
 from .report import AuditReport
 from .tensor import (
@@ -45,6 +45,8 @@ POINTER_FORMAT_VERSION = "1"
 
 #: tolerance for the theorem's hypothesis (input intact, branch factorizes)
 HYPOTHESIS_ATOL = 1e-8
+#: largest dense pointer-form unitary, in bytes, that ``pointer_form`` allocates
+POINTER_U_CAP_BYTES = 1 << 30
 
 
 def unitarity_deviation(u: np.ndarray) -> float:
@@ -296,6 +298,8 @@ def pointer_form(proto: PbtProtocol,
     (a, A) x ancilla x pointer (SVD complement in the free columns) and lifted
     to the full space, identity on the ports, by one index scatter that also
     applies the swap.  Only the free columns depend on the completion.
+    A dense complex ``u`` larger than ``POINTER_U_CAP_BYTES`` raises
+    ``LayoutError`` before anything is built.
     """
     da, npi = proto.port_dim, proto.N + 1
     ds, db_ports = da * proto.alice_dim, da**proto.N
@@ -312,6 +316,12 @@ def pointer_form(proto: PbtProtocol,
         else:
             kraus.append([root])
     danc = max(len(ops) for ops in kraus)
+    u_bytes = 16 * (ds * db_ports * danc * npi) ** 2
+    if u_bytes > POINTER_U_CAP_BYTES:
+        raise LayoutError(
+            f"the pointer-form unitary needs {u_bytes} bytes, above the cap of "
+            f"{POINTER_U_CAP_BYTES} bytes"
+        )
 
     # isometry |x> -> sum_{k, kappa} K_{k,kappa}|x> |kappa>_anc |k>_pi in the start
     # columns (kappa = k = 0), left singular vectors past ds in the others, in order

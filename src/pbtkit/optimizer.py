@@ -65,20 +65,6 @@ DIMENSION_CAP = 1 << 15
 # orthonormal real parameterization of Hermitian matrices
 
 
-def hermitian_basis_entries(d: int) -> list[list[tuple[int, int, complex]]]:
-    """Sparse entries of the orthonormal Hermitian basis of C^{d x d}:
-    diagonal units first, then symmetric and antisymmetric pair combinations."""
-    entries: list[list[tuple[int, int, complex]]] = []
-    for i in range(d):
-        entries.append([(i, i, 1.0 + 0j)])
-    s = 1.0 / np.sqrt(2.0)
-    for i in range(d):
-        for j in range(i + 1, d):
-            entries.append([(i, j, s + 0j), (j, i, s + 0j)])
-            entries.append([(i, j, 1j * s), (j, i, -1j * s)])
-    return entries
-
-
 @lru_cache(maxsize=None)
 def _coordinate_map(d: int) -> tuple[np.ndarray, ...]:
     """Index arrays of the Hermitian coordinate map over the interleaved
@@ -125,16 +111,6 @@ def hermitian_basis(d: int) -> np.ndarray:
     return vec_to_herm(np.eye(d * d), d)
 
 
-def _basis_positions(d: int, i: int, j: int) -> list[tuple[int, complex]]:
-    """Which basis coordinates see entry (i, j), with conjugated weights."""
-    s = 1.0 / np.sqrt(2.0)
-    if i == j:
-        return [(i, 1.0 + 0j)]
-    lo, hi = min(i, j), max(i, j)
-    base = d + 2 * (lo * d - lo * (lo + 1) // 2 + hi - lo - 1)
-    return [(base, s + 0j), (base + 1, (-1j if i < j else 1j) * s)]
-
-
 def _lift_matrix(basis: np.ndarray) -> np.ndarray:
     """Real-coordinate matrix of Y -> V Y V^dag for an isometry V (big^2 x r^2)."""
     ys = hermitian_basis(basis.shape[1])
@@ -143,6 +119,21 @@ def _lift_matrix(basis: np.ndarray) -> np.ndarray:
 
 def _omega_vec(d: int) -> np.ndarray:
     return np.eye(d, dtype=np.complex128).reshape(-1)
+
+
+def _place_port(t: np.ndarray, d: int, N: int, k: int, axis: int) -> np.ndarray:
+    """Reorder one axis of ``t`` from (input, port k, other ports) to
+    (input, ports 1..N)."""
+    shape = t.shape
+    t = t.reshape(shape[:axis] + (d,) * (N + 1) + shape[axis + 1:])
+    return np.moveaxis(t, axis + 1, axis + k).reshape(shape)
+
+
+def _choi_face(d: int, N: int, k: int) -> np.ndarray:
+    """Orthonormal columns (Omega on input x port k)/sqrt(d) tensor |t> on the
+    other ports, one column per basis state t of the other ports."""
+    face = np.kron(_omega_vec(d)[:, None] / np.sqrt(d), np.eye(d ** (N - 1)))
+    return _place_port(face, d, N, k, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -166,10 +157,6 @@ class _TeleportationRows:
 
     blocks: list[np.ndarray]
     rhs_pattern: np.ndarray
-
-    @property
-    def rows_per_port(self) -> int:
-        return self.rhs_pattern.size
 
     def port_map_residual(self, ops: Sequence[np.ndarray], qs: Sequence[float]) -> float:
         """Max violation of the teleportation constraints, in basis coordinates."""
@@ -213,37 +200,11 @@ class PbtSdp(_TeleportationRows):
         c_pinv = np.linalg.pinv(c_mat)
         out = []
         for k in range(1, self.N + 1):
-            vecs = []
-            for t in range(d ** (self.N - 1)):
-                w = _choi_face_vector(d, self.N, k, t).reshape(d, d**self.N)
-                u = (w @ c_pinv.T).reshape(-1).conj()
-                vecs.append(u)
-            basis, _ = np.linalg.qr(np.stack(vecs, axis=1))
+            w = _choi_face(d, self.N, k)
+            u = (w.T.reshape(-1, d, d**self.N) @ c_pinv.T).reshape(w.shape[1], -1)
+            basis, _ = np.linalg.qr(u.T.conj())
             out.append(basis)
         return out
-
-
-def _choi_face_vector(d: int, N: int, k: int, t: int) -> np.ndarray:
-    """Normalized vector (Omega on input x port k) tensor |t> on the other ports."""
-    dims = (d,) + (d,) * N
-    vec = np.zeros(dims, dtype=np.complex128)
-    other = []
-    rem = t
-    for _ in range(N - 1):
-        other.append(rem % d)
-        rem //= d
-    other = list(reversed(other))
-    for i in range(d):
-        idx = [0] * (N + 1)
-        idx[0] = i
-        idx[k] = i
-        pos = 0
-        for ax in range(1, N + 1):
-            if ax != k:
-                idx[ax] = other[pos]
-                pos += 1
-        vec[tuple(idx)] = 1.0 / np.sqrt(d)
-    return vec.reshape(-1)
 
 
 def build_sdp(n: int, N: int, resource: StateVector) -> PbtSdp:
@@ -263,39 +224,25 @@ def build_sdp(n: int, N: int, resource: StateVector) -> PbtSdp:
     n_basis = d * d
 
     xi = resource.amplitudes.reshape((dim_alice,) + (d,) * N)
-    x_mats = hermitian_basis(d)
-    in_entries = hermitian_basis_entries(dim_povm)
-    out_entries = hermitian_basis_entries(d)
+    basis = hermitian_basis(d)
 
+    # row (b, c) of block k is <H_c, port-k output for input X_b> = Tr(G_bc M)
+    # with the adjoint map G_bc = X_b x Q_c on (a, A)
     blocks = []
     for k in range(1, N + 1):
         moved = np.moveaxis(xi, k, N)
         xi_k = moved.reshape(dim_alice, d ** (N - 1), d)
-        # P[n', beta, m', delta] = sum_t xi[n', t, beta] conj(xi[m', t, delta])
-        p_tens = np.einsum("ntb,mtd->nbmd", xi_k, xi_k.conj())
-        # Q[n', m', c] = sum_{p,q} conj(H_c[p,q]) P[n', p, m', q]
-        q_tens = np.zeros((dim_alice, dim_alice, n_basis), dtype=np.complex128)
-        for c, spec in enumerate(out_entries):
-            for p, qq, w in spec:
-                q_tens[:, :, c] += np.conj(w) * p_tens[:, p, :, qq]
-        block = np.zeros((n_basis * n_basis, dim_povm * dim_povm))
-        for e, spec in enumerate(in_entries):
-            for row, col, w in spec:
-                alpha, m_idx = divmod(row, dim_alice)
-                alpha2, n_idx = divmod(col, dim_alice)
-                qa = q_tens[n_idx, m_idx, :]
-                for b, x in enumerate(x_mats):
-                    coeff = w * x[alpha2, alpha]
-                    if coeff == 0:
-                        continue
-                    block[b * n_basis : (b + 1) * n_basis, e] += (coeff * qa).real
-        blocks.append(block)
+        # P[n', p, m', q] = sum_t xi[n', t, p] conj(xi[m', t, q])
+        p_tens = np.einsum("ntp,mtq->npmq", xi_k, xi_k.conj())
+        # Q_c[n', m'] = sum_{p,q} H_c[q, p] P[n', p, m', q]
+        q_mats = np.einsum("npmq,cqp->cnm", p_tens, basis)
+        # exactly Hermitian, so the upper triangle that herm_to_vec reads is all of G
+        q_mats = 0.5 * (q_mats + q_mats.conj().swapaxes(-1, -2))
+        g = np.einsum("bxy,cnm->bcxnym", basis, q_mats)
+        blocks.append(herm_to_vec(g.reshape(n_basis * n_basis, dim_povm, dim_povm)))
 
-    rhs = np.zeros(n_basis * n_basis)
-    for b in range(n_basis):
-        rhs[b * n_basis + b] = 1.0
     sdp = PbtSdp(n=n, N=N, resource=resource, dim_povm=dim_povm, blocks=blocks,
-                 rhs_pattern=rhs)
+                 rhs_pattern=np.eye(n_basis).reshape(-1))
     zero = [np.zeros((dim_povm, dim_povm), dtype=np.complex128) for _ in range(N)]
     if sdp.port_map_residual(zero, [0.0] * N) > 1e-14 or sdp.psd_violation(zero) > 0:
         raise ProtocolError("zero measurement is not feasible; constraint assembly broken")
@@ -324,12 +271,7 @@ class JointPbtSdp(_TeleportationRows):
     embed: np.ndarray              # sigma coordinates -> (identity x sigma) coordinates
 
     def faces(self) -> list[np.ndarray]:
-        d = 2**self.n
-        out = []
-        for k in range(1, self.N + 1):
-            cols = [_choi_face_vector(d, self.N, k, t) for t in range(d ** (self.N - 1))]
-            out.append(np.stack(cols, axis=1))
-        return out
+        return [_choi_face(2**self.n, self.N, k) for k in range(1, self.N + 1)]
 
 
 def build_joint_sdp(n: int, N: int) -> JointPbtSdp:
@@ -342,46 +284,15 @@ def build_joint_sdp(n: int, N: int) -> JointPbtSdp:
             f"extracted protocol dimension {d * dim_sigma**2} exceeds the cap "
             f"{DIMENSION_CAP}"
         )
-    dims = (d,) + (d,) * N
-    in_entries = hermitian_basis_entries(dim_choi)
-    n_rows = (d * d) ** 2
-
-    def decode(flat: int) -> tuple[int, ...]:
-        out = []
-        for dim in reversed(dims):
-            out.append(flat % dim)
-            flat //= dim
-        return tuple(reversed(out))
-
-    blocks = []
-    for k in range(1, N + 1):
-        block = np.zeros((n_rows, dim_choi * dim_choi))
-        for e, spec in enumerate(in_entries):
-            for row, col, w in spec:
-                ri = decode(row)
-                ci = decode(col)
-                if any(ri[ax] != ci[ax] for ax in range(1, N + 1) if ax != k):
-                    continue
-                i_out = ri[0] * d + ri[k]
-                j_out = ci[0] * d + ci[k]
-                for c, cw in _basis_positions(d * d, i_out, j_out):
-                    block[c, e] += (cw * w).real
-        blocks.append(block)
-
+    # row c of block k is <H_c, port-k Choi of J> = Tr((H_c x I_others) J)
+    adjoint = np.kron(hermitian_basis(d * d), np.eye(d ** (N - 1)))
+    blocks = [herm_to_vec(_place_port(_place_port(adjoint, d, N, k, 1), d, N, k, 2))
+              for k in range(1, N + 1)]
     omega = _omega_vec(d)
-    target = np.outer(omega, omega.conj())
-    rhs = np.zeros(n_rows)
-    for c, spec in enumerate(hermitian_basis_entries(d * d)):
-        rhs[c] = float(sum(np.conj(w) * target[i, j] for i, j, w in spec).real)
-
-    embed = np.zeros((dim_choi * dim_choi, dim_sigma * dim_sigma))
-    for e, spec in enumerate(hermitian_basis_entries(dim_sigma)):
-        for i, j, w in spec:
-            for a in range(d):
-                pos_i = a * dim_sigma + i
-                pos_j = a * dim_sigma + j
-                for c, cw in _basis_positions(dim_choi, pos_i, pos_j):
-                    embed[c, e] += (cw * w).real
+    rhs = herm_to_vec(np.outer(omega, omega.conj()))
+    # column e is the coordinates of I_d x (sigma basis element e)
+    embed = np.ascontiguousarray(
+        herm_to_vec(np.kron(np.eye(d), hermitian_basis(dim_sigma))).T)
     return JointPbtSdp(n=n, N=N, dim_choi=dim_choi, dim_sigma=dim_sigma,
                        blocks=blocks, rhs_pattern=rhs, embed=embed)
 
@@ -412,8 +323,6 @@ class SolverConfig:
     objective_tolerance: float = 1e-6
     penalty: float = 1.0
     over_relaxation: float = 1.6
-    seed: int = 0
-    init_noise: float = 0.0
     adapt_every: int = 25
     refine_fraction: float = 0.35
     refine_penalty: float = 1000.0
@@ -549,17 +458,13 @@ def _psd_clip_vec(vec: np.ndarray, d: int) -> np.ndarray:
     return herm_to_vec((v * w[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
 
-def _run_splitting(fp: _FaceProblem, cfg: SolverConfig, rng: np.random.Generator):
+def _run_splitting(fp: _FaceProblem, cfg: SolverConfig):
     """Iterate the consensus splitting; returns the final cone-side iterate
     and the run record: whether the stop test fired, the iteration count,
     the first iteration of the stiff phase, and the (iteration, objective,
     relative primal residual) trace."""
     r = fp.face_dim
     init = np.broadcast_to(np.eye(r) / (fp.N + 1), (fp.N, r, r))
-    if cfg.init_noise > 0:
-        g = rng.standard_normal((fp.N, 2, r, r))
-        g = g[:, 0] + 1j * g[:, 1]
-        init = init + cfg.init_noise * (g + g.conj().swapaxes(-1, -2)) / 2
     y = herm_to_vec(init).reshape(-1)
     s = (herm_to_vec(np.eye(fp.dim_sigma) / fp.dim_sigma) if fp.n_s
          else np.zeros(0))
@@ -653,8 +558,7 @@ def _solve_on_faces(sdp: _TeleportationRows, faces: list[np.ndarray], dim_big: i
     big-space blocks, their weights, the final sigma coordinates (empty
     without ``embed``), and the run record (``SolveResult`` fields)."""
     fp = _FaceProblem(sdp.blocks, sdp.rhs_pattern, faces, dim_big, embed)
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    z, run = _run_splitting(fp, cfg, rng)
+    z, run = _run_splitting(fp, cfg)
     ys, qs = _round_on_face(fp, z, cfg.rounding_passes)
     ops = [face @ y @ face.conj().T for face, y in zip(faces, ys)]
     ops = [0.5 * (op + op.conj().T) for op in ops]

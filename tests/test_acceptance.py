@@ -33,7 +33,7 @@ def optimizer_results():
     results = {}
     start = time.time()
     for N in (1, 2, 3):
-        res = solve_joint(build_joint_sdp(1, N), SolverConfig(seed=0))
+        res = solve_joint(build_joint_sdp(1, N), SolverConfig())
         cert = certify(res.povm, res.resource, 1, N, samples=20, seed=11)
         results[N] = (res, cert)
     results["elapsed"] = time.time() - start

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from pbtkit.cli import dispatch
+from pbtkit.cli import DEFAULT_TOLERANCES, build_parser, dispatch
 from pbtkit.engine import bell_pbt_protocol, protocol_to_dict
 
 
@@ -195,6 +195,24 @@ def test_usage_errors(tmp_path, capsys):
     assert dispatch(["verify", "--builtin", "bell", "--tolerance", "nope=1",
                      "--out", str(tmp_path)]) == 2
     assert dispatch(["no-such-command"]) == 2
+
+
+def test_verify_refuses_an_oversized_pointer_form_with_exit_2(tmp_path, capsys):
+    assert dispatch(["verify", "--builtin", "bell", "--ports", "5",
+                     "--out", str(tmp_path)]) == 2
+    assert "pointer-form unitary needs" in capsys.readouterr().err
+
+
+def test_parser_is_reused_without_carrying_options_over(tmp_path):
+    assert dispatch(["verify", "--builtin", "bell", "--samples", "2",
+                     "--tolerance", "eq3=1e-3", "--out", str(tmp_path / "a")]) == 0
+    assert dispatch(["verify", "--builtin", "bell", "--samples", "2",
+                     "--out", str(tmp_path / "b")]) == 0
+    first, second = (read_json(tmp_path / out / "verify.json")["manifest"]["parameters"]
+                     for out in ("a", "b"))
+    assert first["tolerances"] == {**DEFAULT_TOLERANCES, "eq3": 1e-3}
+    assert second["tolerances"] == DEFAULT_TOLERANCES
+    assert build_parser() is build_parser()
 
 
 def test_output_dir_env_var(tmp_path, monkeypatch):

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from pbtkit.engine import BRANCH_PRUNE, bell_pbt_protocol
-from pbtkit.errors import ProtocolError, SampleCountError, UnitarityError
+from pbtkit.errors import LayoutError, ProtocolError, SampleCountError, UnitarityError
 from pbtkit.nocloning import (
+    POINTER_U_CAP_BYTES,
     PointerOperation,
     computational_pointer_basis,
     decompose_by_pointer,
@@ -319,6 +320,16 @@ def test_pointer_form_svd_stays_on_the_small_space(monkeypatch, N, fine):
                for rows, _ in shapes)
     d = op.u.shape[0]
     assert np.max(np.abs(op.u.conj().T @ op.u - np.eye(d))) < 1e-12
+
+
+def test_pointer_form_refuses_an_oversized_unitary_before_building_it(monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("the dilation was started")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    # N = 5: a dense 12288 x 12288 complex unitary
+    with pytest.raises(LayoutError, match=f"needs {16 * 12288**2} bytes.*{POINTER_U_CAP_BYTES}"):
+        pointer_form(bell_pbt_protocol(5))
 
 
 @pytest.mark.parametrize("samples", [0, -3])

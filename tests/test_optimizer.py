@@ -14,6 +14,7 @@ from pbtkit.errors import LayoutError
 from pbtkit.pauli import haar_states
 from pbtkit.optimizer import (
     SolverConfig,
+    _port_choi,
     _psd_clip_vec,
     build_joint_sdp,
     build_sdp,
@@ -26,7 +27,7 @@ from pbtkit.optimizer import (
     standard_resource,
     vec_to_herm,
 )
-from pbtkit.tensor import reduced_density
+from pbtkit.tensor import StateVector, SystemLayout, reduced_density
 
 FAST = SolverConfig(max_iterations=4000)
 
@@ -41,25 +42,35 @@ def joint_result_12():
     return solve_joint(build_joint_sdp(1, 2), FAST)
 
 
+def brute_port_output(m, x, resource, n, N, k):
+    """Port-k output Tr_{a, A, other ports}[(M x I)(X x xi)] of element M on input X."""
+    d = 2**n
+    amps = resource.amplitudes
+    big = np.kron(m, np.eye(d**N)) @ np.kron(x, np.outer(amps, amps.conj()))
+    dims = (d, resource.layout.dim("A")) + (d,) * N
+    naxes = len(dims)
+    t = big.reshape(dims + dims)
+    keep_ax = 1 + k
+    row_idx = list(range(naxes))
+    col_idx = [naxes + i if i == keep_ax else i for i in range(naxes)]
+    return np.einsum(t, row_idx + col_idx, [keep_ax, naxes + keep_ax])
+
+
 def brute_constraint_residual(proto, qs):
     """Independent oracle: plug the POVM into the teleportation identity."""
     d = 2**proto.n
-    dims_b = d**proto.N
-    xi = np.outer(proto.resource.amplitudes, proto.resource.amplitudes.conj())
     worst = 0.0
     for k in range(1, proto.N + 1):
         for x in hermitian_basis(d):
-            rho = np.kron(x, xi)
-            big = np.kron(proto.povm[k].entries, np.eye(dims_b)) @ rho
-            dims = (d, proto.alice_dim) + (d,) * proto.N
-            naxes = len(dims)
-            t = big.reshape(dims + dims)
-            keep_ax = 1 + k
-            row_idx = list(range(naxes))
-            col_idx = [naxes + i if i == keep_ax else i for i in range(naxes)]
-            out = np.einsum(t, row_idx + col_idx, [keep_ax, naxes + keep_ax])
+            out = brute_port_output(proto.povm[k].entries, x, proto.resource,
+                                    proto.n, proto.N, k)
             worst = max(worst, float(np.max(np.abs(out - qs[k - 1] * x))))
     return worst
+
+
+def random_hermitian(rng, d):
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return (g + g.conj().T) / 2
 
 
 def test_hermitian_basis_orthonormal():
@@ -142,6 +153,47 @@ def test_standard_resource_layout():
         np.testing.assert_allclose(marg.entries, np.eye(2) / 2, atol=1e-14)
 
 
+ASSEMBLY_CASES = [(1, 1), (1, 2), (1, 3), (2, 1)]
+
+
+@pytest.mark.parametrize("n, N", ASSEMBLY_CASES)
+def test_fixed_blocks_match_brute_port_output(n, N):
+    rng = np.random.default_rng(10 * n + N)
+    d = 2**n
+    layout = SystemLayout((("A", d**N),) + tuple((f"B{j}", d) for j in range(1, N + 1)))
+    amps = rng.standard_normal(d ** (2 * N)) + 1j * rng.standard_normal(d ** (2 * N))
+    resource = StateVector(layout, amps / np.linalg.norm(amps))
+    sdp = build_sdp(n, N, resource)
+    m = random_hermitian(rng, sdp.dim_povm)
+    for k, block in enumerate(sdp.blocks, start=1):
+        # row (b, c): coordinate c of the port-k output for input basis element b
+        got = (block @ herm_to_vec(m)).reshape(d * d, d * d)
+        want = [herm_to_vec(brute_port_output(m, x, resource, n, N, k))
+                for x in hermitian_basis(d)]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+    for face in sdp.faces():
+        np.testing.assert_allclose(face.conj().T @ face, np.eye(face.shape[1]),
+                                   rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n, N", ASSEMBLY_CASES)
+def test_joint_blocks_match_port_choi_and_embed_matches_kron(n, N):
+    rng = np.random.default_rng(20 * n + N)
+    d = 2**n
+    sdp = build_joint_sdp(n, N)
+    j_op = random_hermitian(rng, sdp.dim_choi)
+    for k, block in enumerate(sdp.blocks, start=1):
+        np.testing.assert_allclose(block @ herm_to_vec(j_op),
+                                   herm_to_vec(_port_choi(j_op, d, N, k)),
+                                   rtol=0, atol=1e-13)
+    sigma = random_hermitian(rng, sdp.dim_sigma)
+    np.testing.assert_allclose(sdp.embed @ herm_to_vec(sigma),
+                               herm_to_vec(np.kron(np.eye(d), sigma)), rtol=0, atol=1e-13)
+    for face in sdp.faces():
+        np.testing.assert_allclose(face.conj().T @ face, np.eye(face.shape[1]),
+                                   rtol=0, atol=1e-13)
+
+
 def test_build_sdp_accepts_known_feasible_point():
     proto = bell_pbt_protocol(2)
     sdp = build_sdp(1, 2, standard_resource(1, 2))
@@ -220,8 +272,6 @@ def test_solve_fixed_tilted_resource():
     # closed-form oracle for one tilted pair alpha|00> + beta|11>: the only
     # exactly-teleporting element is the projector onto the inverting vector
     # (|00>/alpha + |11>/beta), normalized, whose weight gives p = alpha^2 beta^2
-    from pbtkit.tensor import StateVector, SystemLayout
-
     for beta_sq in (0.2, 0.35):
         alpha_sq = 1 - beta_sq
         amps = np.zeros(4, dtype=complex)
