@@ -1,0 +1,134 @@
+"""Measurement branches of many inputs at once.
+
+A generalized measurement with update maps K_k is linear in the measured
+state, so the branches (K_k x I)|state_s> of S pure states are one stacked
+matrix product.  A :class:`BranchBatch` holds them as one (inputs, outcomes,
+dim) array, and probabilities, marginals and residual states are read off it
+with array operations.  Large sample sets are processed in chunks whose
+branch amplitudes fit in BATCH_BYTES.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable, Iterator, Optional, Sequence
+
+import numpy as np
+
+from .errors import SampleCountError
+from .tensor import StateVector, SystemLayout, _apply_matrix
+
+#: branches below this probability are "impossible": reported as 0, no state
+BRANCH_PRUNE = 1e-12
+#: bytes of branch amplitudes (inputs x outcomes x dim) that one chunk of a
+#: sample set may hold; a chunk has at least one input
+BATCH_BYTES = 64 << 20
+
+
+@dataclass(frozen=True)
+class BranchBatch:
+    """``amplitudes[s, k]``: the unnormalized branch k of input s over
+    ``layout``; ``q[s, k]``: its probability.  A branch below BRANCH_PRUNE
+    has probability 0 and zero amplitudes, so it adds to no marginal."""
+
+    layout: SystemLayout
+    amplitudes: np.ndarray
+    q: np.ndarray
+
+    @classmethod
+    def of(cls, layout: SystemLayout, amplitudes: np.ndarray) -> "BranchBatch":
+        """Wrap writable branch amplitudes, pruning them; each probability is
+        one BLAS dot, the same sum ``np.vdot`` forms."""
+        q = (amplitudes.conj()[..., None, :] @ amplitudes[..., None])[..., 0, 0].real.copy()
+        amplitudes[q < BRANCH_PRUNE] = 0.0
+        q[q < BRANCH_PRUNE] = 0.0
+        return cls(layout, amplitudes, q)
+
+    @property
+    def present(self) -> np.ndarray:
+        return self.q > 0.0
+
+    def split(self, label: str, k=slice(None)) -> np.ndarray:
+        """The branches (or only those of outcome ``k``) as matrices: rows over
+        subsystem ``label``, columns over the others in layout order."""
+        amps = self.amplitudes[:, k]
+        lead, axis = amps.ndim - 1, self.layout.axis(label)
+        t = np.moveaxis(amps.reshape(amps.shape[:lead] + self.layout.dims), lead + axis, lead)
+        return t.reshape(amps.shape[:lead] + (self.layout.dims[axis], -1))
+
+    def marginals(self, label: str, k=slice(None)) -> np.ndarray:
+        """Marginals of subsystem ``label``, each times its branch probability."""
+        m = self.split(label, k)
+        return m @ m.conj().swapaxes(-1, -2)
+
+    def normalized(self, values: np.ndarray, k=slice(None)) -> np.ndarray:
+        """Per-branch ``values``, leading axes those of ``q[:, k]``, over the
+        branch probabilities (pruned branches stay 0)."""
+        q = np.where(self.q[:, k] > 0.0, self.q[:, k], 1.0)
+        return values / q.reshape(q.shape + (1,) * (values.ndim - q.ndim))
+
+    def residuals(self, label: str, k) -> np.ndarray:
+        """The state of the other subsystems in the branches of outcome(s)
+        ``k`` that factorize across ``label``: the top right singular vector."""
+        return np.linalg.svd(self.split(label, k), full_matrices=False)[2][..., 0, :]
+
+    def first(self) -> list[tuple[int, float, Optional[StateVector]]]:
+        """(k, probability, normalized state or None) of the first input."""
+        return [(k, float(q), StateVector(self.layout, amps / np.sqrt(q)) if q > 0.0 else None)
+                for k, (q, amps) in enumerate(zip(self.q[0], self.amplitudes[0]))]
+
+
+def measure_roots(states: np.ndarray, layout: SystemLayout, roots: np.ndarray,
+                  targets: Sequence[str]) -> BranchBatch:
+    """Branches of each pure state in ``states`` (rows, over ``layout``)
+    under the update maps ``roots`` on the target subsystems."""
+    roots = np.asarray(roots)
+    axes = [layout.axis(lbl) for lbl in targets]
+    amps = _apply_matrix(states.reshape((-1,) + layout.dims), layout.dims, axes, roots)
+    amps = np.ascontiguousarray(amps).reshape(len(states), len(roots), -1)
+    return BranchBatch.of(layout, amps)
+
+
+def require_samples(samples: int, name: str = "samples") -> None:
+    """Raise ``SampleCountError``, naming the count, unless it is at least 1."""
+    if samples < 1:
+        raise SampleCountError(f"{name} must be at least 1, got {samples}")
+
+
+def input_chunks(inputs: np.ndarray, branch_dim: int) -> Iterator[np.ndarray]:
+    """Consecutive blocks of rows of ``inputs`` whose branches, ``branch_dim``
+    complex amplitudes per row, fit in BATCH_BYTES (at least one row each)."""
+    size = max(1, BATCH_BYTES // (16 * branch_dim))
+    return (inputs[start:start + size] for start in range(0, len(inputs), size))
+
+
+class Drift:
+    """The largest ``distance(first, values)`` of per-input values from each
+    outcome's first present value.  ``add`` takes the next inputs in sample
+    order: values (inputs, outcomes, ...) and the mask of the present ones;
+    ``seen`` marks the outcomes present so far."""
+
+    def __init__(self, distance: Callable[[np.ndarray, np.ndarray], np.ndarray]):
+        self.distance, self.first, self.worst = distance, None, 0.0
+
+    def add(self, values: np.ndarray, present: np.ndarray) -> None:
+        if self.first is None:
+            self.first, self.seen = np.zeros_like(values[0]), np.zeros(present.shape[1], bool)
+        new = present.any(axis=0) & ~self.seen
+        self.first[new] = values[present.argmax(axis=0)[new], new]
+        self.seen |= new
+        distance = self.distance(self.first, values)
+        self.worst = max(self.worst, float(np.max(distance, where=present, initial=0.0)))
+
+
+def infidelity(first: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """1 - |<first_k|state_sk>|^2 of (outcomes, dim) and (inputs, outcomes, dim) states."""
+    return 1.0 - np.abs(np.einsum("kr,skr->sk", first.conj(), states)) ** 2
+
+
+def constancy_deviations(q: np.ndarray, residuals: Drift) -> tuple[float, float]:
+    """How far per-input results drift: the largest spread of one outcome
+    probability across the rows of ``q`` (inputs x outcomes), and the
+    largest infidelity between an outcome's residual states and its first
+    one, from ``residuals`` fed with the ``infidelity`` distance."""
+    return float(np.max(q.max(axis=0) - q.min(axis=0))), residuals.worst

@@ -27,17 +27,18 @@ from . import __version__
 from .engine import (
     PbtProtocol,
     bell_pbt_protocol,
+    from_complex_pairs,
     measure,
+    mixture_residuals,
     protocol_from_dict,
     protocol_to_dict,
     success_probability,
     teleport_report,
-    verify_port_decomposition,
     verify_psi_independence,
 )
-from .errors import ToolkitError
+from .errors import ProtocolError, ToolkitError
 from .nocloning import pointer_form, verify_theorem
-from .pauli import RNG_ALGORITHM, haar_states, sample_haar_state
+from .pauli import RNG_ALGORITHM, haar_amplitudes, haar_states, sample_haar_state
 from .primed import (
     build_primed,
     primed_from_dict,
@@ -92,15 +93,7 @@ class RunManifest:
         os.environ.get("SOURCE_DATE_EPOCH", int(time.time()))))
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "parameters": self.parameters,
-            "input_paths": self.input_paths,
-            "output_dir": self.output_dir,
-            "toolkit_version": self.toolkit_version,
-            "rng_algorithm": self.rng_algorithm,
-            "timestamp": self.timestamp,
-        }
+        return dict(vars(self))
 
 
 def _parse_tolerances(pairs: list[str]) -> dict[str, float]:
@@ -149,7 +142,7 @@ def _load_input_protocol(args) -> tuple[PbtProtocol, Optional[dict], list[str]]:
                 proto = primed_from_dict(raw).base
             else:
                 proto = protocol_from_dict(raw)
-        except ToolkitError as exc:
+        except (ToolkitError, ValueError) as exc:  # e.g. an unnormalized resource
             raise UsageError(f"{args.protocol}: {exc}") from exc
         return proto, raw, [args.protocol]
     if args.builtin == "bell":
@@ -173,14 +166,15 @@ def _psi_state(spec: str, n: int, seed: int) -> StateVector:
         return sample_haar_state(d, seed)
     try:
         with open(spec) as fh:
-            pairs = json.load(fh)
-        amps = np.array([complex(re, im) for re, im in pairs])
+            amps = from_complex_pairs(json.load(fh), "--psi")
     except FileNotFoundError as exc:
         raise UsageError(f"--psi {spec!r}: no such named state and no such file") from exc
-    except (json.JSONDecodeError, TypeError, ValueError) as exc:
-        raise UsageError(f"--psi {spec!r}: expected [[re, im], ...]: {exc}") from exc
+    except (json.JSONDecodeError, ProtocolError) as exc:
+        raise UsageError(f"--psi {spec!r}: {exc}") from exc
     if amps.size != d:
         raise UsageError(f"--psi file has dimension {amps.size}, protocol needs {d}")
+    if not amps.any():
+        raise UsageError(f"--psi {spec!r}: amplitudes are all zero")
     return StateVector(lay, amps / np.linalg.norm(amps))
 
 
@@ -197,14 +191,11 @@ def _cmd_simulate(args) -> int:
     out_dir = _output_dir(args)
     psi = _psi_state(args.psi, proto.n, args.seed)
     branches = measure(proto, psi)
-    rows = []
-    for b in branches:
-        row = {"k": b.k, "probability": b.probability}
-        if b.k >= 1 and b.post_state is not None:
+    rows = [{"k": b.k, "probability": b.probability} for b in branches]
+    for b in branches[1:]:
+        if b.post_state is not None:
             fid, residual = teleport_report(b, psi, proto)
-            row["teleport_fidelity"] = fid
-            row["residual_extracted"] = residual is not None
-        rows.append(row)
+            rows[b.k].update(teleport_fidelity=fid, residual_extracted=residual is not None)
     manifest = RunManifest("simulate", {"psi": args.psi, "seed": args.seed,
                                         "n": proto.n, "N": proto.N},
                            paths, str(out_dir))
@@ -222,13 +213,9 @@ def _cmd_simulate(args) -> int:
 def _verify_reports(proto: PbtProtocol, samples: int, seed: int,
                     tol: dict[str, float]) -> list[AuditReport]:
     eq3 = AuditReport(subject="port marginal decomposition", seed=seed)
-    worst = 0.0
-    for psi in haar_states(proto.port_dim, samples, seed):
-        for j in range(1, proto.N + 1):
-            sub = verify_port_decomposition(proto, psi, j, tolerance=tol["eq3"])
-            worst = max(worst, sub.max_deviation())
+    residuals = mixture_residuals(proto, haar_amplitudes(proto.port_dim, samples, seed))
     eq3.add("decomposition residual over all ports and inputs", "Eq.3",
-            worst, tol["eq3"], ports=proto.N, samples=samples)
+            float(residuals.max()), tol["eq3"], ports=proto.N, samples=samples)
     lemma = verify_psi_independence(proto, samples, seed,
                                     q_tolerance=tol["lemma_q"],
                                     fid_tolerance=tol["lemma_residual"])

@@ -19,29 +19,31 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import LayoutError, ProtocolError, SampleCountError
-from .pauli import haar_states
+from .branches import (  # noqa: F401 - BRANCH_PRUNE is re-exported
+    BRANCH_PRUNE,
+    BranchBatch,
+    Drift,
+    constancy_deviations,
+    infidelity,
+    input_chunks,
+    measure_roots,
+    require_samples,
+)
+from .errors import LayoutError, ProtocolError
+from .pauli import haar_amplitudes
 from .report import AuditReport
 from .tensor import (
     HermitianMatrix,
     StateVector,
     SystemLayout,
     check_memory_cap,
-    fidelity,
-    max_abs_diff,
     maximally_entangled,
     merge_subsystems,
-    outer,
     permute_subsystems,
     reduced_density,
-    schmidt_decompose,
-    state_fidelity,
     tensor_product,
-    _apply_matrix,
 )
 
-#: branches below this probability are "impossible": reported as 0, no state
-BRANCH_PRUNE = 1e-12
 #: residual extraction requires the receiving-port marginal to be this pure
 PURITY_ATOL = 1e-8
 #: POVM elements must be PSD / complete within this tolerance
@@ -83,11 +85,10 @@ class PbtProtocol:
         return SystemLayout.of(("a", self.port_dim)).concat(self.resource.layout)
 
     @cached_property
-    def kraus(self) -> tuple[np.ndarray, ...]:
-        """Measurement update maps sqrt(M_k), computed on first use (read-only)."""
-        roots = tuple(sqrt_psd(m.entries) for m in self.povm)
-        for root in roots:
-            root.setflags(write=False)
+    def kraus(self) -> np.ndarray:
+        """Measurement update maps sqrt(M_k), stacked, computed on first use (read-only)."""
+        roots = np.stack([sqrt_psd(m.entries) for m in self.povm])
+        roots.setflags(write=False)
         return roots
 
     def validate(self) -> None:
@@ -147,15 +148,33 @@ class PortMarginals:
     omega: Optional[HermitianMatrix]
 
 
-def _as_input_state(psi: StateVector, n: int) -> StateVector:
+def measure_batch(proto: PbtProtocol, inputs: np.ndarray) -> BranchBatch:
+    """All measurement branches of the protocol on each row of ``inputs``."""
+    states = inputs[:, :, None] * proto.resource.amplitudes
+    return measure_roots(states, proto.global_layout(), proto.kraus, ("a", "A"))
+
+
+def teleportation(batch: BranchBatch, inputs: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The marginal of port B_j in branch k times its probability, (inputs,
+    N + 1, N, d, d); and per input and success outcome k the fidelity of the
+    input with branch k's normalized port-B_k marginal and that marginal's
+    purity, (inputs, N) each (0 where pruned)."""
+    big_n = batch.q.shape[1] - 1
+    ports = np.stack([batch.marginals(port_label(j)) for j in range(1, big_n + 1)], axis=2)
+    own = np.arange(big_n)
+    rho = batch.normalized(ports[:, own + 1, own], slice(1, None))
+    fid = np.einsum("si,skij,sj->sk", inputs.conj(), rho, inputs).real
+    return ports, fid, np.einsum("skij,skji->sk", rho, rho).real
+
+
+def _input_row(psi: StateVector, n: int) -> np.ndarray:
+    """The amplitudes of a single 2^n-dimensional input, as a batch of one."""
     if psi.dim != 2**n:
         raise LayoutError(f"input state dimension {psi.dim} != 2^n = {2 ** n}")
     if len(psi.layout) != 1:
         raise LayoutError("input state must be a single subsystem")
-    if psi.layout.labels != ("a",):
-        return StateVector(SystemLayout.of(("a", psi.dim)), psi.amplitudes,
-                           normalized=psi.normalized)
-    return psi
+    return psi.amplitudes[None]
 
 
 def sqrt_psd(mat: np.ndarray, clip_atol: float = POVM_ATOL) -> np.ndarray:
@@ -175,29 +194,20 @@ def povm_branches(state: StateVector, roots: Sequence[np.ndarray],
     ``PbtProtocol.kraus``.  Branches with probability below BRANCH_PRUNE get
     probability 0 and no state.
     """
-    axes = [state.layout.axis(lbl) for lbl in targets]
-    dims = state.layout.dims
-    out: list[MeasurementBranch] = []
-    for k, root in enumerate(roots):
-        arr = _apply_matrix(state.tensorized(), dims, axes, root).reshape(-1)
-        prob = float(np.vdot(arr, arr).real)
-        if prob < BRANCH_PRUNE:
-            out.append(MeasurementBranch(k, 0.0, None))
-        else:
-            post = StateVector(state.layout, arr / np.sqrt(prob))
-            out.append(MeasurementBranch(k, prob, post))
-    return out
+    batch = measure_roots(state.amplitudes[None], state.layout, roots, targets)
+    return [MeasurementBranch(*branch) for branch in batch.first()]
 
 
 def build_global_state(psi: StateVector, proto: PbtProtocol) -> StateVector:
     """Input tensored with the resource: the joint state before measurement."""
-    psi = _as_input_state(psi, proto.n)
-    return tensor_product([psi, proto.resource])
+    amps = np.kron(_input_row(psi, proto.n)[0], proto.resource.amplitudes)
+    return StateVector(proto.global_layout(), amps, normalized=psi.normalized)
 
 
 def measure(proto: PbtProtocol, psi: StateVector) -> list[MeasurementBranch]:
     """All measurement branches of one protocol run on input psi."""
-    return povm_branches(build_global_state(psi, proto), proto.kraus, ("a", "A"))
+    batch = measure_batch(proto, _input_row(psi, proto.n))
+    return [MeasurementBranch(*branch) for branch in batch.first()]
 
 
 def branch_probabilities(proto: PbtProtocol, psi: StateVector) -> np.ndarray:
@@ -220,76 +230,64 @@ def teleport_report(branch: MeasurementBranch, psi: StateVector,
         raise ValueError("teleport_report needs a success branch (k >= 1)")
     if branch.post_state is None:
         raise ValueError(f"branch {branch.k} has no post state (probability 0)")
-    psi = _as_input_state(psi, proto.n)
-    port = port_label(branch.k)
-    rho_port = reduced_density(branch.post_state, {port})
-    fid = fidelity(psi, rho_port)
-    purity = float(np.trace(rho_port.entries @ rho_port.entries).real)
+    psi = _input_row(psi, proto.n)[0]
+    port, post = port_label(branch.k), branch.post_state
+    one = BranchBatch(post.layout, post.amplitudes[None, None], np.ones((1, 1)))
+    rho = one.marginals(port, 0)[0]
     residual = None
-    if 1.0 - purity <= PURITY_ATOL:
-        _, _, right = schmidt_decompose(branch.post_state, {port})
-        residual = right[0]
-    return fid, residual
+    if 1.0 - np.trace(rho @ rho).real <= PURITY_ATOL:
+        residual = StateVector(post.layout.without({port}), one.residuals(port, 0)[0])
+    return float(np.vdot(psi, rho @ psi).real), residual
 
 
-def marginals_from_branches(resource: StateVector,
-                            branches: Sequence[MeasurementBranch], j: int) -> PortMarginals:
-    """Marginals of port B_j: of the pre-measurement ``resource``, per miss
-    outcome, and on failure, read off already computed ``branches``."""
-    big_n = len(branches) - 1
+def marginals_from_batch(resource: StateVector, batch: BranchBatch, j: int) -> PortMarginals:
+    """Marginals of port B_j for the first input of ``batch``: of the
+    pre-measurement ``resource``, per miss outcome, and on failure."""
+    big_n = batch.q.shape[1] - 1
     if not 1 <= j <= big_n:
         raise LayoutError(f"port index {j} out of range [1, {big_n}]")
-    port = {port_label(j)}
-    gamma = {i: reduced_density(branches[i].post_state, port)
-             for i in range(1, big_n + 1)
-             if i != j and branches[i].post_state is not None}
-    omega = None
-    if branches[0].post_state is not None:
-        omega = reduced_density(branches[0].post_state, port)
-    return PortMarginals(j=j, eta=reduced_density(resource, port), gamma=gamma, omega=omega)
+    port = port_label(j)
+    rho = batch.normalized(batch.marginals(port))[0]
+    states = {k: HermitianMatrix(resource.layout.restrict({port}), rho[k])
+              for k in range(big_n + 1) if k != j and batch.present[0, k]}
+    return PortMarginals(j=j, eta=reduced_density(resource, {port}),
+                         gamma={i: m for i, m in states.items() if i}, omega=states.get(0))
 
 
 def port_marginals(proto: PbtProtocol, psi: StateVector, j: int) -> PortMarginals:
     """Marginals of port B_j: before measurement, per miss outcome, and on failure."""
-    return marginals_from_branches(proto.resource, measure(proto, psi), j)
+    batch = measure_batch(proto, _input_row(psi, proto.n))
+    return marginals_from_batch(proto.resource, batch, j)
+
+
+def mixture_residuals(proto: PbtProtocol, inputs: np.ndarray) -> np.ndarray:
+    """Eq.3 residual per input (rows of ``inputs``) and port j, shape (inputs,
+    N): ``max |eta_j - (q_j psi psi^dag + sum_{i != j} q_i rho_i)|``, with
+    eta_j the resource marginal and rho_i the port-j marginal of branch i."""
+    eta = np.array([reduced_density(proto.resource, {port_label(j)}).entries
+                    for j in range(1, proto.N + 1)])
+    others = 1 - np.eye(proto.N, proto.N + 1, 1)
+    out = []
+    for part in input_chunks(inputs, (proto.N + 1) * proto.global_layout().total_dim):
+        batch = measure_batch(proto, part)
+        proj = part[:, None, :, None] * part.conj()[:, None, None, :]
+        mix = (np.einsum("jk,skjab->sjab", others, teleportation(batch, part)[0])
+               + batch.q[:, 1:, None, None] * proj)
+        out.append(np.abs(eta - mix).max(axis=(2, 3)))
+    return np.vstack(out)
 
 
 def verify_port_decomposition(proto: PbtProtocol, psi: StateVector, j: int,
                               tolerance: float = 1e-10) -> AuditReport:
     """Check the port-marginal mixture identity for port j on input psi."""
-    psi = _as_input_state(psi, proto.n)
-    branches = measure(proto, psi)
-    marg = marginals_from_branches(proto.resource, branches, j)
-    mix = branches[j].probability * outer(psi).entries
-    for i, gam in marg.gamma.items():
-        mix = mix + branches[i].probability * gam.entries
-    if marg.omega is not None:
-        mix = mix + branches[0].probability * marg.omega.entries
-    residual = float(np.max(np.abs(marg.eta.entries - mix)))
+    if not 1 <= j <= proto.N:
+        raise LayoutError(f"port index {j} out of range [1, {proto.N}]")
+    inputs = _input_row(psi, proto.n)
     rep = AuditReport(subject=f"port marginal decomposition, port {j}")
-    rep.add("eta_j equals success/miss/failure mixture", "Eq.3", residual, tolerance,
-            port=j, q=[b.probability for b in branches])
+    rep.add("eta_j equals success/miss/failure mixture", "Eq.3",
+            float(mixture_residuals(proto, inputs)[0, j - 1]), tolerance,
+            port=j, q=measure_batch(proto, inputs).q[0].tolist())
     return rep
-
-
-def require_samples(samples: int, name: str = "samples") -> None:
-    """Raise ``SampleCountError``, naming the count, unless it is at least 1."""
-    if samples < 1:
-        raise SampleCountError(f"{name} must be at least 1, got {samples}")
-
-
-def constancy_deviations(q_rows: Sequence[np.ndarray],
-                         residuals: dict[int, list[StateVector]]) -> tuple[float, float]:
-    """How far per-input results drift: the largest spread of one outcome
-    probability across the rows of ``q_rows``, and the largest infidelity
-    between an outcome's residual states and its first one."""
-    q_matrix = np.vstack(q_rows)
-    spread = float(np.max(q_matrix.max(axis=0) - q_matrix.min(axis=0)))
-    worst = 0.0
-    for states in residuals.values():
-        for other in states[1:]:
-            worst = max(worst, 1.0 - state_fidelity(states[0], other))
-    return spread, worst
 
 
 def verify_psi_independence(proto: PbtProtocol, sample_count: int, seed: int,
@@ -305,37 +303,32 @@ def verify_psi_independence(proto: PbtProtocol, sample_count: int, seed: int,
     """
     require_samples(sample_count)
     rep = AuditReport(subject="input independence of success branches", seed=seed)
-    samples = haar_states(proto.port_dim, sample_count, seed)
-    qs: list[np.ndarray] = []
-    residuals: dict[int, list[StateVector]] = {k: [] for k in range(1, proto.N + 1)}
-    omegas: dict[int, list[HermitianMatrix]] = {j: [] for j in range(1, proto.N + 1)}
-    for psi in samples:
-        branches = measure(proto, psi)
-        qs.append(np.array([b.probability for b in branches]))
-        for k in range(1, proto.N + 1):
-            if branches[k].post_state is None:
-                continue
-            fid, residual = teleport_report(branches[k], psi, proto)
-            if fid < 1.0 - PURITY_ATOL or residual is None:
-                rep.preconditions_met = False
-                rep.note = "not a perfect-PBT protocol; input independence not applicable"
-                rep.add_flag("perfect teleportation precondition", "Eq.8", False,
-                             k=k, fidelity=fid)
-                return rep
-            residuals[k].append(residual)
-        if branches[0].post_state is not None:
-            for j in range(1, proto.N + 1):
-                omegas[j].append(reduced_density(branches[0].post_state, {port_label(j)}))
-    spread, worst = constancy_deviations(qs, residuals)
+    q_rows, residuals = [], Drift(infidelity)
+    omegas = Drift(lambda first, rho: np.abs(rho - first).max(axis=(-2, -1)))
+    inputs = haar_amplitudes(proto.port_dim, sample_count, seed)
+    for part in input_chunks(inputs, (proto.N + 1) * proto.global_layout().total_dim):
+        batch = measure_batch(proto, part)
+        ports, fid, purity = teleportation(batch, part)
+        success = batch.present[:, 1:]
+        imperfect = (fid < 1.0 - PURITY_ATOL) | (1.0 - purity > PURITY_ATOL)
+        failed = np.argwhere(success & imperfect)
+        if len(failed):
+            s, k = failed[0]
+            return rep.not_applicable(
+                "not a perfect-PBT protocol; input independence not applicable",
+                "perfect teleportation precondition", "Eq.8",
+                k=int(k) + 1, fidelity=float(fid[s, k]))
+        q_rows.append(batch.q)
+        residuals.add(np.stack([batch.residuals(port_label(k), k)
+                                for k in range(1, proto.N + 1)], axis=1), success)
+        omegas.add(batch.normalized(ports[:, 0], 0),
+                   np.repeat(batch.present[:, :1], proto.N, axis=1))
+    spread, worst = constancy_deviations(np.vstack(q_rows), residuals)
     rep.add("outcome probabilities constant across inputs", "Lemma", spread, q_tolerance,
             samples=sample_count)
     rep.add("residual states constant across inputs", "Lemma", worst, fid_tolerance)
-    omega_spread = 0.0
-    for j, mats in omegas.items():
-        for idx in range(1, len(mats)):
-            omega_spread = max(omega_spread, max_abs_diff(mats[0], mats[idx]))
     rep.add_flag("failure-branch port marginal varies with input (informational)",
-                 "Eq.8.9", True, spread=omega_spread)
+                 "Eq.8.9", True, spread=omegas.worst)
     return rep
 
 
@@ -375,9 +368,12 @@ def complex_pairs(arr: np.ndarray) -> list[list[float]]:
 
 def from_complex_pairs(pairs, field: str) -> np.ndarray:
     try:
-        return np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
+        out = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
     except (TypeError, ValueError) as exc:
         raise ProtocolError(f"field {field!r}: expected a list of [re, im] pairs") from exc
+    if not np.all(np.isfinite(out)):
+        raise ProtocolError(f"field {field!r}: entries must be finite")
+    return out
 
 
 def protocol_to_dict(proto: PbtProtocol) -> dict:

@@ -14,32 +14,19 @@ conclusion.
 from __future__ import annotations
 
 import json
+import mmap
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .engine import (
-    BRANCH_PRUNE,
-    PbtProtocol,
-    complex_pairs,
-    constancy_deviations,
-    from_complex_pairs,
-    require_samples,
-)
+from .branches import BranchBatch, Drift, constancy_deviations, infidelity, input_chunks
+from .engine import PbtProtocol, complex_pairs, from_complex_pairs, require_samples
 from .errors import LayoutError, ProtocolError, UnitarityError
-from .pauli import haar_states
+from .pauli import haar_amplitudes
 from .report import AuditReport
-from .tensor import (
-    StateVector,
-    SystemLayout,
-    basis_state,
-    outer,
-    reduced_density,
-    schmidt_decompose,
-    tensor_product,
-)
+from .tensor import StateVector, SystemLayout, basis_state
 
 POINTER_FORMAT_VERSION = "1"
 
@@ -59,7 +46,7 @@ def unitarity_deviation(u: np.ndarray) -> float:
     cannot be unitary and raises ``UnitarityError``.
     """
     d = u.shape[0]
-    rows, cols = np.nonzero(u != 0)
+    rows, cols = np.nonzero(u)
     if not (np.bincount(rows, minlength=d).all() and np.bincount(cols, minlength=d).all()):
         raise UnitarityError("pointer-form operation matrix has a zero row or column")
     # min-label propagation: every column takes the smallest column index of
@@ -130,27 +117,18 @@ class PointerOperation:
 
     @cached_property
     def _start_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """Indices of the columns of ``u`` where ``psi x xi_b x chi_pi`` can be
-        nonzero (the only ones an input reaches), and a contiguous copy of
-        those columns (read-only)."""
+        """The nonzero entries of ``xi_b x chi_pi``, and a contiguous copy of
+        the columns of ``u`` they meet for each basis input: the only columns
+        an input reaches (read-only)."""
         aux = np.kron(self.xi_b.amplitudes, self.chi_pi.amplitudes)
         cols = (np.arange(self.dim_a)[:, None] * aux.size + np.flatnonzero(aux)).ravel()
         block = np.ascontiguousarray(self.u[:, cols])
         block.setflags(write=False)
-        return cols, block
+        return aux[aux != 0], block
 
     @property
     def dim_pointer(self) -> int:
         return len(self.pointer_basis)
-
-    @property
-    def outcomes(self) -> int:
-        """Number of success outcomes N (pointer dimension is N + 1)."""
-        return self.dim_pointer - 1
-
-    def layout(self) -> SystemLayout:
-        return SystemLayout.of(("a", self.dim_a), ("b", self.dim_b),
-                               ("pi", self.dim_pointer))
 
 
 @dataclass(frozen=True)
@@ -167,61 +145,48 @@ def computational_pointer_basis(dim: int) -> tuple[StateVector, ...]:
     return tuple(basis_state(lay, k) for k in range(dim))
 
 
+def pointer_batch(op: PointerOperation, inputs: np.ndarray) -> BranchBatch:
+    """Run the operation on each row of ``inputs`` and resolve it into pointer
+    branches: the conditional (a, b) state of every pointer outcome."""
+    if inputs.shape[1] != op.dim_a:
+        raise ProtocolError(f"input dimension {inputs.shape[1]} != a-dimension {op.dim_a}")
+    aux, block = op._start_columns
+    evolved = (block @ np.kron(inputs, aux).T).T.reshape(len(inputs), -1, op.dim_pointer)
+    pointer = np.array([v.amplitudes for v in op.pointer_basis])
+    branches = np.ascontiguousarray((evolved @ pointer.conj().T).swapaxes(1, 2))
+    return BranchBatch.of(SystemLayout.of(("a", op.dim_a), ("b", op.dim_b)), branches)
+
+
 def decompose_by_pointer(op: PointerOperation, psi: StateVector) -> list[BranchRecord]:
     """Run the operation on psi and resolve it into pointer branches."""
-    if psi.dim != op.dim_a:
-        raise ProtocolError(f"input dimension {psi.dim} != declared a-dimension {op.dim_a}")
-    psi_a = StateVector(SystemLayout.of(("a", op.dim_a)), psi.amplitudes,
-                        normalized=psi.normalized)
-    chi = StateVector(SystemLayout.of(("pi", op.dim_pointer)), op.chi_pi.amplitudes)
-    xi = StateVector(SystemLayout.of(("b", op.dim_b)), op.xi_b.amplitudes)
-    cols, block = op._start_columns
-    evolved = block @ tensor_product([psi_a, xi, chi]).amplitudes[cols]
-    mat = evolved.reshape(op.dim_a * op.dim_b, op.dim_pointer)
-    ab_layout = SystemLayout.of(("a", op.dim_a), ("b", op.dim_b))
-    out = []
-    for k, kvec in enumerate(op.pointer_basis):
-        vec = mat @ kvec.amplitudes.conj()
-        prob = float(np.vdot(vec, vec).real)
-        if prob < BRANCH_PRUNE:
-            out.append(BranchRecord(k, 0.0, None))
-        else:
-            out.append(BranchRecord(k, prob, StateVector(ab_layout, vec / np.sqrt(prob))))
-    return out
+    return [BranchRecord(*b) for b in pointer_batch(op, psi.amplitudes[None]).first()]
 
 
-def _hypothesis_states(dim: int) -> list[StateVector]:
-    """Computational basis plus all real and imaginary pairwise superpositions."""
-    lay = SystemLayout.of(("a", dim))
-    states = [basis_state(lay, i) for i in range(dim)]
-    for l in range(dim):
-        for m in range(l + 1, dim):
-            for factor in (1.0, 1.0j):
-                amps = np.zeros(dim, dtype=np.complex128)
-                amps[l] = 1.0
-                amps[m] = factor
-                states.append(StateVector(lay, amps / np.sqrt(2)))
-    return states
+def _hypothesis_states(dim: int) -> np.ndarray:
+    """Computational basis plus all real and imaginary pairwise superpositions, as rows."""
+    basis = np.eye(dim, dtype=np.complex128)
+    l, m = np.triu_indices(dim, 1)
+    pairs = basis[l, None] + np.array([1.0, 1.0j])[:, None] * basis[m, None]
+    return np.vstack([basis, pairs.reshape(-1, dim) / np.sqrt(2)])
 
 
-def _check_hypothesis(op: PointerOperation, psi: StateVector) -> tuple[bool, dict]:
-    """Branches k >= 1 must keep the input intact and factorize from b."""
-    for rec in decompose_by_pointer(op, psi):
-        if rec.k == 0 or rec.conditional_state is None:
-            continue
-        rho_a = reduced_density(rec.conditional_state, {"a"})
-        intact = float(np.max(np.abs(rho_a.entries - outer(psi).entries)))
-        rho_b = reduced_density(rec.conditional_state, {"b"})
-        purity_gap = 1.0 - float(np.trace(rho_b.entries @ rho_b.entries).real)
-        if intact > HYPOTHESIS_ATOL or purity_gap > HYPOTHESIS_ATOL:
-            return False, {"k": rec.k, "input_deviation": intact, "purity_gap": purity_gap}
-    return True, {}
-
-
-def _extract_residual(conditional: StateVector) -> StateVector:
-    """The b-part of an (a, b) product branch (factorization already verified)."""
-    _, _, right = schmidt_decompose(conditional, {"a"})
-    return right[0]
+def _hypothesis_failure(op: PointerOperation, states: np.ndarray) -> dict:
+    """Details of the first success branch, over the rows of ``states``, that
+    changes the input on a or is entangled with b; empty if there is none."""
+    for part in input_chunks(states, op.u.shape[0]):
+        batch = pointer_batch(op, part)
+        rho_a = batch.normalized(batch.marginals("a"))[:, 1:]
+        proj = part[:, None, :, None] * part.conj()[:, None, None, :]
+        intact = np.abs(rho_a - proj).max(axis=(2, 3))
+        # a pure (a, b) state has equally pure marginals on a and on b
+        purity_gap = 1.0 - np.einsum("skij,skji->sk", rho_a, rho_a).real
+        failed = np.argwhere(batch.present[:, 1:] & ((intact > HYPOTHESIS_ATOL)
+                                                     | (purity_gap > HYPOTHESIS_ATOL)))
+        if len(failed):
+            s, k = failed[0]
+            return {"k": int(k) + 1, "input_deviation": float(intact[s, k]),
+                    "purity_gap": float(purity_gap[s, k])}
+    return {}
 
 
 def verify_theorem(op: PointerOperation, samples: int, seed: int,
@@ -235,47 +200,34 @@ def verify_theorem(op: PointerOperation, samples: int, seed: int,
     require_samples(samples)
     rep = AuditReport(subject="information-extraction impossibility", seed=seed)
     hypothesis_states = _hypothesis_states(op.dim_a)
-    for psi in hypothesis_states:
-        ok, info = _check_hypothesis(op, psi)
-        if not ok:
-            rep.preconditions_met = False
-            rep.note = "hypothesis not satisfied; conclusion checks skipped"
-            rep.add_flag("input intact and unentangled on every success branch",
-                         "Thm", False, **info)
-            return rep
+    if info := _hypothesis_failure(op, hypothesis_states):
+        return rep.not_applicable("hypothesis not satisfied; conclusion checks skipped",
+                                  "input intact and unentangled on every success branch",
+                                  "Thm", **info)
     rep.add_flag("hypothesis holds on basis and pairwise superpositions", "Thm", True,
                  states_checked=len(hypothesis_states))
 
-    sampled = haar_states(op.dim_a, samples, seed)
-    q_rows = []
-    residuals: dict[int, list[StateVector]] = {k: [] for k in range(1, op.dim_pointer)}
-    failures: list[tuple[StateVector, StateVector]] = []
-    for psi in sampled:
-        records = decompose_by_pointer(op, psi)
-        q_rows.append(np.array([r.probability for r in records]))
-        for rec in records[1:]:
-            if rec.conditional_state is not None:
-                residuals[rec.k].append(_extract_residual(rec.conditional_state))
-        if records[0].conditional_state is not None:
-            failures.append((psi, records[0].conditional_state))
-
-    q_spread, worst_res = constancy_deviations(q_rows, residuals)
+    q_rows, residuals, failures, failed_inputs = [], Drift(infidelity), [], []
+    for part in input_chunks(haar_amplitudes(op.dim_a, samples, seed), op.u.shape[0]):
+        batch = pointer_batch(op, part)
+        q_rows.append(batch.q)
+        residuals.add(batch.residuals("a", slice(1, None)), batch.present[:, 1:])
+        failed = batch.present[:, 0]
+        failures.append(batch.amplitudes[failed, 0] / np.sqrt(batch.q[failed, :1]))
+        failed_inputs.append(part[failed])
+    q_spread, worst_res = constancy_deviations(np.vstack(q_rows), residuals)
     rep.add("branch probabilities constant across inputs", "Eq.a6", q_spread, q_tolerance,
             samples=samples)
     rep.add("residual auxiliary states constant across inputs", "Eq.a7", worst_res,
             residual_tolerance,
-            outcomes_present=[k for k, v in residuals.items() if v])
+            outcomes_present=[k for k in range(1, op.dim_pointer) if residuals.seen[k - 1]])
 
-    worst_overlap = 0.0
-    for i in range(len(failures)):
-        for j in range(i + 1, len(failures)):
-            psi_i, f_i = failures[i]
-            psi_j, f_j = failures[j]
-            lhs = np.vdot(f_i.amplitudes, f_j.amplitudes)
-            rhs = np.vdot(psi_i.amplitudes, psi_j.amplitudes)
-            worst_overlap = max(worst_overlap, float(abs(lhs - rhs)))
-    rep.add("failure states preserve input inner products", "Eq.a8", worst_overlap,
-            overlap_tolerance, pairs=len(failures) * (len(failures) - 1) // 2)
+    # <f_i|f_j> = <psi_i|psi_j> for every pair i < j of failure states
+    f, psi = np.vstack(failures), np.vstack(failed_inputs)
+    gram = f.conj() @ f.T - psi.conj() @ psi.T
+    rep.add("failure states preserve input inner products", "Eq.a8",
+            float(np.max(np.abs(np.triu(gram, 1)), initial=0.0)),
+            overlap_tolerance, pairs=len(f) * (len(f) - 1) // 2)
     return rep
 
 
@@ -341,15 +293,18 @@ def pointer_form(proto: PbtProtocol,
                                            for k in range(1, npi)], axis=1)
     x_src, p_src = np.divmod(perms[:, None, :], db_ports)
     rows = ((x_src * danc + np.arange(danc)[:, None]) * npi + np.arange(npi)).reshape(-1)
-    u = np.zeros((rows.size, rows.size), dtype=np.complex128)
-    u.reshape(rows.size, ds, db_ports, -1)[
-        np.arange(rows.size), :, np.broadcast_to(p_src, (ds * db_ports, danc, npi)).reshape(-1)
-    ] = u_small[rows].reshape(rows.size, ds, -1)
+    # u is zero until written (private mapping), and only nonzero bit patterns are
+    # written, so only the pages holding them become resident
+    u = np.frombuffer(mmap.mmap(-1, u_bytes, flags=mmap.MAP_PRIVATE), dtype=np.complex128)
+    vals = u_small[rows].reshape(rows.size, ds, -1)
+    r, x, c = np.nonzero(vals.view(np.uint64).reshape(vals.shape + (2,)).any(axis=-1))
+    p_row = np.broadcast_to(p_src, (ds * db_ports, danc, npi)).reshape(-1)
+    u.reshape(rows.size, ds, db_ports, -1)[r, x, p_row[r], c] = vals[r, x, c]
     xi = np.kron(proto.resource.amplitudes, np.eye(danc)[0])
     return PointerOperation(
         dim_a=da,
         dim_b=xi.size,
-        u=u,
+        u=u.reshape(rows.size, rows.size),
         xi_b=StateVector(SystemLayout.of(("b", xi.size)), xi),
         chi_pi=basis_state(SystemLayout.of(("pi", npi)), 0),
         pointer_basis=computational_pointer_basis(npi),

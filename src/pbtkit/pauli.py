@@ -70,6 +70,11 @@ def pauli_element(idx: PauliIndex) -> np.ndarray:
     return out
 
 
+def pauli_set(n: int) -> np.ndarray:
+    """V_1 .. V_{4^n}, stacked."""
+    return np.array([pauli_element(PauliIndex(l, n)) for l in range(1, 4**n + 1)])
+
+
 def pauli_product(l: int, m: int, n: int) -> tuple[int, complex]:
     """Return (r, phase) with V_l V_m = phase * V_r; phase in {1, -1, i, -i}."""
     da = PauliIndex(l, n).digits()
@@ -94,10 +99,8 @@ def twirl(rho: HermitianMatrix) -> HermitianMatrix:
         raise LayoutError(f"twirl needs a 2^n-dimensional operator, got dimension {d}")
     if not rho.is_density():
         raise ValueError("twirl input must be a density operator")
-    acc = np.zeros((d, d), dtype=np.complex128)
-    for l in range(1, 4**n + 1):
-        v = pauli_element(PauliIndex(l, n))
-        acc += v @ rho.entries @ v.conj().T
+    paulis = pauli_set(n)
+    acc = (paulis @ rho.entries @ paulis.conj().swapaxes(1, 2)).sum(axis=0)
     return HermitianMatrix(rho.layout, acc / 4**n)
 
 
@@ -109,18 +112,20 @@ def sample_haar_state(dim: int, seed: int, label: str = "a") -> StateVector:
     """
     if dim < 1:
         raise ValueError(f"dimension must be positive, got {dim}")
+    return haar_states(dim, 1, seed, label)[0]
+
+
+def haar_amplitudes(dim: int, count: int, seed: int) -> np.ndarray:
+    """``haar_states`` as one array, a state per row, normalized bit for bit as
+    ``np.linalg.norm`` does it (one strided BLAS dot per real and imaginary part)."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    vec /= np.linalg.norm(vec)
-    return StateVector(SystemLayout.of((label, dim)), vec)
+    parts = rng.standard_normal((count, 2, dim))
+    vec = parts[:, 0] + 1j * parts[:, 1]
+    sq = [(x[:, None, :] @ x[:, :, None])[:, 0] for x in (vec.real, vec.imag)]
+    return vec / np.sqrt(sq[0] + sq[1])
 
 
 def haar_states(dim: int, count: int, seed: int, label: str = "a") -> list[StateVector]:
     """A reproducible batch of independent Haar-random states."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    out = []
-    for _ in range(count):
-        vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        vec /= np.linalg.norm(vec)
-        out.append(StateVector(SystemLayout.of((label, dim)), vec))
-    return out
+    layout = SystemLayout.of((label, dim))
+    return [StateVector(layout, vec) for vec in haar_amplitudes(dim, count, seed)]

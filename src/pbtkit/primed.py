@@ -13,35 +13,27 @@ marginals over rotated inputs, checked here term by term.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
+from .branches import BranchBatch, input_chunks, measure_roots
 from .engine import (
     MeasurementBranch,
     PbtProtocol,
     PortMarginals,
-    marginals_from_branches,
-    measure,
+    marginals_from_batch,
+    measure_batch,
     port_label,
-    povm_branches,
     protocol_to_dict,
     protocol_from_dict,
-    teleport_report,
+    teleportation,
 )
 from .errors import ProtocolError
-from .pauli import PauliIndex, pauli_element
+from .pauli import haar_states, pauli_set
 from .report import AuditReport
-from .tensor import (
-    StateVector,
-    SystemLayout,
-    apply_on_subsystems,
-    check_memory_cap,
-    fidelity,
-    outer,
-    reduced_density,
-    tensor_product,
-)
+from .tensor import StateVector, SystemLayout, check_memory_cap, reduced_density
 
 ANCILLA_LABEL = "ap"
 
@@ -76,91 +68,64 @@ class PrimedProtocol:
     def ancilla_dim(self) -> int:
         return 4**self.base.n
 
+    @cached_property
+    def chain_probe_report(self) -> AuditReport:
+        """``verify_eq5`` on two seed-0 Haar probes, run once: the chain's precondition."""
+        return verify_eq5(self, haar_states(self.base.port_dim, 2, 0))
+
     def global_layout(self) -> SystemLayout:
         return SystemLayout.of(("a", self.base.port_dim)).concat(
             self.primed_resource.layout)
 
 
-def _port_paulis(n: int, big_n: int, l: int) -> np.ndarray:
-    """V_l applied to every port, as one matrix over (B1..BN)."""
-    v = pauli_element(PauliIndex(l, n))
-    out = np.array([[1.0 + 0j]])
-    for _ in range(big_n):
-        out = np.kron(out, v)
-    return out
-
-
-def control_port_pauli(n: int, big_n: int) -> np.ndarray:
-    """sum_l |mu_l><mu_l|_{a'} x (V_l x ... x V_l)_{ports}, over (a', B1..BN)."""
-    anc = 4**n
-    ports_dim = (2**n) ** big_n
-    out = np.zeros((anc * ports_dim, anc * ports_dim), dtype=np.complex128)
-    for l in range(1, anc + 1):
-        sel = np.zeros((anc, anc))
-        sel[l - 1, l - 1] = 1.0
-        out += np.kron(sel, _port_paulis(n, big_n, l))
-    return out
+def _twirl_ports(amps: np.ndarray, layout: SystemLayout, n: int, big_n: int) -> np.ndarray:
+    """V_l on every port of the part of ``amps`` (tensorized over ``layout``
+    after any batch axes) where the control ancilla reads l."""
+    lead, paulis = amps.ndim - len(layout), pauli_set(n)
+    for j in range(1, big_n + 1):
+        axes = (lead + layout.axis(ANCILLA_LABEL), lead + layout.axis(port_label(j)))
+        t = np.moveaxis(amps, axes, (-2, -1))
+        amps = np.moveaxis(np.einsum("lij,...lj->...li", paulis, t), (-2, -1), axes)
+    return amps
 
 
 def input_side_unitary(n: int) -> np.ndarray:
     """W = sum_l (V_l^dag)_a x (|mu_l><mu_l|)_{a'}, over (a, a')."""
-    anc = 4**n
-    d = 2**n
-    out = np.zeros((d * anc, d * anc), dtype=np.complex128)
-    for l in range(1, anc + 1):
-        sel = np.zeros((anc, anc))
-        sel[l - 1, l - 1] = 1.0
-        out += np.kron(pauli_element(PauliIndex(l, n)).conj().T, sel)
-    return out
+    w = np.zeros((2**n, 4**n, 2**n, 4**n), dtype=np.complex128)
+    for l, v in enumerate(pauli_set(n)):
+        w[:, l, :, l] = v.conj().T + 0.0  # -0.0 -> 0.0, as a sum of Kronecker terms gives
+    return w.reshape(2**n * 4**n, -1)
 
 
 def build_primed(base: PbtProtocol) -> PrimedProtocol:
     """Construct the twirl layer for a base protocol."""
-    n, big_n = base.n, base.N
-    anc = 4**n
-    layout = SystemLayout.of((ANCILLA_LABEL, anc)).concat(base.resource.layout)
+    n = base.n
+    layout = SystemLayout.of((ANCILLA_LABEL, 4**n)).concat(base.resource.layout)
     check_memory_cap(SystemLayout.of(("a", 2**n)).concat(layout))
-    port_names = [port_label(j) for j in range(1, big_n + 1)]
-    amps = np.zeros(layout.total_dim, dtype=np.complex128)
-    block = base.resource.layout.total_dim
-    for l in range(1, anc + 1):
-        v = pauli_element(PauliIndex(l, n))
-        rotated = base.resource
-        for name in port_names:
-            rotated = apply_on_subsystems(rotated, v, [name])
-        amps[(l - 1) * block : l * block] = rotated.amplitudes / 2**n
-    resource = StateVector(layout, amps)
-    return PrimedProtocol(base=base, primed_resource=resource, w=input_side_unitary(n))
+    uniform = np.full((4**n, 1), 2.0**-n) * base.resource.amplitudes
+    amps = _twirl_ports(uniform.reshape(layout.dims), layout, n, base.N)
+    return PrimedProtocol(base=base, primed_resource=StateVector(layout, amps),
+                          w=input_side_unitary(n))
 
 
-def primed_global_state(p: PrimedProtocol, psi: StateVector) -> StateVector:
-    """Input x primed resource, with the compensating unitary applied on (a, a')."""
-    if psi.dim != p.base.port_dim:
-        raise ProtocolError(f"input dimension {psi.dim} != 2^n = {p.base.port_dim}")
-    psi_a = StateVector(SystemLayout.of(("a", psi.dim)), psi.amplitudes)
-    state = tensor_product([psi_a, p.primed_resource])
-    return apply_on_subsystems(state, p.w, ["a", ANCILLA_LABEL])
+def primed_batch(p: PrimedProtocol, inputs: np.ndarray) -> BranchBatch:
+    """Measurement branches of the primed protocol (base POVM on (a, A) only)
+    on each row of ``inputs``, after the compensating unitary on (a, a')."""
+    if inputs.shape[1] != p.base.port_dim:
+        raise ProtocolError(f"input dimension {inputs.shape[1]} != 2^n = {p.base.port_dim}")
+    states = inputs[:, :, None] * p.primed_resource.amplitudes
+    states = p.w @ states.reshape(len(inputs), p.base.port_dim * p.ancilla_dim, -1)
+    return measure_roots(states, p.global_layout(), p.base.kraus, ("a", "A"))
 
 
 def run_primed(p: PrimedProtocol, psi: StateVector) -> list[MeasurementBranch]:
     """Measurement branches of the primed protocol (base POVM on (a, A) only)."""
-    return povm_branches(primed_global_state(p, psi), p.base.kraus, ("a", "A"))
+    return [MeasurementBranch(*b) for b in primed_batch(p, psi.amplitudes[None]).first()]
 
 
 def primed_port_marginals(p: PrimedProtocol, psi: StateVector, j: int) -> PortMarginals:
     """Marginals of port B_j in the primed protocol."""
-    return marginals_from_branches(p.primed_resource, run_primed(p, psi), j)
-
-
-def _perfection_gap(base: PbtProtocol, probe: StateVector,
-                    branches: Sequence[MeasurementBranch]) -> float:
-    worst = 1.0
-    for b in branches[1:]:
-        if b.post_state is None:
-            continue
-        fid, _ = teleport_report(b, probe, base)
-        worst = min(worst, fid)
-    return 1.0 - worst
+    return marginals_from_batch(p.primed_resource, primed_batch(p, psi.amplitudes[None]), j)
 
 
 def verify_eq5(p: PrimedProtocol, psi_samples: Sequence[StateVector],
@@ -171,49 +136,40 @@ def verify_eq5(p: PrimedProtocol, psi_samples: Sequence[StateVector],
     probabilities, perfect delivery at the announced port, and the mixture
     identity that pins down the failure marginal."""
     rep = AuditReport(subject="twirled protocol marginals")
-    n, big_n = p.base.n, p.base.N
-    d = 2**n
+    big_n, d = p.base.N, p.base.port_dim
     mixed = np.eye(d) / d
 
-    eta_dev = 0.0
-    for j in range(1, big_n + 1):
-        eta = reduced_density(p.primed_resource, {port_label(j)})
-        eta_dev = max(eta_dev, float(np.max(np.abs(eta.entries - mixed))))
+    etas = [reduced_density(p.primed_resource, {port_label(j)}) for j in range(1, big_n + 1)]
+    eta_dev = max(float(np.max(np.abs(eta.entries - mixed))) for eta in etas)
     rep.add("pre-measurement port marginals maximally mixed", "Eq.b4", eta_dev,
             marginal_tolerance)
 
-    gamma_dev = 0.0
+    gamma_dev = prob_dev = fid_dev = eq11_dev = 0.0
     gamma_terms = 0
-    prob_dev = 0.0
-    fid_dev = 0.0
-    eq11_dev = 0.0
-    for psi in psi_samples:
-        base_branches = measure(p.base, psi)
-        gap = _perfection_gap(p.base, psi, base_branches)
-        if gap > 1e-8:
-            rep.preconditions_met = False
-            rep.note = "base protocol does not teleport perfectly; claims not applicable"
-            rep.add_flag("base protocol teleports perfectly", "Eq.8", False,
-                         worst_fidelity=1.0 - gap)
-            return rep
-        base_q = np.array([b.probability for b in base_branches])
-        branches = run_primed(p, psi)
-        primed_q = np.array([b.probability for b in branches])
-        prob_dev = max(prob_dev, float(np.max(np.abs(primed_q - base_q))))
-        for j in range(1, big_n + 1):
-            if branches[j].post_state is not None:
-                rho_port = reduced_density(branches[j].post_state, {port_label(j)})
-                fid_dev = max(fid_dev, 1.0 - fidelity(psi, rho_port))
-            marg = marginals_from_branches(p.primed_resource, branches, j)
-            for i, gam in marg.gamma.items():
-                gamma_terms += 1
-                gamma_dev = max(gamma_dev, float(np.max(np.abs(gam.entries - mixed))))
-            mix = primed_q[j] * outer(psi).entries
-            for i in marg.gamma:
-                mix = mix + primed_q[i] * mixed
-            if marg.omega is not None:
-                mix = mix + branches[0].probability * marg.omega.entries
-            eq11_dev = max(eq11_dev, float(np.max(np.abs(mixed - mix))))
+    inputs = np.array([psi.amplitudes for psi in psi_samples])
+    for part in input_chunks(inputs, (big_n + 1) * p.global_layout().total_dim):
+        base = measure_batch(p.base, part)
+        gap = 1.0 - np.min(teleportation(base, part)[1], axis=1, where=base.present[:, 1:],
+                           initial=1.0)
+        if np.any(gap > 1e-8):
+            return rep.not_applicable(
+                "base protocol does not teleport perfectly; claims not applicable",
+                "base protocol teleports perfectly", "Eq.8",
+                worst_fidelity=1.0 - float(gap[np.argmax(gap > 1e-8)]))
+        primed = primed_batch(p, part)
+        ports, fid, _ = teleportation(primed, part)
+        prob_dev = max(prob_dev, float(np.max(np.abs(primed.q - base.q))))
+        fid_dev = max(fid_dev, float(np.max(1.0 - fid, where=primed.present[:, 1:],
+                                            initial=0.0)))
+        # miss[s, i - 1, j - 1]: outcome i >= 1 happened, and it is not port j's own
+        miss = primed.present[:, 1:, None] & ~np.eye(big_n, dtype=bool)
+        gamma = np.abs(primed.normalized(ports)[:, 1:] - mixed).max(axis=(3, 4))
+        gamma_dev = max(gamma_dev, float(np.max(gamma, where=miss, initial=0.0)))
+        gamma_terms += int(miss.sum())
+        proj = part[:, None, :, None] * part.conj()[:, None, None, :]
+        mix = (primed.q[:, 1:, None, None] * proj + ports[:, 0]
+               + np.einsum("sij,si->sj", miss, primed.q[:, 1:])[:, :, None, None] * mixed)
+        eq11_dev = max(eq11_dev, float(np.max(np.abs(mixed - mix))))
     check = rep.add("miss-outcome port marginals maximally mixed", "Eq.b7", gamma_dev,
                     marginal_tolerance, terms=gamma_terms)
     if gamma_terms == 0:
@@ -232,46 +188,34 @@ def verify_failure_marginal_twirl(p: PrimedProtocol, psi: StateVector, j: int,
 
     Conditioned on ancilla value l, the primed failure marginal at B_j must be
     V_l (base failure marginal for input V_l^dag psi) V_l^dag, each ancilla
-    value carrying weight 4^-n; the aggregate is their average.
+    value carrying weight 4^-n; the aggregate is their average.  The 4^n
+    rotated base runs are one batch.
     """
     rep = AuditReport(subject=f"failure marginal twirl decomposition, port {j}")
-    n = p.base.n
-    anc = p.ancilla_dim
-    psi_a = StateVector(SystemLayout.of(("a", psi.dim)), psi.amplitudes)
-    branches = run_primed(p, psi)
-    if branches[0].post_state is None:
-        rep.add_flag("failure branch present", "Eq.b8", False)
-        rep.preconditions_met = False
-        rep.note = "protocol never fails on this input; twirl decomposition not applicable"
-        return rep
-    fail = branches[0].post_state
-    lay = fail.layout
-    anc_axis = lay.axis(ANCILLA_LABEL)
-    tens = np.moveaxis(fail.tensorized(), anc_axis, 0)
-
-    term_dev = 0.0
-    weight_dev = 0.0
-    agg = np.zeros((2**n, 2**n), dtype=np.complex128)
-    expected_agg = np.zeros_like(agg)
-    for l in range(1, anc + 1):
-        v = pauli_element(PauliIndex(l, n))
-        component = tens[l - 1].reshape(-1)
-        weight = float(np.vdot(component, component).real)
-        weight_dev = max(weight_dev, abs(weight - 1.0 / anc))
-        cond = StateVector(lay.without({ANCILLA_LABEL}), component / np.sqrt(weight))
-        rho_l = reduced_density(cond, {port_label(j)}).entries
-        agg += weight * rho_l
-        rotated_in = apply_on_subsystems(psi_a, v.conj().T, ["a"])
-        base_fail = measure(p.base, rotated_in)[0].post_state
-        omega_l = reduced_density(base_fail, {port_label(j)}).entries
-        expected_l = v @ omega_l @ v.conj().T
-        expected_agg += expected_l / anc
-        term_dev = max(term_dev, float(np.max(np.abs(rho_l - expected_l))))
+    anc, port = p.ancilla_dim, port_label(j)
+    branches = primed_batch(p, psi.amplitudes[None])
+    if not branches.present[0, 0]:
+        return rep.not_applicable(
+            "protocol never fails on this input; twirl decomposition not applicable",
+            "failure branch present", "Eq.b8")
+    # the normalized failure branch, split by ancilla value into one state each
+    lay = p.global_layout()
+    fail = np.moveaxis(branches.amplitudes[0, 0].reshape(lay.dims), lay.axis(ANCILLA_LABEL), 0)
+    per_l = BranchBatch.of(lay.without({ANCILLA_LABEL}),
+                           fail.reshape(anc, 1, -1) / np.sqrt(branches.q[0, 0]))
+    weights = per_l.q[:, 0]
+    rho = per_l.normalized(per_l.marginals(port, 0), 0)
+    paulis = pauli_set(p.base.n)
+    rotated = measure_batch(p.base, paulis.conj().swapaxes(1, 2) @ psi.amplitudes)
+    omega = rotated.normalized(rotated.marginals(port, 0), 0)
+    expected = paulis @ omega @ paulis.conj().swapaxes(1, 2)
     rep.add("per-ancilla-value failure marginal matches rotated base run", "Eq.b9",
-            term_dev, tolerance, terms=anc)
-    rep.add("ancilla values carry uniform weight", "Eq.b8", weight_dev, tolerance)
+            float(np.max(np.abs(rho - expected))), tolerance, terms=anc)
+    rep.add("ancilla values carry uniform weight", "Eq.b8",
+            float(np.max(np.abs(weights - 1.0 / anc))), tolerance)
     rep.add("aggregate failure marginal is the Pauli average", "Eq.b9",
-            float(np.max(np.abs(agg - expected_agg))), tolerance)
+            float(np.max(np.abs(np.tensordot(weights, rho, 1) - expected.mean(axis=0)))),
+            tolerance)
     return rep
 
 
@@ -282,30 +226,21 @@ def commutation_witness(p: PrimedProtocol, psi: StateVector) -> AuditReport:
     post states: the port operations commute with everything the sender does.
     """
     rep = AuditReport(subject="port operations commute with the sender's measurement")
-    base = p.base
-    n, big_n = base.n, base.N
-    psi_a = StateVector(SystemLayout.of(("a", psi.dim)), psi.amplitudes)
-    uniform = StateVector(SystemLayout.of((ANCILLA_LABEL, p.ancilla_dim)),
-                          np.full(p.ancilla_dim, 1.0 / 2**n, dtype=np.complex128))
-    start = tensor_product([psi_a, uniform, base.resource])
-    start = apply_on_subsystems(start, p.w, ["a", ANCILLA_LABEL])
-    cv = control_port_pauli(n, big_n)
-    port_names = [port_label(j) for j in range(1, big_n + 1)]
-
-    before = run_primed(p, psi)
-    after = povm_branches(start, base.kraus, ("a", "A"))
-    prob_dev = 0.0
-    state_dev = 0.0
-    for k, branch in enumerate(after):
-        prob_dev = max(prob_dev, abs(branch.probability - before[k].probability))
-        if branch.post_state is None or before[k].post_state is None:
-            continue
-        twirled = apply_on_subsystems(branch.post_state, cv, [ANCILLA_LABEL] + port_names)
-        state_dev = max(state_dev,
-                        float(np.max(np.abs(twirled.amplitudes
-                                            - before[k].post_state.amplitudes))))
-    rep.add("branch probabilities agree across orders", "Eq.b5", prob_dev, 1e-12)
-    rep.add("branch states agree across orders", "Eq.b5", state_dev, 1e-12)
+    lay = p.global_layout()
+    # the untwirled resource next to the uniform ancilla; the twirl comes after
+    start = psi.amplitudes[:, None, None] * np.full((p.ancilla_dim, 1), 2.0**-p.base.n)
+    start = p.w @ (start * p.base.resource.amplitudes).reshape(1, p.ancilla_dim * psi.dim, -1)
+    after = measure_roots(start, lay, p.base.kraus, ("a", "A"))
+    twirled = _twirl_ports(after.amplitudes.reshape(after.q.shape + lay.dims), lay,
+                           p.base.n, p.base.N).reshape(after.amplitudes.shape)
+    before = primed_batch(p, psi.amplitudes[None])
+    both = after.present & before.present
+    diff = (twirled / np.sqrt(np.where(both, after.q, 1.0))[..., None]
+            - before.amplitudes / np.sqrt(np.where(both, before.q, 1.0))[..., None])
+    rep.add("branch probabilities agree across orders", "Eq.b5",
+            float(np.max(np.abs(after.q - before.q))), 1e-12)
+    rep.add("branch states agree across orders", "Eq.b5",
+            float(np.max(np.abs(diff), where=both[..., None], initial=0.0)), 1e-12)
     return rep
 
 

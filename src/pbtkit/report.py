@@ -24,14 +24,7 @@ class CheckResult:
     details: dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "tag": self.tag,
-            "passed": self.passed,
-            "deviation": self.deviation,
-            "tolerance": self.tolerance,
-            "details": self.details,
-        }
+        return dict(vars(self))
 
 
 @dataclass
@@ -68,17 +61,17 @@ class AuditReport:
         self.checks.append(res)
         return res
 
+    def not_applicable(self, note: str, name: str, tag: str, **details: Any) -> "AuditReport":
+        """Mark the claims out of scope: ``note`` plus the failed precondition."""
+        self.preconditions_met = False
+        self.note = note
+        self.add_flag(name, tag, False, **details)
+        return self
+
     def max_deviation(self) -> float:
         devs = [c.deviation for c in self.checks if c.deviation is not None]
         return max(devs) if devs else 0.0
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "subject": self.subject,
-            "passed": self.passed,
-            "preconditions_met": self.preconditions_met,
-            "note": self.note,
-            "seed": self.seed,
-            "rng_algorithm": self.rng_algorithm,
-            "checks": [c.to_dict() for c in self.checks],
-        }
+        return {**vars(self), "passed": self.passed,
+                "checks": [c.to_dict() for c in self.checks]}

@@ -23,10 +23,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .engine import BRANCH_PRUNE, port_label, povm_branches, require_samples
+from .engine import BRANCH_PRUNE, MeasurementBranch, port_label, povm_branches, require_samples
 from .errors import ChainPreconditionError
-from .pauli import PauliIndex, haar_states, pauli_element
-from .primed import PrimedProtocol, verify_eq5
+from .pauli import PauliIndex, pauli_element
+from .primed import PrimedProtocol
 from .report import AuditReport
 from .tensor import (
     StateVector,
@@ -132,10 +132,10 @@ class ChainAnalysis:
     p_prime_formula: float
 
 
-def check_chain_preconditions(primed: PrimedProtocol, seed: int = 0) -> None:
-    """The chain argument needs maximally mixed port marginals and a perfect base."""
-    probes = haar_states(primed.base.port_dim, 2, seed)
-    rep = verify_eq5(primed, probes)
+def check_chain_preconditions(primed: PrimedProtocol) -> None:
+    """The chain argument needs maximally mixed port marginals and a perfect
+    base: ``PrimedProtocol.chain_probe_report``, evaluated once per protocol."""
+    rep = primed.chain_probe_report
     if not rep.passed:
         raise ChainPreconditionError(
             "chain protocol requires a twirled perfect protocol; marginal check failed: "
@@ -205,20 +205,24 @@ def _analyze_case2(post: StateVector, i: int, j: int, n: int,
     )
 
 
+def _chain_branches(primed: PrimedProtocol, message: int) -> list[MeasurementBranch]:
+    """The sender's branches on the encoded message (the same for every receiver port)."""
+    state = tensor_product([sdc_encode(message, primed.base.n), primed.primed_resource])
+    state = apply_on_subsystems(state, primed.w, ["a", "ap"])
+    return povm_branches(state, primed.base.kraus, ("a", "A"))
+
+
 def analyze_chain(primed: PrimedProtocol, message: int, j: int,
-                  check_preconditions: bool = True) -> ChainAnalysis:
-    """Exact conditional distribution tree for one chain configuration."""
+                  branches: Optional[Sequence[MeasurementBranch]] = None) -> ChainAnalysis:
+    """Exact conditional distribution tree for one chain (``branches``: the message's)."""
     base = primed.base
     n, big_n = base.n, base.N
     if not 1 <= j <= big_n:
         raise ValueError(f"receiver port {j} out of range [1, {big_n}]")
-    if check_preconditions:
-        check_chain_preconditions(primed)
+    check_chain_preconditions(primed)
     basis = sdc_basis(n)
-    psi_ab = sdc_encode(message, n)
-    state = tensor_product([psi_ab, primed.primed_resource])
-    state = apply_on_subsystems(state, primed.w, ["a", "ap"])
-    branches = povm_branches(state, base.kraus, ("a", "A"))
+    if branches is None:
+        branches = _chain_branches(primed, message)
     q = np.array([b.probability for b in branches])
     post = [b.post_state for b in branches]
     p_success = float(q[1:].sum())
@@ -439,8 +443,9 @@ def compute_chain_exact(primed: PrimedProtocol, message: int,
     r_total = 0.0
     p_success = None
     q_list: list[float] = []
+    branches = _chain_branches(primed, message)
     for j in range(1, big_n + 1):
-        ana = analyze_chain(primed, message, j, check_preconditions=False)
+        ana = analyze_chain(primed, message, j, branches=branches)
         p_success = ana.p
         q_list = [float(x) for x in ana.q]
         ports.append(PortSignaling(

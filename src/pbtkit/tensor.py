@@ -305,16 +305,19 @@ def merge_subsystems(value: TensorValue, labels: Sequence[str], new_label: str) 
 
 def _apply_matrix(tensorized: np.ndarray, dims: Sequence[int], axes: Sequence[int],
                   matrix: np.ndarray) -> np.ndarray:
-    """Apply ``matrix`` on the given axes of a tensorized pure state."""
-    n = len(dims)
-    rest = [i for i in range(n) if i not in axes]
-    t = np.transpose(tensorized, list(axes) + rest)
-    front = int(np.prod([dims[i] for i in axes])) if axes else 1
-    mat = t.reshape(front, -1)
-    mat = matrix @ mat
-    t = mat.reshape([dims[i] for i in axes] + [dims[i] for i in rest])
-    inv = np.argsort(list(axes) + rest)
-    return np.transpose(t, inv)
+    """Apply ``matrix`` on the given axes of a tensorized pure state.
+
+    Axes of ``tensorized`` before its last ``len(dims)`` index a batch of
+    states, and axes of ``matrix`` before its last two a stack of matrices;
+    the result has the batch axes, then the stack axes, then ``dims``.
+    """
+    lead, stack = tensorized.ndim - len(dims), matrix.shape[:-2]
+    order = list(axes) + [i for i in range(len(dims)) if i not in axes]
+    t = np.transpose(tensorized, list(range(lead)) + [lead + i for i in order])
+    mat = t.reshape(t.shape[:lead] + (1,) * len(stack) + (matrix.shape[-1], -1))
+    out = (matrix @ mat).reshape(t.shape[:lead] + stack + t.shape[lead:])
+    lead += len(stack)
+    return np.transpose(out, list(range(lead)) + [lead + i for i in np.argsort(order)])
 
 
 def apply_on_subsystems(state: StateVector, u: np.ndarray,
@@ -424,10 +427,3 @@ def fidelity(pure: StateVector, rho: HermitianMatrix) -> float:
         raise LayoutError(f"dimension mismatch: state {pure.dim} vs operator {rho.dim}")
     val = np.vdot(pure.amplitudes, rho.entries @ pure.amplitudes)
     return float(val.real)
-
-
-def max_abs_diff(a: HermitianMatrix, b: HermitianMatrix) -> float:
-    """Max-norm distance between two operators of equal dimension."""
-    if a.dim != b.dim:
-        raise LayoutError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return float(np.max(np.abs(a.entries - b.entries)))

@@ -240,3 +240,49 @@ def test_bad_counts_are_rejected_at_parse_time(tmp_path, capsys, argv):
     assert dispatch(argv + ["--out", str(out)]) == 2
     assert "error: argument --" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("pairs", [[[0, 0], [0, 0]], [[float("nan"), 0], [1, 0]],
+                                   [[1, 0], [0, float("inf")]]])
+def test_psi_file_that_is_zero_or_not_finite_exits_2(tmp_path, capsys, pairs):
+    path = tmp_path / "psi.json"
+    path.write_text(json.dumps(pairs))
+    code = dispatch(["simulate", "--builtin", "bell", "--ports", "2", "--psi", str(path),
+                     "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--psi" in err and ("finite" in err or "zero" in err)
+    assert not (tmp_path / "simulate.json").exists()
+
+
+def corrupted(doc, field, value):
+    doc = json.loads(json.dumps(doc))
+    if field == "resource":
+        doc["resource"][3][0] = value
+    else:
+        doc["povm"][1][5][1] = value
+    return doc
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("field,value,named", [("resource", float("nan"), "'resource'"),
+                                               ("povm", float("inf"), "'povm[1]'"),
+                                               ("povm", float("nan"), "'povm[1]'")])
+def test_protocol_file_with_non_finite_entries_exits_2(tmp_path, capsys, command, field,
+                                                       value, named):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(corrupted(protocol_to_dict(bell_pbt_protocol(2)), field, value)))
+    code = dispatch([command, "--protocol", str(path), "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert named in err and "finite" in err and "bad.json" in err
+
+
+@pytest.mark.parametrize("field,value,message", [("resource", 5.0, "norm"),
+                                                 ("povm", 0.5, "conjugate transpose")])
+def test_protocol_file_with_invalid_state_or_operator_exits_2(tmp_path, capsys, field, value,
+                                                              message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(corrupted(protocol_to_dict(bell_pbt_protocol(2)), field, value)))
+    assert dispatch(["simulate", "--protocol", str(path), "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err

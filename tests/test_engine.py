@@ -3,22 +3,27 @@
 import numpy as np
 import pytest
 
+from pbtkit import branches
 from pbtkit.errors import LayoutError, ProtocolError, SampleCountError
 from pbtkit.engine import (
+    BRANCH_PRUNE,
     PbtProtocol,
     bell_pbt_protocol,
     branch_probabilities,
     build_global_state,
     measure,
+    measure_batch,
+    mixture_residuals,
     port_marginals,
     protocol_from_dict,
     protocol_to_dict,
     success_probability,
     teleport_report,
+    teleportation,
     verify_port_decomposition,
     verify_psi_independence,
 )
-from pbtkit.pauli import SIGMA, haar_states
+from pbtkit.pauli import SIGMA, haar_amplitudes, haar_states
 from pbtkit.tensor import (
     HermitianMatrix,
     StateVector,
@@ -26,6 +31,7 @@ from pbtkit.tensor import (
     basis_state,
     fidelity,
     reduced_density,
+    schmidt_decompose,
     state_fidelity,
     states_equal,
 )
@@ -322,3 +328,225 @@ def test_measure_computes_each_root_once_and_never_revalidates(monkeypatch):
 def test_verify_psi_independence_rejects_sample_count_below_one(samples):
     with pytest.raises(SampleCountError, match="samples must be at least 1"):
         verify_psi_independence(bell_pbt_protocol(1), samples, seed=1)
+
+
+# ---------------------------------------------------------------------------
+# batched branches against single-input and brute-force references
+
+
+def random_protocol(N, seed, dim_alice=2):
+    """A non-perfect protocol: Haar resource, POVM from a random isometry."""
+    rng = np.random.default_rng(seed)
+    layout = SystemLayout((("A", dim_alice),) + tuple((f"B{j}", 2) for j in range(1, N + 1)))
+    amps = rng.standard_normal(layout.total_dim) + 1j * rng.standard_normal(layout.total_dim)
+    resource = StateVector(layout, amps / np.linalg.norm(amps))
+    d = 2 * dim_alice
+    z = rng.standard_normal(((N + 1) * d, d)) + 1j * rng.standard_normal(((N + 1) * d, d))
+    blocks = np.linalg.qr(z)[0].reshape(N + 1, d, d)
+    povm_layout = SystemLayout.of(("a", 2), ("A", dim_alice))
+    povm = tuple(HermitianMatrix(povm_layout, 0.5 * (b.conj().T @ b + b.T @ b.conj()))
+                 for b in blocks)
+    return PbtProtocol(n=1, N=N, resource=resource, povm=povm)
+
+
+def brute_branches(proto, psi_amps):
+    """(probability, normalized branch over (a, A, ports) or None) per outcome,
+    from the dense operators (K_k x I) on psi x resource."""
+    state = np.kron(psi_amps, proto.resource.amplitudes)
+    rest = np.eye(proto.resource.dim // proto.alice_dim)
+    out = []
+    for root in proto.kraus:
+        vec = np.kron(root, rest) @ state
+        q = float(np.vdot(vec, vec).real)
+        out.append((q, vec / np.sqrt(q)) if q >= BRANCH_PRUNE else (0.0, None))
+    return out
+
+
+BATCH_CASES = ([("random", N, 40 + N) for N in (1, 2, 3)]
+               + [("bell", N, 50 + N) for N in (1, 2, 3, 4)])
+
+
+def batch_case(kind, N, seed):
+    return random_protocol(N, seed) if kind == "random" else bell_pbt_protocol(N)
+
+
+@pytest.mark.parametrize("kind,N,seed", BATCH_CASES)
+def test_batched_branches_equal_single_input_and_brute_force_references(kind, N, seed):
+    proto = batch_case(kind, N, seed)
+    inputs = haar_amplitudes(2, 6, seed)
+    batch = measure_batch(proto, inputs)
+    ports, fid, purity = teleportation(batch, inputs)
+    layout = proto.global_layout()
+    for s, amps in enumerate(inputs):
+        psi = ket(amps)
+        single = measure(proto, psi)
+        for k, (q, vec) in enumerate(brute_branches(proto, amps)):
+            assert batch.q[s, k] == pytest.approx(q, abs=1e-13)
+            assert single[k].probability == pytest.approx(q, abs=1e-13)
+            if vec is None:
+                assert single[k].post_state is None and not batch.present[s, k]
+                assert not batch.amplitudes[s, k].any() and not ports[s, k].any()
+                continue
+            post = StateVector(layout, vec)
+            assert state_fidelity(single[k].post_state, post) == pytest.approx(1.0, abs=1e-13)
+            for j in range(1, N + 1):
+                rho = reduced_density(post, {f"B{j}"}).entries
+                np.testing.assert_allclose(ports[s, k, j - 1] / q, rho, atol=1e-13)
+            if k == 0:
+                continue
+            own = reduced_density(post, {f"B{k}"})
+            assert fid[s, k - 1] == pytest.approx(fidelity(psi, own), abs=1e-13)
+            assert purity[s, k - 1] == pytest.approx(
+                np.trace(own.entries @ own.entries).real, abs=1e-13)
+            wrapped, _ = teleport_report(single[k], psi, proto)
+            assert wrapped == pytest.approx(fid[s, k - 1], abs=1e-13)
+            _, _, right = schmidt_decompose(post, {f"B{k}"})
+            residual = StateVector(right[0].layout, batch.residuals(f"B{k}", k)[s])
+            assert state_fidelity(residual, right[0]) == pytest.approx(1.0, abs=1e-13)
+        for j in range(1, N + 1):
+            marg = port_marginals(proto, psi, j)
+            for i, gam in marg.gamma.items():
+                np.testing.assert_allclose(gam.entries, ports[s, i, j - 1] / batch.q[s, i],
+                                           atol=1e-13)
+            rep = verify_port_decomposition(proto, psi, j)
+            assert rep.checks[0].deviation == pytest.approx(
+                mixture_residuals(proto, inputs)[s, j - 1], abs=1e-13)
+
+
+def test_pruned_branches_add_nothing():
+    proto = bell_pbt_protocol(4)
+    inputs = haar_amplitudes(2, 5, 3)
+    batch = measure_batch(proto, inputs)
+    assert np.all(batch.q[:, 2:] == 0.0) and not batch.present[:, 2:].any()
+    assert not batch.amplitudes[:, 2:].any()
+    ports = teleportation(batch, inputs)[0]
+    assert not ports[:, 2:].any()
+    marg = port_marginals(proto, ket(inputs[0]), 3)
+    assert set(marg.gamma) == {1}
+    assert [b.post_state is None for b in measure(proto, ket(inputs[0]))] == [
+        False, False, True, True, True]
+
+
+def shrink_chunks(monkeypatch, proto, rows):
+    """Make every chunk of a sample set hold ``rows`` inputs of ``proto``."""
+    per_row = 16 * (proto.N + 1) * proto.global_layout().total_dim
+    monkeypatch.setattr(branches, "BATCH_BYTES", rows * per_row + per_row // 2)
+
+
+@pytest.mark.parametrize("kind,N,seed", [("bell", 3, 5), ("random", 2, 6)])
+def test_chunked_sample_sets_match_one_batch(monkeypatch, kind, N, seed):
+    proto = batch_case(kind, N, seed)
+    inputs = haar_amplitudes(2, 10, seed)
+    whole = (mixture_residuals(proto, inputs),
+             verify_psi_independence(proto, 10, seed).to_dict())
+    shrink_chunks(monkeypatch, proto, 3)
+    assert [len(part) for part in branches.input_chunks(
+        inputs, (N + 1) * proto.global_layout().total_dim)] == [3, 3, 3, 1]
+    np.testing.assert_allclose(mixture_residuals(proto, inputs), whole[0], rtol=0, atol=1e-13)
+    assert_reports_close(verify_psi_independence(proto, 10, seed).to_dict(), whole[1])
+
+
+def assert_reports_close(got, want, atol=1e-13):
+    """Equal structure, strings, flags and counts; floats within ``atol``."""
+    if isinstance(want, dict):
+        assert got.keys() == want.keys()
+        for key in want:
+            assert_reports_close(got[key], want[key], atol)
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_reports_close(g, w, atol)
+    elif isinstance(want, float):
+        assert type(got) is float and got == pytest.approx(want, abs=atol)
+    else:
+        assert type(got) is type(want) and got == want
+
+
+def reference_precondition(proto, inputs):
+    """(k, fidelity) where the per-input loop of ``verify_psi_independence``
+    stopped: the first sample, then the first success branch, whose port
+    marginal is not the input or not pure; None if every one passed."""
+    for amps in inputs:
+        psi = ket(amps)
+        for k, (q, vec) in enumerate(brute_branches(proto, amps)):
+            if k == 0 or vec is None:
+                continue
+            rho = reduced_density(StateVector(proto.global_layout(), vec), {f"B{k}"})
+            fid = fidelity(psi, rho)
+            if fid < 1.0 - 1e-8 or 1.0 - np.trace(rho.entries @ rho.entries).real > 1e-8:
+                return k, fid
+    return None
+
+
+def second_outcome_imperfect():
+    """Outcome 1 teleports perfectly to B1; outcome 2 (a weak singlet projection
+    on (a, A1)) does not deliver at B2, so every input stops at k = 2."""
+    base = bell_pbt_protocol(2)
+    singlet = np.kron(np.array([0, 1, -1, 0]) / np.sqrt(2), [1, 0])
+    m2 = 0.5 * np.outer(singlet, singlet).astype(complex)
+    lay = base.povm[0].layout
+    povm = (HermitianMatrix(lay, base.povm[0].entries - m2), base.povm[1],
+            HermitianMatrix(lay, m2))
+    return PbtProtocol(n=1, N=2, resource=base.resource, povm=povm)
+
+
+@pytest.mark.parametrize("rows", [None, 1, 4])
+@pytest.mark.parametrize("proto_of", [second_outcome_imperfect,
+                                      lambda: random_protocol(3, 9)])
+def test_precondition_failure_matches_the_per_input_loop(monkeypatch, proto_of, rows):
+    proto = proto_of()
+    if rows:
+        shrink_chunks(monkeypatch, proto, rows)
+    rep = verify_psi_independence(proto, 9, seed=4)
+    k, fid = reference_precondition(proto, haar_amplitudes(2, 9, 4))
+    assert not rep.preconditions_met and len(rep.checks) == 1
+    assert rep.checks[0].details["k"] == k
+    assert rep.checks[0].details["fidelity"] == pytest.approx(fid, abs=1e-13)
+
+
+def tiny_third_outcome():
+    """Bell protocol on three ports with outcome 3 weighted 1e-14: always pruned."""
+    base = bell_pbt_protocol(3)
+    lay = base.povm[0].layout
+    m3 = 1e-14 * np.eye(lay.total_dim, dtype=complex)
+    povm = (HermitianMatrix(lay, base.povm[0].entries - m3),) + base.povm[1:3] + (
+        HermitianMatrix(lay, m3),)
+    return PbtProtocol(n=1, N=3, resource=base.resource, povm=povm)
+
+
+def test_branches_below_the_prune_threshold_are_zeroed():
+    proto = tiny_third_outcome()
+    inputs = haar_amplitudes(2, 4, 1)
+    batch = measure_batch(proto, inputs)
+    assert np.all(batch.q[:, 3] == 0.0) and not batch.amplitudes[:, 3].any()
+    assert not teleportation(batch, inputs)[0][:, 3].any()
+    assert measure(proto, ket(inputs[0]))[3].post_state is None
+    assert set(port_marginals(proto, ket(inputs[0]), 1).gamma) == set()
+
+
+def input_dependent_failures():
+    """Outcome 1 (weight 1/2 on |1>_a|0>|0>) and outcome 2 (on |0>_a|0>|1>)
+    never deliver the input; each is absent for one basis input."""
+    base = bell_pbt_protocol(2)
+    lay = base.povm[0].layout
+    m1, m2 = np.zeros((8, 8), dtype=complex), np.zeros((8, 8), dtype=complex)
+    m1[4, 4] = m2[1, 1] = 0.5
+    povm = (HermitianMatrix(lay, np.eye(8) - m1 - m2), HermitianMatrix(lay, m1),
+            HermitianMatrix(lay, m2))
+    return PbtProtocol(n=1, N=2, resource=base.resource, povm=povm)
+
+
+@pytest.mark.parametrize("rows", [None, 1])
+def test_precondition_failure_is_found_sample_by_sample(monkeypatch, rows):
+    # input |0> stops at k = 2 only, input |1> at k = 1: sample order decides
+    import pbtkit.engine as engine
+
+    proto = input_dependent_failures()
+    inputs = np.vstack([[1.0, 0.0], [0.0, 1.0], haar_amplitudes(2, 3, 2)]).astype(complex)
+    monkeypatch.setattr(engine, "haar_amplitudes", lambda dim, count, seed: inputs)
+    if rows:
+        shrink_chunks(monkeypatch, proto, rows)
+    rep = verify_psi_independence(proto, len(inputs), seed=0)
+    k, fid = reference_precondition(proto, inputs)
+    assert (k, rep.checks[0].details["k"]) == (2, 2)
+    assert rep.checks[0].details["fidelity"] == pytest.approx(fid, abs=1e-13)

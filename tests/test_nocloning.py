@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from pbtkit import branches
 from pbtkit.engine import BRANCH_PRUNE, bell_pbt_protocol
 from pbtkit.errors import LayoutError, ProtocolError, SampleCountError, UnitarityError
 from pbtkit.nocloning import (
@@ -13,6 +14,7 @@ from pbtkit.nocloning import (
     computational_pointer_basis,
     decompose_by_pointer,
     load_pointer,
+    pointer_batch,
     pointer_form,
     pointer_from_dict,
     pointer_to_dict,
@@ -20,7 +22,7 @@ from pbtkit.nocloning import (
     unitarity_deviation,
     verify_theorem,
 )
-from pbtkit.pauli import haar_states
+from pbtkit.pauli import haar_amplitudes, haar_states
 from pbtkit.tensor import (
     StateVector,
     SystemLayout,
@@ -461,3 +463,143 @@ def test_save_and_load_pointer_round_trip(tmp_path):
     psi = haar_states(2, 1, 3)[0]
     for x, y in zip(decompose_by_pointer(op, psi), decompose_by_pointer(back, psi)):
         assert x.probability == y.probability
+
+
+# ---------------------------------------------------------------------------
+# batched pointer branches and theorem checks against per-input references
+
+
+def random_pointer_op(seed):
+    """A Haar unitary on (a, b, pi) with a random start state and pointer basis."""
+    rng = np.random.default_rng(seed)
+    chi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    return PointerOperation(
+        dim_a=2, dim_b=2, u=haar_unitary(12, seed),
+        xi_b=basis_state(SystemLayout.of(("b", 2)), 1),
+        chi_pi=StateVector(SystemLayout.of(("pi", 3)), chi / np.linalg.norm(chi)),
+        pointer_basis=tuple(StateVector(SystemLayout.of(("pi", 3)), col)
+                            for col in haar_unitary(3, seed + 1).T),
+    )
+
+
+POINTER_CASES = [lambda: pointer_form(bell_pbt_protocol(2)),
+                 lambda: pointer_form(bell_pbt_protocol(3), fine_grained=fine_failure(3)),
+                 lambda: identity_pointer_op(chi_index=1),
+                 lambda: random_pointer_op(5)]
+
+
+@pytest.mark.parametrize("make_op", POINTER_CASES)
+def test_pointer_batch_equals_the_dense_product_and_the_single_input_records(make_op):
+    op = make_op()
+    inputs = haar_amplitudes(2, 5, 17)
+    batch = pointer_batch(op, inputs)
+    aux = np.kron(op.xi_b.amplitudes, op.chi_pi.amplitudes)
+    for s, amps in enumerate(inputs):
+        mat = (op.u @ np.kron(amps, aux)).reshape(-1, op.dim_pointer)
+        records = decompose_by_pointer(op, ket(amps))
+        for k, kvec in enumerate(op.pointer_basis):
+            vec = mat @ kvec.amplitudes.conj()
+            prob = float(np.vdot(vec, vec).real)
+            assert batch.q[s, k] == pytest.approx(prob, abs=1e-13)
+            assert records[k].probability == pytest.approx(prob, abs=1e-13)
+            if prob < BRANCH_PRUNE:
+                assert records[k].conditional_state is None and not batch.amplitudes[s, k].any()
+            else:
+                np.testing.assert_allclose(batch.amplitudes[s, k], vec, atol=1e-13)
+                np.testing.assert_allclose(records[k].conditional_state.amplitudes,
+                                           vec / np.sqrt(prob), atol=1e-13)
+
+
+def reference_hypothesis_failure(op):
+    """The per-input hypothesis loop: the first state and success branch that
+    changes the input or is entangled with b (purity read on b)."""
+    lay = SystemLayout.of(("a", op.dim_a))
+    states = [basis_state(lay, i) for i in range(op.dim_a)]
+    for l in range(op.dim_a):
+        for m in range(l + 1, op.dim_a):
+            for factor in (1.0, 1.0j):
+                amps = np.zeros(op.dim_a, dtype=complex)
+                amps[l], amps[m] = 1.0, factor
+                states.append(StateVector(lay, amps / np.sqrt(2)))
+    for psi in states:
+        for rec in decompose_by_pointer(op, psi)[1:]:
+            if rec.conditional_state is None:
+                continue
+            rho_a = reduced_density(rec.conditional_state, {"a"})
+            intact = float(np.max(np.abs(rho_a.entries - outer(psi).entries)))
+            rho_b = reduced_density(rec.conditional_state, {"b"}).entries
+            purity_gap = 1.0 - float(np.trace(rho_b @ rho_b).real)
+            if intact > 1e-8 or purity_gap > 1e-8:
+                return rec.k, intact, purity_gap
+    return None
+
+
+def cheating_cloner():
+    u = np.zeros((8, 8), dtype=complex)
+    for a in range(2):
+        for b in range(2):
+            for p in range(2):
+                u[(a * 2 + b) * 2 + (p if a == 0 else 1 - p), (a * 2 + b) * 2 + p] = 1.0
+    return pointer_op_with(u)
+
+
+@pytest.mark.parametrize("make_op", [cheating_cloner, lambda: random_pointer_op(8),
+                                     lambda: pointer_op_with(haar_unitary(8, 3))])
+def test_hypothesis_failure_matches_the_per_input_loop(make_op):
+    op = make_op()
+    rep = verify_theorem(op, samples=4, seed=2)
+    k, intact, purity_gap = reference_hypothesis_failure(op)
+    assert not rep.preconditions_met and len(rep.checks) == 1
+    details = rep.checks[0].details
+    assert details["k"] == k
+    assert details["input_deviation"] == pytest.approx(intact, abs=1e-13)
+    assert details["purity_gap"] == pytest.approx(purity_gap, abs=1e-13)
+
+
+def reference_failure_overlap(op, samples, seed):
+    """Eq.a8 as the O(S^2) pair loop over failure states."""
+    failures = []
+    for psi in haar_states(op.dim_a, samples, seed):
+        rec = decompose_by_pointer(op, psi)[0]
+        if rec.conditional_state is not None:
+            failures.append((psi.amplitudes, rec.conditional_state.amplitudes))
+    worst = 0.0
+    for i in range(len(failures)):
+        for j in range(i + 1, len(failures)):
+            lhs = np.vdot(failures[i][1], failures[j][1])
+            rhs = np.vdot(failures[i][0], failures[j][0])
+            worst = max(worst, float(abs(lhs - rhs)))
+    return worst, len(failures) * (len(failures) - 1) // 2
+
+
+@pytest.mark.parametrize("make_op", [lambda: pointer_form(bell_pbt_protocol(1)),
+                                     lambda: pointer_form(bell_pbt_protocol(3)),
+                                     lambda: identity_pointer_op(chi_index=0),
+                                     lambda: identity_pointer_op(chi_index=1)])
+def test_failure_overlap_gram_matches_the_pair_loop(make_op):
+    op = make_op()
+    rep = verify_theorem(op, samples=12, seed=6)
+    worst, pairs = reference_failure_overlap(op, 12, 6)
+    check = rep.checks[-1]
+    assert check.tag == "Eq.a8" and check.details["pairs"] == pairs
+    assert check.deviation == pytest.approx(worst, abs=1e-13)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_chunked_verify_theorem_matches_one_batch(monkeypatch, N):
+    op = pointer_form(bell_pbt_protocol(N))
+    whole = verify_theorem(op, samples=10, seed=N).to_dict()
+    monkeypatch.setattr(branches, "BATCH_BYTES", 16 * op.u.shape[0] * 3)
+    got = verify_theorem(op, samples=10, seed=N).to_dict()
+    for a, b in zip(got["checks"], whole["checks"]):
+        assert a["details"] == b["details"] and a["passed"] == b["passed"]
+        assert (a["deviation"] or 0.0) == pytest.approx(b["deviation"] or 0.0, abs=1e-13)
+    assert len(got["checks"]) == len(whole["checks"]) == 4
+
+
+@pytest.mark.parametrize("field", ["unitary", "xi", "chi"])
+def test_pointer_from_dict_rejects_non_finite_entries(field):
+    doc = pointer_to_dict(pointer_form(bell_pbt_protocol(1)))
+    doc[field][0][0] = float("nan")
+    with pytest.raises(ProtocolError, match=f"'{field}'.*finite"):
+        pointer_from_dict(doc)

@@ -3,18 +3,21 @@
 import numpy as np
 import pytest
 
+from pbtkit import branches
 from pbtkit.engine import (
     HermitianMatrix,
     PbtProtocol,
     bell_pbt_protocol,
     measure,
     success_probability,
+    teleportation,
 )
 from pbtkit.errors import LayoutError, ProtocolError
-from pbtkit.pauli import SIGMA, haar_states
+from pbtkit.pauli import SIGMA, haar_amplitudes, haar_states
 from pbtkit.primed import (
     build_primed,
     commutation_witness,
+    primed_batch,
     primed_from_dict,
     primed_port_marginals,
     primed_to_dict,
@@ -25,6 +28,8 @@ from pbtkit.primed import (
 from pbtkit.tensor import (
     StateVector,
     SystemLayout,
+    _apply_matrix,
+    apply_on_subsystems,
     basis_state,
     fidelity,
     reduced_density,
@@ -171,18 +176,160 @@ def test_primed_port_marginals_rejects_port_out_of_range(j):
         primed_port_marginals(primed, ket([1, 0]), j)
 
 
-def test_verify_eq5_runs_the_primed_protocol_once_per_input(monkeypatch):
+def test_verify_eq5_runs_the_primed_protocol_once_per_chunk(monkeypatch):
     import pbtkit.primed as primed_mod
 
     primed = build_primed(bell_pbt_protocol(3))
-    samples = haar_states(2, 3, seed=61)
+    samples = haar_states(2, 5, seed=61)
+    shrink_chunks(monkeypatch, primed, 2)
     calls = []
-    real_run = primed_mod.run_primed
+    real_batch = primed_mod.primed_batch
 
-    def counting_run(p, psi):
-        calls.append(psi)
-        return real_run(p, psi)
+    def counting_batch(p, inputs):
+        calls.append(len(inputs))
+        return real_batch(p, inputs)
 
-    monkeypatch.setattr(primed_mod, "run_primed", counting_run)
+    monkeypatch.setattr(primed_mod, "primed_batch", counting_batch)
+    monkeypatch.setattr(primed_mod, "run_primed", None)  # no single-input runs
     assert verify_eq5(primed, samples).passed
-    assert len(calls) == len(samples)
+    assert calls == [2, 2, 1]
+
+
+# ---------------------------------------------------------------------------
+# batched primed branches against per-input references
+
+
+def shrink_chunks(monkeypatch, primed, rows):
+    """Make every chunk of a sample set hold ``rows`` inputs of ``primed``."""
+    per_row = 16 * (primed.base.N + 1) * primed.global_layout().total_dim
+    monkeypatch.setattr(branches, "BATCH_BYTES", rows * per_row + per_row // 2)
+
+
+def per_root_branches(state, roots):
+    """(probability, normalized branch or None) per root on (a, A), one root at a time."""
+    axes = [state.layout.axis("a"), state.layout.axis("A")]
+    out = []
+    for root in roots:
+        vec = _apply_matrix(state.tensorized(), state.layout.dims, axes, root).reshape(-1)
+        q = float(np.vdot(vec, vec).real)
+        out.append((q, StateVector(state.layout, vec / np.sqrt(q))) if q >= 1e-12 else (0.0, None))
+    return out
+
+
+def primed_reference(p, amps):
+    state = tensor_product([ket(amps), p.primed_resource])
+    return per_root_branches(apply_on_subsystems(state, p.w, ["a", "ap"]), p.base.kraus)
+
+
+def base_reference(base, amps):
+    return per_root_branches(tensor_product([ket(amps), base.resource]), base.kraus)
+
+
+def imperfect_second_port():
+    """Outcome 2 projects (a, A1, A2) onto |1, 0, 0>: absent for input |0>, and
+    for any other input it leaves |0> at B2 instead of the input."""
+    base = bell_pbt_protocol(2)
+    x = np.zeros(8)
+    x[4] = 1.0
+    m2 = 0.5 * np.outer(x, x).astype(complex)
+    lay = base.povm[0].layout
+    povm = (HermitianMatrix(lay, base.povm[0].entries - m2), base.povm[1],
+            HermitianMatrix(lay, m2))
+    return PbtProtocol(n=1, N=2, resource=base.resource, povm=povm)
+
+
+@pytest.mark.parametrize("base", [bell_pbt_protocol(1), bell_pbt_protocol(3),
+                                  imperfect_second_port()])
+def test_primed_batch_equals_the_per_input_reference(base):
+    primed = build_primed(base)
+    inputs = np.vstack([[1.0, 0.0], haar_amplitudes(2, 4, 8)])
+    batch = primed_batch(primed, inputs)
+    ports, fid, _ = teleportation(batch, inputs)
+    for s, amps in enumerate(inputs):
+        single = run_primed(primed, ket(amps))
+        for k, (q, post) in enumerate(primed_reference(primed, amps)):
+            assert batch.q[s, k] == pytest.approx(q, abs=1e-13)
+            assert single[k].probability == pytest.approx(q, abs=1e-13)
+            if post is None:
+                assert single[k].post_state is None and not ports[s, k].any()
+                continue
+            np.testing.assert_allclose(single[k].post_state.amplitudes, post.amplitudes,
+                                       atol=1e-13)
+            for j in range(1, base.N + 1):
+                rho = reduced_density(post, {f"B{j}"}).entries
+                np.testing.assert_allclose(ports[s, k, j - 1] / q, rho, atol=1e-13)
+            if k:
+                own = reduced_density(post, {f"B{k}"})
+                assert fid[s, k - 1] == pytest.approx(fidelity(ket(amps), own), abs=1e-13)
+
+
+def reference_eq5_stop(base, inputs):
+    """worst_fidelity where the per-input loop of ``verify_eq5`` stopped: the
+    first input whose base branches do not all deliver it; None if none."""
+    for amps in inputs:
+        worst = 1.0
+        for k, (q, post) in enumerate(base_reference(base, amps)):
+            if k and post is not None:
+                worst = min(worst, fidelity(ket(amps), reduced_density(post, {f"B{k}"})))
+        if 1.0 - worst > 1e-8:
+            return 1.0 - (1.0 - worst)
+    return None
+
+
+@pytest.mark.parametrize("rows", [None, 1, 3])
+def test_verify_eq5_stops_at_the_same_input_as_the_per_input_loop(monkeypatch, rows):
+    primed = build_primed(imperfect_second_port())
+    if rows:
+        shrink_chunks(monkeypatch, primed, rows)
+    inputs = np.vstack([[1.0, 0.0], [1.0, 0.0], haar_amplitudes(2, 4, 12)])
+    rep = verify_eq5(primed, [ket(a) for a in inputs])
+    worst = reference_eq5_stop(primed.base, inputs)
+    assert worst == pytest.approx(abs(inputs[2, 0]) ** 2, abs=1e-13)
+    assert not rep.preconditions_met and [c.tag for c in rep.checks] == ["Eq.b4", "Eq.8"]
+    assert rep.checks[1].details["worst_fidelity"] == pytest.approx(worst, abs=1e-13)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_chunked_verify_eq5_matches_one_batch(monkeypatch, N):
+    primed = build_primed(bell_pbt_protocol(N))
+    samples = haar_states(2, 7, seed=70 + N)
+    whole = verify_eq5(primed, samples).to_dict()
+    shrink_chunks(monkeypatch, primed, 2)
+    got = verify_eq5(primed, samples).to_dict()
+    assert got.keys() == whole.keys() and got["checks"][1]["details"] == whole["checks"][1]["details"]
+    for a, b in zip(got["checks"], whole["checks"]):
+        assert a["passed"] == b["passed"] and a["deviation"] == pytest.approx(b["deviation"], abs=1e-13)
+
+
+def reference_twirl_deviations(p, psi, j):
+    """The three Eq.b8/b9 deviations, one ancilla value and one base run at a time."""
+    fail = primed_reference(p, psi.amplitudes)[0][1]
+    tens = np.moveaxis(fail.tensorized(), fail.layout.axis("ap"), 0)
+    anc = p.ancilla_dim
+    term_dev = weight_dev = 0.0
+    agg = expected_agg = 0.0
+    for l in range(anc):
+        v = PAULIS[l]
+        component = tens[l].reshape(-1)
+        weight = float(np.vdot(component, component).real)
+        weight_dev = max(weight_dev, abs(weight - 1.0 / anc))
+        cond = StateVector(fail.layout.without({"ap"}), component / np.sqrt(weight))
+        rho_l = reduced_density(cond, {f"B{j}"}).entries
+        rotated = v.conj().T @ psi.amplitudes
+        omega = reduced_density(base_reference(p.base, rotated)[0][1], {f"B{j}"}).entries
+        expected = v @ omega @ v.conj().T
+        term_dev = max(term_dev, float(np.max(np.abs(rho_l - expected))))
+        agg = agg + weight * rho_l
+        expected_agg = expected_agg + expected / anc
+    return term_dev, weight_dev, float(np.max(np.abs(agg - expected_agg)))
+
+
+@pytest.mark.parametrize("base", [bell_pbt_protocol(1), bell_pbt_protocol(2),
+                                  bell_pbt_protocol(3), imperfect_second_port()])
+def test_failure_twirl_batch_matches_the_per_ancilla_loop(base):
+    primed = build_primed(base)
+    for psi in haar_states(2, 2, seed=90 + base.N):
+        for j in range(1, base.N + 1):
+            rep = verify_failure_marginal_twirl(primed, psi, j)
+            np.testing.assert_allclose([c.deviation for c in rep.checks],
+                                       reference_twirl_deviations(primed, psi, j), atol=1e-13)

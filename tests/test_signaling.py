@@ -315,3 +315,64 @@ def test_signaling_report_serializes():
     assert doc["bound"] == {"numerator": 1, "denominator": 4, "value": 0.25}
     assert doc["ports"][0]["j"] == 1
     assert doc["audit"]["passed"] is True
+
+
+def untwirlable_primed():
+    """A twirled protocol whose base never teleports (fails the chain precondition)."""
+    from pbtkit.tensor import basis_state, tensor_product
+
+    resource = tensor_product([basis_state(SystemLayout.of(("A", 2)), 0),
+                               basis_state(SystemLayout.of(("B1", 2)), 0)])
+    lay = SystemLayout.of(("a", 2), ("A", 2))
+    povm = (HermitianMatrix(lay, np.zeros((4, 4), dtype=complex)),
+            HermitianMatrix(lay, np.eye(4, dtype=complex)))
+    return build_primed(PbtProtocol(n=1, N=1, resource=resource, povm=povm))
+
+
+def test_chain_precondition_runs_once_per_protocol(monkeypatch):
+    import pbtkit.primed as primed_mod
+
+    calls = []
+    real_eq5 = primed_mod.verify_eq5
+
+    def counting_eq5(p, samples, *args, **kwargs):
+        calls.append(len(samples))
+        return real_eq5(p, samples, *args, **kwargs)
+
+    monkeypatch.setattr(primed_mod, "verify_eq5", counting_eq5)
+    primed = primed_bell(2)
+    for message in (1, 2, 3, 4):
+        compute_chain_exact(primed, message)
+    monte_carlo_check(primed, message=1, j=2, rounds=100, seed=1)
+    analyze_chain(primed, message=3, j=1)
+    assert calls == [2]
+
+
+def test_failed_chain_precondition_raises_on_every_call():
+    bad = untwirlable_primed()
+    for _ in range(3):
+        with pytest.raises(ChainPreconditionError):
+            signaling.check_chain_preconditions(bad)
+        with pytest.raises(ChainPreconditionError):
+            compute_chain_exact(bad, message=1)
+        with pytest.raises(ChainPreconditionError):
+            analyze_chain(bad, message=1, j=1)
+
+
+def test_chain_branches_are_measured_once_per_message(monkeypatch):
+    calls = []
+    real = signaling.povm_branches
+
+    def counting(state, roots, targets):
+        calls.append(state.dim)
+        return real(state, roots, targets)
+
+    monkeypatch.setattr(signaling, "povm_branches", counting)
+    primed = primed_bell(3)
+    reports = [compute_chain_exact(primed, m).to_dict() for m in (1, 2)]
+    assert len(calls) == 2
+    monkeypatch.setattr(signaling, "povm_branches", real)
+    for m, doc in zip((1, 2), reports):
+        per_port = [analyze_chain(primed, m, j) for j in (1, 2, 3)]
+        assert [port["p_prime_simulated"] for port in doc["ports"]] == [
+            a.p_prime_simulated for a in per_port]
