@@ -22,7 +22,7 @@ from .tensor import StateVector, SystemLayout, _apply_matrix
 BRANCH_PRUNE = 1e-12
 #: bytes of branch amplitudes (inputs x outcomes x dim) that one chunk of a
 #: sample set may hold; a chunk has at least one input
-BATCH_BYTES = 64 << 20
+BATCH_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)

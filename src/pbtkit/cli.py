@@ -35,6 +35,7 @@ from .engine import (
     success_probability,
     teleport_report,
     verify_psi_independence,
+    write_document,
 )
 from .errors import ProtocolError, ToolkitError
 from .nocloning import pointer_form, verify_theorem
@@ -142,7 +143,7 @@ def _load_input_protocol(args) -> tuple[PbtProtocol, Optional[dict], list[str]]:
                 proto = primed_from_dict(raw).base
             else:
                 proto = protocol_from_dict(raw)
-        except (ToolkitError, ValueError) as exc:  # e.g. an unnormalized resource
+        except ToolkitError as exc:
             raise UsageError(f"{args.protocol}: {exc}") from exc
         return proto, raw, [args.protocol]
     if args.builtin == "bell":
@@ -262,7 +263,7 @@ def _cmd_prime(args) -> int:
                            paths, str(out_dir))
     doc = primed_to_dict(primed)
     doc["manifest"] = manifest.to_dict()
-    _write_json(out_dir / "primed_protocol.json", doc)
+    write_document(doc, out_dir / "primed_protocol.json")
     payload = {"manifest": manifest.to_dict(),
                "marginals": rep.to_dict(),
                "failure_twirl": [r.to_dict() for r in twirl_reports]}

@@ -362,8 +362,7 @@ def bell_pbt_protocol(N: int) -> PbtProtocol:
 
 
 def complex_pairs(arr: np.ndarray) -> list[list[float]]:
-    flat = np.asarray(arr).reshape(-1)
-    return [[float(z.real), float(z.imag)] for z in flat]
+    return np.ascontiguousarray(arr, np.complex128).view(np.float64).reshape(-1, 2).tolist()
 
 
 def from_complex_pairs(pairs, field: str) -> np.ndarray:
@@ -388,20 +387,31 @@ def protocol_to_dict(proto: PbtProtocol) -> dict:
     }
 
 
+def _int_field(value, name: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(f"field {name!r}: expected an integer, got {value!r}") from exc
+
+
 def protocol_from_dict(doc: dict) -> PbtProtocol:
+    """Raise ProtocolError, naming the field, for a malformed document."""
     for field in ("n", "N", "dims", "resource", "povm"):
         if field not in doc:
             raise ProtocolError(f"protocol document is missing field {field!r}")
-    n, big_n = int(doc["n"]), int(doc["N"])
+    n, big_n = _int_field(doc["n"], "n"), _int_field(doc["N"], "N")
     dims = doc["dims"]
     for field in ("a", "A", "B"):
         if field not in dims:
             raise ProtocolError(f"protocol field 'dims' is missing entry {field!r}")
-    dim_alice = int(dims["A"])
+    dim_alice = _int_field(dims["A"], "dims.A")
     layout = SystemLayout(
         (("A", dim_alice),) + tuple((port_label(j), 2**n) for j in range(1, big_n + 1))
     )
-    resource = StateVector(layout, from_complex_pairs(doc["resource"], "resource"))
+    try:
+        resource = StateVector(layout, from_complex_pairs(doc["resource"], "resource"))
+    except ValueError as exc:  # unnormalized, or not the layout's size
+        raise ProtocolError(f"field 'resource': {exc}") from exc
     d = 2**n * dim_alice
     povm_layout = SystemLayout.of(("a", 2**n), ("A", dim_alice))
     povm = []
@@ -409,14 +419,22 @@ def protocol_from_dict(doc: dict) -> PbtProtocol:
         flat = from_complex_pairs(mat, f"povm[{k}]")
         if flat.size != d * d:
             raise ProtocolError(f"field 'povm[{k}]': expected {d * d} entries, got {flat.size}")
-        povm.append(HermitianMatrix(povm_layout, flat.reshape(d, d)))
+        try:
+            povm.append(HermitianMatrix(povm_layout, flat.reshape(d, d)))
+        except ValueError as exc:  # not Hermitian
+            raise ProtocolError(f"field 'povm[{k}]': {exc}") from exc
     return PbtProtocol(n=n, N=big_n, resource=resource, povm=tuple(povm))
 
 
-def save_protocol(proto: PbtProtocol, path) -> None:
+def write_document(doc: dict, path) -> None:
+    """Write a protocol or pointer document: compact JSON with sorted keys,
+    encoded in one call, and a final newline."""
     with open(path, "w") as fh:
-        json.dump(protocol_to_dict(proto), fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, sort_keys=True) + "\n")
+
+
+def save_protocol(proto: PbtProtocol, path) -> None:
+    write_document(protocol_to_dict(proto), path)
 
 
 def load_protocol(path) -> PbtProtocol:

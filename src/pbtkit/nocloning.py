@@ -14,7 +14,7 @@ conclusion.
 from __future__ import annotations
 
 import json
-import mmap
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -22,72 +22,47 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .branches import BranchBatch, Drift, constancy_deviations, infidelity, input_chunks
-from .engine import PbtProtocol, complex_pairs, from_complex_pairs, require_samples
+from .engine import (
+    PbtProtocol,
+    _int_field,
+    complex_pairs,
+    from_complex_pairs,
+    require_samples,
+    write_document,
+)
 from .errors import LayoutError, ProtocolError, UnitarityError
 from .pauli import haar_amplitudes
 from .report import AuditReport
 from .tensor import StateVector, SystemLayout, basis_state
 
-POINTER_FORMAT_VERSION = "1"
+POINTER_FORMAT_VERSION = "2"
 
 #: tolerance for the theorem's hypothesis (input intact, branch factorizes)
 HYPOTHESIS_ATOL = 1e-8
-#: largest dense pointer-form unitary, in bytes, that ``pointer_form`` allocates
+#: largest pointer-form dilation, in bytes, that ``pointer_form`` allocates:
+#: its small unitary plus the SVD's U, both complex and square
 POINTER_U_CAP_BYTES = 1 << 30
 
 
 def unitarity_deviation(u: np.ndarray) -> float:
-    """``max |u^dag u - I|`` of a square matrix, over the blocks of its nonzero pattern.
-
-    Columns that share a nonzero row form one block (rows go with their
-    columns); Gram entries between columns of different blocks are exactly
-    zero, so the result is exact for any ``u``.  A dense ``u`` is one block.
-    A zero row or column, or a block with more rows than columns or fewer,
-    cannot be unitary and raises ``UnitarityError``.
-    """
-    d = u.shape[0]
-    rows, cols = np.nonzero(u)
-    if not (np.bincount(rows, minlength=d).all() and np.bincount(cols, minlength=d).all()):
-        raise UnitarityError("pointer-form operation matrix has a zero row or column")
-    # min-label propagation: every column takes the smallest column index of
-    # its block; nonzero() lists entries row-major, so row runs are contiguous
-    by_col = np.argsort(cols, kind="stable")
-    row_starts = np.searchsorted(rows, np.arange(d))
-    col_starts = np.searchsorted(cols[by_col], np.arange(d))
-    label = np.arange(d)
-    while True:
-        row_label = np.minimum.reduceat(label[cols], row_starts)
-        new = np.minimum.reduceat(row_label[rows[by_col]], col_starts)
-        new = new[new]
-        if np.array_equal(new, label):
-            break
-        label = new
-    sizes = np.bincount(label, minlength=d)
-    if not np.array_equal(sizes, np.bincount(row_label, minlength=d)):
-        raise UnitarityError("pointer-form operation matrix has a non-square block")
-    # blocks in label order, each one contiguous in these index orders
-    col_order = np.argsort(label, kind="stable")
-    row_order = np.argsort(row_label, kind="stable")
-    block_sizes = sizes[sizes > 0]
-    offsets = np.cumsum(block_sizes) - block_sizes
-    worst = []
-    for s in np.unique(block_sizes):
-        idx = offsets[block_sizes == s][:, None] + np.arange(s)
-        blocks = u[row_order[idx][:, :, None], col_order[idx][:, None, :]]
-        gram = blocks.conj().transpose(0, 2, 1) @ blocks
-        gram.reshape(len(idx), -1)[:, ::s + 1] -= 1.0
-        worst.append(np.max(np.abs(gram)))
-    return float(np.max(worst))
+    """``max |u^dag u - I|`` of a square matrix (NaN if an entry is not finite)."""
+    gram = u.conj().T @ u
+    gram.flat[::len(u) + 1] -= 1.0
+    return float(np.max(np.abs(gram)))
 
 
 @dataclass(frozen=True)
 class PointerOperation:
     """Unitary + pointer readout form of a physical operation.
 
-    ``u`` acts on (a, b, pi) with the pointer as the last tensor factor;
-    ``xi_b`` and ``chi_pi`` are the fixed starting states of the auxiliary
-    system and the pointer; outcome k means projecting the pointer onto
-    ``pointer_basis[k]``.
+    The operation acts on (a, b, pi) with the pointer as the last tensor
+    factor; ``xi_b`` and ``chi_pi`` are the fixed starting states of the
+    auxiliary system and the pointer; outcome k means projecting the pointer
+    onto ``pointer_basis[k]``.  With ``ports = 0``, ``u`` is the unitary on
+    (a, b, pi).  Otherwise b is (A, B_1..B_ports, ancilla), every port of
+    dimension ``dim_a``, and the operation lifts ``u`` on (a, A, ancilla, pi):
+    identity on the ports, then on pointer value k >= 1 the swap of a and B_k.
+    A permutation times ``u x I`` is unitary exactly when ``u`` is.
     """
 
     dim_a: int
@@ -96,13 +71,22 @@ class PointerOperation:
     xi_b: StateVector
     chi_pi: StateVector
     pointer_basis: tuple[StateVector, ...]
+    ports: int = 0
+    ancilla: int = 1
 
     def __post_init__(self):
         u = np.ascontiguousarray(np.asarray(self.u, dtype=np.complex128))
         u.setflags(write=False)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "pointer_basis", tuple(self.pointer_basis))
-        d = self.dim_a * self.dim_b * self.dim_pointer
+        if (self.ports < 0 or self.ancilla < 1
+                or self.dim_b % (self.dim_ports * self.ancilla)
+                or (self.ports and self.dim_pointer != self.ports + 1)):
+            raise ProtocolError(
+                f"a lift over {self.ports} ports needs b = (A, ports, ancilla {self.ancilla}) "
+                f"and {self.ports + 1} pointer outcomes"
+            )
+        d = self.dim_a * self.dim_b // self.dim_ports * self.dim_pointer
         if u.shape != (d, d):
             raise ProtocolError(f"unitary shape {u.shape} != ({d}, {d})")
         if not unitarity_deviation(u) <= 1e-10:
@@ -110,25 +94,36 @@ class PointerOperation:
         if self.xi_b.dim != self.dim_b or self.chi_pi.dim != self.dim_pointer:
             raise ProtocolError("auxiliary/pointer start states do not match declared dims")
         basis = np.array([v.amplitudes for v in self.pointer_basis])
-        gram = basis.conj() @ basis.T
-        gram.flat[::len(basis) + 1] -= 1.0
-        if np.max(np.abs(gram)) > 1e-12:
+        if unitarity_deviation(basis.T) > 1e-12:
             raise ProtocolError("pointer basis is not orthonormal within 1e-12")
 
     @cached_property
     def _start_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """The nonzero entries of ``xi_b x chi_pi``, and a contiguous copy of
-        the columns of ``u`` they meet for each basis input: the only columns
-        an input reaches (read-only)."""
+        """The nonzero rows of ``xi_b x chi_pi`` as a matrix, rows over the
+        factors of ``u`` besides a, columns over the ports; and a contiguous
+        copy of the columns of ``u`` those rows meet for each basis input: the
+        only columns an input reaches (read-only)."""
         aux = np.kron(self.xi_b.amplitudes, self.chi_pi.amplitudes)
-        cols = (np.arange(self.dim_a)[:, None] * aux.size + np.flatnonzero(aux)).ravel()
+        aux = (aux.reshape(-1, self.dim_ports, self.ancilla * self.dim_pointer)
+               .swapaxes(1, 2).reshape(-1, self.dim_ports))
+        rows = np.flatnonzero(aux.any(axis=1))
+        cols = (np.arange(self.dim_a)[:, None] * len(aux) + rows).ravel()
         block = np.ascontiguousarray(self.u[:, cols])
         block.setflags(write=False)
-        return aux[aux != 0], block
+        return aux[rows], block
 
     @property
     def dim_pointer(self) -> int:
         return len(self.pointer_basis)
+
+    @property
+    def dim_ports(self) -> int:
+        return self.dim_a**self.ports
+
+    @property
+    def dim(self) -> int:
+        """Dimension of (a, b, pi), the space the lifted operation acts on."""
+        return self.dim_a * self.dim_b * self.dim_pointer
 
 
 @dataclass(frozen=True)
@@ -151,10 +146,19 @@ def pointer_batch(op: PointerOperation, inputs: np.ndarray) -> BranchBatch:
     if inputs.shape[1] != op.dim_a:
         raise ProtocolError(f"input dimension {inputs.shape[1]} != a-dimension {op.dim_a}")
     aux, block = op._start_columns
-    evolved = (block @ np.kron(inputs, aux).T).T.reshape(len(inputs), -1, op.dim_pointer)
-    pointer = np.array([v.amplitudes for v in op.pointer_basis])
-    branches = np.ascontiguousarray((evolved @ pointer.conj().T).swapaxes(1, 2))
-    return BranchBatch.of(SystemLayout.of(("a", op.dim_a), ("b", op.dim_b)), branches)
+    # u on (a, A, ancilla, pi) times the start columns; the ports ride along
+    start = (inputs[:, :, None, None] * aux).reshape(len(inputs), -1, op.dim_ports)
+    evolved = (block @ start.transpose(1, 0, 2).reshape(block.shape[1], -1)).reshape(
+        (op.dim_a, -1, op.ancilla, op.dim_pointer, len(inputs)) + (op.dim_a,) * op.ports)
+    # to (inputs, a, A, B_1..B_ports, ancilla, pi); outcome k >= 1 of a lift
+    # exchanges a (axis 1) and B_k (axis 2 + k)
+    full = np.moveaxis(evolved, (4, 2, 3), (0, -2, -1))
+    full = np.stack([full[..., k].swapaxes(1, 2 + k) if k and op.ports else full[..., k]
+                     for k in range(op.dim_pointer)], axis=-1)
+    pointer = np.array([v.amplitudes for v in op.pointer_basis]).conj().T
+    branches = (full.reshape(len(inputs), -1, op.dim_pointer) @ pointer).swapaxes(1, 2)
+    return BranchBatch.of(SystemLayout.of(("a", op.dim_a), ("b", op.dim_b)),
+                          np.ascontiguousarray(branches))
 
 
 def decompose_by_pointer(op: PointerOperation, psi: StateVector) -> list[BranchRecord]:
@@ -173,7 +177,7 @@ def _hypothesis_states(dim: int) -> np.ndarray:
 def _hypothesis_failure(op: PointerOperation, states: np.ndarray) -> dict:
     """Details of the first success branch, over the rows of ``states``, that
     changes the input on a or is entangled with b; empty if there is none."""
-    for part in input_chunks(states, op.u.shape[0]):
+    for part in input_chunks(states, op.dim):
         batch = pointer_batch(op, part)
         rho_a = batch.normalized(batch.marginals("a"))[:, 1:]
         proj = part[:, None, :, None] * part.conj()[:, None, None, :]
@@ -208,7 +212,7 @@ def verify_theorem(op: PointerOperation, samples: int, seed: int,
                  states_checked=len(hypothesis_states))
 
     q_rows, residuals, failures, failed_inputs = [], Drift(infidelity), [], []
-    for part in input_chunks(haar_amplitudes(op.dim_a, samples, seed), op.u.shape[0]):
+    for part in input_chunks(haar_amplitudes(op.dim_a, samples, seed), op.dim):
         batch = pointer_batch(op, part)
         q_rows.append(batch.q)
         residuals.add(batch.residuals("a", slice(1, None)), batch.present[:, 1:])
@@ -240,21 +244,21 @@ def pointer_form(proto: PbtProtocol,
                  ) -> PointerOperation:
     """Dilate a protocol into unitary + pointer form.
 
-    The auxiliary system b is (A, ports); outcome k >= 1 additionally swaps
-    the input system with port B_k, so success branches carry the input on a
-    as the theorem requires.  ``fine_grained`` may decompose outcome k into
-    several update operators K with sum K^dag K = M_k; these are routed into
-    an extra ancilla inside b, keeping every conditional branch pure.
+    The auxiliary system b is (A, ports, ancilla); outcome k >= 1 additionally
+    swaps the input system with port B_k, so success branches carry the input
+    on a as the theorem requires.  ``fine_grained`` may decompose outcome k
+    into several update operators K with sum K^dag K = M_k; these are routed
+    into the ancilla, keeping every conditional branch pure.
 
     Every K acts on (a, A) only: the isometry is completed to a unitary on
-    (a, A) x ancilla x pointer (SVD complement in the free columns) and lifted
-    to the full space, identity on the ports, by one index scatter that also
-    applies the swap.  Only the free columns depend on the completion.
-    A dense complex ``u`` larger than ``POINTER_U_CAP_BYTES`` raises
-    ``LayoutError`` before anything is built.
+    (a, A) x ancilla x pointer (SVD complement in the free columns), and the
+    operation is its lift over the ports (``PointerOperation.ports``).  Only
+    the free columns depend on the completion.  A dilation whose unitary and
+    SVD factor together exceed ``POINTER_U_CAP_BYTES`` raises ``LayoutError``
+    before anything is built.
     """
     da, npi = proto.port_dim, proto.N + 1
-    ds, db_ports = da * proto.alice_dim, da**proto.N
+    ds = da * proto.alice_dim
     kraus: list[list[np.ndarray]] = []
     for k, (m, root) in enumerate(zip(proto.povm, proto.kraus)):
         if fine_grained and k in fine_grained:
@@ -268,46 +272,34 @@ def pointer_form(proto: PbtProtocol,
         else:
             kraus.append([root])
     danc = max(len(ops) for ops in kraus)
-    u_bytes = 16 * (ds * db_ports * danc * npi) ** 2
+    d = ds * danc * npi
+    u_bytes = 2 * 16 * d**2
     if u_bytes > POINTER_U_CAP_BYTES:
         raise LayoutError(
-            f"the pointer-form unitary needs {u_bytes} bytes, above the cap of "
-            f"{POINTER_U_CAP_BYTES} bytes"
+            f"the pointer-form dilation needs {u_bytes} bytes (its unitary and the SVD's U), "
+            f"above the cap of {POINTER_U_CAP_BYTES} bytes"
         )
 
     # isometry |x> -> sum_{k, kappa} K_{k,kappa}|x> |kappa>_anc |k>_pi in the start
     # columns (kappa = k = 0), left singular vectors past ds in the others, in order
-    iso = np.zeros((ds * danc * npi, ds), dtype=np.complex128)
+    iso = np.zeros((d, ds), dtype=np.complex128)
     for k, ops in enumerate(kraus):
         for kap, kop in enumerate(ops):
             iso[(np.arange(ds) * danc + kap) * npi + k] += kop
-    start = np.arange(iso.shape[0]) % (danc * npi) == 0
-    u_small = np.empty((iso.shape[0],) * 2, dtype=np.complex128)
-    u_small[:, start] = iso
-    u_small[:, ~start] = np.linalg.svd(iso, full_matrices=True)[0][:, ds:]
-
-    # row (v, kappa, k) of u, v over (a, A, ports), is small row (x, kappa, k)
-    # on the columns of port index p, where (x, p) is v with a and B_k exchanged
-    flat = np.arange(ds * db_ports).reshape((da, proto.alice_dim) + (da,) * proto.N)
-    perms = np.stack([flat.reshape(-1)] + [np.swapaxes(flat, 0, 1 + k).reshape(-1)
-                                           for k in range(1, npi)], axis=1)
-    x_src, p_src = np.divmod(perms[:, None, :], db_ports)
-    rows = ((x_src * danc + np.arange(danc)[:, None]) * npi + np.arange(npi)).reshape(-1)
-    # u is zero until written (private mapping), and only nonzero bit patterns are
-    # written, so only the pages holding them become resident
-    u = np.frombuffer(mmap.mmap(-1, u_bytes, flags=mmap.MAP_PRIVATE), dtype=np.complex128)
-    vals = u_small[rows].reshape(rows.size, ds, -1)
-    r, x, c = np.nonzero(vals.view(np.uint64).reshape(vals.shape + (2,)).any(axis=-1))
-    p_row = np.broadcast_to(p_src, (ds * db_ports, danc, npi)).reshape(-1)
-    u.reshape(rows.size, ds, db_ports, -1)[r, x, p_row[r], c] = vals[r, x, c]
+    start = np.arange(d) % (danc * npi) == 0
+    u = np.empty((d, d), dtype=np.complex128)
+    u[:, start] = iso
+    u[:, ~start] = np.linalg.svd(iso, full_matrices=True)[0][:, ds:]
     xi = np.kron(proto.resource.amplitudes, np.eye(danc)[0])
     return PointerOperation(
         dim_a=da,
         dim_b=xi.size,
-        u=u.reshape(rows.size, rows.size),
+        u=u,
         xi_b=StateVector(SystemLayout.of(("b", xi.size)), xi),
         chi_pi=basis_state(SystemLayout.of(("pi", npi)), 0),
         pointer_basis=computational_pointer_basis(npi),
+        ports=proto.N,
+        ancilla=danc,
     )
 
 
@@ -320,6 +312,7 @@ def pointer_to_dict(op: PointerOperation) -> dict:
         "version": POINTER_FORMAT_VERSION,
         "kind": "pointer-operation",
         "dims": {"a": op.dim_a, "b": op.dim_b, "pi": op.dim_pointer},
+        "lift": {"ports": op.ports, "ancilla": op.ancilla},
         "unitary": complex_pairs(op.u),
         "xi": complex_pairs(op.xi_b.amplitudes),
         "chi": complex_pairs(op.chi_pi.amplitudes),
@@ -328,6 +321,8 @@ def pointer_to_dict(op: PointerOperation) -> dict:
 
 
 def pointer_from_dict(doc: dict) -> PointerOperation:
+    """Read either format version: a version-1 document has no ``lift`` and
+    holds the operation's whole unitary, which is the zero-port case."""
     for field_name in ("dims", "unitary", "xi", "chi"):
         if field_name not in doc:
             raise ProtocolError(f"pointer document is missing field {field_name!r}")
@@ -335,11 +330,14 @@ def pointer_from_dict(doc: dict) -> PointerOperation:
     for field_name in ("a", "b", "pi"):
         if field_name not in dims:
             raise ProtocolError(f"pointer field 'dims' is missing entry {field_name!r}")
-    da, db, npi = int(dims["a"]), int(dims["b"]), int(dims["pi"])
-    d = da * db * npi
+    da, db, npi = (_int_field(dims[name], f"dims.{name}") for name in ("a", "b", "pi"))
+    lift = doc.get("lift", {})
+    if not isinstance(lift, dict):
+        raise ProtocolError(f"field 'lift': expected an object, got {lift!r}")
     u = from_complex_pairs(doc["unitary"], "unitary")
-    if u.size != d * d:
-        raise ProtocolError(f"field 'unitary': expected {d * d} entries, got {u.size}")
+    side = math.isqrt(u.size)
+    if side * side != u.size:
+        raise ProtocolError(f"field 'unitary': {u.size} entries are not a square matrix")
     if "pointer_basis" in doc:
         basis = tuple(
             StateVector(SystemLayout.of(("pi", npi)),
@@ -351,17 +349,17 @@ def pointer_from_dict(doc: dict) -> PointerOperation:
     return PointerOperation(
         dim_a=da,
         dim_b=db,
-        u=u.reshape(d, d),
+        u=u.reshape(side, side),
         xi_b=StateVector(SystemLayout.of(("b", db)), from_complex_pairs(doc["xi"], "xi")),
         chi_pi=StateVector(SystemLayout.of(("pi", npi)), from_complex_pairs(doc["chi"], "chi")),
         pointer_basis=basis,
+        ports=_int_field(lift.get("ports", 0), "lift.ports"),
+        ancilla=_int_field(lift.get("ancilla", 1), "lift.ancilla"),
     )
 
 
 def save_pointer(op: PointerOperation, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(pointer_to_dict(op), fh, sort_keys=True)
-        fh.write("\n")
+    write_document(pointer_to_dict(op), path)
 
 
 def load_pointer(path) -> PointerOperation:

@@ -10,6 +10,7 @@ yields the maximally mixed state exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -70,9 +71,12 @@ def pauli_element(idx: PauliIndex) -> np.ndarray:
     return out
 
 
+@cache
 def pauli_set(n: int) -> np.ndarray:
-    """V_1 .. V_{4^n}, stacked."""
-    return np.array([pauli_element(PauliIndex(l, n)) for l in range(1, 4**n + 1)])
+    """V_1 .. V_{4^n}, stacked, built once per n (read-only)."""
+    paulis = np.array([pauli_element(PauliIndex(l, n)) for l in range(1, 4**n + 1)])
+    paulis.setflags(write=False)
+    return paulis
 
 
 def pauli_product(l: int, m: int, n: int) -> tuple[int, complex]:

@@ -19,13 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .engine import BRANCH_PRUNE, MeasurementBranch, port_label, povm_branches, require_samples
 from .errors import ChainPreconditionError
-from .pauli import PauliIndex, pauli_element
+from .pauli import PauliIndex, pauli_element, pauli_set
 from .primed import PrimedProtocol
 from .report import AuditReport
 from .tensor import (
@@ -51,8 +52,10 @@ def sdc_encode(message: int, n: int) -> StateVector:
     return apply_on_subsystems(phi, v, ["a"])
 
 
-def sdc_basis(n: int) -> list[StateVector]:
-    return [sdc_encode(r, n) for r in range(1, 4**n + 1)]
+@cache
+def sdc_basis(n: int) -> tuple[StateVector, ...]:
+    """The 4^n superdense encodings, built once per n (immutable states)."""
+    return tuple(sdc_encode(r, n) for r in range(1, 4**n + 1))
 
 
 def bound(n: int, N: int) -> Fraction:
@@ -177,8 +180,8 @@ def _analyze_case2(post: StateVector, i: int, j: int, n: int,
 
     teleport_probs = np.zeros(4**n)
     bob_probs = np.zeros((4**n, 4**n))
-    for t in range(1, 4**n + 1):
-        beta = (pauli_element(PauliIndex(t, n)) @ omega).reshape(-1)
+    for t, v in enumerate(pauli_set(n), start=1):
+        beta = (v @ omega).reshape(-1)
         bob_vec = beta.conj() @ mat
         p_t = float(np.vdot(bob_vec, bob_vec).real)
         teleport_probs[t - 1] = p_t

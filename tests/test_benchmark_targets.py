@@ -35,5 +35,6 @@ def test_trace_target_resolves_to_a_callable(name):
 
 
 def test_pointer_form_still_reports_the_unitary_bytes():
+    # the unitary on (a, A, ancilla, pi): 2 * 4 * 1 * 3 = 24 at N = 2
     op = pointer_form(bell_pbt_protocol(2))
-    assert tracing.OBSERVE["nocloning.pointer_form"](op) == 16 * 96**2 == op.u.nbytes
+    assert tracing.OBSERVE["nocloning.pointer_form"](op) == 16 * 24**2 == op.u.nbytes

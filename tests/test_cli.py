@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from pbtkit import nocloning
 from pbtkit.cli import DEFAULT_TOLERANCES, build_parser, dispatch
 from pbtkit.engine import bell_pbt_protocol, protocol_to_dict
 
@@ -197,10 +198,18 @@ def test_usage_errors(tmp_path, capsys):
     assert dispatch(["no-such-command"]) == 2
 
 
-def test_verify_refuses_an_oversized_pointer_form_with_exit_2(tmp_path, capsys):
-    assert dispatch(["verify", "--builtin", "bell", "--ports", "5",
+def test_verify_refuses_an_oversized_pointer_form_with_exit_2(tmp_path, capsys, monkeypatch):
+    # at N = 2 the dilation is a 24 x 24 unitary plus the SVD's U of the same size
+    monkeypatch.setattr(nocloning, "POINTER_U_CAP_BYTES", 2 * 16 * 24**2 - 1)
+    assert dispatch(["verify", "--builtin", "bell", "--ports", "2",
                      "--out", str(tmp_path)]) == 2
-    assert "pointer-form unitary needs" in capsys.readouterr().err
+    assert f"pointer-form dilation needs {2 * 16 * 24**2} bytes" in capsys.readouterr().err
+
+
+def test_verify_bell_five_ports_passes(tmp_path):
+    assert dispatch(["verify", "--builtin", "bell", "--ports", "5",
+                     "--out", str(tmp_path)]) == 0
+    assert all(rep["passed"] for rep in read_json(tmp_path / "verify.json")["reports"])
 
 
 def test_parser_is_reused_without_carrying_options_over(tmp_path):

@@ -1,5 +1,7 @@
 """Protocol engine tests: branch statistics, marginals, decomposition, Lemma-style checks."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -281,6 +283,24 @@ def test_protocol_from_dict_names_missing_field():
     doc = protocol_to_dict(bell_pbt_protocol(1))
     del doc["povm"]
     with pytest.raises(ProtocolError, match="povm"):
+        protocol_from_dict(doc)
+
+
+@pytest.mark.parametrize("field,value,named", [
+    ("resource", 5.0, "'resource'.*norm"),
+    ("povm", 0.5, "'povm\\[1\\]'.*conjugate transpose"),
+    ("n", "two", "'n'.*integer"),
+    ("N", None, "'N'.*integer"),
+])
+def test_protocol_from_dict_names_an_invalid_field(field, value, named):
+    doc = json.loads(json.dumps(protocol_to_dict(bell_pbt_protocol(2))))
+    if field == "resource":
+        doc["resource"][3][0] = value
+    elif field == "povm":
+        doc["povm"][1][5][1] = value
+    else:
+        doc[field] = value
+    with pytest.raises(ProtocolError, match=named):
         protocol_from_dict(doc)
 
 

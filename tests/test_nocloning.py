@@ -1,12 +1,13 @@
 """Pointer-form decomposition and impossibility-theorem verifier tests."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from pbtkit import branches
-from pbtkit.engine import BRANCH_PRUNE, bell_pbt_protocol
+from pbtkit.engine import BRANCH_PRUNE, bell_pbt_protocol, complex_pairs
 from pbtkit.errors import LayoutError, ProtocolError, SampleCountError, UnitarityError
 from pbtkit.nocloning import (
     POINTER_U_CAP_BYTES,
@@ -199,6 +200,18 @@ def test_pointer_from_dict_names_missing_field():
         pointer_from_dict(doc)
 
 
+@pytest.mark.parametrize("edit,named", [
+    (lambda doc: doc["dims"].update(a="two"), "'dims.a'.*integer"),
+    (lambda doc: doc.update(lift=3), "'lift'.*object"),
+    (lambda doc: doc["lift"].update(ports=None), "'lift.ports'.*integer"),
+])
+def test_pointer_from_dict_names_a_malformed_entry(edit, named):
+    doc = pointer_to_dict(pointer_form(bell_pbt_protocol(1)))
+    edit(doc)
+    with pytest.raises(ProtocolError, match=named):
+        pointer_from_dict(doc)
+
+
 def fine_failure(N):
     """Outcome 0 of the bell protocol as the three failing Bell projections on (a, A1)."""
     return {0: [np.kron(np.outer(v, v.conj()), np.eye(2 ** (N - 1))) for v in BELL_VECS[1:]]}
@@ -279,16 +292,38 @@ def full_svd_pointer_unitary(proto, fine_grained=None):
     return u0[np.argmax(dense_swap(proto, danc), axis=1)]
 
 
+def scatter_lift(op):
+    """The dense unitary of ``op`` on (a, b, pi): its unitary on (a, A,
+    ancilla, pi) lifted to the identity on the ports by one index scatter
+    whose row indices also carry the swap of a and B_k."""
+    if not op.ports:
+        return np.array(op.u)
+    da, npi, danc, ports = op.dim_a, op.dim_pointer, op.ancilla, op.dim_ports
+    ds = op.u.shape[0] // (danc * npi)
+    # row (v, kappa, k) of u, v over (a, A, ports), is small row (x, kappa, k)
+    # on the columns of port index p, where (x, p) is v with a and B_k exchanged
+    flat = np.arange(ds * ports).reshape((da, ds // da) + (da,) * op.ports)
+    perms = np.stack([flat.reshape(-1)] + [np.swapaxes(flat, 0, 1 + k).reshape(-1)
+                                           for k in range(1, npi)], axis=1)
+    x_src, p_src = np.divmod(perms[:, None, :], ports)
+    rows = ((x_src * danc + np.arange(danc)[:, None]) * npi + np.arange(npi)).reshape(-1)
+    p_row = np.broadcast_to(p_src, (ds * ports, danc, npi)).reshape(-1)
+    u = np.zeros((rows.size, ds, ports, danc * npi), dtype=complex)
+    u[np.arange(rows.size), :, p_row, :] = op.u[rows].reshape(rows.size, ds, -1)
+    return u.reshape(rows.size, rows.size)
+
+
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_pointer_form_swap_equals_dense_permutation(N):
     proto = bell_pbt_protocol(N)
-    np.testing.assert_array_equal(pointer_form(proto).u, dense_pointer_unitary(proto))
+    np.testing.assert_array_equal(scatter_lift(pointer_form(proto)), dense_pointer_unitary(proto))
 
 
 def test_pointer_form_fine_grained_equals_dense_reference():
-    proto = bell_pbt_protocol(2)
-    np.testing.assert_array_equal(pointer_form(proto, fine_grained=fine_failure(2)).u,
-                                  dense_pointer_unitary(proto, fine_failure(2)))
+    for N in (1, 2, 3):
+        proto = bell_pbt_protocol(N)
+        lifted = scatter_lift(pointer_form(proto, fine_grained=fine_failure(N)))
+        np.testing.assert_array_equal(lifted, dense_pointer_unitary(proto, fine_failure(N)))
 
 
 @pytest.mark.parametrize("fine", [False, True])
@@ -296,11 +331,11 @@ def test_pointer_form_fine_grained_equals_dense_reference():
 def test_pointer_start_columns_match_full_svd_construction(N, fine):
     proto = bell_pbt_protocol(N)
     fine_grained = fine_failure(N) if fine else None
-    op = pointer_form(proto, fine_grained=fine_grained)
+    u = scatter_lift(pointer_form(proto, fine_grained=fine_grained))
     old = full_svd_pointer_unitary(proto, fine_grained)
     # columns reached from xi_b x chi_pi: ancilla and pointer both at 0
-    start = np.arange(0, op.u.shape[1], (3 if fine else 1) * op.dim_pointer)
-    assert op.u[:, start].tobytes() == old[:, start].tobytes()
+    start = np.arange(0, u.shape[1], (3 if fine else 1) * (N + 1))
+    assert u[:, start].tobytes() == old[:, start].tobytes()
 
 
 @pytest.mark.parametrize("fine", [False, True])
@@ -329,9 +364,12 @@ def test_pointer_form_refuses_an_oversized_unitary_before_building_it(monkeypatc
         raise AssertionError("the dilation was started")
 
     monkeypatch.setattr(np.linalg, "svd", no_svd)
-    # N = 5: a dense 12288 x 12288 complex unitary
-    with pytest.raises(LayoutError, match=f"needs {16 * 12288**2} bytes.*{POINTER_U_CAP_BYTES}"):
-        pointer_form(bell_pbt_protocol(5))
+    # the failure element split 725 ways: a 5800 x 5800 unitary on (a, A, ancilla, pi)
+    # and the SVD's U of the same size, 1.08e9 bytes together
+    proto = bell_pbt_protocol(1)
+    fine = {0: [proto.kraus[0] / np.sqrt(725)] * 725}
+    with pytest.raises(LayoutError, match=f"needs {2 * 16 * 5800**2} bytes.*{POINTER_U_CAP_BYTES}"):
+        pointer_form(proto, fine_grained=fine)
 
 
 @pytest.mark.parametrize("samples", [0, -3])
@@ -344,10 +382,11 @@ def test_verify_theorem_rejects_sample_count_below_one(samples):
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_start_column_evolution_equals_the_dense_product(N, fine):
     op = pointer_form(bell_pbt_protocol(N), fine_grained=fine_failure(N) if fine else None)
+    u = scatter_lift(op)
     inputs = list(haar_states(2, 3, seed=N)) + [ket([1, 0]), ket([0, 1]), ket([1, 1j])]
     for psi in inputs:
         start = np.kron(psi.amplitudes, np.kron(op.xi_b.amplitudes, op.chi_pi.amplitudes))
-        mat = (op.u @ start).reshape(-1, op.dim_pointer)
+        mat = (u @ start).reshape(-1, op.dim_pointer)
         for rec, kvec in zip(decompose_by_pointer(op, psi), op.pointer_basis):
             vec = mat @ kvec.amplitudes.conj()
             prob = float(np.vdot(vec, vec).real)
@@ -360,7 +399,7 @@ def test_start_column_evolution_equals_the_dense_product(N, fine):
 
 
 # ---------------------------------------------------------------------------
-# block-wise unitarity check
+# unitarity, checked on the unitary of the factors the operation touches
 
 
 def dense_deviation(u):
@@ -385,31 +424,14 @@ def pointer_op_with(u, dim_b=2, npi=2):
     )
 
 
-def scattered_blocks(sizes, seed):
-    """Haar blocks of the given sizes on the diagonal, rows and columns shuffled."""
-    d = sum(sizes)
-    u = np.zeros((d, d), dtype=complex)
-    at = 0
-    for i, s in enumerate(sizes):
-        u[at:at + s, at:at + s] = haar_unitary(s, seed + i)
-        at += s
-    rng = np.random.default_rng(seed)
-    return u[rng.permutation(d)][:, rng.permutation(d)]
-
-
 @pytest.mark.parametrize("N,fine", [(1, False), (2, False), (3, False), (4, False),
                                     (1, True), (2, True), (3, True)])
 def test_blockwise_unitarity_matches_the_dense_product(N, fine):
+    # the lift is a permutation times u x I: u is its one distinct block
     op = pointer_form(bell_pbt_protocol(N), fine_grained=fine_failure(N) if fine else None)
     deviation = unitarity_deviation(op.u)
     assert deviation <= 1e-10
-    assert abs(deviation - dense_deviation(op.u)) <= 1e-15
-
-
-def test_blockwise_unitarity_on_blocks_of_several_sizes():
-    u = scattered_blocks([3, 5, 1, 3, 5, 3, 8], seed=2)
-    assert abs(unitarity_deviation(u) - dense_deviation(u)) <= 1e-15
-    pointer_op_with(scattered_blocks([3, 1, 3, 1], seed=4))
+    assert abs(deviation - dense_deviation(scatter_lift(op))) <= 1e-15
 
 
 def test_haar_random_dense_unitary_is_accepted():
@@ -431,31 +453,68 @@ def test_perturbation_inside_one_block_is_rejected():
 def test_zero_column_is_rejected():
     u = np.eye(8, dtype=complex)
     u[:, 5] = 0.0
-    with pytest.raises(UnitarityError, match="zero row or column"):
+    with pytest.raises(UnitarityError, match="within 1e-10"):
         pointer_op_with(u)
+    op = pointer_form(bell_pbt_protocol(2))
+    u = np.array(op.u)
+    u[:, 7] = 0.0
+    with pytest.raises(UnitarityError, match="within 1e-10"):
+        dataclasses.replace(op, u=u)
 
 
-def test_non_square_block_is_rejected():
-    # rows 0, 1 touch only column 0; rows 2..7 touch only columns 1..7
-    u = np.zeros((8, 8), dtype=complex)
-    u[0:2, 0] = 1.0 / np.sqrt(2)
-    u[2:8, 1:8] = 0.1
-    with pytest.raises(UnitarityError, match="non-square block"):
-        pointer_op_with(u)
+def version_1_document(op):
+    """``op`` as a format-1 file holds it: its whole unitary, no lift."""
+    doc = pointer_to_dict(op)
+    del doc["lift"]
+    doc.update(version="1", unitary=complex_pairs(scatter_lift(op)))
+    return doc
 
 
-def test_non_finite_entry_is_rejected():
+def test_non_finite_entry_is_rejected(tmp_path):
     u = np.eye(8, dtype=complex)
     u[3, 3] = np.nan
     with pytest.raises(UnitarityError, match="within 1e-10"):
         pointer_op_with(u)
+    doc = version_1_document(pointer_form(bell_pbt_protocol(1)))
+    doc["unitary"][5][1] = float("nan")
+    path = tmp_path / "pointer.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ProtocolError, match="'unitary'.*finite"):
+        load_pointer(path)
+
+
+@pytest.mark.parametrize("ports,ancilla,npi", [(-1, 1, 2), (0, 0, 2), (1, 1, 3), (3, 1, 4)])
+def test_lift_that_does_not_fit_the_dims_is_rejected(ports, ancilla, npi):
+    # b = (A, B_1, ancilla) needs dim_b divisible by 2^ports * ancilla and N + 1 outcomes
+    with pytest.raises(ProtocolError, match="lift over"):
+        PointerOperation(
+            dim_a=2, dim_b=4, u=np.eye(2 * 4 * npi), ports=ports, ancilla=ancilla,
+            xi_b=basis_state(SystemLayout.of(("b", 4)), 0),
+            chi_pi=basis_state(SystemLayout.of(("pi", npi)), 0),
+            pointer_basis=computational_pointer_basis(npi),
+        )
+
+
+def test_version_1_file_loads_as_the_zero_port_case(tmp_path):
+    op = pointer_form(bell_pbt_protocol(2), fine_grained=fine_failure(2))
+    path = tmp_path / "pointer-v1.json"
+    path.write_text(json.dumps(version_1_document(op), sort_keys=True))
+    dense = load_pointer(path)
+    assert (dense.ports, dense.ancilla) == (0, 1)
+    assert dense.u.tobytes() == scatter_lift(op).tobytes()
+    inputs = haar_amplitudes(2, 6, 4)
+    a, b = pointer_batch(op, inputs), pointer_batch(dense, inputs)
+    np.testing.assert_allclose(a.amplitudes, b.amplitudes, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(a.q, b.q, rtol=0, atol=1e-15)
 
 
 def test_save_and_load_pointer_round_trip(tmp_path):
     op = pointer_form(bell_pbt_protocol(2), fine_grained=fine_failure(2))
     path = tmp_path / "pointer.json"
     save_pointer(op, path)
+    assert json.loads(path.read_text())["version"] == "2"
     back = load_pointer(path)
+    assert (back.ports, back.ancilla) == (op.ports, op.ancilla) == (2, 3)
     assert back.u.tobytes() == op.u.tobytes()
     assert back.xi_b.amplitudes.tobytes() == op.xi_b.amplitudes.tobytes()
     assert back.chi_pi.amplitudes.tobytes() == op.chi_pi.amplitudes.tobytes()
@@ -494,8 +553,9 @@ def test_pointer_batch_equals_the_dense_product_and_the_single_input_records(mak
     inputs = haar_amplitudes(2, 5, 17)
     batch = pointer_batch(op, inputs)
     aux = np.kron(op.xi_b.amplitudes, op.chi_pi.amplitudes)
+    u = scatter_lift(op)
     for s, amps in enumerate(inputs):
-        mat = (op.u @ np.kron(amps, aux)).reshape(-1, op.dim_pointer)
+        mat = (u @ np.kron(amps, aux)).reshape(-1, op.dim_pointer)
         records = decompose_by_pointer(op, ket(amps))
         for k, kvec in enumerate(op.pointer_basis):
             vec = mat @ kvec.amplitudes.conj()
@@ -589,7 +649,7 @@ def test_failure_overlap_gram_matches_the_pair_loop(make_op):
 def test_chunked_verify_theorem_matches_one_batch(monkeypatch, N):
     op = pointer_form(bell_pbt_protocol(N))
     whole = verify_theorem(op, samples=10, seed=N).to_dict()
-    monkeypatch.setattr(branches, "BATCH_BYTES", 16 * op.u.shape[0] * 3)
+    monkeypatch.setattr(branches, "BATCH_BYTES", 16 * op.dim * 3)
     got = verify_theorem(op, samples=10, seed=N).to_dict()
     for a, b in zip(got["checks"], whole["checks"]):
         assert a["details"] == b["details"] and a["passed"] == b["passed"]
