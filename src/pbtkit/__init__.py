@@ -22,6 +22,7 @@ from .engine import (  # noqa: F401
     protocol_from_dict,
     protocol_to_dict,
     save_protocol,
+    standard_resource,
     success_probability,
     teleport_report,
     verify_port_decomposition,
@@ -58,7 +59,6 @@ from .optimizer import (  # noqa: F401
     extract_protocol,
     solve,
     solve_joint,
-    standard_resource,
 )
 from .pauli import (  # noqa: F401
     PauliIndex,

@@ -10,8 +10,9 @@ branch amplitudes fit in BATCH_BYTES.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -23,6 +24,9 @@ BRANCH_PRUNE = 1e-12
 #: bytes of branch amplitudes (inputs x outcomes x dim) that one chunk of a
 #: sample set may hold; a chunk has at least one input
 BATCH_BYTES = 2 << 20
+
+#: one subsystem label, or a tuple of them
+Labels = Union[str, Sequence[str]]
 
 
 @dataclass(frozen=True)
@@ -48,17 +52,22 @@ class BranchBatch:
     def present(self) -> np.ndarray:
         return self.q > 0.0
 
-    def split(self, label: str, k=slice(None)) -> np.ndarray:
+    def split(self, labels: Labels, k=slice(None)) -> np.ndarray:
         """The branches (or only those of outcome ``k``) as matrices: rows over
-        subsystem ``label``, columns over the others in layout order."""
+        the subsystem(s) ``labels`` in the given order, columns over the others
+        in layout order."""
+        labels = (labels,) if isinstance(labels, str) else tuple(labels)
         amps = self.amplitudes[:, k]
-        lead, axis = amps.ndim - 1, self.layout.axis(label)
-        t = np.moveaxis(amps.reshape(amps.shape[:lead] + self.layout.dims), lead + axis, lead)
-        return t.reshape(amps.shape[:lead] + (self.layout.dims[axis], -1))
+        lead = amps.ndim - 1
+        t = np.moveaxis(amps.reshape(amps.shape[:lead] + self.layout.dims),
+                        [lead + self.layout.axis(lbl) for lbl in labels],
+                        range(lead, lead + len(labels)))
+        rows = math.prod(self.layout.dim(lbl) for lbl in labels)
+        return t.reshape(amps.shape[:lead] + (rows, -1))
 
-    def marginals(self, label: str, k=slice(None)) -> np.ndarray:
-        """Marginals of subsystem ``label``, each times its branch probability."""
-        m = self.split(label, k)
+    def marginals(self, labels: Labels, k=slice(None)) -> np.ndarray:
+        """Marginals of the subsystem(s) ``labels``, each times its branch probability."""
+        m = self.split(labels, k)
         return m @ m.conj().swapaxes(-1, -2)
 
     def normalized(self, values: np.ndarray, k=slice(None)) -> np.ndarray:
@@ -67,10 +76,10 @@ class BranchBatch:
         q = np.where(self.q[:, k] > 0.0, self.q[:, k], 1.0)
         return values / q.reshape(q.shape + (1,) * (values.ndim - q.ndim))
 
-    def residuals(self, label: str, k) -> np.ndarray:
+    def residuals(self, labels: Labels, k) -> np.ndarray:
         """The state of the other subsystems in the branches of outcome(s)
-        ``k`` that factorize across ``label``: the top right singular vector."""
-        return np.linalg.svd(self.split(label, k), full_matrices=False)[2][..., 0, :]
+        ``k`` that factorize across ``labels``: the top right singular vector."""
+        return np.linalg.svd(self.split(labels, k), full_matrices=False)[2][..., 0, :]
 
     def first(self) -> list[tuple[int, float, Optional[StateVector]]]:
         """(k, probability, normalized state or None) of the first input."""

@@ -32,6 +32,7 @@ from .engine import (
     mixture_residuals,
     protocol_from_dict,
     protocol_to_dict,
+    standard_resource,
     success_probability,
     teleport_report,
     verify_psi_independence,
@@ -56,7 +57,6 @@ from .optimizer import (
     certify,
     solve,
     solve_joint,
-    standard_resource,
 )
 from .tensor import StateVector, SystemLayout
 
@@ -139,7 +139,7 @@ def _load_input_protocol(args) -> tuple[PbtProtocol, Optional[dict], list[str]]:
         except json.JSONDecodeError as exc:
             raise UsageError(f"{args.protocol}: malformed JSON: {exc}") from exc
         try:
-            if raw.get("primed"):
+            if isinstance(raw, dict) and raw.get("primed"):
                 proto = primed_from_dict(raw).base
             else:
                 proto = protocol_from_dict(raw)

@@ -332,6 +332,17 @@ def verify_psi_independence(proto: PbtProtocol, sample_count: int, seed: int,
     return rep
 
 
+def standard_resource(n: int, N: int) -> StateVector:
+    """N maximally entangled pairs of 2^n-dimensional systems, as (A, B1..BN)."""
+    d = 2**n
+    pairs = [maximally_entangled((f"A{j}", d), (port_label(j), d))
+             for j in range(1, N + 1)]
+    resource = tensor_product(pairs)
+    order = [f"A{j}" for j in range(1, N + 1)] + [port_label(j) for j in range(1, N + 1)]
+    resource = permute_subsystems(resource, order)
+    return merge_subsystems(resource, [f"A{j}" for j in range(1, N + 1)], "A")
+
+
 def bell_pbt_protocol(N: int) -> PbtProtocol:
     """Reference protocol: N shared qubit pairs, project (a, A1) onto one
     maximally entangled vector to teleport onto port 1.
@@ -340,11 +351,7 @@ def bell_pbt_protocol(N: int) -> PbtProtocol:
     """
     if N < 1:
         raise ValueError(f"need at least one port, got N={N}")
-    pairs = [maximally_entangled((f"A{j}", 2), (port_label(j), 2)) for j in range(1, N + 1)]
-    resource = tensor_product(pairs)
-    order = [f"A{j}" for j in range(1, N + 1)] + [port_label(j) for j in range(1, N + 1)]
-    resource = permute_subsystems(resource, order)
-    resource = merge_subsystems(resource, [f"A{j}" for j in range(1, N + 1)], "A")
+    resource = standard_resource(1, N)
     dim_a_alice = 2 * 2**N
     povm_layout = SystemLayout.of(("a", 2), ("A", 2**N))
     phi = maximally_entangled(("a", 2), ("A1", 2))
@@ -396,11 +403,17 @@ def _int_field(value, name: str) -> int:
 
 def protocol_from_dict(doc: dict) -> PbtProtocol:
     """Raise ProtocolError, naming the field, for a malformed document."""
+    if not isinstance(doc, dict):
+        raise ProtocolError(f"protocol document must be a JSON object, got {type(doc).__name__}")
     for field in ("n", "N", "dims", "resource", "povm"):
         if field not in doc:
             raise ProtocolError(f"protocol document is missing field {field!r}")
     n, big_n = _int_field(doc["n"], "n"), _int_field(doc["N"], "N")
-    dims = doc["dims"]
+    dims, povm_doc = doc["dims"], doc["povm"]
+    if not isinstance(dims, dict):
+        raise ProtocolError(f"field 'dims': expected an object, got {type(dims).__name__}")
+    if not isinstance(povm_doc, list):
+        raise ProtocolError(f"field 'povm': expected a list, got {type(povm_doc).__name__}")
     for field in ("a", "A", "B"):
         if field not in dims:
             raise ProtocolError(f"protocol field 'dims' is missing entry {field!r}")
@@ -415,7 +428,7 @@ def protocol_from_dict(doc: dict) -> PbtProtocol:
     d = 2**n * dim_alice
     povm_layout = SystemLayout.of(("a", 2**n), ("A", dim_alice))
     povm = []
-    for k, mat in enumerate(doc["povm"]):
+    for k, mat in enumerate(povm_doc):
         flat = from_complex_pairs(mat, f"povm[{k}]")
         if flat.size != d * d:
             raise ProtocolError(f"field 'povm[{k}]': expected {d * d} entries, got {flat.size}")

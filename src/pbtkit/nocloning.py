@@ -33,7 +33,7 @@ from .engine import (
 from .errors import LayoutError, ProtocolError, UnitarityError
 from .pauli import haar_amplitudes
 from .report import AuditReport
-from .tensor import StateVector, SystemLayout, basis_state
+from .tensor import StateVector, SystemLayout, basis_state, unitarity_deviation
 
 POINTER_FORMAT_VERSION = "2"
 
@@ -42,13 +42,6 @@ HYPOTHESIS_ATOL = 1e-8
 #: largest pointer-form dilation, in bytes, that ``pointer_form`` allocates:
 #: its small unitary plus the SVD's U, both complex and square
 POINTER_U_CAP_BYTES = 1 << 30
-
-
-def unitarity_deviation(u: np.ndarray) -> float:
-    """``max |u^dag u - I|`` of a square matrix (NaN if an entry is not finite)."""
-    gram = u.conj().T @ u
-    gram.flat[::len(u) + 1] -= 1.0
-    return float(np.max(np.abs(gram)))
 
 
 @dataclass(frozen=True)
@@ -94,7 +87,7 @@ class PointerOperation:
         if self.xi_b.dim != self.dim_b or self.chi_pi.dim != self.dim_pointer:
             raise ProtocolError("auxiliary/pointer start states do not match declared dims")
         basis = np.array([v.amplitudes for v in self.pointer_basis])
-        if unitarity_deviation(basis.T) > 1e-12:
+        if not unitarity_deviation(basis.T) <= 1e-12:
             raise ProtocolError("pointer basis is not orthonormal within 1e-12")
 
     @cached_property

@@ -37,19 +37,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .engine import PbtProtocol, input_chunks, measure_batch, port_label, teleportation
+from .engine import standard_resource  # noqa: F401 - re-exported
 from .errors import LayoutError, ProtocolError
 from .pauli import haar_amplitudes
 from .report import AuditReport
 from .signaling import bound
-from .tensor import (
-    HermitianMatrix,
-    StateVector,
-    SystemLayout,
-    maximally_entangled,
-    merge_subsystems,
-    permute_subsystems,
-    tensor_product,
-)
+from .tensor import HermitianMatrix, StateVector, SystemLayout
 
 #: largest total protocol dimension accepted by the optimizer
 DIMENSION_CAP = 1 << 15
@@ -132,17 +125,6 @@ def _choi_face(d: int, N: int, k: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # problem assembly: fixed resource
-
-
-def standard_resource(n: int, N: int) -> StateVector:
-    """N maximally entangled pairs of 2^n-dimensional systems, as (A, B1..BN)."""
-    d = 2**n
-    pairs = [maximally_entangled((f"A{j}", d), (port_label(j), d))
-             for j in range(1, N + 1)]
-    resource = tensor_product(pairs)
-    order = [f"A{j}" for j in range(1, N + 1)] + [port_label(j) for j in range(1, N + 1)]
-    resource = permute_subsystems(resource, order)
-    return merge_subsystems(resource, [f"A{j}" for j in range(1, N + 1)], "A")
 
 
 class _TeleportationRows:

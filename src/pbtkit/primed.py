@@ -33,7 +33,13 @@ from .engine import (
 from .errors import ProtocolError
 from .pauli import haar_states, pauli_set
 from .report import AuditReport
-from .tensor import StateVector, SystemLayout, check_memory_cap, reduced_density
+from .tensor import (
+    StateVector,
+    SystemLayout,
+    check_memory_cap,
+    reduced_density,
+    unitarity_deviation,
+)
 
 ANCILLA_LABEL = "ap"
 
@@ -61,7 +67,7 @@ class PrimedProtocol:
         if self.primed_resource.layout.dim(ANCILLA_LABEL) != 4**n:
             raise ProtocolError(f"control ancilla dimension must be 4^n = {4 ** n}")
         d = 2**n * 4**n
-        if w.shape != (d, d) or np.max(np.abs(w.conj().T @ w - np.eye(d))) > 1e-10:
+        if w.shape != (d, d) or not unitarity_deviation(w) <= 1e-10:
             raise ProtocolError("input-side controlled unitary is not unitary on (a, a')")
 
     @property
@@ -256,6 +262,6 @@ def primed_to_dict(p: PrimedProtocol) -> dict:
 
 
 def primed_from_dict(doc: dict) -> PrimedProtocol:
-    if not doc.get("primed"):
+    if isinstance(doc, dict) and not doc.get("primed"):
         raise ProtocolError("document does not carry the 'primed' flag")
     return build_primed(protocol_from_dict(doc))

@@ -20,23 +20,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .engine import BRANCH_PRUNE, MeasurementBranch, port_label, povm_branches, require_samples
+from .branches import BRANCH_PRUNE, measure_roots, require_samples
+from .engine import port_label
 from .errors import ChainPreconditionError
 from .pauli import PauliIndex, pauli_element, pauli_set
-from .primed import PrimedProtocol
+from .primed import ANCILLA_LABEL, PrimedProtocol
 from .report import AuditReport
 from .tensor import (
     StateVector,
+    _apply_matrix,
     apply_on_subsystems,
     maximally_entangled,
-    permute_subsystems,
-    reduced_density,
     schmidt_decompose,
-    tensor_product,
 )
 
 #: tolerance for the exact no-signaling checks
@@ -53,9 +52,12 @@ def sdc_encode(message: int, n: int) -> StateVector:
 
 
 @cache
-def sdc_basis(n: int) -> tuple[StateVector, ...]:
-    """The 4^n superdense encodings, built once per n (immutable states)."""
-    return tuple(sdc_encode(r, n) for r in range(1, 4**n + 1))
+def sdc_basis(n: int) -> np.ndarray:
+    """The 4^n superdense encodings as rows over (a, b), built once per n
+    (read-only)."""
+    basis = np.array([sdc_encode(r, n).amplitudes for r in range(1, 4**n + 1)])
+    basis.setflags(write=False)
+    return basis
 
 
 def bound(n: int, N: int) -> Fraction:
@@ -146,103 +148,105 @@ def check_chain_preconditions(primed: PrimedProtocol) -> None:
         )
 
 
-def _bob_marginal_probs(state: StateVector, j: int, basis: Sequence[StateVector]
-                        ) -> np.ndarray:
-    """Receiver decoding distribution from the (B_j, b) marginal of a branch."""
-    rho = reduced_density(state, {port_label(j), "b"})
-    rho = permute_subsystems(rho, [port_label(j), "b"])
-    return np.array([
-        float(np.vdot(v.amplitudes, rho.entries @ v.amplitudes).real) for v in basis
-    ])
+def _decode(m: np.ndarray, n: int) -> np.ndarray:
+    """The receiver's decoding distribution ``<enc_r|rho|enc_r>``, r = 1..4^n,
+    of ``rho = m m^dag`` for each matrix m (rows over (B_j, b)): non-negative
+    sums of squares."""
+    return (np.abs(sdc_basis(n).conj() @ m) ** 2).sum(axis=-1)
 
 
-def _analyze_case2(post: StateVector, i: int, j: int, n: int,
-                   basis: Sequence[StateVector], message: int) -> Case2Analysis:
-    """Exactly resolve the fallback teleportation + decoding for source port i."""
+class ChainBranches:
+    """The sender's branches on one encoded message, the same for every
+    receiver port: one input of a ``BranchBatch``.  Each miss branch is
+    factored across (B_i, b) once, on first use."""
+
+    def __init__(self, primed: PrimedProtocol, message: int):
+        enc = sdc_encode(message, primed.base.n)
+        layout = enc.layout.concat(primed.primed_resource.layout)
+        state = np.kron(enc.amplitudes, primed.primed_resource.amplitudes).reshape(layout.dims)
+        state = _apply_matrix(state, layout.dims, [layout.axis("a"), layout.axis(ANCILLA_LABEL)],
+                              primed.w)
+        self.n = primed.base.n
+        self.batch = measure_roots(state[None], layout, primed.base.kraus, ("a", "A"))
+        self._residuals: dict[int, StateVector] = {}
+
+    def residual(self, i: int) -> StateVector:
+        """Branch i without (b, B_i), which it must factorize from: the top
+        right singular vector of the normalized branch split across them.
+
+        Alice's pairing basis is a Schmidt basis of this residual over a
+        degenerate spectrum, so outside the reference protocol rounding
+        decides it, and with it which fallback outcome decodes which message.
+        The split here (rows (b, B_i), normalized amplitudes) is the one
+        ``schmidt_decompose`` makes of the branch: both give the same basis."""
+        if i not in self._residuals:
+            pair = ("b", port_label(i))
+            split = self.batch.split(pair, i)[0] / np.sqrt(self.batch.q[0, i])
+            coeffs, right = np.linalg.svd(split, full_matrices=False)[1:]
+            if 1.0 - coeffs[0] ** 2 > 1e-8:
+                raise ChainPreconditionError(
+                    f"branch {i} does not factorize from (B_{i}, b); cannot run the fallback"
+                )
+            self._residuals[i] = StateVector(self.batch.layout.without(pair), right[0])
+        return self._residuals[i]
+
+
+def _analyze_case2(branches: ChainBranches, i: int, j: int, decoded: np.ndarray,
+                   message: int) -> Case2Analysis:
+    """Exactly resolve the fallback teleportation + decoding for source port i;
+    ``decoded`` is branch i's own decoding distribution."""
+    n = branches.n
     d = 2**n
-    src = port_label(i)
-    coeffs, _, right = schmidt_decompose(post, {src, "b"})
-    if 1.0 - coeffs[0] ** 2 > 1e-8:
-        raise ChainPreconditionError(
-            f"branch {i} does not factorize from (B_{i}, b); cannot run the fallback"
-        )
-    residual = right[0]
-    alice_labels = [lbl for lbl in residual.layout.labels if lbl != port_label(j)]
-    coeffs2, alice_basis, _ = schmidt_decompose(residual, set(alice_labels))
-    schmidt_dev = float(np.max(np.abs(coeffs2[:d] - 1.0 / np.sqrt(d))))
-    dim_alice = alice_basis[0].dim
-    omega = np.stack([alice_basis[l].amplitudes for l in range(d)], axis=0) / np.sqrt(d)
-
-    ordered = permute_subsystems(post, [src] + alice_labels + [port_label(j), "b"])
-    mat = ordered.amplitudes.reshape(d * dim_alice, d * d)
-    rho_bob = reduced_density(post, {port_label(j), "b"})
-    rho_bob = permute_subsystems(rho_bob, [port_label(j), "b"]).entries.copy()
-
-    teleport_probs = np.zeros(4**n)
+    batch = branches.batch
+    residual = branches.residual(i)
+    alice = residual.layout.without({port_label(j)})
+    coeffs, alice_basis, _ = schmidt_decompose(residual, alice.labels)
+    schmidt_dev = float(np.max(np.abs(coeffs[:d] - 1.0 / np.sqrt(d))))
+    omega = np.array([v.amplitudes for v in alice_basis[:d]]) / np.sqrt(d)
+    # the generalized-Bell vectors V_t omega on (B_i, Alice's systems), every
+    # outcome t at once, against the branch as a matrix with rows over them
+    # (stacked vector-matrix products and BLAS dots: each outcome is summed
+    # as a product and ``np.vdot`` of its own vector would be)
+    bell = (pauli_set(n) @ omega).reshape(4**n, 1, -1)
+    mat = batch.split((port_label(i),) + alice.labels, i)[0] / np.sqrt(batch.q[0, i])
+    # the receiver's unnormalized state per outcome, over (b, B_j), then (B_j, b)
+    heard = (bell.conj() @ mat).reshape(4**n, d, d).swapaxes(1, 2).reshape(4**n, -1)
+    teleport_probs = (heard.conj()[:, None, :] @ heard[:, :, None])[:, 0, 0].real
+    kept = teleport_probs >= BRANCH_PRUNE
     bob_probs = np.zeros((4**n, 4**n))
-    for t, v in enumerate(pauli_set(n), start=1):
-        beta = (v @ omega).reshape(-1)
-        bob_vec = beta.conj() @ mat
-        p_t = float(np.vdot(bob_vec, bob_vec).real)
-        teleport_probs[t - 1] = p_t
-        if p_t < BRANCH_PRUNE:
-            continue
-        cond = bob_vec / np.sqrt(p_t)
-        bob_probs[t - 1] = [abs(np.vdot(v.amplitudes, cond)) ** 2 for v in basis]
-        rho_bob -= p_t * np.outer(cond, cond.conj())
+    cond = heard[kept] / np.sqrt(teleport_probs[kept, None])
+    bob_probs[kept] = _decode(cond[:, :, None], n)
     leak = float(max(0.0, 1.0 - teleport_probs.sum()))
     success = float(teleport_probs @ bob_probs[:, message - 1])
     if leak > BRANCH_PRUNE:
-        rho_out = rho_bob / leak
-        out_probs = np.array([
-            float(np.vdot(v.amplitudes, rho_out @ v.amplitudes).real) for v in basis
-        ])
-        success += leak * out_probs[message - 1]
-    return Case2Analysis(
-        source_port=i,
-        teleport_probs=teleport_probs,
-        leak_prob=leak,
-        bob_probs=bob_probs,
-        success=success,
-        schmidt_deviation=schmidt_dev,
-    )
-
-
-def _chain_branches(primed: PrimedProtocol, message: int) -> list[MeasurementBranch]:
-    """The sender's branches on the encoded message (the same for every receiver port)."""
-    state = tensor_product([sdc_encode(message, primed.base.n), primed.primed_resource])
-    state = apply_on_subsystems(state, primed.w, ["a", "ap"])
-    return povm_branches(state, primed.base.kraus, ("a", "A"))
+        # the leak adds the rest of the branch's (B_j, b) marginal: with it,
+        # the receiver decodes the whole marginal
+        success = float(decoded[message - 1])
+    return Case2Analysis(source_port=i, teleport_probs=teleport_probs, leak_prob=leak,
+                         bob_probs=bob_probs, success=success, schmidt_deviation=schmidt_dev)
 
 
 def analyze_chain(primed: PrimedProtocol, message: int, j: int,
-                  branches: Optional[Sequence[MeasurementBranch]] = None) -> ChainAnalysis:
+                  branches: Optional[ChainBranches] = None) -> ChainAnalysis:
     """Exact conditional distribution tree for one chain (``branches``: the message's)."""
-    base = primed.base
-    n, big_n = base.n, base.N
+    big_n = primed.base.N
     if not 1 <= j <= big_n:
         raise ValueError(f"receiver port {j} out of range [1, {big_n}]")
     check_chain_preconditions(primed)
-    basis = sdc_basis(n)
     if branches is None:
-        branches = _chain_branches(primed, message)
-    q = np.array([b.probability for b in branches])
-    post = [b.post_state for b in branches]
+        branches = ChainBranches(primed, message)
+    n, batch = branches.n, branches.batch
+    q, present = batch.q[0], batch.present[0]
+    # the receiver's decoding distribution of each branch that happens
+    ks = np.flatnonzero(present)
+    decoded = np.zeros((big_n + 1, 4**n))
+    decoded[ks] = _decode(batch.split((port_label(j), "b"), ks)[0], n) / q[ks, None]
+    case1 = decoded[j] if present[j] else None
+    case0 = decoded[0] if present[0] else None
+    case2 = {i: _analyze_case2(branches, i, j, decoded[i], message)
+             for i in range(1, big_n + 1) if i != j and present[i]}
+    r_j = float(case0[message - 1]) if present[0] else 0.0
     p_success = float(q[1:].sum())
-
-    case1 = None
-    if post[j] is not None:
-        case1 = _bob_marginal_probs(post[j], j, basis)
-    case2 = {}
-    for i in range(1, big_n + 1):
-        if i == j or post[i] is None:
-            continue
-        case2[i] = _analyze_case2(post[i], i, j, n, basis, message)
-    case0 = None
-    r_j = 0.0
-    if post[0] is not None:
-        case0 = _bob_marginal_probs(post[0], j, basis)
-        r_j = float(case0[message - 1])
 
     p_prime = 0.0
     if case1 is not None:
@@ -251,18 +255,9 @@ def analyze_chain(primed: PrimedProtocol, message: int, j: int,
         p_prime += q[i] * c2.success
     p_prime += q[0] * r_j
     formula = float(q[j] + 4.0**-n * (p_success - q[j]) + (1.0 - p_success) * r_j)
-    return ChainAnalysis(
-        j=j,
-        message=message,
-        q=q,
-        case1_probs=case1,
-        case2=case2,
-        case0_probs=case0,
-        r_j=r_j,
-        p=p_success,
-        p_prime_simulated=p_prime,
-        p_prime_formula=formula,
-    )
+    return ChainAnalysis(j=j, message=message, q=q, case1_probs=case1, case2=case2,
+                         case0_probs=case0, r_j=r_j, p=p_success,
+                         p_prime_simulated=p_prime, p_prime_formula=formula)
 
 
 def run_chain(primed: PrimedProtocol, message: int, seed: int, j: int = 1,
@@ -438,19 +433,16 @@ def compute_chain_exact(primed: PrimedProtocol, message: int,
     lands back on the protocol's success probability.
     """
     check_chain_preconditions(primed)
-    base = primed.base
-    n, big_n = base.n, base.N
+    n, big_n = primed.base.n, primed.base.N
     guess = 4.0**-n
     audit = AuditReport(subject=f"no-signaling chain audit, message {message}")
     ports = []
     r_total = 0.0
-    p_success = None
-    q_list: list[float] = []
-    branches = _chain_branches(primed, message)
+    branches = ChainBranches(primed, message)
+    q = branches.batch.q[0]
+    p_success = float(q[1:].sum())
     for j in range(1, big_n + 1):
         ana = analyze_chain(primed, message, j, branches=branches)
-        p_success = ana.p
-        q_list = [float(x) for x in ana.q]
         ports.append(PortSignaling(
             j=j,
             q_j=float(ana.q[j]),
@@ -484,18 +476,9 @@ def compute_chain_exact(primed: PrimedProtocol, message: int,
     b = bound(n, big_n)
     audit.add("success probability respects the bound", "Eq.2",
               p_success - float(b), 1e-8)
-    return SignalingReport(
-        n=n,
-        N=big_n,
-        message=message,
-        q=q_list,
-        p=float(p_success),
-        ports=ports,
-        R=r_total,
-        p_implied=implied.value,
-        bound=b,
-        audit=audit,
-    )
+    return SignalingReport(n=n, N=big_n, message=message, q=q.tolist(), p=p_success,
+                           ports=ports, R=r_total, p_implied=implied.value, bound=b,
+                           audit=audit)
 
 
 def monte_carlo_check(primed: PrimedProtocol, message: int, j: int, rounds: int,

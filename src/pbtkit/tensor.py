@@ -320,6 +320,14 @@ def _apply_matrix(tensorized: np.ndarray, dims: Sequence[int], axes: Sequence[in
     return np.transpose(out, list(range(lead)) + [lead + i for i in np.argsort(order)])
 
 
+def unitarity_deviation(u: np.ndarray) -> float:
+    """``max |u^dag u - I|`` of a square matrix (NaN if an entry is not finite),
+    so a gate reads ``not unitarity_deviation(u) <= tol``."""
+    gram = u.conj().T @ u
+    gram.flat[::len(u) + 1] -= 1.0
+    return float(np.max(np.abs(gram)))
+
+
 def apply_on_subsystems(state: StateVector, u: np.ndarray,
                         targets: Sequence[str]) -> StateVector:
     """Apply a unitary to the target subsystems (in the given order), identity elsewhere."""
@@ -329,7 +337,7 @@ def apply_on_subsystems(state: StateVector, u: np.ndarray,
         target_dim *= state.layout.dim(lbl)
     if u.shape != (target_dim, target_dim):
         raise LayoutError(f"matrix shape {u.shape} does not match target dimension {target_dim}")
-    if np.max(np.abs(u.conj().T @ u - np.eye(target_dim))) > 1e-10:
+    if not unitarity_deviation(u) <= 1e-10:
         raise UnitarityError("matrix is not unitary within 1e-10")
     axes = [state.layout.axis(lbl) for lbl in targets]
     out = _apply_matrix(state.tensorized(), state.layout.dims, axes, u)

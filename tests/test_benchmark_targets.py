@@ -1,29 +1,33 @@
-"""The benchmark's trace targets must stay resolvable: ``perfbench/run.py
+"""The benchmark's view of pbtkit must stay resolvable: ``perfbench/run.py
 --trace 1`` patches every ``"module:attr"`` in ``perfbench/tracing.py``
-``TARGETS`` and reads ``u.nbytes`` from what ``pointer_form`` returns."""
+``TARGETS`` and reads ``u.nbytes`` from what ``pointer_form`` returns, and
+``perfbench/workloads.py`` imports pbtkit names to build its jobs and inputs.
+A pbtkit name moved or renamed under the benchmark fails here."""
 
 import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from pbtkit.engine import bell_pbt_protocol
+from pbtkit.engine import bell_pbt_protocol, measure_batch
 from pbtkit.nocloning import pointer_form
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracing():
-    """``perfbench/tracing.py``, read from its file (perfbench is not installed)."""
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load_perfbench(name):
+    """``perfbench/<name>.py``, read from its file (perfbench is not installed)."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up
     spec.loader.exec_module(module)
     return module
 
 
-tracing = load_tracing()
+tracing = load_perfbench("tracing")
+workloads = load_perfbench("workloads")
 
 
 @pytest.mark.parametrize("name", sorted(tracing.TARGETS))
@@ -38,3 +42,15 @@ def test_pointer_form_still_reports_the_unitary_bytes():
     # the unitary on (a, A, ancilla, pi): 2 * 4 * 1 * 3 = 24 at N = 2
     op = pointer_form(bell_pbt_protocol(2))
     assert tracing.OBSERVE["nocloning.pointer_form"](op) == 16 * 24**2 == op.u.nbytes
+
+
+@pytest.mark.parametrize("name", workloads.WORKLOADS)
+def test_workload_job_lists_build(name, tmp_path):
+    jobs = workloads.build_jobs(name, 7, tmp_path) + workloads.warmup_jobs(name, tmp_path)
+    assert jobs and all(job.subcommand in workloads.OUTPUT_FILE for job in jobs)
+
+
+def test_rotated_reference_protocol_builds_and_teleports():
+    proto = workloads.rotated_bell_protocol(2, np.random.Generator(np.random.PCG64(7)))
+    q = measure_batch(proto, np.eye(2, dtype=complex)).q
+    np.testing.assert_allclose(q[:, 1:].sum(axis=1), workloads.SIMULATE_P, atol=1e-12)

@@ -87,6 +87,20 @@ def test_malformed_json_gives_exit_2(tmp_path, capsys):
     assert "broken.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit,named", [
+    (lambda doc: [1, 2], "JSON object"),
+    (lambda doc: {**doc, "povm": 5}, "'povm'"),
+    (lambda doc: {**doc, "dims": 7}, "'dims'"),
+])
+def test_protocol_document_of_the_wrong_shape_gives_exit_2(tmp_path, capsys, edit, named):
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(edit(protocol_to_dict(bell_pbt_protocol(1)))))
+    code = dispatch(["simulate", "--protocol", str(path), "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert named in err and "shape.json" in err
+
+
 def test_missing_field_names_field(tmp_path, capsys):
     doc = protocol_to_dict(bell_pbt_protocol(1))
     del doc["resource"]

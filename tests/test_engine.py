@@ -32,6 +32,7 @@ from pbtkit.tensor import (
     SystemLayout,
     basis_state,
     fidelity,
+    permute_subsystems,
     reduced_density,
     schmidt_decompose,
     state_fidelity,
@@ -431,6 +432,26 @@ def test_batched_branches_equal_single_input_and_brute_force_references(kind, N,
             rep = verify_port_decomposition(proto, psi, j)
             assert rep.checks[0].deviation == pytest.approx(
                 mixture_residuals(proto, inputs)[s, j - 1], abs=1e-13)
+
+
+def test_branch_matrices_over_a_tuple_of_labels():
+    proto = bell_pbt_protocol(3)
+    layout = proto.global_layout()
+    labels = ("B3", "a", "B1")
+    rest = [lbl for lbl in layout.labels if lbl not in labels]
+    batch = measure_batch(proto, haar_amplitudes(2, 3, 5))
+    for s in range(3):
+        for k in np.flatnonzero(batch.present[s]).tolist():
+            post = StateVector(layout, batch.amplitudes[s, k], normalized=False)
+            ordered = permute_subsystems(post, list(labels) + rest).amplitudes.reshape(8, -1)
+            np.testing.assert_array_equal(batch.split(labels, k)[s], ordered)
+            rho = permute_subsystems(reduced_density(post, set(labels)), labels).entries
+            np.testing.assert_allclose(batch.marginals(labels, k)[s], rho, atol=1e-13)
+    # a hit leaves the input alone on B1: the branch factorizes across the rest
+    others = ("B2", "A", "B3", "a")
+    for s, amps in enumerate(haar_amplitudes(2, 3, 5)):
+        residual = StateVector(SystemLayout.of(("B1", 2)), batch.residuals(others, 1)[s])
+        assert state_fidelity(residual, ket(amps)) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_pruned_branches_add_nothing():

@@ -15,6 +15,7 @@ from pbtkit.engine import (
 from pbtkit.errors import LayoutError, ProtocolError
 from pbtkit.pauli import SIGMA, haar_amplitudes, haar_states
 from pbtkit.primed import (
+    PrimedProtocol,
     build_primed,
     commutation_witness,
     primed_batch,
@@ -167,6 +168,14 @@ def test_primed_serialization_roundtrip():
                                primed.primed_resource.amplitudes, atol=1e-14)
     with pytest.raises(ProtocolError, match="primed"):
         primed_from_dict({**doc, "primed": False})
+
+
+def test_input_side_unitary_with_a_nan_entry_is_rejected():
+    primed = build_primed(bell_pbt_protocol(1))
+    w = primed.w.copy()
+    w[2, 5] = np.nan
+    with pytest.raises(ProtocolError, match="not unitary"):
+        PrimedProtocol(base=primed.base, primed_resource=primed.primed_resource, w=w)
 
 
 @pytest.mark.parametrize("j", [0, 3])

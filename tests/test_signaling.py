@@ -5,10 +5,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pbtkit.engine import HermitianMatrix, PbtProtocol, bell_pbt_protocol
+from pbtkit.engine import (
+    BRANCH_PRUNE,
+    HermitianMatrix,
+    PbtProtocol,
+    bell_pbt_protocol,
+    port_label,
+    povm_branches,
+    standard_resource,
+)
 from pbtkit import signaling
 from pbtkit.errors import ChainPreconditionError, SampleCountError
-from pbtkit.pauli import SIGMA
+from pbtkit.pauli import SIGMA, pauli_set
 from pbtkit.primed import build_primed
 from pbtkit.signaling import (
     ChainOutcome,
@@ -22,7 +30,16 @@ from pbtkit.signaling import (
     sdc_basis,
     sdc_encode,
 )
-from pbtkit.tensor import SystemLayout
+from pbtkit.tensor import (
+    SystemLayout,
+    apply_on_subsystems,
+    outer,
+    partial_trace,
+    permute_subsystems,
+    reduced_density,
+    schmidt_decompose,
+    tensor_product,
+)
 
 
 def primed_bell(N):
@@ -41,7 +58,7 @@ def test_sdc_identity_encoding_is_phi_plus():
 
 def test_sdc_gram_matrix_is_identity():
     basis = sdc_basis(1)
-    gram = np.array([[np.vdot(x.amplitudes, y.amplitudes) for y in basis] for x in basis])
+    gram = basis.conj() @ basis.T
     np.testing.assert_allclose(gram, np.eye(4), atol=1e-14)
 
 
@@ -361,18 +378,235 @@ def test_failed_chain_precondition_raises_on_every_call():
 
 def test_chain_branches_are_measured_once_per_message(monkeypatch):
     calls = []
-    real = signaling.povm_branches
+    real = signaling.measure_roots
 
-    def counting(state, roots, targets):
-        calls.append(state.dim)
-        return real(state, roots, targets)
+    def counting(states, layout, roots, targets):
+        calls.append(layout.total_dim)
+        return real(states, layout, roots, targets)
 
-    monkeypatch.setattr(signaling, "povm_branches", counting)
+    monkeypatch.setattr(signaling, "measure_roots", counting)
     primed = primed_bell(3)
     reports = [compute_chain_exact(primed, m).to_dict() for m in (1, 2)]
     assert len(calls) == 2
-    monkeypatch.setattr(signaling, "povm_branches", real)
+    monkeypatch.setattr(signaling, "measure_roots", real)
     for m, doc in zip((1, 2), reports):
         per_port = [analyze_chain(primed, m, j) for j in (1, 2, 3)]
         assert [port["p_prime_simulated"] for port in doc["ports"]] == [
             a.p_prime_simulated for a in per_port]
+
+
+# ---------------------------------------------------------------------------
+# the exact chain against the per-state object path it replaced
+
+
+def reference_decoding(state, j, n):
+    """Receiver decoding distribution from the (B_j, b) marginal of a branch."""
+    rho = reduced_density(state, {port_label(j), "b"})
+    rho = permute_subsystems(rho, [port_label(j), "b"])
+    return np.array([float(np.vdot(v, rho.entries @ v).real) for v in sdc_basis(n)])
+
+
+def reference_case2(post, i, j, n, message):
+    """The fallback from source port i, one generalized-Bell outcome at a time."""
+    d = 2**n
+    src = port_label(i)
+    coeffs, _, right = schmidt_decompose(post, {src, "b"})
+    assert 1.0 - coeffs[0] ** 2 <= 1e-8
+    residual = right[0]
+    alice_labels = [lbl for lbl in residual.layout.labels if lbl != port_label(j)]
+    coeffs2, alice_basis, _ = schmidt_decompose(residual, set(alice_labels))
+    schmidt_dev = float(np.max(np.abs(coeffs2[:d] - 1.0 / np.sqrt(d))))
+    dim_alice = alice_basis[0].dim
+    omega = np.stack([alice_basis[l].amplitudes for l in range(d)], axis=0) / np.sqrt(d)
+    ordered = permute_subsystems(post, [src] + alice_labels + [port_label(j), "b"])
+    mat = ordered.amplitudes.reshape(d * dim_alice, d * d)
+    rho_bob = reduced_density(post, {port_label(j), "b"})
+    rho_bob = permute_subsystems(rho_bob, [port_label(j), "b"]).entries.copy()
+    teleport_probs = np.zeros(4**n)
+    bob_probs = np.zeros((4**n, 4**n))
+    for t, v in enumerate(pauli_set(n), start=1):
+        beta = (v @ omega).reshape(-1)
+        bob_vec = beta.conj() @ mat
+        p_t = float(np.vdot(bob_vec, bob_vec).real)
+        teleport_probs[t - 1] = p_t
+        if p_t < BRANCH_PRUNE:
+            continue
+        cond = bob_vec / np.sqrt(p_t)
+        bob_probs[t - 1] = [abs(np.vdot(v, cond)) ** 2 for v in sdc_basis(n)]
+        rho_bob -= p_t * np.outer(cond, cond.conj())
+    leak = float(max(0.0, 1.0 - teleport_probs.sum()))
+    success = float(teleport_probs @ bob_probs[:, message - 1])
+    if leak > BRANCH_PRUNE:
+        rho_out = rho_bob / leak
+        success += leak * float(np.vdot(sdc_basis(n)[message - 1],
+                                        rho_out @ sdc_basis(n)[message - 1]).real)
+    return signaling.Case2Analysis(i, teleport_probs, leak, bob_probs, success, schmidt_dev)
+
+
+def reference_branches(primed, message):
+    """The sender's branches on the encoded message, as normalized states."""
+    state = tensor_product([sdc_encode(message, primed.base.n), primed.primed_resource])
+    state = apply_on_subsystems(state, primed.w, ["a", "ap"])
+    return povm_branches(state, primed.base.kraus, ("a", "A"))
+
+
+def reference_chain(primed, message, j):
+    """The exact chain through per-state objects: one ``StateVector`` per
+    branch, reduced densities, and two Schmidt decompositions per miss."""
+    n, big_n = primed.base.n, primed.base.N
+    branches = reference_branches(primed, message)
+    q = np.array([b.probability for b in branches])
+    post = [b.post_state for b in branches]
+    p_success = float(q[1:].sum())
+    case1 = None if post[j] is None else reference_decoding(post[j], j, n)
+    case2 = {i: reference_case2(post[i], i, j, n, message)
+             for i in range(1, big_n + 1) if i != j and post[i] is not None}
+    case0 = None if post[0] is None else reference_decoding(post[0], j, n)
+    r_j = 0.0 if case0 is None else float(case0[message - 1])
+    p_prime = 0.0
+    if case1 is not None:
+        p_prime += q[j] * float(case1[message - 1])
+    for i, c2 in case2.items():
+        p_prime += q[i] * c2.success
+    p_prime += q[0] * r_j
+    formula = float(q[j] + 4.0**-n * (p_success - q[j]) + (1.0 - p_success) * r_j)
+    return signaling.ChainAnalysis(j, message, q, case1, case2, case0, r_j, p_success,
+                                   p_prime, formula)
+
+
+def haar_unitary(d, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def rotated_protocol(base, seed):
+    """``base`` with a Haar unitary U on the sender's system A: resource
+    (U x I)|r>, POVM (I x U) M_k (I x U)^dag.  Still perfect, same q."""
+    u = haar_unitary(base.alice_dim, seed)
+    lift = np.kron(np.eye(base.port_dim), u)
+    povm = []
+    for m in base.povm:
+        rotated = lift @ m.entries @ lift.conj().T
+        povm.append(HermitianMatrix(m.layout, 0.5 * (rotated + rotated.conj().T)))
+    return PbtProtocol(n=base.n, N=base.N, resource=apply_on_subsystems(base.resource, u, ["A"]),
+                       povm=tuple(povm))
+
+
+def every_port_protocol(N):
+    """N qubit pairs; outcome k projects (a, A_k) onto the maximally entangled
+    vector with weight 1/N.  Perfect, p = 1/4, and every port succeeds."""
+    hit = bell_pbt_protocol(N).povm[1]  # (a, A_1) projected, identity on A_2..A_N
+    t = hit.entries.reshape((2,) * (2 * N + 2))
+    povm = []
+    for k in range(1, N + 1):
+        axes = list(range(2 * N + 2))
+        axes[1], axes[k] = k, 1
+        axes[N + 2], axes[N + 1 + k] = N + 1 + k, N + 2
+        povm.append(np.transpose(t, axes).reshape(hit.entries.shape) / N)
+    povm.insert(0, np.eye(len(hit.entries)) - sum(povm))
+    return PbtProtocol(n=1, N=N, resource=standard_resource(1, N),
+                       povm=tuple(HermitianMatrix(hit.layout, m) for m in povm))
+
+
+def assert_chains_agree(got, ref, atol, bob_probs=True):
+    np.testing.assert_allclose(got.q, ref.q, rtol=0, atol=atol)
+    for name in ("case1_probs", "case0_probs"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            np.testing.assert_allclose(a, b, rtol=0, atol=atol)
+    for name in ("r_j", "p", "p_prime_simulated", "p_prime_formula"):
+        assert abs(getattr(got, name) - getattr(ref, name)) <= atol, name
+    assert got.case2.keys() == ref.case2.keys()
+    for i, c in got.case2.items():
+        r = ref.case2[i]
+        np.testing.assert_allclose(c.teleport_probs, r.teleport_probs, rtol=0, atol=atol)
+        for name in ("leak_prob", "success", "schmidt_deviation"):
+            assert abs(getattr(c, name) - getattr(r, name)) <= atol, (i, name)
+        if bob_probs:
+            np.testing.assert_allclose(c.bob_probs, r.bob_probs, rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_chain_equals_the_object_path_on_the_reference_protocol(N):
+    primed = primed_bell(N)
+    for message in range(1, 5):
+        for j in range(1, N + 1):
+            assert_chains_agree(analyze_chain(primed, message, j),
+                                reference_chain(primed, message, j), 1e-13)
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_chain_equals_the_object_path_on_a_rotated_protocol(N):
+    # the fallback's pairing of outcomes with messages is fixed by a Schmidt
+    # basis of a degenerate spectrum, so bob_probs is compared on bell only
+    primed = build_primed(rotated_protocol(bell_pbt_protocol(N), seed=40 + N))
+    for message in range(1, 5):
+        for j in range(1, N + 1):
+            assert_chains_agree(analyze_chain(primed, message, j),
+                                reference_chain(primed, message, j), 1e-13, bob_probs=False)
+
+
+def test_chain_equals_the_object_path_when_every_port_succeeds():
+    primed = build_primed(every_port_protocol(3))
+    assert np.all(analyze_chain(primed, 1, 1).q[1:] > 0.0)
+    for message in (1, 4):
+        for j in (1, 2, 3):
+            got = analyze_chain(primed, message, j)
+            assert len(got.case2) == 2
+            assert_chains_agree(got, reference_chain(primed, message, j), 1e-13,
+                                bob_probs=False)
+
+
+def oracle_decoding(post, j, n):
+    """<enc_r| partial_trace(|post><post|, {B_j, b}) |enc_r>, densely."""
+    rho = permute_subsystems(partial_trace(outer(post), {port_label(j), "b"}),
+                             [port_label(j), "b"])
+    return np.array([float(np.vdot(v, rho.entries @ v).real) for v in sdc_basis(n)])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: rotated_protocol(bell_pbt_protocol(3), seed=7),
+    lambda: rotated_protocol(every_port_protocol(2), seed=8),
+])
+def test_chain_decoding_matches_a_dense_partial_trace(make):
+    primed = build_primed(make())
+    n, big_n = primed.base.n, primed.base.N
+    for message in (1, 3):
+        branches = reference_branches(primed, message)
+        for j in range(1, big_n + 1):
+            ana = analyze_chain(primed, message, j)
+            if branches[j].post_state is not None:
+                np.testing.assert_allclose(ana.case1_probs,
+                                           oracle_decoding(branches[j].post_state, j, n),
+                                           rtol=0, atol=1e-13)
+            np.testing.assert_allclose(ana.case0_probs,
+                                       oracle_decoding(branches[0].post_state, j, n),
+                                       rtol=0, atol=1e-13)
+            # the fallback and the leak together decode the whole marginal
+            for i, c2 in ana.case2.items():
+                whole = oracle_decoding(branches[i].post_state, j, n)
+                assert abs(c2.success - whole[message - 1]) <= 1e-12
+                assert np.abs(c2.teleport_probs @ c2.bob_probs - whole).max() <= 1e-12
+
+
+@pytest.mark.parametrize("make", [lambda: bell_pbt_protocol(4), lambda: every_port_protocol(3)])
+def test_one_schmidt_decomposition_per_miss(monkeypatch, make):
+    calls = []
+    real = signaling.schmidt_decompose
+
+    def counting(state, left_labels):
+        calls.append(tuple(left_labels))
+        return real(state, left_labels)
+
+    monkeypatch.setattr(signaling, "schmidt_decompose", counting)
+    primed = build_primed(make())
+    misses = 0
+    for message in range(1, 5):
+        report = compute_chain_exact(primed, message)
+        assert report.audit.passed
+        misses += sum(len(port.case2_success) for port in report.ports)
+    assert misses > 0
+    assert len(calls) <= misses

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pbtkit import tensor
 from pbtkit.errors import KindMismatchError, LayoutError, UnitarityError
 from pbtkit.tensor import (
     HermitianMatrix,
@@ -254,6 +255,16 @@ def test_apply_rejects_non_unitary():
     state = basis_state(SystemLayout.of(("a", 2)), 0)
     with pytest.raises(UnitarityError):
         apply_on_subsystems(state, np.array([[1, 0], [0, 2]], dtype=complex), ["a"])
+
+
+def test_apply_rejects_a_nan_matrix_before_the_product(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the matrix was applied before the unitarity gate")
+
+    monkeypatch.setattr(tensor, "_apply_matrix", refuse)
+    state = basis_state(SystemLayout.of(("a", 2)), 0)
+    with pytest.raises(UnitarityError, match="within 1e-10"):
+        apply_on_subsystems(state, np.array([[np.nan, 0], [0, 1]], dtype=complex), ["a"])
 
 
 def test_apply_preserves_norm_and_commutes_on_disjoint_targets():
