@@ -11,11 +11,8 @@ against the N/(4^n + N - 1) ceiling.
 __version__ = "0.1.0"
 
 from .engine import (  # noqa: F401
-    MeasurementBranch,
     PbtProtocol,
-    PortMarginals,
     bell_pbt_protocol,
-    build_global_state,
     load_protocol,
     measure,
     port_marginals,
@@ -23,7 +20,6 @@ from .engine import (  # noqa: F401
     protocol_to_dict,
     save_protocol,
     standard_resource,
-    success_probability,
     teleport_report,
     verify_port_decomposition,
     verify_psi_independence,
@@ -38,7 +34,6 @@ from .errors import (  # noqa: F401
     UnitarityError,
 )
 from .nocloning import (  # noqa: F401
-    BranchRecord,
     PointerOperation,
     decompose_by_pointer,
     load_pointer,
@@ -64,7 +59,6 @@ from .pauli import (  # noqa: F401
     PauliIndex,
     haar_states,
     pauli_element,
-    pauli_product,
     sample_haar_state,
     twirl,
 )
@@ -88,7 +82,6 @@ from .signaling import (  # noqa: F401
     compute_chain_exact,
     f_of_R,
     monte_carlo_check,
-    run_chain,
     run_chain_batch,
     sdc_encode,
 )
@@ -98,16 +91,10 @@ from .tensor import (  # noqa: F401
     SystemLayout,
     apply_on_subsystems,
     basis_state,
-    fidelity,
     maximally_entangled,
-    maximally_mixed,
     outer,
-    partial_trace,
     permute_subsystems,
-    project_psd,
     reduced_density,
     schmidt_decompose,
-    state_fidelity,
-    states_equal,
     tensor_product,
 )

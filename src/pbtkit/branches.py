@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .errors import SampleCountError
-from .tensor import StateVector, SystemLayout, _apply_matrix
+from .errors import LayoutError, SampleCountError
+from .tensor import SystemLayout, _apply_matrix
 
 #: branches below this probability are "impossible": reported as 0, no state
 BRANCH_PRUNE = 1e-12
@@ -81,13 +81,8 @@ class BranchBatch:
         ``k`` that factorize across ``labels``: the top right singular vector."""
         return np.linalg.svd(self.split(labels, k), full_matrices=False)[2][..., 0, :]
 
-    def first(self) -> list[tuple[int, float, Optional[StateVector]]]:
-        """(k, probability, normalized state or None) of the first input."""
-        return [(k, float(q), StateVector(self.layout, amps / np.sqrt(q)) if q > 0.0 else None)
-                for k, (q, amps) in enumerate(zip(self.q[0], self.amplitudes[0]))]
 
-
-def measure_roots(states: np.ndarray, layout: SystemLayout, roots: np.ndarray,
+def povm_branches(states: np.ndarray, layout: SystemLayout, roots: np.ndarray,
                   targets: Sequence[str]) -> BranchBatch:
     """Branches of each pure state in ``states`` (rows, over ``layout``)
     under the update maps ``roots`` on the target subsystems."""
@@ -102,6 +97,14 @@ def require_samples(samples: int, name: str = "samples") -> None:
     """Raise ``SampleCountError``, naming the count, unless it is at least 1."""
     if samples < 1:
         raise SampleCountError(f"{name} must be at least 1, got {samples}")
+
+
+def require_width(inputs: np.ndarray, width: int) -> None:
+    """Raise ``LayoutError``, naming both widths, unless ``inputs`` are rows
+    of ``width`` amplitudes."""
+    if np.ndim(inputs) != 2 or inputs.shape[1] != width:
+        raise LayoutError(f"inputs must be rows of {width} amplitudes (the input "
+                          f"dimension), got an array of shape {np.shape(inputs)}")
 
 
 def input_chunks(inputs: np.ndarray, branch_dim: int) -> Iterator[np.ndarray]:

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from .engine import (
+    PURITY_ATOL,
     PbtProtocol,
     bell_pbt_protocol,
     from_complex_pairs,
@@ -33,7 +34,6 @@ from .engine import (
     protocol_from_dict,
     protocol_to_dict,
     standard_resource,
-    success_probability,
     teleport_report,
     verify_psi_independence,
     write_document,
@@ -190,19 +190,20 @@ def _report_exit(reports: list[AuditReport]) -> int:
 def _cmd_simulate(args) -> int:
     proto, _, paths = _load_input_protocol(args)
     out_dir = _output_dir(args)
-    psi = _psi_state(args.psi, proto.n, args.seed)
-    branches = measure(proto, psi)
-    rows = [{"k": b.k, "probability": b.probability} for b in branches]
-    for b in branches[1:]:
-        if b.post_state is not None:
-            fid, residual = teleport_report(b, psi, proto)
-            rows[b.k].update(teleport_fidelity=fid, residual_extracted=residual is not None)
+    inputs = _psi_state(args.psi, proto.n, args.seed).amplitudes[None]
+    batch = measure(proto, inputs)
+    _, fid, purity = teleport_report(batch, inputs)
+    rows = [{"k": k, "probability": float(q)} for k, q in enumerate(batch.q[0])]
+    for k in range(1, proto.N + 1):
+        if batch.present[0, k]:
+            rows[k].update(teleport_fidelity=float(fid[0, k - 1]),
+                           residual_extracted=bool(1.0 - purity[0, k - 1] <= PURITY_ATOL))
     manifest = RunManifest("simulate", {"psi": args.psi, "seed": args.seed,
                                         "n": proto.n, "N": proto.N},
                            paths, str(out_dir))
     payload = {
         "manifest": manifest.to_dict(),
-        "success_probability": success_probability(branches),
+        "success_probability": sum(row["probability"] for row in rows[1:]),
         "branches": rows,
     }
     _write_json(out_dir / "simulate.json", payload)

@@ -13,9 +13,7 @@ protocols.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,8 +24,9 @@ from .branches import (  # noqa: F401 - BRANCH_PRUNE is re-exported
     constancy_deviations,
     infidelity,
     input_chunks,
-    measure_roots,
+    povm_branches,
     require_samples,
+    require_width,
 )
 from .errors import LayoutError, ProtocolError
 from .pauli import haar_amplitudes
@@ -56,22 +55,32 @@ def port_label(j: int) -> str:
     return f"B{j}"
 
 
+def checked_port(j: int, big_n: int) -> str:
+    """The label of port B_j; ``LayoutError`` unless 1 <= j <= N."""
+    if not 1 <= j <= big_n:
+        raise LayoutError(f"port index {j} out of range [1, {big_n}]")
+    return port_label(j)
+
+
 @dataclass(frozen=True)
 class PbtProtocol:
     """A port-based teleportation protocol instance.
 
     ``resource`` lives on layout (A, B1..BN) with every port of dimension 2^n;
     the POVM elements M_0..M_N live on (a, A), where a is the input system.
+    ``kraus`` holds the measurement update maps sqrt(M_k), stacked and
+    read-only, computed once by ``validate``.
     """
 
     n: int
     N: int
     resource: StateVector
     povm: tuple[HermitianMatrix, ...]
+    kraus: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "povm", tuple(self.povm))
-        self.validate()
+        object.__setattr__(self, "kraus", self.validate())
 
     @property
     def port_dim(self) -> int:
@@ -84,15 +93,11 @@ class PbtProtocol:
     def global_layout(self) -> SystemLayout:
         return SystemLayout.of(("a", self.port_dim)).concat(self.resource.layout)
 
-    @cached_property
-    def kraus(self) -> np.ndarray:
-        """Measurement update maps sqrt(M_k), stacked, computed on first use (read-only)."""
-        roots = np.stack([sqrt_psd(m.entries) for m in self.povm])
-        roots.setflags(write=False)
-        return roots
-
-    def validate(self) -> None:
-        """Raise ProtocolError naming the first violated invariant."""
+    def validate(self) -> np.ndarray:
+        """Raise ProtocolError naming the first violated invariant.  Returns
+        the roots sqrt(M_k), stacked (read-only), from the eigendecomposition
+        of each element that its PSD check makes; small negative eigenvalues
+        are clipped."""
         if self.n < 1 or self.N < 1:
             raise ProtocolError(f"need n >= 1 and N >= 1, got n={self.n}, N={self.N}")
         expected = ("A",) + tuple(port_label(j) for j in range(1, self.N + 1))
@@ -109,57 +114,39 @@ class PbtProtocol:
             raise ProtocolError(f"POVM needs N+1 = {self.N + 1} elements, got {len(self.povm)}")
         d = self.port_dim * self.alice_dim
         total = np.zeros((d, d), dtype=np.complex128)
+        roots = []
         for k, m in enumerate(self.povm):
             if m.layout.labels != ("a", "A") or m.dim != d:
                 raise ProtocolError(f"POVM element {k} must live on (a, A) with dimension {d}")
-            lowest = m.min_eigenvalue()
-            if lowest < -POVM_ATOL:
-                raise ProtocolError(
-                    f"POVM element {k} is not PSD: min eigenvalue {lowest:.3e}"
-                )
+            w, v = np.linalg.eigh(m.entries)
+            if w[0] < -POVM_ATOL:
+                raise ProtocolError(f"POVM element {k} is not PSD: min eigenvalue {w[0]:.3e}")
+            roots.append((v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T)
             total += m.entries
         dev = float(np.max(np.abs(total - np.eye(d))))
         if dev > POVM_ATOL:
             raise ProtocolError(f"POVM completeness violated: max deviation {dev:.3e}")
         check_memory_cap(self.global_layout())
+        roots = np.stack(roots)
+        roots.setflags(write=False)
+        return roots
 
 
-@dataclass(frozen=True)
-class MeasurementBranch:
-    """Outcome k with its probability and the normalized post-measurement state."""
-
-    k: int
-    probability: float
-    post_state: Optional[StateVector]
-
-
-@dataclass(frozen=True)
-class PortMarginals:
-    """States of port B_j as seen before/after the sender's measurement.
-
-    ``eta`` is the marginal of the resource alone; ``gamma[i]`` the marginal
-    after outcome i (teleportation to a different port); ``omega`` the
-    marginal after failure, absent when the failure branch has no weight.
-    """
-
-    j: int
-    eta: HermitianMatrix
-    gamma: dict[int, HermitianMatrix]
-    omega: Optional[HermitianMatrix]
-
-
-def measure_batch(proto: PbtProtocol, inputs: np.ndarray) -> BranchBatch:
-    """All measurement branches of the protocol on each row of ``inputs``."""
+def measure(proto: PbtProtocol, inputs: np.ndarray) -> BranchBatch:
+    """All measurement branches of the protocol on each row of ``inputs``
+    (``LayoutError`` unless each row has 2^n amplitudes)."""
+    require_width(inputs, proto.port_dim)
     states = inputs[:, :, None] * proto.resource.amplitudes
-    return measure_roots(states, proto.global_layout(), proto.kraus, ("a", "A"))
+    return povm_branches(states, proto.global_layout(), proto.kraus, ("a", "A"))
 
 
-def teleportation(batch: BranchBatch, inputs: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def teleport_report(batch: BranchBatch, inputs: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The marginal of port B_j in branch k times its probability, (inputs,
     N + 1, N, d, d); and per input and success outcome k the fidelity of the
     input with branch k's normalized port-B_k marginal and that marginal's
-    purity, (inputs, N) each (0 where pruned)."""
+    purity, (inputs, N) each (0 where pruned).  The residual state of
+    branch k can be extracted when the purity is within PURITY_ATOL of 1."""
     big_n = batch.q.shape[1] - 1
     ports = np.stack([batch.marginals(port_label(j)) for j in range(1, big_n + 1)], axis=2)
     own = np.arange(big_n)
@@ -168,96 +155,11 @@ def teleportation(batch: BranchBatch, inputs: np.ndarray
     return ports, fid, np.einsum("skij,skji->sk", rho, rho).real
 
 
-def _input_row(psi: StateVector, n: int) -> np.ndarray:
-    """The amplitudes of a single 2^n-dimensional input, as a batch of one."""
-    if psi.dim != 2**n:
-        raise LayoutError(f"input state dimension {psi.dim} != 2^n = {2 ** n}")
-    if len(psi.layout) != 1:
-        raise LayoutError("input state must be a single subsystem")
-    return psi.amplitudes[None]
-
-
-def sqrt_psd(mat: np.ndarray, clip_atol: float = POVM_ATOL) -> np.ndarray:
-    """Hermitian square root via eigendecomposition; small negatives are clipped."""
-    w, v = np.linalg.eigh(mat)
-    if w[0] < -clip_atol:
-        raise ProtocolError(f"operator is not PSD: min eigenvalue {w[0]:.3e}")
-    w = np.sqrt(np.clip(w, 0.0, None))
-    return (v * w) @ v.conj().T
-
-
-def povm_branches(state: StateVector, roots: Sequence[np.ndarray],
-                  targets: Sequence[str]) -> list[MeasurementBranch]:
-    """Generalized measurement on the target subsystems of a pure state.
-
-    Returns one branch per update map, normally the Hermitian roots
-    ``PbtProtocol.kraus``.  Branches with probability below BRANCH_PRUNE get
-    probability 0 and no state.
-    """
-    batch = measure_roots(state.amplitudes[None], state.layout, roots, targets)
-    return [MeasurementBranch(*branch) for branch in batch.first()]
-
-
-def build_global_state(psi: StateVector, proto: PbtProtocol) -> StateVector:
-    """Input tensored with the resource: the joint state before measurement."""
-    amps = np.kron(_input_row(psi, proto.n)[0], proto.resource.amplitudes)
-    return StateVector(proto.global_layout(), amps, normalized=psi.normalized)
-
-
-def measure(proto: PbtProtocol, psi: StateVector) -> list[MeasurementBranch]:
-    """All measurement branches of one protocol run on input psi."""
-    batch = measure_batch(proto, _input_row(psi, proto.n))
-    return [MeasurementBranch(*branch) for branch in batch.first()]
-
-
-def branch_probabilities(proto: PbtProtocol, psi: StateVector) -> np.ndarray:
-    return np.array([b.probability for b in measure(proto, psi)])
-
-
-def success_probability(branches: Sequence[MeasurementBranch]) -> float:
-    return float(sum(b.probability for b in branches if b.k >= 1))
-
-
-def teleport_report(branch: MeasurementBranch, psi: StateVector,
-                    proto: PbtProtocol) -> tuple[float, Optional[StateVector]]:
-    """Teleportation fidelity at port k, and the residual state when it exists.
-
-    The residual (everything except the receiving port) is extracted only
-    when the port marginal is pure within PURITY_ATOL, i.e. when the branch
-    actually factorizes as (teleported state) x (residual).
-    """
-    if branch.k < 1:
-        raise ValueError("teleport_report needs a success branch (k >= 1)")
-    if branch.post_state is None:
-        raise ValueError(f"branch {branch.k} has no post state (probability 0)")
-    psi = _input_row(psi, proto.n)[0]
-    port, post = port_label(branch.k), branch.post_state
-    one = BranchBatch(post.layout, post.amplitudes[None, None], np.ones((1, 1)))
-    rho = one.marginals(port, 0)[0]
-    residual = None
-    if 1.0 - np.trace(rho @ rho).real <= PURITY_ATOL:
-        residual = StateVector(post.layout.without({port}), one.residuals(port, 0)[0])
-    return float(np.vdot(psi, rho @ psi).real), residual
-
-
-def marginals_from_batch(resource: StateVector, batch: BranchBatch, j: int) -> PortMarginals:
-    """Marginals of port B_j for the first input of ``batch``: of the
-    pre-measurement ``resource``, per miss outcome, and on failure."""
-    big_n = batch.q.shape[1] - 1
-    if not 1 <= j <= big_n:
-        raise LayoutError(f"port index {j} out of range [1, {big_n}]")
-    port = port_label(j)
-    rho = batch.normalized(batch.marginals(port))[0]
-    states = {k: HermitianMatrix(resource.layout.restrict({port}), rho[k])
-              for k in range(big_n + 1) if k != j and batch.present[0, k]}
-    return PortMarginals(j=j, eta=reduced_density(resource, {port}),
-                         gamma={i: m for i, m in states.items() if i}, omega=states.get(0))
-
-
-def port_marginals(proto: PbtProtocol, psi: StateVector, j: int) -> PortMarginals:
-    """Marginals of port B_j: before measurement, per miss outcome, and on failure."""
-    batch = measure_batch(proto, _input_row(psi, proto.n))
-    return marginals_from_batch(proto.resource, batch, j)
+def port_marginals(proto: PbtProtocol, inputs: np.ndarray, j: int) -> np.ndarray:
+    """The state of port B_j in every branch of each row of ``inputs``,
+    (inputs, N + 1, d, d), 0 where a branch is pruned."""
+    batch = measure(proto, inputs)
+    return batch.normalized(batch.marginals(checked_port(j, proto.N)))
 
 
 def mixture_residuals(proto: PbtProtocol, inputs: np.ndarray) -> np.ndarray:
@@ -269,9 +171,9 @@ def mixture_residuals(proto: PbtProtocol, inputs: np.ndarray) -> np.ndarray:
     others = 1 - np.eye(proto.N, proto.N + 1, 1)
     out = []
     for part in input_chunks(inputs, (proto.N + 1) * proto.global_layout().total_dim):
-        batch = measure_batch(proto, part)
+        batch = measure(proto, part)
         proj = part[:, None, :, None] * part.conj()[:, None, None, :]
-        mix = (np.einsum("jk,skjab->sjab", others, teleportation(batch, part)[0])
+        mix = (np.einsum("jk,skjab->sjab", others, teleport_report(batch, part)[0])
                + batch.q[:, 1:, None, None] * proj)
         out.append(np.abs(eta - mix).max(axis=(2, 3)))
     return np.vstack(out)
@@ -280,13 +182,12 @@ def mixture_residuals(proto: PbtProtocol, inputs: np.ndarray) -> np.ndarray:
 def verify_port_decomposition(proto: PbtProtocol, psi: StateVector, j: int,
                               tolerance: float = 1e-10) -> AuditReport:
     """Check the port-marginal mixture identity for port j on input psi."""
-    if not 1 <= j <= proto.N:
-        raise LayoutError(f"port index {j} out of range [1, {proto.N}]")
-    inputs = _input_row(psi, proto.n)
+    checked_port(j, proto.N)
+    inputs = psi.amplitudes[None]
     rep = AuditReport(subject=f"port marginal decomposition, port {j}")
     rep.add("eta_j equals success/miss/failure mixture", "Eq.3",
             float(mixture_residuals(proto, inputs)[0, j - 1]), tolerance,
-            port=j, q=measure_batch(proto, inputs).q[0].tolist())
+            port=j, q=measure(proto, inputs).q[0].tolist())
     return rep
 
 
@@ -307,8 +208,8 @@ def verify_psi_independence(proto: PbtProtocol, sample_count: int, seed: int,
     omegas = Drift(lambda first, rho: np.abs(rho - first).max(axis=(-2, -1)))
     inputs = haar_amplitudes(proto.port_dim, sample_count, seed)
     for part in input_chunks(inputs, (proto.N + 1) * proto.global_layout().total_dim):
-        batch = measure_batch(proto, part)
-        ports, fid, purity = teleportation(batch, part)
+        batch = measure(proto, part)
+        ports, fid, purity = teleport_report(batch, part)
         success = batch.present[:, 1:]
         imperfect = (fid < 1.0 - PURITY_ATOL) | (1.0 - purity > PURITY_ATOL)
         failed = np.argwhere(success & imperfect)
@@ -401,22 +302,26 @@ def _int_field(value, name: str) -> int:
         raise ProtocolError(f"field {name!r}: expected an integer, got {value!r}") from exc
 
 
+def _typed_field(value, kind: type, name: str):
+    """``value``; ProtocolError naming ``name`` unless it is a ``kind`` (dict or list)."""
+    if not isinstance(value, kind):
+        expected = "a JSON object" if kind is dict else "a list"
+        raise ProtocolError(f"{name}: expected {expected}, got {type(value).__name__}")
+    return value
+
+
 def protocol_from_dict(doc: dict) -> PbtProtocol:
     """Raise ProtocolError, naming the field, for a malformed document."""
-    if not isinstance(doc, dict):
-        raise ProtocolError(f"protocol document must be a JSON object, got {type(doc).__name__}")
-    for field in ("n", "N", "dims", "resource", "povm"):
-        if field not in doc:
-            raise ProtocolError(f"protocol document is missing field {field!r}")
+    _typed_field(doc, dict, "protocol document")
+    for field_name in ("n", "N", "dims", "resource", "povm"):
+        if field_name not in doc:
+            raise ProtocolError(f"protocol document is missing field {field_name!r}")
     n, big_n = _int_field(doc["n"], "n"), _int_field(doc["N"], "N")
-    dims, povm_doc = doc["dims"], doc["povm"]
-    if not isinstance(dims, dict):
-        raise ProtocolError(f"field 'dims': expected an object, got {type(dims).__name__}")
-    if not isinstance(povm_doc, list):
-        raise ProtocolError(f"field 'povm': expected a list, got {type(povm_doc).__name__}")
-    for field in ("a", "A", "B"):
-        if field not in dims:
-            raise ProtocolError(f"protocol field 'dims' is missing entry {field!r}")
+    dims = _typed_field(doc["dims"], dict, "field 'dims'")
+    povm_doc = _typed_field(doc["povm"], list, "field 'povm'")
+    for field_name in ("a", "A", "B"):
+        if field_name not in dims:
+            raise ProtocolError(f"protocol field 'dims' is missing entry {field_name!r}")
     dim_alice = _int_field(dims["A"], "dims.A")
     layout = SystemLayout(
         (("A", dim_alice),) + tuple((port_label(j), 2**n) for j in range(1, big_n + 1))

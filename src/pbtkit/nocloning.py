@@ -25,9 +25,11 @@ from .branches import BranchBatch, Drift, constancy_deviations, infidelity, inpu
 from .engine import (
     PbtProtocol,
     _int_field,
+    _typed_field,
     complex_pairs,
     from_complex_pairs,
     require_samples,
+    require_width,
     write_document,
 )
 from .errors import LayoutError, ProtocolError, UnitarityError
@@ -119,25 +121,16 @@ class PointerOperation:
         return self.dim_a * self.dim_b * self.dim_pointer
 
 
-@dataclass(frozen=True)
-class BranchRecord:
-    """Pointer outcome k with its probability and the conditional (a, b) state."""
-
-    k: int
-    probability: float
-    conditional_state: Optional[StateVector]
-
-
 def computational_pointer_basis(dim: int) -> tuple[StateVector, ...]:
     lay = SystemLayout.of(("pi", dim))
     return tuple(basis_state(lay, k) for k in range(dim))
 
 
-def pointer_batch(op: PointerOperation, inputs: np.ndarray) -> BranchBatch:
+def decompose_by_pointer(op: PointerOperation, inputs: np.ndarray) -> BranchBatch:
     """Run the operation on each row of ``inputs`` and resolve it into pointer
-    branches: the conditional (a, b) state of every pointer outcome."""
-    if inputs.shape[1] != op.dim_a:
-        raise ProtocolError(f"input dimension {inputs.shape[1]} != a-dimension {op.dim_a}")
+    branches: the conditional (a, b) state of every pointer outcome
+    (``LayoutError`` unless each row has ``dim_a`` amplitudes)."""
+    require_width(inputs, op.dim_a)
     aux, block = op._start_columns
     # u on (a, A, ancilla, pi) times the start columns; the ports ride along
     start = (inputs[:, :, None, None] * aux).reshape(len(inputs), -1, op.dim_ports)
@@ -154,11 +147,6 @@ def pointer_batch(op: PointerOperation, inputs: np.ndarray) -> BranchBatch:
                           np.ascontiguousarray(branches))
 
 
-def decompose_by_pointer(op: PointerOperation, psi: StateVector) -> list[BranchRecord]:
-    """Run the operation on psi and resolve it into pointer branches."""
-    return [BranchRecord(*b) for b in pointer_batch(op, psi.amplitudes[None]).first()]
-
-
 def _hypothesis_states(dim: int) -> np.ndarray:
     """Computational basis plus all real and imaginary pairwise superpositions, as rows."""
     basis = np.eye(dim, dtype=np.complex128)
@@ -171,7 +159,7 @@ def _hypothesis_failure(op: PointerOperation, states: np.ndarray) -> dict:
     """Details of the first success branch, over the rows of ``states``, that
     changes the input on a or is entangled with b; empty if there is none."""
     for part in input_chunks(states, op.dim):
-        batch = pointer_batch(op, part)
+        batch = decompose_by_pointer(op, part)
         rho_a = batch.normalized(batch.marginals("a"))[:, 1:]
         proj = part[:, None, :, None] * part.conj()[:, None, None, :]
         intact = np.abs(rho_a - proj).max(axis=(2, 3))
@@ -206,7 +194,7 @@ def verify_theorem(op: PointerOperation, samples: int, seed: int,
 
     q_rows, residuals, failures, failed_inputs = [], Drift(infidelity), [], []
     for part in input_chunks(haar_amplitudes(op.dim_a, samples, seed), op.dim):
-        batch = pointer_batch(op, part)
+        batch = decompose_by_pointer(op, part)
         q_rows.append(batch.q)
         residuals.add(batch.residuals("a", slice(1, None)), batch.present[:, 1:])
         failed = batch.present[:, 0]
@@ -315,18 +303,18 @@ def pointer_to_dict(op: PointerOperation) -> dict:
 
 def pointer_from_dict(doc: dict) -> PointerOperation:
     """Read either format version: a version-1 document has no ``lift`` and
-    holds the operation's whole unitary, which is the zero-port case."""
+    holds the operation's whole unitary, which is the zero-port case.  Raise
+    ProtocolError, naming the field, for a malformed document."""
+    _typed_field(doc, dict, "pointer document")
     for field_name in ("dims", "unitary", "xi", "chi"):
         if field_name not in doc:
             raise ProtocolError(f"pointer document is missing field {field_name!r}")
-    dims = doc["dims"]
+    dims = _typed_field(doc["dims"], dict, "field 'dims'")
     for field_name in ("a", "b", "pi"):
         if field_name not in dims:
             raise ProtocolError(f"pointer field 'dims' is missing entry {field_name!r}")
     da, db, npi = (_int_field(dims[name], f"dims.{name}") for name in ("a", "b", "pi"))
-    lift = doc.get("lift", {})
-    if not isinstance(lift, dict):
-        raise ProtocolError(f"field 'lift': expected an object, got {lift!r}")
+    lift = _typed_field(doc.get("lift", {}), dict, "field 'lift'")
     u = from_complex_pairs(doc["unitary"], "unitary")
     side = math.isqrt(u.size)
     if side * side != u.size:
@@ -335,7 +323,8 @@ def pointer_from_dict(doc: dict) -> PointerOperation:
         basis = tuple(
             StateVector(SystemLayout.of(("pi", npi)),
                         from_complex_pairs(vec, f"pointer_basis[{i}]"))
-            for i, vec in enumerate(doc["pointer_basis"])
+            for i, vec in enumerate(_typed_field(doc["pointer_basis"], list,
+                                                 "field 'pointer_basis'"))
         )
     else:
         basis = computational_pointer_basis(npi)

@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .engine import PbtProtocol, input_chunks, measure_batch, port_label, teleportation
+from .engine import PbtProtocol, input_chunks, measure, port_label, teleport_report
 from .engine import standard_resource  # noqa: F401 - re-exported
 from .errors import LayoutError, ProtocolError
 from .pauli import haar_amplitudes
@@ -661,9 +661,9 @@ def certify(povm: Sequence[HermitianMatrix], resource: StateVector, n: int, N: i
     p_values = []
     inputs = haar_amplitudes(2**n, samples, seed)
     for part in input_chunks(inputs, (N + 1) * proto.global_layout().total_dim):
-        batch = measure_batch(proto, part)
+        batch = measure(proto, part)
         p_values.append(batch.q[:, 1:].sum(axis=1))
-        fid = teleportation(batch, part)[1]
+        fid = teleport_report(batch, part)[1]
         worst_fid = min(worst_fid, float(np.min(fid, where=batch.present[:, 1:], initial=1.0)))
     p_values = np.concatenate(p_values)
     p_mean = float(np.mean(p_values))

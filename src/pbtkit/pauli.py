@@ -28,18 +28,6 @@ SIGMA = (
     np.array([[1, 0], [0, -1]], dtype=np.complex128),
 )
 
-# single-qubit products sigma_a sigma_b = phase * sigma_c, tabulated as (c, phase)
-_PRODUCT = {}
-for _a in range(4):
-    for _b in range(4):
-        prod = SIGMA[_a] @ SIGMA[_b]
-        for _c in range(4):
-            for _ph in (1, -1, 1j, -1j):
-                if np.allclose(prod, _ph * SIGMA[_c]):
-                    _PRODUCT[(_a, _b)] = (_c, _ph)
-del _a, _b, _c, _ph, prod
-
-
 @dataclass(frozen=True)
 class PauliIndex:
     """Index l in [1, 4^n] into the n-qubit Pauli set."""
@@ -79,32 +67,17 @@ def pauli_set(n: int) -> np.ndarray:
     return paulis
 
 
-def pauli_product(l: int, m: int, n: int) -> tuple[int, complex]:
-    """Return (r, phase) with V_l V_m = phase * V_r; phase in {1, -1, i, -i}."""
-    da = PauliIndex(l, n).digits()
-    db = PauliIndex(m, n).digits()
-    phase = 1 + 0j
-    digits = []
-    for a, b in zip(da, db):
-        c, ph = _PRODUCT[(a, b)]
-        digits.append(c)
-        phase *= ph
-    r = 0
-    for c in digits:
-        r = 4 * r + c
-    return r + 1, complex(phase)
-
-
 def twirl(rho: HermitianMatrix) -> HermitianMatrix:
     """(1/4^n) sum_l V_l rho V_l^dag; equals I/2^n for any density operator."""
     d = rho.dim
     n = d.bit_length() - 1
     if 2**n != d:
         raise LayoutError(f"twirl needs a 2^n-dimensional operator, got dimension {d}")
-    if not rho.is_density():
-        raise ValueError("twirl input must be a density operator")
+    ent = rho.entries
+    if abs(np.trace(ent).real - 1.0) > 1e-10 or np.linalg.eigvalsh(ent)[0] < -1e-10:
+        raise ValueError("twirl input must be a density operator (unit trace, PSD within 1e-10)")
     paulis = pauli_set(n)
-    acc = (paulis @ rho.entries @ paulis.conj().swapaxes(1, 2)).sum(axis=0)
+    acc = (paulis @ ent @ paulis.conj().swapaxes(1, 2)).sum(axis=0)
     return HermitianMatrix(rho.layout, acc / 4**n)
 
 

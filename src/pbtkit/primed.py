@@ -18,17 +18,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .branches import BranchBatch, input_chunks, measure_roots
+from .branches import BranchBatch, input_chunks, povm_branches, require_width
 from .engine import (
-    MeasurementBranch,
     PbtProtocol,
-    PortMarginals,
-    marginals_from_batch,
-    measure_batch,
+    checked_port,
+    measure,
     port_label,
     protocol_to_dict,
     protocol_from_dict,
-    teleportation,
+    teleport_report,
 )
 from .errors import ProtocolError
 from .pauli import haar_states, pauli_set
@@ -114,24 +112,21 @@ def build_primed(base: PbtProtocol) -> PrimedProtocol:
                           w=input_side_unitary(n))
 
 
-def primed_batch(p: PrimedProtocol, inputs: np.ndarray) -> BranchBatch:
+def run_primed(p: PrimedProtocol, inputs: np.ndarray) -> BranchBatch:
     """Measurement branches of the primed protocol (base POVM on (a, A) only)
-    on each row of ``inputs``, after the compensating unitary on (a, a')."""
-    if inputs.shape[1] != p.base.port_dim:
-        raise ProtocolError(f"input dimension {inputs.shape[1]} != 2^n = {p.base.port_dim}")
+    on each row of ``inputs``, after the compensating unitary on (a, a')
+    (``LayoutError`` unless each row has 2^n amplitudes)."""
+    require_width(inputs, p.base.port_dim)
     states = inputs[:, :, None] * p.primed_resource.amplitudes
     states = p.w @ states.reshape(len(inputs), p.base.port_dim * p.ancilla_dim, -1)
-    return measure_roots(states, p.global_layout(), p.base.kraus, ("a", "A"))
+    return povm_branches(states, p.global_layout(), p.base.kraus, ("a", "A"))
 
 
-def run_primed(p: PrimedProtocol, psi: StateVector) -> list[MeasurementBranch]:
-    """Measurement branches of the primed protocol (base POVM on (a, A) only)."""
-    return [MeasurementBranch(*b) for b in primed_batch(p, psi.amplitudes[None]).first()]
-
-
-def primed_port_marginals(p: PrimedProtocol, psi: StateVector, j: int) -> PortMarginals:
-    """Marginals of port B_j in the primed protocol."""
-    return marginals_from_batch(p.primed_resource, primed_batch(p, psi.amplitudes[None]), j)
+def primed_port_marginals(p: PrimedProtocol, inputs: np.ndarray, j: int) -> np.ndarray:
+    """The state of port B_j in every branch of the primed protocol on each
+    row of ``inputs``, (inputs, N + 1, d, d), 0 where a branch is pruned."""
+    batch = run_primed(p, inputs)
+    return batch.normalized(batch.marginals(checked_port(j, p.base.N)))
 
 
 def verify_eq5(p: PrimedProtocol, psi_samples: Sequence[StateVector],
@@ -154,16 +149,16 @@ def verify_eq5(p: PrimedProtocol, psi_samples: Sequence[StateVector],
     gamma_terms = 0
     inputs = np.array([psi.amplitudes for psi in psi_samples])
     for part in input_chunks(inputs, (big_n + 1) * p.global_layout().total_dim):
-        base = measure_batch(p.base, part)
-        gap = 1.0 - np.min(teleportation(base, part)[1], axis=1, where=base.present[:, 1:],
+        base = measure(p.base, part)
+        gap = 1.0 - np.min(teleport_report(base, part)[1], axis=1, where=base.present[:, 1:],
                            initial=1.0)
         if np.any(gap > 1e-8):
             return rep.not_applicable(
                 "base protocol does not teleport perfectly; claims not applicable",
                 "base protocol teleports perfectly", "Eq.8",
                 worst_fidelity=1.0 - float(gap[np.argmax(gap > 1e-8)]))
-        primed = primed_batch(p, part)
-        ports, fid, _ = teleportation(primed, part)
+        primed = run_primed(p, part)
+        ports, fid, _ = teleport_report(primed, part)
         prob_dev = max(prob_dev, float(np.max(np.abs(primed.q - base.q))))
         fid_dev = max(fid_dev, float(np.max(1.0 - fid, where=primed.present[:, 1:],
                                             initial=0.0)))
@@ -199,7 +194,7 @@ def verify_failure_marginal_twirl(p: PrimedProtocol, psi: StateVector, j: int,
     """
     rep = AuditReport(subject=f"failure marginal twirl decomposition, port {j}")
     anc, port = p.ancilla_dim, port_label(j)
-    branches = primed_batch(p, psi.amplitudes[None])
+    branches = run_primed(p, psi.amplitudes[None])
     if not branches.present[0, 0]:
         return rep.not_applicable(
             "protocol never fails on this input; twirl decomposition not applicable",
@@ -212,7 +207,7 @@ def verify_failure_marginal_twirl(p: PrimedProtocol, psi: StateVector, j: int,
     weights = per_l.q[:, 0]
     rho = per_l.normalized(per_l.marginals(port, 0), 0)
     paulis = pauli_set(p.base.n)
-    rotated = measure_batch(p.base, paulis.conj().swapaxes(1, 2) @ psi.amplitudes)
+    rotated = measure(p.base, paulis.conj().swapaxes(1, 2) @ psi.amplitudes)
     omega = rotated.normalized(rotated.marginals(port, 0), 0)
     expected = paulis @ omega @ paulis.conj().swapaxes(1, 2)
     rep.add("per-ancilla-value failure marginal matches rotated base run", "Eq.b9",
@@ -236,10 +231,10 @@ def commutation_witness(p: PrimedProtocol, psi: StateVector) -> AuditReport:
     # the untwirled resource next to the uniform ancilla; the twirl comes after
     start = psi.amplitudes[:, None, None] * np.full((p.ancilla_dim, 1), 2.0**-p.base.n)
     start = p.w @ (start * p.base.resource.amplitudes).reshape(1, p.ancilla_dim * psi.dim, -1)
-    after = measure_roots(start, lay, p.base.kraus, ("a", "A"))
+    after = povm_branches(start, lay, p.base.kraus, ("a", "A"))
     twirled = _twirl_ports(after.amplitudes.reshape(after.q.shape + lay.dims), lay,
                            p.base.n, p.base.N).reshape(after.amplitudes.shape)
-    before = primed_batch(p, psi.amplitudes[None])
+    before = run_primed(p, psi.amplitudes[None])
     both = after.present & before.present
     diff = (twirled / np.sqrt(np.where(both, after.q, 1.0))[..., None]
             - before.amplitudes / np.sqrt(np.where(both, before.q, 1.0))[..., None])

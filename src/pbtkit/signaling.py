@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .branches import BRANCH_PRUNE, measure_roots, require_samples
+from .branches import BRANCH_PRUNE, povm_branches, require_samples
 from .engine import port_label
 from .errors import ChainPreconditionError
 from .pauli import PauliIndex, pauli_element, pauli_set
@@ -167,7 +167,7 @@ class ChainBranches:
         state = _apply_matrix(state, layout.dims, [layout.axis("a"), layout.axis(ANCILLA_LABEL)],
                               primed.w)
         self.n = primed.base.n
-        self.batch = measure_roots(state[None], layout, primed.base.kraus, ("a", "A"))
+        self.batch = povm_branches(state[None], layout, primed.base.kraus, ("a", "A"))
         self._residuals: dict[int, StateVector] = {}
 
     def residual(self, i: int) -> StateVector:
@@ -258,14 +258,6 @@ def analyze_chain(primed: PrimedProtocol, message: int, j: int,
     return ChainAnalysis(j=j, message=message, q=q, case1_probs=case1, case2=case2,
                          case0_probs=case0, r_j=r_j, p=p_success,
                          p_prime_simulated=p_prime, p_prime_formula=formula)
-
-
-def run_chain(primed: PrimedProtocol, message: int, seed: int, j: int = 1,
-              force_k: Optional[int] = None,
-              analysis: Optional[ChainAnalysis] = None) -> ChainOutcome:
-    """Sample one full chain round from the exact conditional distributions."""
-    return run_chain_batch(primed, message, 1, seed, j=j, force_k=force_k,
-                           analysis=analysis)[0]
 
 
 def run_chain_batch(primed: PrimedProtocol, message: int, rounds: int, seed: int,

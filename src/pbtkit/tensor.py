@@ -17,8 +17,6 @@ import numpy as np
 
 from .errors import KindMismatchError, LayoutError, UnitarityError
 
-#: default absolute tolerance for equality checks
-ATOL = 1e-10
 #: normalization / hermiticity tolerance at construction time
 STRICT_ATOL = 1e-12
 #: largest total state dimension the toolkit agrees to allocate
@@ -163,15 +161,6 @@ class HermitianMatrix:
     def dim(self) -> int:
         return self.layout.total_dim
 
-    def trace(self) -> float:
-        return float(np.trace(self.entries).real)
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.entries)[0])
-
-    def is_density(self, psd_atol: float = 1e-10, trace_atol: float = ATOL) -> bool:
-        return abs(self.trace() - 1.0) <= trace_atol and self.min_eigenvalue() >= -psd_atol
-
 
 TensorValue = Union[StateVector, HermitianMatrix]
 
@@ -195,15 +184,6 @@ def basis_state(layout: SystemLayout, index: Union[int, Sequence[int]]) -> State
 def outer(state: StateVector) -> HermitianMatrix:
     """|psi><psi| as a HermitianMatrix; a density operator when psi is normalized."""
     return HermitianMatrix(state.layout, np.outer(state.amplitudes, state.amplitudes.conj()))
-
-
-def identity_matrix(layout: SystemLayout) -> HermitianMatrix:
-    return HermitianMatrix(layout, np.eye(layout.total_dim, dtype=np.complex128))
-
-
-def maximally_mixed(layout: SystemLayout) -> HermitianMatrix:
-    d = layout.total_dim
-    return HermitianMatrix(layout, np.eye(d, dtype=np.complex128) / d)
 
 
 def maximally_entangled(left: tuple[str, int], right: tuple[str, int]) -> StateVector:
@@ -233,23 +213,6 @@ def tensor_product(factors: Sequence[TensorValue]) -> TensorValue:
         ent = functools.reduce(np.kron, (f.entries for f in factors))
         return HermitianMatrix(layout, ent)
     raise KindMismatchError("cannot mix StateVector and HermitianMatrix factors")
-
-
-def partial_trace(op: HermitianMatrix, keep: Iterable[str]) -> HermitianMatrix:
-    """Trace out every subsystem not in ``keep``; kept labels retain their order."""
-    keep = set(keep)
-    out_layout = op.layout.restrict(keep)
-    dims = op.layout.dims
-    n = len(dims)
-    t = op.entries.reshape(dims + dims)
-    row_idx = list(range(n))
-    col_idx = [n + i if op.layout.labels[i] in keep else i for i in range(n)]
-    out_idx = [i for i in range(n) if op.layout.labels[i] in keep]
-    out_idx += [n + i for i in range(n) if op.layout.labels[i] in keep]
-    d = out_layout.total_dim
-    reduced = np.einsum(t, row_idx + col_idx, out_idx).reshape(d, d)
-    reduced = 0.5 * (reduced + reduced.conj().T)
-    return HermitianMatrix(out_layout, reduced)
 
 
 def reduced_density(state: StateVector, keep: Iterable[str]) -> HermitianMatrix:
@@ -401,37 +364,3 @@ def schmidt_decompose(state: StateVector, left_labels: Iterable[str]):
     left_basis = [StateVector(left_layout, u[:, i]) for i in range(len(s))]
     right_basis = [StateVector(right_layout, vh[i, :]) for i in range(len(s))]
     return s.copy(), left_basis, right_basis
-
-
-def project_psd(h: HermitianMatrix) -> HermitianMatrix:
-    """Nearest positive semidefinite matrix in Frobenius norm (eigenvalue clipping)."""
-    sym = 0.5 * (h.entries + h.entries.conj().T)
-    w, v = np.linalg.eigh(sym)
-    w = np.clip(w, 0.0, None)
-    out = (v * w) @ v.conj().T
-    return HermitianMatrix(h.layout, 0.5 * (out + out.conj().T))
-
-
-def overlap(a: StateVector, b: StateVector) -> complex:
-    """Inner product <a|b> (phase-sensitive)."""
-    if a.dim != b.dim:
-        raise LayoutError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
-def state_fidelity(a: StateVector, b: StateVector) -> float:
-    """|<a|b>|^2; phase-free pure-state fidelity."""
-    return float(abs(overlap(a, b)) ** 2)
-
-
-def states_equal(a: StateVector, b: StateVector, atol: float = ATOL) -> bool:
-    """Equality up to global phase: fidelity >= 1 - atol."""
-    return state_fidelity(a, b) >= 1.0 - atol
-
-
-def fidelity(pure: StateVector, rho: HermitianMatrix) -> float:
-    """<pure|rho|pure>, real in [0, 1] for density operators."""
-    if pure.dim != rho.dim:
-        raise LayoutError(f"dimension mismatch: state {pure.dim} vs operator {rho.dim}")
-    val = np.vdot(pure.amplitudes, rho.entries @ pure.amplitudes)
-    return float(val.real)

@@ -64,9 +64,10 @@ def test_criterion_2_reference_protocol():
     worst_q = 0.0
     worst_fid = 1.0
     for psi in haar_states(2, 20, seed=2):
-        branches = measure(proto, psi)
-        worst_q = max(worst_q, abs(branches[1].probability - 0.25))
-        fid, _ = teleport_report(branches[1], psi, proto)
+        inputs = psi.amplitudes[None]
+        batch = measure(proto, inputs)
+        worst_q = max(worst_q, abs(batch.q[0, 1] - 0.25))
+        fid = teleport_report(batch, inputs)[1][0, 0]
         worst_fid = min(worst_fid, fid)
     elapsed = time.time() - start
     announce(2, "reference single-pair protocol hits q = 1/4 with perfect delivery",

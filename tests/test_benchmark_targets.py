@@ -2,7 +2,8 @@
 --trace 1`` patches every ``"module:attr"`` in ``perfbench/tracing.py``
 ``TARGETS`` and reads ``u.nbytes`` from what ``pointer_form`` returns, and
 ``perfbench/workloads.py`` imports pbtkit names to build its jobs and inputs.
-A pbtkit name moved or renamed under the benchmark fails here."""
+A pbtkit name moved or renamed under the benchmark fails here, and so does
+a traced run that leaves a wrapper behind or misses the routine it names."""
 
 import importlib.util
 import sys
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pbtkit.engine import bell_pbt_protocol, measure_batch
+from pbtkit.engine import bell_pbt_protocol, measure, save_protocol
 from pbtkit.nocloning import pointer_form
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -52,5 +53,46 @@ def test_workload_job_lists_build(name, tmp_path):
 
 def test_rotated_reference_protocol_builds_and_teleports():
     proto = workloads.rotated_bell_protocol(2, np.random.Generator(np.random.PCG64(7)))
-    q = measure_batch(proto, np.eye(2, dtype=complex)).q
+    q = measure(proto, np.eye(2, dtype=complex)).q
     np.testing.assert_allclose(q[:, 1:].sum(axis=1), workloads.SIMULATE_P, atol=1e-12)
+
+
+def bindings():
+    """Identity of every name bound in every loaded pbtkit module and of every
+    member of its classes."""
+    out = {}
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name != "pbtkit" and not mod_name.startswith("pbtkit."):
+            continue
+        for key, value in vars(mod).items():
+            out[(mod_name, key)] = id(value)
+            if isinstance(value, type) and value.__module__ == mod_name:
+                for member, obj in vars(value).items():
+                    out[(mod_name, f"{key}.{member}")] = id(obj)
+    return out
+
+
+def test_traced_jobs_reach_every_routine_and_restore_every_binding(tmp_path):
+    import pbtkit.cli  # noqa: F401 - make every pbtkit module loaded
+    originals = [tracing.resolve(t)[2] for t in tracing.TARGETS.values()]
+    assert len({id(obj) for obj in originals}) == len(tracing.TARGETS)
+    path = tmp_path / "protocol.json"
+    save_protocol(workloads.rotated_bell_protocol(3, np.random.Generator(np.random.PCG64(2))),
+                  path)
+    simulate = workloads.Job(("simulate", "--protocol", str(path), "--psi", "haar",
+                              "--seed", "3"))
+    verify = workloads.Job(("verify", "--builtin", "bell", "--ports", "1", "--samples", "5",
+                            "--seed", "3"))
+    before = bindings()
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        assert workloads.call_cli(simulate, tmp_path / "simulate")[0] == 0
+        simulate_spans = len(tracer.spans)
+        assert workloads.call_cli(verify, tmp_path / "verify")[0] == 0
+    assert bindings() == before
+    totals = tracing.layer_totals(tracer.spans[:simulate_spans])
+    assert totals["engine.measure.calls"] == totals["engine.teleport_report.calls"] == 1
+    verified = tracing.layer_totals(tracer.spans[simulate_spans:])
+    for name in ("engine.measure", "engine.povm_branches", "engine.teleport_report",
+                 "nocloning.decompose_by_pointer"):
+        assert verified[f"{name}.calls"] > 0, name

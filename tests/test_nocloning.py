@@ -15,7 +15,6 @@ from pbtkit.nocloning import (
     computational_pointer_basis,
     decompose_by_pointer,
     load_pointer,
-    pointer_batch,
     pointer_form,
     pointer_from_dict,
     pointer_to_dict,
@@ -31,6 +30,7 @@ from pbtkit.tensor import (
     outer,
     reduced_density,
 )
+from reference import branches_of
 
 BELL_VECS = [
     np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2),
@@ -43,6 +43,11 @@ BELL_VECS = [
 def ket(amps, label="a"):
     amps = np.asarray(amps, dtype=complex)
     return StateVector(SystemLayout.of((label, amps.size)), amps / np.linalg.norm(amps))
+
+
+def pointer_records(op, psi):
+    """The pointer branches of one input: (k, probability, conditional (a, b) state)."""
+    return branches_of(decompose_by_pointer(op, psi.amplitudes[None]))
 
 
 def identity_pointer_op(chi_index, dim_b=2, npi=2):
@@ -60,10 +65,10 @@ def identity_pointer_op(chi_index, dim_b=2, npi=2):
 def test_identity_operation_single_branch():
     op = identity_pointer_op(chi_index=1)
     psi = ket([0.6, 0.8j])
-    records = decompose_by_pointer(op, psi)
-    assert records[0].probability == 0.0 and records[0].conditional_state is None
+    records = pointer_records(op, psi)
+    assert records[0].probability == 0.0 and records[0].post_state is None
     assert records[1].probability == pytest.approx(1.0, abs=1e-12)
-    rho_a = reduced_density(records[1].conditional_state, {"a"})
+    rho_a = reduced_density(records[1].post_state, {"a"})
     assert np.max(np.abs(rho_a.entries - outer(psi).entries)) < 1e-12
 
 
@@ -80,7 +85,7 @@ def test_probabilities_sum_to_one_for_random_unitary():
         pointer_basis=computational_pointer_basis(2),
     )
     for psi in haar_states(2, 10, seed=6):
-        total = sum(rec.probability for rec in decompose_by_pointer(op, psi))
+        total = sum(rec.probability for rec in pointer_records(op, psi))
         assert total == pytest.approx(1.0, abs=1e-10)
 
 
@@ -97,24 +102,24 @@ def test_rejects_non_unitary():
 def test_bell_pointer_form_reproduces_branch_statistics():
     op = pointer_form(bell_pbt_protocol(1))
     zero = ket([1, 0])
-    records = decompose_by_pointer(op, zero)
+    records = pointer_records(op, zero)
     assert records[1].probability == pytest.approx(0.25, abs=1e-10)
     assert records[0].probability == pytest.approx(0.75, abs=1e-10)
     # success branch leaves the input on a, intact
-    rho_a = reduced_density(records[1].conditional_state, {"a"})
+    rho_a = reduced_density(records[1].post_state, {"a"})
     assert np.max(np.abs(rho_a.entries - outer(zero).entries)) < 1e-10
 
 
 def test_bell_pointer_failure_overlap_identity():
     op = pointer_form(bell_pbt_protocol(1))
     zero, one = ket([1, 0]), ket([0, 1])
-    f_zero = decompose_by_pointer(op, zero)[0].conditional_state
-    f_one = decompose_by_pointer(op, one)[0].conditional_state
+    f_zero = pointer_records(op, zero)[0].post_state
+    f_one = pointer_records(op, one)[0].post_state
     assert abs(np.vdot(f_one.amplitudes, f_zero.amplitudes)) < 1e-10
     # non-orthogonal pair: the failure overlap equals the input overlap
     psi, phi = haar_states(2, 2, seed=11)
-    f_psi = decompose_by_pointer(op, psi)[0].conditional_state
-    f_phi = decompose_by_pointer(op, phi)[0].conditional_state
+    f_psi = pointer_records(op, psi)[0].post_state
+    f_phi = pointer_records(op, phi)[0].post_state
     lhs = np.vdot(f_phi.amplitudes, f_psi.amplitudes)
     rhs = np.vdot(phi.amplitudes, psi.amplitudes)
     assert abs(lhs - rhs) < 1e-10
@@ -168,8 +173,8 @@ def test_fine_grained_failure_ancilla_keeps_branch_pure():
     assert rep.passed, rep.to_dict()
     # the failure branch is pure by construction and still preserves overlaps
     psi, phi = haar_states(2, 2, seed=15)
-    f_psi = decompose_by_pointer(op, psi)[0].conditional_state
-    f_phi = decompose_by_pointer(op, phi)[0].conditional_state
+    f_psi = pointer_records(op, psi)[0].post_state
+    f_phi = pointer_records(op, phi)[0].post_state
     assert abs(np.vdot(f_phi.amplitudes, f_psi.amplitudes)
                - np.vdot(phi.amplitudes, psi.amplitudes)) < 1e-10
 
@@ -187,8 +192,8 @@ def test_pointer_json_roundtrip():
     np.testing.assert_allclose(back.u, op.u)
     np.testing.assert_allclose(back.xi_b.amplitudes, op.xi_b.amplitudes)
     psi = ket([1, 1])
-    orig = decompose_by_pointer(op, psi)
-    again = decompose_by_pointer(back, psi)
+    orig = pointer_records(op, psi)
+    again = pointer_records(back, psi)
     for x, y in zip(orig, again):
         assert x.probability == pytest.approx(y.probability, abs=1e-14)
 
@@ -201,13 +206,16 @@ def test_pointer_from_dict_names_missing_field():
 
 
 @pytest.mark.parametrize("edit,named", [
-    (lambda doc: doc["dims"].update(a="two"), "'dims.a'.*integer"),
-    (lambda doc: doc.update(lift=3), "'lift'.*object"),
-    (lambda doc: doc["lift"].update(ports=None), "'lift.ports'.*integer"),
+    (lambda doc: {**doc, "dims": {**doc["dims"], "a": "two"}}, "'dims.a'.*integer"),
+    (lambda doc: {**doc, "lift": 3}, "'lift'.*object"),
+    (lambda doc: {**doc, "lift": {**doc["lift"], "ports": None}}, "'lift.ports'.*integer"),
+    (lambda doc: 7, "pointer document.*JSON object, got int"),
+    (lambda doc: [doc], "pointer document.*JSON object, got list"),
+    (lambda doc: {**doc, "dims": 7}, "'dims'.*JSON object, got int"),
+    (lambda doc: {**doc, "pointer_basis": 5}, "'pointer_basis'.*list, got int"),
 ])
 def test_pointer_from_dict_names_a_malformed_entry(edit, named):
-    doc = pointer_to_dict(pointer_form(bell_pbt_protocol(1)))
-    edit(doc)
+    doc = edit(pointer_to_dict(pointer_form(bell_pbt_protocol(1))))
     with pytest.raises(ProtocolError, match=named):
         pointer_from_dict(doc)
 
@@ -387,14 +395,14 @@ def test_start_column_evolution_equals_the_dense_product(N, fine):
     for psi in inputs:
         start = np.kron(psi.amplitudes, np.kron(op.xi_b.amplitudes, op.chi_pi.amplitudes))
         mat = (u @ start).reshape(-1, op.dim_pointer)
-        for rec, kvec in zip(decompose_by_pointer(op, psi), op.pointer_basis):
+        for rec, kvec in zip(pointer_records(op, psi), op.pointer_basis):
             vec = mat @ kvec.amplitudes.conj()
             prob = float(np.vdot(vec, vec).real)
-            if rec.conditional_state is None:
+            if rec.post_state is None:
                 assert rec.probability == 0.0 and prob < BRANCH_PRUNE
             else:
                 assert rec.probability == prob
-                assert rec.conditional_state.amplitudes.tobytes() == (
+                assert rec.post_state.amplitudes.tobytes() == (
                     vec / np.sqrt(prob)).tobytes()
 
 
@@ -503,7 +511,7 @@ def test_version_1_file_loads_as_the_zero_port_case(tmp_path):
     assert (dense.ports, dense.ancilla) == (0, 1)
     assert dense.u.tobytes() == scatter_lift(op).tobytes()
     inputs = haar_amplitudes(2, 6, 4)
-    a, b = pointer_batch(op, inputs), pointer_batch(dense, inputs)
+    a, b = decompose_by_pointer(op, inputs), decompose_by_pointer(dense, inputs)
     np.testing.assert_allclose(a.amplitudes, b.amplitudes, rtol=0, atol=1e-15)
     np.testing.assert_allclose(a.q, b.q, rtol=0, atol=1e-15)
 
@@ -520,7 +528,7 @@ def test_save_and_load_pointer_round_trip(tmp_path):
     assert back.chi_pi.amplitudes.tobytes() == op.chi_pi.amplitudes.tobytes()
     assert (back.dim_a, back.dim_b, back.dim_pointer) == (op.dim_a, op.dim_b, op.dim_pointer)
     psi = haar_states(2, 1, 3)[0]
-    for x, y in zip(decompose_by_pointer(op, psi), decompose_by_pointer(back, psi)):
+    for x, y in zip(pointer_records(op, psi), pointer_records(back, psi)):
         assert x.probability == y.probability
 
 
@@ -551,22 +559,22 @@ POINTER_CASES = [lambda: pointer_form(bell_pbt_protocol(2)),
 def test_pointer_batch_equals_the_dense_product_and_the_single_input_records(make_op):
     op = make_op()
     inputs = haar_amplitudes(2, 5, 17)
-    batch = pointer_batch(op, inputs)
+    batch = decompose_by_pointer(op, inputs)
     aux = np.kron(op.xi_b.amplitudes, op.chi_pi.amplitudes)
     u = scatter_lift(op)
     for s, amps in enumerate(inputs):
         mat = (u @ np.kron(amps, aux)).reshape(-1, op.dim_pointer)
-        records = decompose_by_pointer(op, ket(amps))
+        records = pointer_records(op, ket(amps))
         for k, kvec in enumerate(op.pointer_basis):
             vec = mat @ kvec.amplitudes.conj()
             prob = float(np.vdot(vec, vec).real)
             assert batch.q[s, k] == pytest.approx(prob, abs=1e-13)
             assert records[k].probability == pytest.approx(prob, abs=1e-13)
             if prob < BRANCH_PRUNE:
-                assert records[k].conditional_state is None and not batch.amplitudes[s, k].any()
+                assert records[k].post_state is None and not batch.amplitudes[s, k].any()
             else:
                 np.testing.assert_allclose(batch.amplitudes[s, k], vec, atol=1e-13)
-                np.testing.assert_allclose(records[k].conditional_state.amplitudes,
+                np.testing.assert_allclose(records[k].post_state.amplitudes,
                                            vec / np.sqrt(prob), atol=1e-13)
 
 
@@ -582,12 +590,12 @@ def reference_hypothesis_failure(op):
                 amps[l], amps[m] = 1.0, factor
                 states.append(StateVector(lay, amps / np.sqrt(2)))
     for psi in states:
-        for rec in decompose_by_pointer(op, psi)[1:]:
-            if rec.conditional_state is None:
+        for rec in pointer_records(op, psi)[1:]:
+            if rec.post_state is None:
                 continue
-            rho_a = reduced_density(rec.conditional_state, {"a"})
+            rho_a = reduced_density(rec.post_state, {"a"})
             intact = float(np.max(np.abs(rho_a.entries - outer(psi).entries)))
-            rho_b = reduced_density(rec.conditional_state, {"b"}).entries
+            rho_b = reduced_density(rec.post_state, {"b"}).entries
             purity_gap = 1.0 - float(np.trace(rho_b @ rho_b).real)
             if intact > 1e-8 or purity_gap > 1e-8:
                 return rec.k, intact, purity_gap
@@ -620,9 +628,9 @@ def reference_failure_overlap(op, samples, seed):
     """Eq.a8 as the O(S^2) pair loop over failure states."""
     failures = []
     for psi in haar_states(op.dim_a, samples, seed):
-        rec = decompose_by_pointer(op, psi)[0]
-        if rec.conditional_state is not None:
-            failures.append((psi.amplitudes, rec.conditional_state.amplitudes))
+        rec = pointer_records(op, psi)[0]
+        if rec.post_state is not None:
+            failures.append((psi.amplitudes, rec.post_state.amplitudes))
     worst = 0.0
     for i in range(len(failures)):
         for j in range(i + 1, len(failures)):

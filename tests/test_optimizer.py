@@ -8,7 +8,6 @@ from pbtkit.engine import (
     PbtProtocol,
     bell_pbt_protocol,
     measure,
-    success_probability,
 )
 from pbtkit.errors import LayoutError
 from pbtkit.pauli import haar_states
@@ -225,7 +224,7 @@ def test_solve_fixed_single_port(fixed_result_n1):
     # re-simulation through the engine reproduces the reported optimum
     wrapped = PbtProtocol(n=1, N=1, resource=res.resource, povm=res.povm)
     for psi in haar_states(2, 5, seed=9):
-        p_sim = success_probability(measure(wrapped, psi))
+        p_sim = measure(wrapped, psi.amplitudes[None]).q[0, 1:].sum()
         assert abs(p_sim - res.p_opt) < 1e-8
 
 
@@ -297,8 +296,8 @@ def test_extract_protocol_roundtrip_from_known_choi():
     sigma = np.eye(2, dtype=complex) / 2
     proto, qs = extract_protocol(1, 1, [j1], sigma)
     assert qs[0] == pytest.approx(0.25, rel=1e-5)
-    branches = measure(proto, haar_states(2, 1, seed=4)[0])
-    assert branches[1].probability == pytest.approx(0.25, abs=1e-6)
+    q = measure(proto, haar_states(2, 1, seed=4)[0].amplitudes[None]).q[0]
+    assert q[1] == pytest.approx(0.25, abs=1e-6)
 
 
 def test_certify_rejects_broken_completeness():

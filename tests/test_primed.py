@@ -9,8 +9,7 @@ from pbtkit.engine import (
     PbtProtocol,
     bell_pbt_protocol,
     measure,
-    success_probability,
-    teleportation,
+    teleport_report,
 )
 from pbtkit.errors import LayoutError, ProtocolError
 from pbtkit.pauli import SIGMA, haar_amplitudes, haar_states
@@ -18,7 +17,6 @@ from pbtkit.primed import (
     PrimedProtocol,
     build_primed,
     commutation_witness,
-    primed_batch,
     primed_from_dict,
     primed_port_marginals,
     primed_to_dict,
@@ -32,10 +30,10 @@ from pbtkit.tensor import (
     _apply_matrix,
     apply_on_subsystems,
     basis_state,
-    fidelity,
     reduced_density,
     tensor_product,
 )
+from reference import branches_of, fidelity
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 PAULIS = [SIGMA[0], SIGMA[1], SIGMA[2], SIGMA[3]]
@@ -86,11 +84,11 @@ def test_primed_eta_mixed_even_for_product_resource():
 def test_run_primed_preserves_probabilities_and_teleports():
     primed = build_primed(bell_pbt_protocol(1))
     plus = ket([1, 1])
-    branches = run_primed(primed, plus)
+    branches = branches_of(run_primed(primed, plus.amplitudes[None]))
     assert branches[1].probability == pytest.approx(0.25, abs=1e-12)
     rho_port = reduced_density(branches[1].post_state, {"B1"})
     assert fidelity(plus, rho_port) == pytest.approx(1.0, abs=1e-10)
-    base_q = [b.probability for b in measure(primed.base, plus)]
+    base_q = measure(primed.base, plus.amplitudes[None]).q[0]
     primed_q = [b.probability for b in branches]
     np.testing.assert_allclose(primed_q, base_q, atol=1e-12)
 
@@ -99,8 +97,8 @@ def test_primed_success_probability_invariant():
     for N in (1, 2, 3):
         primed = build_primed(bell_pbt_protocol(N))
         for psi in haar_states(2, 5, seed=200 + N):
-            p_base = success_probability(measure(primed.base, psi))
-            p_primed = success_probability(run_primed(primed, psi))
+            p_base = measure(primed.base, psi.amplitudes[None]).q[0, 1:].sum()
+            p_primed = run_primed(primed, psi.amplitudes[None]).q[0, 1:].sum()
             assert abs(p_base - p_primed) < 1e-12
 
 
@@ -108,15 +106,15 @@ def test_failure_marginal_solves_mixture_identity():
     # identity: I/2 = q_1 psi psi + (1 - p) omega'  =>  omega'(|0>) = diag(1, 2)/3
     primed = build_primed(bell_pbt_protocol(1))
     zero = ket([1, 0])
-    marg = primed_port_marginals(primed, zero, 1)
-    np.testing.assert_allclose(marg.omega.entries, np.diag([1, 2]) / 3, atol=1e-12)
+    marg = primed_port_marginals(primed, zero.amplitudes[None], 1)[0]
+    np.testing.assert_allclose(marg[0], np.diag([1, 2]) / 3, atol=1e-12)
 
 
 def test_gamma_primed_maximally_mixed_two_ports():
     primed = build_primed(bell_pbt_protocol(2))
     psi = ket([2, 1j])
-    marg = primed_port_marginals(primed, psi, 2)
-    np.testing.assert_allclose(marg.gamma[1].entries, np.eye(2) / 2, atol=1e-12)
+    marg = primed_port_marginals(primed, psi.amplitudes[None], 2)[0]
+    np.testing.assert_allclose(marg[1], np.eye(2) / 2, atol=1e-12)
 
 
 def test_verify_eq5_bell_family():
@@ -182,7 +180,7 @@ def test_input_side_unitary_with_a_nan_entry_is_rejected():
 def test_primed_port_marginals_rejects_port_out_of_range(j):
     primed = build_primed(bell_pbt_protocol(2))
     with pytest.raises(LayoutError, match="out of range"):
-        primed_port_marginals(primed, ket([1, 0]), j)
+        primed_port_marginals(primed, ket([1, 0]).amplitudes[None], j)
 
 
 def test_verify_eq5_runs_the_primed_protocol_once_per_chunk(monkeypatch):
@@ -192,14 +190,13 @@ def test_verify_eq5_runs_the_primed_protocol_once_per_chunk(monkeypatch):
     samples = haar_states(2, 5, seed=61)
     shrink_chunks(monkeypatch, primed, 2)
     calls = []
-    real_batch = primed_mod.primed_batch
+    real_batch = primed_mod.run_primed
 
     def counting_batch(p, inputs):
         calls.append(len(inputs))
         return real_batch(p, inputs)
 
-    monkeypatch.setattr(primed_mod, "primed_batch", counting_batch)
-    monkeypatch.setattr(primed_mod, "run_primed", None)  # no single-input runs
+    monkeypatch.setattr(primed_mod, "run_primed", counting_batch)
     assert verify_eq5(primed, samples).passed
     assert calls == [2, 2, 1]
 
@@ -252,10 +249,10 @@ def imperfect_second_port():
 def test_primed_batch_equals_the_per_input_reference(base):
     primed = build_primed(base)
     inputs = np.vstack([[1.0, 0.0], haar_amplitudes(2, 4, 8)])
-    batch = primed_batch(primed, inputs)
-    ports, fid, _ = teleportation(batch, inputs)
+    batch = run_primed(primed, inputs)
+    ports, fid, _ = teleport_report(batch, inputs)
     for s, amps in enumerate(inputs):
-        single = run_primed(primed, ket(amps))
+        single = branches_of(run_primed(primed, amps[None]))
         for k, (q, post) in enumerate(primed_reference(primed, amps)):
             assert batch.q[s, k] == pytest.approx(q, abs=1e-13)
             assert single[k].probability == pytest.approx(q, abs=1e-13)

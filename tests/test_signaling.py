@@ -25,7 +25,6 @@ from pbtkit.signaling import (
     compute_chain_exact,
     f_of_R,
     monte_carlo_check,
-    run_chain,
     run_chain_batch,
     sdc_basis,
     sdc_encode,
@@ -34,12 +33,12 @@ from pbtkit.tensor import (
     SystemLayout,
     apply_on_subsystems,
     outer,
-    partial_trace,
     permute_subsystems,
     reduced_density,
     schmidt_decompose,
     tensor_product,
 )
+from reference import branches_of, partial_trace
 
 
 def primed_bell(N):
@@ -227,9 +226,9 @@ def test_run_chain_failure_estimates_r():
 
 def test_run_chain_deterministic_and_single():
     primed = primed_bell(1)
-    a = run_chain(primed, message=3, seed=11)
-    b = run_chain(primed, message=3, seed=11)
-    assert a == b
+    a = run_chain_batch(primed, message=3, rounds=1, seed=11)
+    b = run_chain_batch(primed, message=3, rounds=1, seed=11)
+    assert len(a) == 1 and a == b
 
 
 def loop_chain_batch(primed, message, rounds, seed, j, force_k, analysis):
@@ -378,17 +377,17 @@ def test_failed_chain_precondition_raises_on_every_call():
 
 def test_chain_branches_are_measured_once_per_message(monkeypatch):
     calls = []
-    real = signaling.measure_roots
+    real = signaling.povm_branches
 
     def counting(states, layout, roots, targets):
         calls.append(layout.total_dim)
         return real(states, layout, roots, targets)
 
-    monkeypatch.setattr(signaling, "measure_roots", counting)
+    monkeypatch.setattr(signaling, "povm_branches", counting)
     primed = primed_bell(3)
     reports = [compute_chain_exact(primed, m).to_dict() for m in (1, 2)]
     assert len(calls) == 2
-    monkeypatch.setattr(signaling, "measure_roots", real)
+    monkeypatch.setattr(signaling, "povm_branches", real)
     for m, doc in zip((1, 2), reports):
         per_port = [analyze_chain(primed, m, j) for j in (1, 2, 3)]
         assert [port["p_prime_simulated"] for port in doc["ports"]] == [
@@ -447,7 +446,8 @@ def reference_branches(primed, message):
     """The sender's branches on the encoded message, as normalized states."""
     state = tensor_product([sdc_encode(message, primed.base.n), primed.primed_resource])
     state = apply_on_subsystems(state, primed.w, ["a", "ap"])
-    return povm_branches(state, primed.base.kraus, ("a", "A"))
+    return branches_of(povm_branches(state.amplitudes[None], state.layout, primed.base.kraus,
+                                     ("a", "A")))
 
 
 def reference_chain(primed, message, j):
