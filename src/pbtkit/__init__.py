@@ -47,7 +47,6 @@ from .optimizer import (  # noqa: F401
     JointPbtSdp,
     PbtSdp,
     SolveResult,
-    SolverConfig,
     build_joint_sdp,
     build_sdp,
     certify,

@@ -51,7 +51,6 @@ from .primed import (
 from .report import AuditReport
 from .signaling import bound, compute_chain_exact, f_of_R, monte_carlo_check
 from .optimizer import (
-    SolverConfig,
     build_joint_sdp,
     build_sdp,
     certify,
@@ -60,17 +59,20 @@ from .optimizer import (
 )
 from .tensor import StateVector, SystemLayout
 
-DEFAULT_TOLERANCES = {
+#: the tolerances ``verify`` reads, with their defaults
+VERIFY_TOLERANCES = {
     "eq3": 1e-10,
     "lemma_q": 1e-10,
     "lemma_residual": 1e-10,
     "theorem_q": 1e-10,
     "theorem_residual": 1e-10,
     "theorem_overlap": 1e-8,
+}
+#: the tolerances ``prime`` reads, with their defaults
+PRIME_TOLERANCES = {
     "eq5_marginal": 1e-10,
     "eq5_probability": 1e-12,
     "b9": 1e-10,
-    "signaling": 1e-10,
 }
 
 OUTPUT_DIR_ENV = "PBTKIT_OUT"
@@ -95,22 +97,6 @@ class RunManifest:
 
     def to_dict(self) -> dict:
         return dict(vars(self))
-
-
-def _parse_tolerances(pairs: list[str]) -> dict[str, float]:
-    out = dict(DEFAULT_TOLERANCES)
-    for pair in pairs or []:
-        if "=" not in pair:
-            raise UsageError(f"--tolerance expects name=value, got {pair!r}")
-        name, _, value = pair.partition("=")
-        if name not in DEFAULT_TOLERANCES:
-            raise UsageError(
-                f"unknown tolerance {name!r}; known: {sorted(DEFAULT_TOLERANCES)}")
-        try:
-            out[name] = float(value)
-        except ValueError as exc:
-            raise UsageError(f"tolerance {name!r}: {value!r} is not a number") from exc
-    return out
 
 
 def _output_dir(args) -> Path:
@@ -147,8 +133,6 @@ def _load_input_protocol(args) -> tuple[PbtProtocol, Optional[dict], list[str]]:
             raise UsageError(f"{args.protocol}: {exc}") from exc
         return proto, raw, [args.protocol]
     if args.builtin == "bell":
-        if args.qubits != 1:
-            raise UsageError("the bell builtin is single-qubit (--qubits 1)")
         return bell_pbt_protocol(args.ports), None, []
     raise UsageError("one of --protocol or --builtin is required")
 
@@ -192,7 +176,7 @@ def _cmd_simulate(args) -> int:
     out_dir = _output_dir(args)
     inputs = _psi_state(args.psi, proto.n, args.seed).amplitudes[None]
     batch = measure(proto, inputs)
-    _, fid, purity = teleport_report(batch, inputs)
+    fid, purity = teleport_report(batch, inputs)
     rows = [{"k": k, "probability": float(q)} for k, q in enumerate(batch.q[0])]
     for k in range(1, proto.N + 1):
         if batch.present[0, k]:
@@ -231,7 +215,7 @@ def _verify_reports(proto: PbtProtocol, samples: int, seed: int,
 def _cmd_verify(args) -> int:
     proto, _, paths = _load_input_protocol(args)
     out_dir = _output_dir(args)
-    tol = _parse_tolerances(args.tolerance)
+    tol = {**VERIFY_TOLERANCES, **dict(args.tolerance or ())}
     reports = _verify_reports(proto, args.samples, args.seed, tol)
     manifest = RunManifest("verify", {"samples": args.samples, "seed": args.seed,
                                       "n": proto.n, "N": proto.N,
@@ -249,7 +233,7 @@ def _cmd_verify(args) -> int:
 def _cmd_prime(args) -> int:
     proto, _, paths = _load_input_protocol(args)
     out_dir = _output_dir(args)
-    tol = _parse_tolerances(args.tolerance)
+    tol = {**PRIME_TOLERANCES, **dict(args.tolerance or ())}
     primed = build_primed(proto)
     samples = haar_states(proto.port_dim, args.samples, args.seed)
     rep = verify_eq5(primed, samples,
@@ -277,21 +261,17 @@ def _cmd_prime(args) -> int:
 
 def _cmd_audit_signaling(args) -> int:
     proto, _, paths = _load_input_protocol(args)
-    out_dir = _output_dir(args)
-    primed = build_primed(proto)
     messages = (list(range(1, 4**proto.n + 1)) if args.all_messages
                 else [args.message])
-    for m in messages:
-        if not 1 <= m <= 4**proto.n:
-            raise UsageError(f"message {m} out of range [1, {4 ** proto.n}]")
+    if messages[-1] > 4**proto.n:  # --message is at least 1 once parsed
+        raise UsageError(f"message {messages[-1]} out of range [1, {4 ** proto.n}]")
+    out_dir = _output_dir(args)
+    primed = build_primed(proto)
     sig_reports = [compute_chain_exact(primed, m) for m in messages]
 
-    mc_reports = []
-    if args.mc_rounds:
-        for m in messages[:1]:
-            for j in range(1, proto.N + 1):
-                mc_reports.append(monte_carlo_check(primed, m, j, args.mc_rounds,
-                                                    args.seed))
+    # the sampled cross-check runs on the first message only
+    mc_reports = [monte_carlo_check(primed, messages[0], j, args.mc_rounds, args.seed)
+                  for j in range(1, proto.N + 1)] if args.mc_rounds else []
     manifest = RunManifest("audit-signaling",
                            {"messages": messages, "seed": args.seed,
                             "mc_rounds": args.mc_rounds,
@@ -310,17 +290,13 @@ def _cmd_audit_signaling(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    try:
-        cfg = SolverConfig(max_iterations=args.max_iterations)
-    except ValueError as exc:
-        raise UsageError(f"--max-iterations: {exc}") from exc
     out_dir = _output_dir(args)
     n, big_n = args.qubits, args.ports
     if args.fixed_resource:
         resource = standard_resource(n, big_n)
-        result = solve(build_sdp(n, big_n, resource), cfg)
+        result = solve(build_sdp(n, big_n, resource), args.max_iterations)
     else:
-        result = solve_joint(build_joint_sdp(n, big_n), cfg)
+        result = solve_joint(build_joint_sdp(n, big_n), args.max_iterations)
     cert = certify(result.povm, result.resource, n, big_n, seed=args.seed)
     proto = result.protocol or PbtProtocol(n=n, N=big_n, resource=result.resource,
                                            povm=result.povm)
@@ -422,19 +398,44 @@ def _at_least(minimum: int):
     return parse
 
 
-def _add_common(parser: argparse.ArgumentParser, protocol_input: bool = True) -> None:
-    if protocol_input:
-        parser.add_argument("--protocol", help="protocol JSON file")
-        parser.add_argument("--builtin", choices=["bell"], help="built-in protocol")
-    parser.add_argument("--ports", type=_at_least(1), default=1, help="number of ports N")
-    parser.add_argument("--qubits", "--n", dest="qubits", type=_at_least(1), default=1,
-                        help="qubits per port n")
-    parser.add_argument("--seed", type=_at_least(0), default=0)
-    parser.add_argument("--samples", type=_at_least(1), default=20)
-    parser.add_argument("--tolerance", action="append", metavar="NAME=VALUE",
-                        help="override a named tolerance (repeatable)")
-    parser.add_argument("--out", help=f"output directory (default ${OUTPUT_DIR_ENV} "
-                                      "or ./pbtkit-out)")
+def _tolerance_override(defaults: dict[str, float]):
+    """argparse type: a NAME=VALUE override of one of ``defaults``' tolerances."""
+    def parse(text: str) -> tuple[str, float]:
+        name, _, value = text.partition("=")
+        if name not in defaults:
+            raise argparse.ArgumentTypeError(
+                f"unknown tolerance {name!r}; known: {sorted(defaults)}")
+        try:
+            return name, float(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"tolerance {name!r}: {value!r} is not a number") from None
+    return parse
+
+
+def _add_flags(parser: argparse.ArgumentParser, *flags: str,
+               tolerances: Optional[dict[str, float]] = None) -> None:
+    """Add the named shared flags, and ``--tolerance`` over ``tolerances``
+    when given; each subcommand lists the ones it reads."""
+    shared = {
+        "protocol": (("--protocol",), dict(help="protocol JSON file")),
+        "builtin": (("--builtin",), dict(choices=["bell"], help="built-in protocol")),
+        "ports": (("--ports",), dict(type=_at_least(1), default=1,
+                                     help="number of ports N")),
+        "qubits": (("--qubits", "--n"), dict(dest="qubits", type=_at_least(1), default=1,
+                                             help="qubits per port n")),
+        "seed": (("--seed",), dict(type=_at_least(0), default=0)),
+        "samples": (("--samples",), dict(type=_at_least(1), default=20)),
+        "out": (("--out",), dict(help=f"output directory (default ${OUTPUT_DIR_ENV} "
+                                      "or ./pbtkit-out)")),
+    }
+    for flag in flags:
+        names, options = shared[flag]
+        parser.add_argument(*names, **options)
+    if tolerances:
+        parser.add_argument("--tolerance", action="append", metavar="NAME=VALUE",
+                            type=_tolerance_override(tolerances),
+                            help=f"override one of {', '.join(tolerances)} (repeatable)")
 
 
 @cache
@@ -446,37 +447,39 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("simulate", help="run one protocol and report branches")
-    _add_common(p)
+    _add_flags(p, "protocol", "builtin", "ports", "seed", "out")
     p.add_argument("--psi", default="haar",
                    help="input state: zero|one|plus|haar|<file.json>")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("verify", help="run the structural verification suites")
-    _add_common(p)
+    _add_flags(p, "protocol", "builtin", "ports", "seed", "samples", "out",
+               tolerances=VERIFY_TOLERANCES)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("prime", help="emit the twirled protocol and its report")
-    _add_common(p)
+    _add_flags(p, "protocol", "builtin", "ports", "seed", "samples", "out",
+               tolerances=PRIME_TOLERANCES)
     p.set_defaults(func=_cmd_prime)
 
     p = sub.add_parser("audit-signaling", help="exact no-signaling chain audit")
-    _add_common(p)
-    p.add_argument("--message", type=int, default=1)
+    _add_flags(p, "protocol", "builtin", "ports", "seed", "out")
+    p.add_argument("--message", type=_at_least(1), default=1)
     p.add_argument("--all-messages", action="store_true")
     p.add_argument("--mc-rounds", type=_at_least(0), default=0,
                    help="also sample this many chain rounds as a cross-check")
     p.set_defaults(func=_cmd_audit_signaling)
 
     p = sub.add_parser("optimize", help="maximize success probability")
-    _add_common(p, protocol_input=False)
+    _add_flags(p, "qubits", "ports", "seed", "out")
     p.add_argument("--fixed-resource", action="store_true",
                    help="keep the resource pinned to maximally entangled pairs")
-    p.add_argument("--max-iterations", type=int, default=20_000,
+    p.add_argument("--max-iterations", type=_at_least(1), default=20_000,
                    help="iteration cap; the solver stops earlier once converged")
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("bound-table", help="CSV of bounds over an (n, N) grid")
-    _add_common(p, protocol_input=False)
+    _add_flags(p, "qubits", "out")
     p.add_argument("--max-ports", type=_at_least(1), required=True)
     p.add_argument("--max-qubits", type=_at_least(1))
     p.add_argument("--optimizer-json", action="append",

@@ -140,19 +140,24 @@ def measure(proto: PbtProtocol, inputs: np.ndarray) -> BranchBatch:
     return povm_branches(states, proto.global_layout(), proto.kraus, ("a", "A"))
 
 
-def teleport_report(batch: BranchBatch, inputs: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The marginal of port B_j in branch k times its probability, (inputs,
-    N + 1, N, d, d); and per input and success outcome k the fidelity of the
-    input with branch k's normalized port-B_k marginal and that marginal's
-    purity, (inputs, N) each (0 where pruned).  The residual state of
-    branch k can be extracted when the purity is within PURITY_ATOL of 1."""
-    big_n = batch.q.shape[1] - 1
-    ports = np.stack([batch.marginals(port_label(j)) for j in range(1, big_n + 1)], axis=2)
-    own = np.arange(big_n)
-    rho = batch.normalized(ports[:, own + 1, own], slice(1, None))
+def teleport_report(batch: BranchBatch, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per input and success outcome k, the fidelity of the input with
+    branch k's normalized port-B_k marginal and that marginal's purity,
+    (inputs, N) each (0 where pruned).  The residual state of branch k can
+    be extracted when the purity is within PURITY_ATOL of 1."""
+    own = np.stack([batch.marginals(port_label(k), k)
+                    for k in range(1, batch.q.shape[1])], axis=1)
+    rho = batch.normalized(own, slice(1, None))
     fid = np.einsum("si,skij,sj->sk", inputs.conj(), rho, inputs).real
-    return ports, fid, np.einsum("skij,skji->sk", rho, rho).real
+    return fid, np.einsum("skij,skji->sk", rho, rho).real
+
+
+def port_table(batch: BranchBatch, k=slice(None)) -> np.ndarray:
+    """The marginal of every port B_j in branch(es) ``k`` times its
+    probability: (inputs, N + 1, N, d, d) for all branches, (inputs, N, d, d)
+    for one."""
+    return np.stack([batch.marginals(port_label(j), k)
+                     for j in range(1, batch.q.shape[1])], axis=-3)
 
 
 def port_marginals(proto: PbtProtocol, inputs: np.ndarray, j: int) -> np.ndarray:
@@ -166,17 +171,21 @@ def mixture_residuals(proto: PbtProtocol, inputs: np.ndarray) -> np.ndarray:
     """Eq.3 residual per input (rows of ``inputs``) and port j, shape (inputs,
     N): ``max |eta_j - (q_j psi psi^dag + sum_{i != j} q_i rho_i)|``, with
     eta_j the resource marginal and rho_i the port-j marginal of branch i."""
+    return np.vstack([
+        _batch_mixture_residuals(proto, measure(proto, part), part)
+        for part in input_chunks(inputs, (proto.N + 1) * proto.global_layout().total_dim)])
+
+
+def _batch_mixture_residuals(proto: PbtProtocol, batch: BranchBatch,
+                             inputs: np.ndarray) -> np.ndarray:
+    """``mixture_residuals`` of the inputs whose branches are ``batch``."""
     eta = np.array([reduced_density(proto.resource, {port_label(j)}).entries
                     for j in range(1, proto.N + 1)])
     others = 1 - np.eye(proto.N, proto.N + 1, 1)
-    out = []
-    for part in input_chunks(inputs, (proto.N + 1) * proto.global_layout().total_dim):
-        batch = measure(proto, part)
-        proj = part[:, None, :, None] * part.conj()[:, None, None, :]
-        mix = (np.einsum("jk,skjab->sjab", others, teleport_report(batch, part)[0])
-               + batch.q[:, 1:, None, None] * proj)
-        out.append(np.abs(eta - mix).max(axis=(2, 3)))
-    return np.vstack(out)
+    proj = inputs[:, None, :, None] * inputs.conj()[:, None, None, :]
+    mix = (np.einsum("jk,skjab->sjab", others, port_table(batch))
+           + batch.q[:, 1:, None, None] * proj)
+    return np.abs(eta - mix).max(axis=(2, 3))
 
 
 def verify_port_decomposition(proto: PbtProtocol, psi: StateVector, j: int,
@@ -184,10 +193,11 @@ def verify_port_decomposition(proto: PbtProtocol, psi: StateVector, j: int,
     """Check the port-marginal mixture identity for port j on input psi."""
     checked_port(j, proto.N)
     inputs = psi.amplitudes[None]
+    batch = measure(proto, inputs)
     rep = AuditReport(subject=f"port marginal decomposition, port {j}")
     rep.add("eta_j equals success/miss/failure mixture", "Eq.3",
-            float(mixture_residuals(proto, inputs)[0, j - 1]), tolerance,
-            port=j, q=measure(proto, inputs).q[0].tolist())
+            float(_batch_mixture_residuals(proto, batch, inputs)[0, j - 1]), tolerance,
+            port=j, q=batch.q[0].tolist())
     return rep
 
 
@@ -209,7 +219,7 @@ def verify_psi_independence(proto: PbtProtocol, sample_count: int, seed: int,
     inputs = haar_amplitudes(proto.port_dim, sample_count, seed)
     for part in input_chunks(inputs, (proto.N + 1) * proto.global_layout().total_dim):
         batch = measure(proto, part)
-        ports, fid, purity = teleport_report(batch, part)
+        fid, purity = teleport_report(batch, part)
         success = batch.present[:, 1:]
         imperfect = (fid < 1.0 - PURITY_ATOL) | (1.0 - purity > PURITY_ATOL)
         failed = np.argwhere(success & imperfect)
@@ -222,7 +232,7 @@ def verify_psi_independence(proto: PbtProtocol, sample_count: int, seed: int,
         q_rows.append(batch.q)
         residuals.add(np.stack([batch.residuals(port_label(k), k)
                                 for k in range(1, proto.N + 1)], axis=1), success)
-        omegas.add(batch.normalized(ports[:, 0], 0),
+        omegas.add(batch.normalized(port_table(batch, 0), 0),
                    np.repeat(batch.present[:, :1], proto.N, axis=1))
     spread, worst = constancy_deviations(np.vstack(q_rows), residuals)
     rep.add("outcome probabilities constant across inputs", "Lemma", spread, q_tolerance,

@@ -277,44 +277,28 @@ def build_joint_sdp(n: int, N: int) -> JointPbtSdp:
 # solver
 
 
-@dataclass
-class SolverConfig:
-    """Splitting-scheme knobs.  The run has two phases: an adaptive-penalty
-    phase that makes objective progress, then a stiff-penalty refinement
-    phase (no over-relaxation, no adaptation) that drives the iterate onto
-    the constraint set so the final rounding loses almost nothing.
-
-    The switch fires once the adaptive phase stalls: the best relative
-    primal residual of a window of ``4 * adapt_every`` iterations fails to
-    halve the previous window's best.  ``refine_fraction`` only bounds it:
-    the switch happens at the latest when that fraction of
-    ``max_iterations`` is left.  The run stops (``converged``) once, after
-    at least ``2 * adapt_every`` stiff iterations, the relative primal
-    residual is below ``primal_tolerance`` and the objective moved less
-    than ``objective_tolerance`` over those last ``2 * adapt_every``
-    iterations; otherwise ``max_iterations`` ends it."""
-
-    max_iterations: int = 20_000
-    primal_tolerance: float = 1e-6
-    objective_tolerance: float = 1e-6
-    penalty: float = 1.0
-    over_relaxation: float = 1.6
-    adapt_every: int = 25
-    refine_fraction: float = 0.35
-    refine_penalty: float = 1000.0
-    rounding_passes: int = 500
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
-        if self.adapt_every < 1:
-            raise ValueError(f"adapt_every must be at least 1, got {self.adapt_every}")
-        if self.primal_tolerance <= 0 or self.objective_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.penalty <= 0 or self.refine_penalty <= 0:
-            raise ValueError("penalty parameters must be positive")
-        if not 0.0 <= self.refine_fraction < 1.0:
-            raise ValueError("refine_fraction must lie in [0, 1)")
+# The splitting scheme's settings.  The run has two phases: an
+# adaptive-penalty phase that makes objective progress, then a stiff-penalty
+# refinement phase (no over-relaxation, no adaptation) that drives the
+# iterate onto the constraint set so the final rounding loses almost nothing.
+#
+# The switch fires once the adaptive phase stalls: the best relative primal
+# residual of a window of ``4 * ADAPT_EVERY`` iterations fails to halve the
+# previous window's best.  REFINE_FRACTION only bounds it: the switch happens
+# at the latest when that fraction of ``max_iterations`` is left.  The run
+# stops (``converged``) once, after at least ``2 * ADAPT_EVERY`` stiff
+# iterations, the relative primal residual is below PRIMAL_TOLERANCE and the
+# objective moved less than OBJECTIVE_TOLERANCE over those last
+# ``2 * ADAPT_EVERY`` iterations; otherwise ``max_iterations`` ends it.
+PRIMAL_TOLERANCE = 1e-6
+OBJECTIVE_TOLERANCE = 1e-6
+PENALTY = 1.0
+OVER_RELAXATION = 1.6
+ADAPT_EVERY = 25
+REFINE_FRACTION = 0.35
+REFINE_PENALTY = 1000.0
+#: most affine-projection / PSD-clip passes per port in the final rounding
+ROUNDING_PASSES = 500
 
 
 @dataclass
@@ -434,7 +418,7 @@ def _psd_clip_vec(vec: np.ndarray, d: int) -> np.ndarray:
     return herm_to_vec((v * w[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
 
-def _run_splitting(fp: _FaceProblem, cfg: SolverConfig):
+def _run_splitting(fp: _FaceProblem, max_iterations: int):
     """Iterate the consensus splitting; returns the final cone-side iterate
     and the run record: whether the stop test fired, the iteration count,
     the first iteration of the stiff phase, and the (iteration, objective,
@@ -450,20 +434,20 @@ def _run_splitting(fp: _FaceProblem, cfg: SolverConfig):
     u = np.zeros_like(z)
     watched = slice(0, fp.sl_slack.stop)  # Y and slack: residuals are measured here
 
-    window = 4 * cfg.adapt_every     # stall test: best residual per window
-    min_stiff = 2 * cfg.adapt_every  # stiff iterations before the stop test
-    latest_switch = max(1, int(cfg.max_iterations * (1.0 - cfg.refine_fraction)))
+    window = 4 * ADAPT_EVERY     # stall test: best residual per window
+    min_stiff = 2 * ADAPT_EVERY  # stiff iterations before the stop test
+    latest_switch = max(1, int(max_iterations * (1.0 - REFINE_FRACTION)))
     best_prev = best_now = np.inf
     stalled = False
-    rho = cfg.penalty
-    alpha = cfg.over_relaxation
+    rho = PENALTY
+    alpha = OVER_RELAXATION
     switch = 0
     trace: list[tuple[int, float, float]] = []
     converged = False
-    for iteration in range(1, cfg.max_iterations + 1):
+    for iteration in range(1, max_iterations + 1):
         if not switch and (stalled or iteration >= latest_switch):
-            u *= rho / cfg.refine_penalty
-            rho = cfg.refine_penalty
+            u *= rho / REFINE_PENALTY
+            rho = REFINE_PENALTY
             alpha = 1.0
             switch = iteration
         x = fp.affine_step(z - u, rho)
@@ -481,8 +465,8 @@ def _run_splitting(fp: _FaceProblem, cfg: SolverConfig):
         trace.append((iteration, obj, relative))
 
         if switch:
-            if (iteration - switch >= min_stiff and relative < cfg.primal_tolerance
-                    and abs(obj - trace[-1 - min_stiff][1]) < cfg.objective_tolerance):
+            if (iteration - switch >= min_stiff and relative < PRIMAL_TOLERANCE
+                    and abs(obj - trace[-1 - min_stiff][1]) < OBJECTIVE_TOLERANCE):
                 converged = True
                 break
             continue
@@ -490,7 +474,7 @@ def _run_splitting(fp: _FaceProblem, cfg: SolverConfig):
         if iteration % window == 0:
             stalled = best_now >= 0.5 * best_prev
             best_prev, best_now = best_now, np.inf
-        if iteration % cfg.adapt_every == 0:
+        if iteration % ADAPT_EVERY == 0:
             if primal > 10 * dual:
                 rho *= 2.0
                 u /= 2.0
@@ -502,8 +486,7 @@ def _run_splitting(fp: _FaceProblem, cfg: SolverConfig):
                    trace=trace)
 
 
-def _round_on_face(fp: _FaceProblem, z: np.ndarray,
-                   passes: int) -> tuple[list[np.ndarray], np.ndarray]:
+def _round_on_face(fp: _FaceProblem, z: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """Alternate affine projection and PSD clipping per port, in face coords."""
     r = fp.face_dim
     ys = []
@@ -512,7 +495,7 @@ def _round_on_face(fp: _FaceProblem, z: np.ndarray,
         bar = np.hstack([fp.red_blocks[k], -fp.rhs[:, None]])
         factor = np.linalg.inv(bar @ bar.T + 1e-14 * np.eye(bar.shape[0]))
         q = float(z[fp.sl_q][k])
-        for _ in range(passes):
+        for _ in range(ROUNDING_PASSES):
             x = np.append(y_vec, q)
             lam = factor @ (bar @ x)
             x = x - bar.T @ lam
@@ -528,23 +511,26 @@ def _round_on_face(fp: _FaceProblem, z: np.ndarray,
     return ys, qs
 
 
-def _solve_on_faces(sdp: _TeleportationRows, faces: list[np.ndarray], dim_big: int,
-                    cfg: SolverConfig, embed: Optional[np.ndarray] = None):
+def _solve_on_faces(sdp: PbtSdp | JointPbtSdp, dim_big: int, max_iterations: int,
+                    embed: Optional[np.ndarray] = None):
     """Run the splitting scheme and the rounding pass; returns the rounded
     big-space blocks, their weights, the final sigma coordinates (empty
-    without ``embed``), and the run record (``SolveResult`` fields)."""
+    without ``embed``), and the run record (``SolveResult`` fields).
+    ``ValueError`` before any work unless ``max_iterations`` is at least 1."""
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
+    faces = sdp.faces()
     fp = _FaceProblem(sdp.blocks, sdp.rhs_pattern, faces, dim_big, embed)
-    z, run = _run_splitting(fp, cfg)
-    ys, qs = _round_on_face(fp, z, cfg.rounding_passes)
+    z, run = _run_splitting(fp, max_iterations)
+    ys, qs = _round_on_face(fp, z)
     ops = [face @ y @ face.conj().T for face, y in zip(faces, ys)]
     ops = [0.5 * (op + op.conj().T) for op in ops]
     return ops, qs, z[fp.sl_s], run
 
 
-def solve(sdp: PbtSdp, cfg: Optional[SolverConfig] = None) -> SolveResult:
+def solve(sdp: PbtSdp, max_iterations: int = 20_000) -> SolveResult:
     """Splitting solve of the fixed-resource problem."""
-    ms, qs, _, run = _solve_on_faces(sdp, sdp.faces(), sdp.dim_povm,
-                                     cfg or SolverConfig())
+    ms, qs, _, run = _solve_on_faces(sdp, sdp.dim_povm, max_iterations)
     lam_max = float(np.linalg.eigvalsh(sum(ms))[-1])
     if lam_max > 1.0:
         factor = (1.0 - 1e-12) / lam_max
@@ -563,10 +549,9 @@ def solve(sdp: PbtSdp, cfg: Optional[SolverConfig] = None) -> SolveResult:
                        resource=sdp.resource, **run)
 
 
-def solve_joint(sdp: JointPbtSdp, cfg: Optional[SolverConfig] = None) -> SolveResult:
+def solve_joint(sdp: JointPbtSdp, max_iterations: int = 20_000) -> SolveResult:
     """Optimize measurement and resource together; extract a concrete protocol."""
-    js, _, s, run = _solve_on_faces(sdp, sdp.faces(), sdp.dim_choi,
-                                    cfg or SolverConfig(), embed=sdp.embed)
+    js, _, s, run = _solve_on_faces(sdp, sdp.dim_choi, max_iterations, embed=sdp.embed)
     protocol, qs = extract_protocol(sdp.n, sdp.N, js, vec_to_herm(s, sdp.dim_sigma))
     residuals = {
         "teleportation": sdp.port_map_residual(
@@ -663,7 +648,7 @@ def certify(povm: Sequence[HermitianMatrix], resource: StateVector, n: int, N: i
     for part in input_chunks(inputs, (N + 1) * proto.global_layout().total_dim):
         batch = measure(proto, part)
         p_values.append(batch.q[:, 1:].sum(axis=1))
-        fid = teleport_report(batch, part)[1]
+        fid = teleport_report(batch, part)[0]
         worst_fid = min(worst_fid, float(np.min(fid, where=batch.present[:, 1:], initial=1.0)))
     p_values = np.concatenate(p_values)
     p_mean = float(np.mean(p_values))

@@ -24,6 +24,7 @@ from .engine import (
     checked_port,
     measure,
     port_label,
+    port_table,
     protocol_to_dict,
     protocol_from_dict,
     teleport_report,
@@ -150,7 +151,7 @@ def verify_eq5(p: PrimedProtocol, psi_samples: Sequence[StateVector],
     inputs = np.array([psi.amplitudes for psi in psi_samples])
     for part in input_chunks(inputs, (big_n + 1) * p.global_layout().total_dim):
         base = measure(p.base, part)
-        gap = 1.0 - np.min(teleport_report(base, part)[1], axis=1, where=base.present[:, 1:],
+        gap = 1.0 - np.min(teleport_report(base, part)[0], axis=1, where=base.present[:, 1:],
                            initial=1.0)
         if np.any(gap > 1e-8):
             return rep.not_applicable(
@@ -158,7 +159,7 @@ def verify_eq5(p: PrimedProtocol, psi_samples: Sequence[StateVector],
                 "base protocol teleports perfectly", "Eq.8",
                 worst_fidelity=1.0 - float(gap[np.argmax(gap > 1e-8)]))
         primed = run_primed(p, part)
-        ports, fid, _ = teleport_report(primed, part)
+        ports, fid = port_table(primed), teleport_report(primed, part)[0]
         prob_dev = max(prob_dev, float(np.max(np.abs(primed.q - base.q))))
         fid_dev = max(fid_dev, float(np.max(1.0 - fid, where=primed.present[:, 1:],
                                             initial=0.0)))

@@ -415,8 +415,7 @@ class SignalingReport:
         }
 
 
-def compute_chain_exact(primed: PrimedProtocol, message: int,
-                        tolerance: float = EXACT_ATOL) -> SignalingReport:
+def compute_chain_exact(primed: PrimedProtocol, message: int) -> SignalingReport:
     """Exact branch summation of the chain for every receiver port.
 
     Verifies: receiver success is exactly the random guess 4^-n for every
@@ -448,23 +447,23 @@ def compute_chain_exact(primed: PrimedProtocol, message: int,
         ))
         r_total += ana.r_j
         audit.add(f"port {j}: receiver success equals the random guess", "NS",
-                  abs(ana.p_prime_simulated - guess), tolerance, port=j)
+                  abs(ana.p_prime_simulated - guess), EXACT_ATOL, port=j)
         audit.add(f"port {j}: receiver success never beats the guess from below", "NS",
-                  guess - ana.p_prime_simulated, tolerance, port=j)
+                  guess - ana.p_prime_simulated, EXACT_ATOL, port=j)
         audit.add(f"port {j}: three-case balance reproduces the simulation", "Eq.6",
-                  abs(ana.p_prime_simulated - ana.p_prime_formula), tolerance, port=j)
+                  abs(ana.p_prime_simulated - ana.p_prime_formula), EXACT_ATOL, port=j)
         case2_total = sum(ana.q[i] * c.success for i, c in ana.case2.items())
         audit.add(f"port {j}: miss outcomes contribute 4^-n (p - q_j)", "Eq.6",
-                  abs(case2_total - guess * (ana.p - ana.q[j])), tolerance, port=j)
+                  abs(case2_total - guess * (ana.p - ana.q[j])), EXACT_ATOL, port=j)
         for i, c in ana.case2.items():
             audit.add(
                 f"port {j}: residual from port {i} is maximally entangled with B_{j}",
                 "Eq.5", c.schmidt_deviation, 1e-8, source_port=i)
             audit.add(f"port {j}: fallback outcomes stay in the Bell family", "Eq.5",
-                      c.leak_prob, tolerance, source_port=i)
+                      c.leak_prob, EXACT_ATOL, source_port=i)
     implied = f_of_R(n, big_n, r_total)
     audit.add("port sum lands on p = f(R)", "Eq.6.5", abs(p_success - implied.value),
-              tolerance, R=r_total)
+              EXACT_ATOL, R=r_total)
     b = bound(n, big_n)
     audit.add("success probability respects the bound", "Eq.2",
               p_success - float(b), 1e-8)

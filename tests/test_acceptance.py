@@ -15,7 +15,7 @@ import pytest
 from pbtkit.cli import dispatch
 from pbtkit.engine import bell_pbt_protocol, measure, teleport_report
 from pbtkit.nocloning import pointer_form, verify_theorem
-from pbtkit.optimizer import SolverConfig, build_joint_sdp, certify, solve_joint
+from pbtkit.optimizer import build_joint_sdp, certify, solve_joint
 from pbtkit.pauli import haar_states, twirl
 from pbtkit.primed import build_primed, verify_eq5, verify_failure_marginal_twirl
 from pbtkit.signaling import bound, compute_chain_exact, f_of_R, monte_carlo_check
@@ -33,7 +33,7 @@ def optimizer_results():
     results = {}
     start = time.time()
     for N in (1, 2, 3):
-        res = solve_joint(build_joint_sdp(1, N), SolverConfig())
+        res = solve_joint(build_joint_sdp(1, N))
         cert = certify(res.povm, res.resource, 1, N, samples=20, seed=11)
         results[N] = (res, cert)
     results["elapsed"] = time.time() - start
@@ -67,7 +67,7 @@ def test_criterion_2_reference_protocol():
         inputs = psi.amplitudes[None]
         batch = measure(proto, inputs)
         worst_q = max(worst_q, abs(batch.q[0, 1] - 0.25))
-        fid = teleport_report(batch, inputs)[1][0, 0]
+        fid = teleport_report(batch, inputs)[0][0, 0]
         worst_fid = min(worst_fid, fid)
     elapsed = time.time() - start
     announce(2, "reference single-pair protocol hits q = 1/4 with perfect delivery",

@@ -1,12 +1,13 @@
 """CLI tests: subcommands, exit codes, report files, reproducibility."""
 
+import argparse
 import csv
 import json
 
 import pytest
 
-from pbtkit import nocloning
-from pbtkit.cli import DEFAULT_TOLERANCES, build_parser, dispatch
+from pbtkit import cli, nocloning
+from pbtkit.cli import PRIME_TOLERANCES, VERIFY_TOLERANCES, build_parser, dispatch
 from pbtkit.engine import bell_pbt_protocol, protocol_to_dict
 
 
@@ -170,7 +171,7 @@ def test_optimize_rejects_non_positive_iteration_budget(tmp_path, capsys, budget
     code = dispatch(["optimize", "--qubits", "1", "--ports", "1",
                      "--max-iterations", budget, "--out", str(tmp_path / "out")])
     assert code == 2
-    assert "max_iterations" in capsys.readouterr().err
+    assert "--max-iterations" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -206,7 +207,7 @@ def test_bound_table_with_optimizer_value(tmp_path):
 def test_usage_errors(tmp_path, capsys):
     assert dispatch(["verify", "--out", str(tmp_path)]) == 2  # no protocol source
     assert dispatch(["simulate", "--builtin", "bell", "--qubits", "2",
-                     "--out", str(tmp_path)]) == 2  # bell is single-qubit
+                     "--out", str(tmp_path)]) == 2  # simulate has no --qubits
     assert dispatch(["verify", "--builtin", "bell", "--tolerance", "nope=1",
                      "--out", str(tmp_path)]) == 2
     assert dispatch(["no-such-command"]) == 2
@@ -233,8 +234,8 @@ def test_parser_is_reused_without_carrying_options_over(tmp_path):
                      "--out", str(tmp_path / "b")]) == 0
     first, second = (read_json(tmp_path / out / "verify.json")["manifest"]["parameters"]
                      for out in ("a", "b"))
-    assert first["tolerances"] == {**DEFAULT_TOLERANCES, "eq3": 1e-3}
-    assert second["tolerances"] == DEFAULT_TOLERANCES
+    assert first["tolerances"] == {**VERIFY_TOLERANCES, "eq3": 1e-3}
+    assert second["tolerances"] == VERIFY_TOLERANCES
     assert build_parser() is build_parser()
 
 
@@ -243,6 +244,87 @@ def test_output_dir_env_var(tmp_path, monkeypatch):
     code = dispatch(["bound-table", "--n", "1", "--max-ports", "1"])
     assert code == 0
     assert (tmp_path / "envout" / "bounds.csv").exists()
+
+
+
+#: every subcommand's option strings; each one is read by its subcommand
+SUBCOMMAND_FLAGS = {
+    "simulate": {"--protocol", "--builtin", "--ports", "--seed", "--psi", "--out"},
+    "verify": {"--protocol", "--builtin", "--ports", "--seed", "--samples", "--tolerance",
+               "--out"},
+    "prime": {"--protocol", "--builtin", "--ports", "--seed", "--samples", "--tolerance",
+              "--out"},
+    "audit-signaling": {"--protocol", "--builtin", "--ports", "--seed", "--message",
+                        "--all-messages", "--mc-rounds", "--out"},
+    "optimize": {"--qubits", "--n", "--ports", "--seed", "--fixed-resource",
+                 "--max-iterations", "--out"},
+    "bound-table": {"--qubits", "--n", "--max-qubits", "--max-ports", "--optimizer-json",
+                    "--out"},
+}
+#: the smallest valid call of each subcommand
+MINIMAL_ARGV = {
+    "simulate": ["--builtin", "bell"],
+    "verify": ["--builtin", "bell"],
+    "prime": ["--builtin", "bell"],
+    "audit-signaling": ["--builtin", "bell"],
+    "optimize": ["--max-iterations", "1"],
+    "bound-table": ["--max-ports", "1"],
+}
+
+
+def test_each_subcommand_has_exactly_the_flags_it_reads():
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    flags = {name: {opt for action in parser._actions for opt in action.option_strings
+                    if opt not in ("-h", "--help")}
+             for name, parser in sub.choices.items()}
+    assert flags == SUBCOMMAND_FLAGS
+    assert sum(len(opts - {"--n"}) for opts in flags.values()) == 39
+
+
+@pytest.mark.parametrize("subcommand,flag", [
+    *[(cmd, flag) for cmd in ("simulate", "audit-signaling", "optimize")
+      for flag in ("--samples", "--tolerance")],
+    *[("bound-table", flag) for flag in ("--ports", "--seed", "--samples", "--tolerance")],
+    *[(cmd, "--qubits") for cmd in ("simulate", "verify", "prime", "audit-signaling")],
+])
+def test_removed_flags_exit_2(tmp_path, capsys, subcommand, flag):
+    value = "x=1" if flag == "--tolerance" else "1"
+    out = tmp_path / "out"
+    argv = [subcommand, *MINIMAL_ARGV[subcommand], flag, value, "--out", str(out)]
+    assert dispatch(argv) == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand,name", [("verify", "b9"), ("prime", "eq3"),
+                                             ("verify", "signaling")])
+def test_tolerance_of_another_subcommand_exits_2(tmp_path, capsys, subcommand, name):
+    out = tmp_path / "out"
+    assert dispatch([subcommand, "--builtin", "bell", "--tolerance", f"{name}=1",
+                     "--out", str(out)]) == 2
+    assert f"unknown tolerance {name!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_prime_manifest_records_its_own_tolerances(tmp_path):
+    assert dispatch(["prime", "--builtin", "bell", "--samples", "2",
+                     "--tolerance", "b9=1e-9", "--out", str(tmp_path)]) == 0
+    for name in ("eq5_report.json", "primed_protocol.json"):
+        params = read_json(tmp_path / name)["manifest"]["parameters"]
+        assert params["tolerances"] == {**PRIME_TOLERANCES, "b9": 1e-9}
+
+
+def test_audit_message_out_of_range_exits_before_any_work(tmp_path, capsys, monkeypatch):
+    def no_work(proto):
+        raise AssertionError("the message is checked before the twirled protocol is built")
+
+    monkeypatch.setattr(cli, "build_primed", no_work)
+    out = tmp_path / "out"
+    assert dispatch(["audit-signaling", "--builtin", "bell", "--message", "5",
+                     "--out", str(out)]) == 2
+    assert "message 5 out of range [1, 4]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -257,6 +339,8 @@ def test_output_dir_env_var(tmp_path, monkeypatch):
     ["bound-table", "--max-ports", "2", "--max-qubits", "0"],
     ["audit-signaling", "--builtin", "bell", "--mc-rounds", "-5"],
     ["verify", "--builtin", "bell", "--samples", "two"],
+    ["optimize", "--max-iterations", "0"],
+    ["audit-signaling", "--builtin", "bell", "--message", "0"],
 ])
 def test_bad_counts_are_rejected_at_parse_time(tmp_path, capsys, argv):
     out = tmp_path / "out"

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from pbtkit import branches
+from pbtkit import branches, engine
 from pbtkit.errors import LayoutError, ProtocolError, SampleCountError
 from pbtkit.engine import (
     BRANCH_PRUNE,
@@ -16,6 +16,7 @@ from pbtkit.engine import (
     measure,
     mixture_residuals,
     port_marginals,
+    port_table,
     protocol_from_dict,
     protocol_to_dict,
     teleport_report,
@@ -142,7 +143,7 @@ def test_teleport_report_bell():
     proto = bell_pbt_protocol(1)
     inputs = ket([1, 1j]).amplitudes[None]
     batch = measure(proto, inputs)
-    _, fid, purity = teleport_report(batch, inputs)
+    fid, purity = teleport_report(batch, inputs)
     assert fid[0, 0] == pytest.approx(1.0, abs=1e-12)
     assert 1.0 - purity[0, 0] <= PURITY_ATOL  # the residual can be extracted
     residual = StateVector(proto.global_layout().without({"B1"}), batch.residuals("B1", 1)[0])
@@ -160,7 +161,7 @@ def test_teleport_report_orthogonal_flip():
     )
     proto = PbtProtocol(n=1, N=1, resource=base.resource, povm=povm)
     inputs = basis_state(SystemLayout.of(("a", 2)), 0).amplitudes[None]
-    fid = teleport_report(measure(proto, inputs), inputs)[1]
+    fid = teleport_report(measure(proto, inputs), inputs)[0]
     assert fid[0, 0] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -205,6 +206,20 @@ def test_port_decomposition_bell_all_ports():
                 rep = verify_port_decomposition(proto, psi, j)
                 assert rep.passed, rep.to_dict()
                 assert rep.max_deviation() < 1e-12
+
+
+def test_port_decomposition_measures_once(monkeypatch):
+    calls = []
+
+    def counted(proto, inputs):
+        calls.append(len(inputs))
+        return measure(proto, inputs)
+
+    monkeypatch.setattr(engine, "measure", counted)
+    proto = bell_pbt_protocol(2)
+    rep = verify_port_decomposition(proto, ket([0.6, 0.8j]), 2)
+    assert calls == [1]
+    assert rep.passed and rep.checks[0].details["q"] == pytest.approx([0.75, 0.25, 0.0])
 
 
 def test_port_decomposition_trivial_measurement():
@@ -428,12 +443,13 @@ def test_batched_branches_equal_single_input_and_brute_force_references(kind, N,
     proto = batch_case(kind, N, seed)
     inputs = haar_amplitudes(2, 6, seed)
     batch = measure(proto, inputs)
-    ports, fid, purity = teleport_report(batch, inputs)
+    fid, purity = teleport_report(batch, inputs)
+    ports = port_table(batch)
     layout = proto.global_layout()
     for s, amps in enumerate(inputs):
         psi = ket(amps)
         single = branches_of(measure(proto, amps[None]))
-        single_fid = teleport_report(measure(proto, amps[None]), amps[None])[1][0]
+        single_fid = teleport_report(measure(proto, amps[None]), amps[None])[0][0]
         for k, (q, vec) in enumerate(brute_branches(proto, amps)):
             assert batch.q[s, k] == pytest.approx(q, abs=1e-13)
             assert single[k].probability == pytest.approx(q, abs=1e-13)
@@ -493,8 +509,7 @@ def test_pruned_branches_add_nothing():
     batch = measure(proto, inputs)
     assert np.all(batch.q[:, 2:] == 0.0) and not batch.present[:, 2:].any()
     assert not batch.amplitudes[:, 2:].any()
-    ports = teleport_report(batch, inputs)[0]
-    assert not ports[:, 2:].any()
+    assert not port_table(batch)[:, 2:].any()
     marg = port_marginals(proto, inputs[:1], 3)[0]
     assert [i for i in (1, 2, 4) if marg[i].any()] == [1]  # the miss outcomes present
     assert [b.post_state is None for b in branches_of(measure(proto, inputs[:1]))] == [
@@ -593,7 +608,7 @@ def test_branches_below_the_prune_threshold_are_zeroed():
     inputs = haar_amplitudes(2, 4, 1)
     batch = measure(proto, inputs)
     assert np.all(batch.q[:, 3] == 0.0) and not batch.amplitudes[:, 3].any()
-    assert not teleport_report(batch, inputs)[0][:, 3].any()
+    assert not port_table(batch)[:, 3].any()
     assert branches_of(measure(proto, inputs[:1]))[3].post_state is None
     assert not port_marginals(proto, inputs[:1], 1)[0, 2:].any()  # no miss outcome present
 

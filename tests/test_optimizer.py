@@ -11,8 +11,11 @@ from pbtkit.engine import (
 )
 from pbtkit.errors import LayoutError
 from pbtkit.pauli import haar_states
+from pbtkit import optimizer
 from pbtkit.optimizer import (
-    SolverConfig,
+    ADAPT_EVERY,
+    PRIMAL_TOLERANCE,
+    REFINE_FRACTION,
     _port_choi,
     _psd_clip_vec,
     build_joint_sdp,
@@ -28,17 +31,17 @@ from pbtkit.optimizer import (
 )
 from pbtkit.tensor import StateVector, SystemLayout, reduced_density
 
-FAST = SolverConfig(max_iterations=4000)
+FAST = 4000  # iteration cap for the shared fixtures
 
 
 @pytest.fixture(scope="module")
 def fixed_result_n1():
-    return solve(build_sdp(1, 1, standard_resource(1, 1)), FAST)
+    return solve(build_sdp(1, 1, standard_resource(1, 1)), max_iterations=FAST)
 
 
 @pytest.fixture(scope="module")
 def joint_result_12():
-    return solve_joint(build_joint_sdp(1, 2), FAST)
+    return solve_joint(build_joint_sdp(1, 2), max_iterations=FAST)
 
 
 def brute_port_output(m, x, resource, n, N, k):
@@ -232,7 +235,7 @@ def test_solve_fixed_two_ports_true_value():
     # with the resource pinned to two maximally entangled pairs the exact
     # optimum is 1/3: the constraint forces M_k = (projector) x Q_k and the
     # completeness cap tops out at Q_k = (2/3) I
-    res = solve(build_sdp(1, 2, standard_resource(1, 2)), FAST)
+    res = solve(build_sdp(1, 2, standard_resource(1, 2)), max_iterations=FAST)
     assert res.p_opt == pytest.approx(1 / 3, abs=1e-5)
     proto_q = res.q
     assert proto_q.sum() == pytest.approx(res.p_opt, abs=1e-12)
@@ -243,7 +246,7 @@ def test_solve_fixed_two_ports_true_value():
 def test_solve_trace_and_determinism(fixed_result_n1):
     res = fixed_result_n1
     assert len(res.trace) == res.iterations
-    again = solve(build_sdp(1, 1, standard_resource(1, 1)), FAST)
+    again = solve(build_sdp(1, 1, standard_resource(1, 1)), max_iterations=FAST)
     assert again.p_opt == res.p_opt
     np.testing.assert_array_equal(again.q, res.q)
 
@@ -276,13 +279,13 @@ def test_solve_fixed_tilted_resource():
         amps = np.zeros(4, dtype=complex)
         amps[0], amps[3] = np.sqrt(alpha_sq), np.sqrt(beta_sq)
         resource = StateVector(SystemLayout.of(("A", 2), ("B1", 2)), amps)
-        res = solve(build_sdp(1, 1, resource), FAST)
+        res = solve(build_sdp(1, 1, resource), max_iterations=FAST)
         assert res.p_opt == pytest.approx(alpha_sq * beta_sq, abs=1e-5)
         assert certify(res.povm, resource, 1, 1, samples=10).passed
 
 
 def test_joint_two_qubit_single_port():
-    res = solve_joint(build_joint_sdp(2, 1), FAST)
+    res = solve_joint(build_joint_sdp(2, 1), max_iterations=FAST)
     assert res.p_opt == pytest.approx(1 / 16, abs=1e-4)
     rep = certify(res.povm, res.resource, 2, 1, samples=5)
     assert rep.passed, rep.to_dict()
@@ -318,32 +321,36 @@ def test_bound_never_exceeded_across_runs(fixed_result_n1, joint_result_12):
 
 @pytest.mark.parametrize("joint, N", [(False, 1), (False, 2), (True, 1), (True, 2)])
 def test_default_solve_stops_when_converged(joint, N):
-    cfg = SolverConfig()
     if joint:
-        res = solve_joint(build_joint_sdp(1, N), cfg)
+        res = solve_joint(build_joint_sdp(1, N))
     else:
-        res = solve(build_sdp(1, N, standard_resource(1, N)), cfg)
+        res = solve(build_sdp(1, N, standard_resource(1, N)))
     assert res.converged is True
-    assert res.iterations < cfg.max_iterations
+    assert res.iterations < 20_000  # the default cap
     # the switch comes from a stalled adaptive phase, not from the cap
-    assert 1 < res.switch_iteration < cfg.max_iterations * (1 - cfg.refine_fraction)
-    assert res.iterations - res.switch_iteration >= 2 * cfg.adapt_every
-    assert res.trace[-1][2] < cfg.primal_tolerance
+    assert 1 < res.switch_iteration < 20_000 * (1 - REFINE_FRACTION)
+    assert res.iterations - res.switch_iteration >= 2 * ADAPT_EVERY
+    assert res.trace[-1][2] < PRIMAL_TOLERANCE
 
 
 def test_budget_ending_before_stall_is_not_converged():
-    cfg = SolverConfig(max_iterations=60)
-    res = solve_joint(build_joint_sdp(1, 2), cfg)
+    res = solve_joint(build_joint_sdp(1, 2), max_iterations=60)
     assert res.converged is False
-    assert res.iterations == cfg.max_iterations == len(res.trace)
+    assert res.iterations == 60 == len(res.trace)
     # the cap still leaves a refinement phase
-    assert res.switch_iteration == int(60 * (1 - cfg.refine_fraction))
+    assert res.switch_iteration == int(60 * (1 - REFINE_FRACTION))
 
 
 @pytest.mark.parametrize("budget", [0, -5])
-def test_solver_config_rejects_non_positive_budget(budget):
+def test_solve_rejects_non_positive_budget(monkeypatch, budget):
+    def no_work(*args):
+        raise AssertionError("the budget is checked before the splitting starts")
+
+    monkeypatch.setattr(optimizer, "_FaceProblem", no_work)
     with pytest.raises(ValueError, match="max_iterations"):
-        SolverConfig(max_iterations=budget)
+        solve(build_sdp(1, 1, standard_resource(1, 1)), max_iterations=budget)
+    with pytest.raises(ValueError, match="max_iterations"):
+        solve_joint(build_joint_sdp(1, 1), max_iterations=budget)
 
 
 def test_joint_psd_residual_is_measured(joint_result_12):

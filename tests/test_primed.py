@@ -9,6 +9,7 @@ from pbtkit.engine import (
     PbtProtocol,
     bell_pbt_protocol,
     measure,
+    port_table,
     teleport_report,
 )
 from pbtkit.errors import LayoutError, ProtocolError
@@ -250,7 +251,7 @@ def test_primed_batch_equals_the_per_input_reference(base):
     primed = build_primed(base)
     inputs = np.vstack([[1.0, 0.0], haar_amplitudes(2, 4, 8)])
     batch = run_primed(primed, inputs)
-    ports, fid, _ = teleport_report(batch, inputs)
+    ports, fid = port_table(batch), teleport_report(batch, inputs)[0]
     for s, amps in enumerate(inputs):
         single = branches_of(run_primed(primed, amps[None]))
         for k, (q, post) in enumerate(primed_reference(primed, amps)):
