@@ -26,7 +26,6 @@ from .engine import (  # noqa: F401
 )
 from .errors import (  # noqa: F401
     ChainPreconditionError,
-    KindMismatchError,
     LayoutError,
     ProtocolError,
     SampleCountError,
@@ -91,7 +90,6 @@ from .tensor import (  # noqa: F401
     apply_on_subsystems,
     basis_state,
     maximally_entangled,
-    outer,
     permute_subsystems,
     reduced_density,
     schmidt_decompose,

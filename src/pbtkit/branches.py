@@ -136,11 +136,3 @@ class Drift:
 def infidelity(first: np.ndarray, states: np.ndarray) -> np.ndarray:
     """1 - |<first_k|state_sk>|^2 of (outcomes, dim) and (inputs, outcomes, dim) states."""
     return 1.0 - np.abs(np.einsum("kr,skr->sk", first.conj(), states)) ** 2
-
-
-def constancy_deviations(q: np.ndarray, residuals: Drift) -> tuple[float, float]:
-    """How far per-input results drift: the largest spread of one outcome
-    probability across the rows of ``q`` (inputs x outcomes), and the
-    largest infidelity between an outcome's residual states and its first
-    one, from ``residuals`` fed with the ``infidelity`` distance."""
-    return float(np.max(q.max(axis=0) - q.min(axis=0))), residuals.worst

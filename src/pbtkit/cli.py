@@ -29,9 +29,9 @@ from .engine import (
     PbtProtocol,
     bell_pbt_protocol,
     from_complex_pairs,
+    load_protocol,
     measure,
     mixture_residuals,
-    protocol_from_dict,
     protocol_to_dict,
     standard_resource,
     teleport_report,
@@ -41,15 +41,9 @@ from .engine import (
 from .errors import ProtocolError, ToolkitError
 from .nocloning import pointer_form, verify_theorem
 from .pauli import RNG_ALGORITHM, haar_amplitudes, haar_states, sample_haar_state
-from .primed import (
-    build_primed,
-    primed_from_dict,
-    primed_to_dict,
-    verify_eq5,
-    verify_failure_marginal_twirl,
-)
+from .primed import build_primed, primed_to_dict, verify_eq5, verify_failure_marginal_twirl
 from .report import AuditReport
-from .signaling import bound, compute_chain_exact, f_of_R, monte_carlo_check
+from .signaling import bound, compute_chain_exact, monte_carlo_check
 from .optimizer import (
     build_joint_sdp,
     build_sdp,
@@ -112,28 +106,22 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _load_input_protocol(args) -> tuple[PbtProtocol, Optional[dict], list[str]]:
-    """Resolve --protocol/--builtin into a protocol; returns (proto, raw, paths)."""
+def _load_input_protocol(args) -> tuple[PbtProtocol, list[str]]:
+    """Resolve --protocol/--builtin into a protocol; returns (proto, paths).
+    A primed document is read as its base protocol."""
     if args.protocol and args.builtin:
         raise UsageError("give either --protocol or --builtin, not both")
     if args.protocol:
         try:
-            with open(args.protocol) as fh:
-                raw = json.load(fh)
+            return load_protocol(args.protocol), [args.protocol]
         except FileNotFoundError as exc:
             raise UsageError(f"{args.protocol}: {exc.strerror}") from exc
         except json.JSONDecodeError as exc:
             raise UsageError(f"{args.protocol}: malformed JSON: {exc}") from exc
-        try:
-            if isinstance(raw, dict) and raw.get("primed"):
-                proto = primed_from_dict(raw).base
-            else:
-                proto = protocol_from_dict(raw)
         except ToolkitError as exc:
             raise UsageError(f"{args.protocol}: {exc}") from exc
-        return proto, raw, [args.protocol]
     if args.builtin == "bell":
-        return bell_pbt_protocol(args.ports), None, []
+        return bell_pbt_protocol(args.ports), []
     raise UsageError("one of --protocol or --builtin is required")
 
 
@@ -172,7 +160,7 @@ def _report_exit(reports: list[AuditReport]) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    proto, _, paths = _load_input_protocol(args)
+    proto, paths = _load_input_protocol(args)
     out_dir = _output_dir(args)
     inputs = _psi_state(args.psi, proto.n, args.seed).amplitudes[None]
     batch = measure(proto, inputs)
@@ -213,7 +201,7 @@ def _verify_reports(proto: PbtProtocol, samples: int, seed: int,
 
 
 def _cmd_verify(args) -> int:
-    proto, _, paths = _load_input_protocol(args)
+    proto, paths = _load_input_protocol(args)
     out_dir = _output_dir(args)
     tol = {**VERIFY_TOLERANCES, **dict(args.tolerance or ())}
     reports = _verify_reports(proto, args.samples, args.seed, tol)
@@ -231,7 +219,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_prime(args) -> int:
-    proto, _, paths = _load_input_protocol(args)
+    proto, paths = _load_input_protocol(args)
     out_dir = _output_dir(args)
     tol = {**PRIME_TOLERANCES, **dict(args.tolerance or ())}
     primed = build_primed(proto)
@@ -260,7 +248,7 @@ def _cmd_prime(args) -> int:
 
 
 def _cmd_audit_signaling(args) -> int:
-    proto, _, paths = _load_input_protocol(args)
+    proto, paths = _load_input_protocol(args)
     messages = (list(range(1, 4**proto.n + 1)) if args.all_messages
                 else [args.message])
     if messages[-1] > 4**proto.n:  # --message is at least 1 once parsed
@@ -373,12 +361,6 @@ def _cmd_bound_table(args) -> int:
         for row in rows:
             writer.writerow({k: (repr(v) if isinstance(v, float) else v)
                              for k, v in row.items()})
-    # curve sanity: the balance function starts exactly at the bound
-    for n in range(n_lo, n_hi + 1):
-        for big_n in range(1, args.max_ports + 1):
-            if f_of_R(n, big_n, 0.0).exact != bound(n, big_n):
-                print("bound-table: balance curve mismatch", file=sys.stderr)
-                return 1
     print(f"bound-table: {len(rows)} rows -> {table_path}")
     return 0
 

@@ -13,15 +13,14 @@ protocols.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .branches import (  # noqa: F401 - BRANCH_PRUNE is re-exported
-    BRANCH_PRUNE,
+from .branches import (
     BranchBatch,
     Drift,
-    constancy_deviations,
     infidelity,
     input_chunks,
     povm_branches,
@@ -37,10 +36,7 @@ from .tensor import (
     SystemLayout,
     check_memory_cap,
     maximally_entangled,
-    merge_subsystems,
-    permute_subsystems,
     reduced_density,
-    tensor_product,
 )
 
 #: residual extraction requires the receiving-port marginal to be this pure
@@ -234,24 +230,25 @@ def verify_psi_independence(proto: PbtProtocol, sample_count: int, seed: int,
                                 for k in range(1, proto.N + 1)], axis=1), success)
         omegas.add(batch.normalized(port_table(batch, 0), 0),
                    np.repeat(batch.present[:, :1], proto.N, axis=1))
-    spread, worst = constancy_deviations(np.vstack(q_rows), residuals)
-    rep.add("outcome probabilities constant across inputs", "Lemma", spread, q_tolerance,
-            samples=sample_count)
-    rep.add("residual states constant across inputs", "Lemma", worst, fid_tolerance)
+    q = np.vstack(q_rows)
+    rep.add("outcome probabilities constant across inputs", "Lemma",
+            float(np.max(q.max(axis=0) - q.min(axis=0))), q_tolerance, samples=sample_count)
+    rep.add("residual states constant across inputs", "Lemma", residuals.worst, fid_tolerance)
     rep.add_flag("failure-branch port marginal varies with input (informational)",
                  "Eq.8.9", True, spread=omegas.worst)
     return rep
 
 
 def standard_resource(n: int, N: int) -> StateVector:
-    """N maximally entangled pairs of 2^n-dimensional systems, as (A, B1..BN)."""
+    """N maximally entangled pairs of 2^n-dimensional systems, as (A, B1..BN)
+    with A the sender's N halves: amplitude d^(-N/2) where the index of A
+    equals that of (B1..BN), the product of the pair amplitudes taken in the
+    order a Kronecker product of the pairs multiplies them.  ``LayoutError``
+    above the memory cap, before anything is allocated."""
     d = 2**n
-    pairs = [maximally_entangled((f"A{j}", d), (port_label(j), d))
-             for j in range(1, N + 1)]
-    resource = tensor_product(pairs)
-    order = [f"A{j}" for j in range(1, N + 1)] + [port_label(j) for j in range(1, N + 1)]
-    resource = permute_subsystems(resource, order)
-    return merge_subsystems(resource, [f"A{j}" for j in range(1, N + 1)], "A")
+    layout = SystemLayout((("A", d**N),) + tuple((port_label(j), d) for j in range(1, N + 1)))
+    check_memory_cap(layout)
+    return StateVector(layout, np.eye(d**N).ravel() * math.prod([1 / np.sqrt(d)] * N))
 
 
 def bell_pbt_protocol(N: int) -> PbtProtocol:

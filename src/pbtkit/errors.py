@@ -9,10 +9,6 @@ class LayoutError(ToolkitError, ValueError):
     """Unknown label, incompatible layout, or a dimension that exceeds the memory cap."""
 
 
-class KindMismatchError(ToolkitError, TypeError):
-    """States and operators mixed where a single kind is required."""
-
-
 class UnitarityError(ToolkitError, ValueError):
     """A matrix that must be unitary is not, beyond tolerance."""
 

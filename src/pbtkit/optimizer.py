@@ -37,7 +37,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .engine import PbtProtocol, input_chunks, measure, port_label, teleport_report
-from .engine import standard_resource  # noqa: F401 - re-exported
 from .errors import LayoutError, ProtocolError
 from .pauli import haar_amplitudes
 from .report import AuditReport
@@ -46,6 +45,9 @@ from .tensor import HermitianMatrix, StateVector, SystemLayout
 
 #: largest total protocol dimension accepted by the optimizer
 DIMENSION_CAP = 1 << 15
+#: weight of the maximally mixed state mixed into the marginal before the
+#: steering construction, so that its inverse square root exists
+EXTRACTION_PAD = 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -564,8 +566,8 @@ def solve_joint(sdp: JointPbtSdp, max_iterations: int = 20_000) -> SolveResult:
                        protocol=protocol, **run)
 
 
-def extract_protocol(n: int, N: int, js: Sequence[np.ndarray], sigma: np.ndarray,
-                     pad: float = 1e-7) -> tuple[PbtProtocol, np.ndarray]:
+def extract_protocol(n: int, N: int, js: Sequence[np.ndarray],
+                     sigma: np.ndarray) -> tuple[PbtProtocol, np.ndarray]:
     """Steering construction: turn Choi blocks and a port marginal into a
     concrete resource state and measurement.
 
@@ -580,10 +582,10 @@ def extract_protocol(n: int, N: int, js: Sequence[np.ndarray], sigma: np.ndarray
     d = 2**n
     ds = d**N
     sigma = 0.5 * (sigma + sigma.conj().T)
-    sigma = (1.0 - pad) * sigma + pad * np.eye(ds) / ds
+    sigma = (1.0 - EXTRACTION_PAD) * sigma + EXTRACTION_PAD * np.eye(ds) / ds
     sigma = sigma / np.trace(sigma).real
     w, v = np.linalg.eigh(sigma)
-    w = np.clip(w, pad / (2 * ds), None)
+    w = np.clip(w, EXTRACTION_PAD / (2 * ds), None)
     sqrt_sigma = (v * np.sqrt(w)) @ v.conj().T
     inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
 

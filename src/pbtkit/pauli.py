@@ -81,15 +81,15 @@ def twirl(rho: HermitianMatrix) -> HermitianMatrix:
     return HermitianMatrix(rho.layout, acc / 4**n)
 
 
-def sample_haar_state(dim: int, seed: int, label: str = "a") -> StateVector:
-    """Haar-random pure state: a normalized complex standard-normal vector.
+def sample_haar_state(dim: int, seed: int) -> StateVector:
+    """Haar-random pure state on system "a": a normalized complex standard-normal vector.
 
     Deterministic given the seed; the generator is the seedable,
     platform-independent PCG64 algorithm.
     """
     if dim < 1:
         raise ValueError(f"dimension must be positive, got {dim}")
-    return haar_states(dim, 1, seed, label)[0]
+    return haar_states(dim, 1, seed)[0]
 
 
 def haar_amplitudes(dim: int, count: int, seed: int) -> np.ndarray:
@@ -102,7 +102,7 @@ def haar_amplitudes(dim: int, count: int, seed: int) -> np.ndarray:
     return vec / np.sqrt(sq[0] + sq[1])
 
 
-def haar_states(dim: int, count: int, seed: int, label: str = "a") -> list[StateVector]:
-    """A reproducible batch of independent Haar-random states."""
-    layout = SystemLayout.of((label, dim))
+def haar_states(dim: int, count: int, seed: int) -> list[StateVector]:
+    """A reproducible batch of independent Haar-random states on system "a"."""
+    layout = SystemLayout.of(("a", dim))
     return [StateVector(layout, vec) for vec in haar_amplitudes(dim, count, seed)]

@@ -12,7 +12,7 @@ marginals over rotated inputs, checked here term by term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -32,42 +32,33 @@ from .engine import (
 from .errors import ProtocolError
 from .pauli import haar_states, pauli_set
 from .report import AuditReport
-from .tensor import (
-    StateVector,
-    SystemLayout,
-    check_memory_cap,
-    reduced_density,
-    unitarity_deviation,
-)
+from .tensor import StateVector, SystemLayout, check_memory_cap, reduced_density
 
 ANCILLA_LABEL = "ap"
 
 
 @dataclass(frozen=True)
 class PrimedProtocol:
-    """A base protocol plus its twirl layer: control ancilla state, twirled
-    resource, and the compensating input-side controlled unitary."""
+    """A base protocol plus its twirl layer, derived from the base on
+    construction: ``primed_resource``, the resource on (a', A, B1..BN) with
+    the control ancilla a' in uniform superposition and every port twirled,
+    and ``w``, the compensating input-side controlled unitary on (a, a')
+    (read-only).  ``LayoutError`` if the primed run exceeds the memory cap."""
 
     base: PbtProtocol
-    primed_resource: StateVector
-    w: np.ndarray
+    primed_resource: StateVector = field(init=False, repr=False, compare=False)
+    w: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        w = np.ascontiguousarray(np.asarray(self.w, dtype=np.complex128))
+        base, n = self.base, self.base.n
+        layout = SystemLayout.of((ANCILLA_LABEL, 4**n)).concat(base.resource.layout)
+        check_memory_cap(SystemLayout.of(("a", 2**n)).concat(layout))
+        uniform = np.full((4**n, 1), 2.0**-n) * base.resource.amplitudes
+        amps = _twirl_ports(uniform.reshape(layout.dims), layout, n, base.N)
+        object.__setattr__(self, "primed_resource", StateVector(layout, amps))
+        w = input_side_unitary(n)
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
-        n = self.base.n
-        expected = (ANCILLA_LABEL, "A") + tuple(
-            port_label(j) for j in range(1, self.base.N + 1))
-        if self.primed_resource.layout.labels != expected:
-            raise ProtocolError(
-                f"primed resource layout {self.primed_resource.layout.labels} != {expected}"
-            )
-        if self.primed_resource.layout.dim(ANCILLA_LABEL) != 4**n:
-            raise ProtocolError(f"control ancilla dimension must be 4^n = {4 ** n}")
-        d = 2**n * 4**n
-        if w.shape != (d, d) or not unitarity_deviation(w) <= 1e-10:
-            raise ProtocolError("input-side controlled unitary is not unitary on (a, a')")
 
     @property
     def ancilla_dim(self) -> int:
@@ -104,13 +95,7 @@ def input_side_unitary(n: int) -> np.ndarray:
 
 def build_primed(base: PbtProtocol) -> PrimedProtocol:
     """Construct the twirl layer for a base protocol."""
-    n = base.n
-    layout = SystemLayout.of((ANCILLA_LABEL, 4**n)).concat(base.resource.layout)
-    check_memory_cap(SystemLayout.of(("a", 2**n)).concat(layout))
-    uniform = np.full((4**n, 1), 2.0**-n) * base.resource.amplitudes
-    amps = _twirl_ports(uniform.reshape(layout.dims), layout, n, base.N)
-    return PrimedProtocol(base=base, primed_resource=StateVector(layout, amps),
-                          w=input_side_unitary(n))
+    return PrimedProtocol(base)
 
 
 def run_primed(p: PrimedProtocol, inputs: np.ndarray) -> BranchBatch:

@@ -17,7 +17,7 @@ and by seeded Monte-Carlo rounds (an independent cross-check).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import Optional
@@ -135,6 +135,20 @@ class ChainAnalysis:
     p: float
     p_prime_simulated: float
     p_prime_formula: float
+
+    def to_dict(self) -> dict:
+        """The receiver port's entry in a ``SignalingReport``."""
+        return {
+            "j": self.j,
+            "q_j": float(self.q[self.j]),
+            "r_j": self.r_j,
+            "p_prime_simulated": self.p_prime_simulated,
+            "p_prime_formula": self.p_prime_formula,
+            "case2_success": {str(i): c.success for i, c in self.case2.items()},
+            "case2_teleport_probs": {
+                str(i): [float(x) for x in c.teleport_probs] for i, c in self.case2.items()
+            },
+        }
 
 
 def check_chain_preconditions(primed: PrimedProtocol) -> None:
@@ -358,32 +372,6 @@ def _round_starts(step: np.ndarray, rounds: int) -> np.ndarray:
 
 
 @dataclass
-class PortSignaling:
-    """Chain results for one receiver port."""
-
-    j: int
-    q_j: float
-    r_j: float
-    p_prime_simulated: float
-    p_prime_formula: float
-    case2_success: dict[int, float] = field(default_factory=dict)
-    case2_teleport_probs: dict[int, list[float]] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "j": self.j,
-            "q_j": self.q_j,
-            "r_j": self.r_j,
-            "p_prime_simulated": self.p_prime_simulated,
-            "p_prime_formula": self.p_prime_formula,
-            "case2_success": {str(i): v for i, v in self.case2_success.items()},
-            "case2_teleport_probs": {
-                str(i): v for i, v in self.case2_teleport_probs.items()
-            },
-        }
-
-
-@dataclass
 class SignalingReport:
     """Exact chain audit over every receiver port, for one message."""
 
@@ -392,7 +380,7 @@ class SignalingReport:
     message: int
     q: list[float]
     p: float
-    ports: list[PortSignaling]
+    ports: list[ChainAnalysis]
     R: float
     p_implied: float
     bound: Fraction
@@ -434,17 +422,7 @@ def compute_chain_exact(primed: PrimedProtocol, message: int) -> SignalingReport
     p_success = float(q[1:].sum())
     for j in range(1, big_n + 1):
         ana = analyze_chain(primed, message, j, branches=branches)
-        ports.append(PortSignaling(
-            j=j,
-            q_j=float(ana.q[j]),
-            r_j=ana.r_j,
-            p_prime_simulated=ana.p_prime_simulated,
-            p_prime_formula=ana.p_prime_formula,
-            case2_success={i: c.success for i, c in ana.case2.items()},
-            case2_teleport_probs={
-                i: [float(x) for x in c.teleport_probs] for i, c in ana.case2.items()
-            },
-        ))
+        ports.append(ana)
         r_total += ana.r_j
         audit.add(f"port {j}: receiver success equals the random guess", "NS",
                   abs(ana.p_prime_simulated - guess), EXACT_ATOL, port=j)

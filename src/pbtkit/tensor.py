@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import KindMismatchError, LayoutError, UnitarityError
+from .errors import LayoutError, UnitarityError
 
 #: normalization / hermiticity tolerance at construction time
 STRICT_ATOL = 1e-12
@@ -87,11 +87,12 @@ class SystemLayout:
         return len(self.subsystems)
 
 
-def check_memory_cap(layout: SystemLayout, cap: int = MEMORY_CAP) -> None:
-    if layout.total_dim > cap:
+def check_memory_cap(layout: SystemLayout) -> None:
+    """Raise ``LayoutError`` if the layout exceeds MEMORY_CAP, read at call time."""
+    if layout.total_dim > MEMORY_CAP:
         raise LayoutError(
             f"layout {layout.labels} with total dimension {layout.total_dim} "
-            f"exceeds the configured cap of {cap}"
+            f"exceeds the configured cap of {MEMORY_CAP}"
         )
 
 
@@ -106,15 +107,10 @@ def _as_complex(arr, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StateVector:
-    """Complex amplitude vector over a layout.
-
-    ``normalized=False`` marks explicitly unnormalized intermediate branches;
-    everything else must have unit Euclidean norm within 1e-12.
-    """
+    """Complex amplitude vector over a layout, of unit Euclidean norm within 1e-12."""
 
     layout: SystemLayout
     amplitudes: np.ndarray
-    normalized: bool = True
 
     def __post_init__(self):
         amps = _as_complex(self.amplitudes, "amplitudes").reshape(-1)
@@ -123,7 +119,7 @@ class StateVector:
             raise LayoutError(
                 f"amplitude count {amps.size} != layout dimension {self.layout.total_dim}"
             )
-        if self.normalized and abs(self.norm() - 1.0) > STRICT_ATOL:
+        if abs(self.norm() - 1.0) > STRICT_ATOL:
             raise ValueError(f"state norm {self.norm()} deviates from 1 beyond 1e-12")
 
     def norm(self) -> float:
@@ -162,28 +158,15 @@ class HermitianMatrix:
         return self.layout.total_dim
 
 
-TensorValue = Union[StateVector, HermitianMatrix]
-
-
 # ---------------------------------------------------------------------------
 # construction helpers
 
 
-def basis_state(layout: SystemLayout, index: Union[int, Sequence[int]]) -> StateVector:
-    """Computational basis state, by flat index or per-subsystem indices."""
-    if not isinstance(index, int):
-        flat = 0
-        for sub, dim in zip(index, layout.dims):
-            flat = flat * dim + int(sub)
-        index = flat
+def basis_state(layout: SystemLayout, index: int) -> StateVector:
+    """Computational basis state with the given flat index."""
     amps = np.zeros(layout.total_dim, dtype=np.complex128)
     amps[index] = 1.0
     return StateVector(layout, amps)
-
-
-def outer(state: StateVector) -> HermitianMatrix:
-    """|psi><psi| as a HermitianMatrix; a density operator when psi is normalized."""
-    return HermitianMatrix(state.layout, np.outer(state.amplitudes, state.amplitudes.conj()))
 
 
 def maximally_entangled(left: tuple[str, int], right: tuple[str, int]) -> StateVector:
@@ -199,20 +182,13 @@ def maximally_entangled(left: tuple[str, int], right: tuple[str, int]) -> StateV
 # operations
 
 
-def tensor_product(factors: Sequence[TensorValue]) -> TensorValue:
-    """Kronecker product of states or of operators, layouts concatenated in order."""
+def tensor_product(factors: Sequence[StateVector]) -> StateVector:
+    """Kronecker product of states, layouts concatenated in order."""
     factors = list(factors)
     if not factors:
         raise ValueError("tensor_product needs at least one factor")
-    if all(isinstance(f, StateVector) for f in factors):
-        layout = functools.reduce(SystemLayout.concat, (f.layout for f in factors))
-        amps = functools.reduce(np.kron, (f.amplitudes for f in factors))
-        return StateVector(layout, amps, normalized=all(f.normalized for f in factors))
-    if all(isinstance(f, HermitianMatrix) for f in factors):
-        layout = functools.reduce(SystemLayout.concat, (f.layout for f in factors))
-        ent = functools.reduce(np.kron, (f.entries for f in factors))
-        return HermitianMatrix(layout, ent)
-    raise KindMismatchError("cannot mix StateVector and HermitianMatrix factors")
+    layout = functools.reduce(SystemLayout.concat, (f.layout for f in factors))
+    return StateVector(layout, functools.reduce(np.kron, (f.amplitudes for f in factors)))
 
 
 def reduced_density(state: StateVector, keep: Iterable[str]) -> HermitianMatrix:
@@ -229,41 +205,14 @@ def reduced_density(state: StateVector, keep: Iterable[str]) -> HermitianMatrix:
     return HermitianMatrix(out_layout, rho)
 
 
-def permute_subsystems(value: TensorValue, new_order: Sequence[str]) -> TensorValue:
-    """Reorder subsystems to the given label order; amplitudes/entries follow."""
-    layout = value.layout
+def permute_subsystems(state: StateVector, new_order: Sequence[str]) -> StateVector:
+    """Reorder subsystems to the given label order; amplitudes follow."""
+    layout = state.layout
     if sorted(new_order) != sorted(layout.labels):
         raise LayoutError(f"{tuple(new_order)} is not a permutation of {layout.labels}")
     perm = [layout.axis(lbl) for lbl in new_order]
     new_layout = SystemLayout(tuple(layout.subsystems[p] for p in perm))
-    if isinstance(value, StateVector):
-        amps = np.transpose(value.tensorized(), perm).reshape(-1)
-        return StateVector(new_layout, amps, normalized=value.normalized)
-    n = len(layout)
-    t = value.entries.reshape(layout.dims + layout.dims)
-    full_perm = perm + [n + p for p in perm]
-    d = layout.total_dim
-    return HermitianMatrix(new_layout, np.transpose(t, full_perm).reshape(d, d))
-
-
-def merge_subsystems(value: TensorValue, labels: Sequence[str], new_label: str) -> TensorValue:
-    """Fuse consecutive subsystems into one label; pure metadata, data unchanged."""
-    layout = value.layout
-    axes = [layout.axis(lbl) for lbl in labels]
-    if axes != list(range(axes[0], axes[0] + len(axes))):
-        raise LayoutError(f"labels {tuple(labels)} are not consecutive in {layout.labels}")
-    merged_dim = 1
-    for lbl in labels:
-        merged_dim *= layout.dim(lbl)
-    subs = (
-        layout.subsystems[: axes[0]]
-        + ((new_label, merged_dim),)
-        + layout.subsystems[axes[-1] + 1 :]
-    )
-    new_layout = SystemLayout(subs)
-    if isinstance(value, StateVector):
-        return StateVector(new_layout, value.amplitudes, normalized=value.normalized)
-    return HermitianMatrix(new_layout, value.entries)
+    return StateVector(new_layout, np.transpose(state.tensorized(), perm).reshape(-1))
 
 
 def _apply_matrix(tensorized: np.ndarray, dims: Sequence[int], axes: Sequence[int],
@@ -304,7 +253,7 @@ def apply_on_subsystems(state: StateVector, u: np.ndarray,
         raise UnitarityError("matrix is not unitary within 1e-10")
     axes = [state.layout.axis(lbl) for lbl in targets]
     out = _apply_matrix(state.tensorized(), state.layout.dims, axes, u)
-    return StateVector(state.layout, out.reshape(-1), normalized=state.normalized)
+    return StateVector(state.layout, out.reshape(-1))
 
 
 def _canonical_phase(u: np.ndarray, vh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -125,6 +125,26 @@ def test_prime_emits_protocol_and_report(tmp_path):
     assert all(r["passed"] for r in report["failure_twirl"])
 
 
+@pytest.mark.parametrize("command,report,flags", [
+    ("simulate", "simulate.json", ()),
+    ("verify", "verify.json", ("--samples", "5")),
+])
+def test_primed_document_reads_back_as_its_base_protocol(tmp_path, monkeypatch, command,
+                                                         report, flags):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    primed = tmp_path / "prime" / "primed_protocol.json"
+    assert dispatch(["prime", "--builtin", "bell", "--ports", "2", "--samples", "2",
+                     "--out", str(primed.parent)]) == 0
+    runs = {}
+    for source in (("--builtin", "bell", "--ports", "2"), ("--protocol", str(primed))):
+        assert dispatch([command, *source, "--seed", "7", *flags,
+                         "--out", str(tmp_path / "run")]) == 0
+        runs[source[0]] = read_json(tmp_path / "run" / report)
+    assert runs["--builtin"]["manifest"].pop("input_paths") == []
+    assert runs["--protocol"]["manifest"].pop("input_paths") == [str(primed)]
+    assert runs["--protocol"] == runs["--builtin"]
+
+
 def test_audit_signaling(tmp_path):
     code = dispatch(["audit-signaling", "--builtin", "bell", "--ports", "1",
                      "--message", "2", "--mc-rounds", "5000",

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from pbtkit import branches, engine
+from pbtkit.branches import BRANCH_PRUNE
 from pbtkit.errors import LayoutError, ProtocolError, SampleCountError
 from pbtkit.engine import (
-    BRANCH_PRUNE,
     PURITY_ATOL,
     PbtProtocol,
     bell_pbt_protocol,
@@ -19,6 +19,7 @@ from pbtkit.engine import (
     port_table,
     protocol_from_dict,
     protocol_to_dict,
+    standard_resource,
     teleport_report,
     verify_port_decomposition,
     verify_psi_independence,
@@ -27,6 +28,7 @@ from pbtkit.nocloning import decompose_by_pointer, pointer_form
 from pbtkit.pauli import SIGMA, haar_amplitudes, haar_states
 from pbtkit.primed import build_primed, run_primed
 from pbtkit.tensor import (
+    MEMORY_CAP,
     HermitianMatrix,
     StateVector,
     SystemLayout,
@@ -35,7 +37,14 @@ from pbtkit.tensor import (
     reduced_density,
     schmidt_decompose,
 )
-from reference import branches_of, fidelity, state_fidelity, states_equal
+from reference import (
+    branches_of,
+    fidelity,
+    paired_resource,
+    permute_operator,
+    state_fidelity,
+    states_equal,
+)
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
@@ -278,6 +287,27 @@ def test_bell_protocol_values():
     np.testing.assert_array_equal(total, np.eye(16))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_standard_resource_is_the_product_of_its_pairs_bit_for_bit(n):
+    # every N whose reference protocol, input included, fits under the cap
+    big_n = 1
+    while 2**n * 4 ** (n * big_n) <= MEMORY_CAP:
+        got, expected = standard_resource(n, big_n), paired_resource(n, big_n)
+        assert got.layout == expected.layout
+        assert got.amplitudes.tobytes() == expected.amplitudes.tobytes(), big_n
+        big_n += 1
+    assert big_n > 1
+
+
+def test_standard_resource_above_the_cap_is_refused_before_allocation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the resource was allocated before the cap check")
+
+    monkeypatch.setattr(engine.np, "eye", refuse)
+    with pytest.raises(LayoutError, match="cap"):
+        standard_resource(1, 12)  # 2^24 amplitudes
+
+
 def test_protocol_invariant_violations_raise():
     proto = bell_pbt_protocol(1)
     bad = tuple(
@@ -491,11 +521,14 @@ def test_branch_matrices_over_a_tuple_of_labels():
     batch = measure(proto, haar_amplitudes(2, 3, 5))
     for s in range(3):
         for k in np.flatnonzero(batch.present[s]).tolist():
-            post = StateVector(layout, batch.amplitudes[s, k], normalized=False)
+            # the normalized branch; dividing by one scalar commutes with any reordering
+            scale = np.sqrt(batch.q[s, k])
+            post = StateVector(layout, batch.amplitudes[s, k] / scale)
             ordered = permute_subsystems(post, list(labels) + rest).amplitudes.reshape(8, -1)
-            np.testing.assert_array_equal(batch.split(labels, k)[s], ordered)
-            rho = permute_subsystems(reduced_density(post, set(labels)), labels).entries
-            np.testing.assert_allclose(batch.marginals(labels, k)[s], rho, atol=1e-13)
+            np.testing.assert_array_equal(batch.split(labels, k)[s] / scale, ordered)
+            rho = permute_operator(reduced_density(post, set(labels)), labels).entries
+            np.testing.assert_allclose(batch.marginals(labels, k)[s], batch.q[s, k] * rho,
+                                       atol=1e-13)
     # a hit leaves the input alone on B1: the branch factorizes across the rest
     others = ("B2", "A", "B3", "a")
     for s, amps in enumerate(haar_amplitudes(2, 3, 5)):

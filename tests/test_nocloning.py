@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from pbtkit import branches
-from pbtkit.engine import BRANCH_PRUNE, bell_pbt_protocol, complex_pairs
+from pbtkit.branches import BRANCH_PRUNE
+from pbtkit.engine import bell_pbt_protocol, complex_pairs
 from pbtkit.errors import LayoutError, ProtocolError, SampleCountError, UnitarityError
 from pbtkit.nocloning import (
     POINTER_U_CAP_BYTES,
@@ -23,14 +24,8 @@ from pbtkit.nocloning import (
     verify_theorem,
 )
 from pbtkit.pauli import haar_amplitudes, haar_states
-from pbtkit.tensor import (
-    StateVector,
-    SystemLayout,
-    basis_state,
-    outer,
-    reduced_density,
-)
-from reference import branches_of
+from pbtkit.tensor import StateVector, SystemLayout, basis_state, reduced_density
+from reference import branches_of, outer
 
 BELL_VECS = [
     np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2),

@@ -8,6 +8,7 @@ from pbtkit.engine import (
     PbtProtocol,
     bell_pbt_protocol,
     measure,
+    standard_resource,
 )
 from pbtkit.errors import LayoutError
 from pbtkit.pauli import haar_states
@@ -26,7 +27,6 @@ from pbtkit.optimizer import (
     hermitian_basis,
     solve,
     solve_joint,
-    standard_resource,
     vec_to_herm,
 )
 from pbtkit.tensor import StateVector, SystemLayout, reduced_density

@@ -11,8 +11,8 @@ from pbtkit.pauli import (
     sample_haar_state,
     twirl,
 )
-from pbtkit.tensor import HermitianMatrix, SystemLayout, basis_state, outer
-from reference import maximally_mixed
+from pbtkit.tensor import HermitianMatrix, SystemLayout, basis_state
+from reference import maximally_mixed, outer
 
 
 def rand_density(d, rng):

@@ -18,6 +18,7 @@ from pbtkit.primed import (
     PrimedProtocol,
     build_primed,
     commutation_witness,
+    input_side_unitary,
     primed_from_dict,
     primed_port_marginals,
     primed_to_dict,
@@ -169,12 +170,15 @@ def test_primed_serialization_roundtrip():
         primed_from_dict({**doc, "primed": False})
 
 
-def test_input_side_unitary_with_a_nan_entry_is_rejected():
-    primed = build_primed(bell_pbt_protocol(1))
-    w = primed.w.copy()
-    w[2, 5] = np.nan
-    with pytest.raises(ProtocolError, match="not unitary"):
-        PrimedProtocol(base=primed.base, primed_resource=primed.primed_resource, w=w)
+def test_twirl_layer_is_derived_from_the_base():
+    base = bell_pbt_protocol(2)
+    primed = PrimedProtocol(base)
+    np.testing.assert_array_equal(primed.primed_resource.amplitudes,
+                                  build_primed(base).primed_resource.amplitudes)
+    np.testing.assert_array_equal(primed.w, input_side_unitary(1))
+    assert not primed.w.flags.writeable
+    with pytest.raises(TypeError):
+        PrimedProtocol(base, w=primed.w)
 
 
 @pytest.mark.parametrize("j", [0, 3])

@@ -5,8 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from pbtkit.branches import BRANCH_PRUNE
 from pbtkit.engine import (
-    BRANCH_PRUNE,
     HermitianMatrix,
     PbtProtocol,
     bell_pbt_protocol,
@@ -32,13 +32,12 @@ from pbtkit.signaling import (
 from pbtkit.tensor import (
     SystemLayout,
     apply_on_subsystems,
-    outer,
     permute_subsystems,
     reduced_density,
     schmidt_decompose,
     tensor_product,
 )
-from reference import branches_of, partial_trace
+from reference import branches_of, outer, partial_trace, permute_operator
 
 
 def primed_bell(N):
@@ -90,8 +89,8 @@ def test_bound_values():
 
 
 def test_f_of_zero_equals_bound_exactly():
-    for n in (1, 2):
-        for N in (1, 2, 3, 4, 5, 7):
+    for n in (1, 2, 3):
+        for N in (1, 2, 3, 4, 5, 6, 7, 8):
             val = f_of_R(n, N, 0.0)
             assert val.exact == bound(n, N)
             assert val.value == float(bound(n, N))
@@ -150,7 +149,7 @@ def test_chain_exact_single_port():
     report = compute_chain_exact(primed_bell(1), message=1)
     assert report.audit.passed, report.audit.to_dict()
     port = report.ports[0]
-    assert port.q_j == pytest.approx(0.25, abs=1e-12)
+    assert port.q[port.j] == pytest.approx(0.25, abs=1e-12)
     assert report.p == pytest.approx(0.25, abs=1e-12)
     assert port.p_prime_simulated == pytest.approx(0.25, abs=1e-10)
     # balance forces r_1 = 0: 0.25 + 0 + 0.75 r = 0.25
@@ -401,7 +400,7 @@ def test_chain_branches_are_measured_once_per_message(monkeypatch):
 def reference_decoding(state, j, n):
     """Receiver decoding distribution from the (B_j, b) marginal of a branch."""
     rho = reduced_density(state, {port_label(j), "b"})
-    rho = permute_subsystems(rho, [port_label(j), "b"])
+    rho = permute_operator(rho, [port_label(j), "b"])
     return np.array([float(np.vdot(v, rho.entries @ v).real) for v in sdc_basis(n)])
 
 
@@ -420,7 +419,7 @@ def reference_case2(post, i, j, n, message):
     ordered = permute_subsystems(post, [src] + alice_labels + [port_label(j), "b"])
     mat = ordered.amplitudes.reshape(d * dim_alice, d * d)
     rho_bob = reduced_density(post, {port_label(j), "b"})
-    rho_bob = permute_subsystems(rho_bob, [port_label(j), "b"]).entries.copy()
+    rho_bob = permute_operator(rho_bob, [port_label(j), "b"]).entries.copy()
     teleport_probs = np.zeros(4**n)
     bob_probs = np.zeros((4**n, 4**n))
     for t, v in enumerate(pauli_set(n), start=1):
@@ -562,8 +561,8 @@ def test_chain_equals_the_object_path_when_every_port_succeeds():
 
 def oracle_decoding(post, j, n):
     """<enc_r| partial_trace(|post><post|, {B_j, b}) |enc_r>, densely."""
-    rho = permute_subsystems(partial_trace(outer(post), {port_label(j), "b"}),
-                             [port_label(j), "b"])
+    rho = permute_operator(partial_trace(outer(post), {port_label(j), "b"}),
+                           [port_label(j), "b"])
     return np.array([float(np.vdot(v, rho.entries @ v).real) for v in sdc_basis(n)])
 
 
@@ -607,6 +606,6 @@ def test_one_schmidt_decomposition_per_miss(monkeypatch, make):
     for message in range(1, 5):
         report = compute_chain_exact(primed, message)
         assert report.audit.passed
-        misses += sum(len(port.case2_success) for port in report.ports)
+        misses += sum(len(port.case2) for port in report.ports)
     assert misses > 0
     assert len(calls) <= misses

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pbtkit import tensor
-from pbtkit.errors import KindMismatchError, LayoutError, UnitarityError
+from pbtkit.errors import LayoutError, UnitarityError
 from pbtkit.tensor import (
     HermitianMatrix,
     StateVector,
@@ -15,14 +15,22 @@ from pbtkit.tensor import (
     basis_state,
     check_memory_cap,
     maximally_entangled,
-    merge_subsystems,
-    outer,
     permute_subsystems,
     reduced_density,
     schmidt_decompose,
     tensor_product,
 )
-from reference import fidelity, maximally_mixed, partial_trace, state_fidelity, states_equal
+from reference import (
+    fidelity,
+    maximally_mixed,
+    merge_subsystems,
+    operator_product,
+    outer,
+    partial_trace,
+    permute_operator,
+    state_fidelity,
+    states_equal,
+)
 
 
 def rand_state(layout, rng):
@@ -64,6 +72,13 @@ def test_memory_cap_names_layout():
     lay = SystemLayout.of(("big", 1 << 23))
     with pytest.raises(LayoutError, match="big"):
         check_memory_cap(lay)
+
+
+def test_memory_cap_is_read_when_checked(monkeypatch):
+    monkeypatch.setattr(tensor, "MEMORY_CAP", 4)
+    with pytest.raises(LayoutError, match="cap of 4"):
+        check_memory_cap(SystemLayout.of(("a", 8)))
+    check_memory_cap(SystemLayout.of(("a", 4)))  # at the cap: fine
 
 
 def test_state_rejects_wrong_length_and_bad_norm():
@@ -113,17 +128,10 @@ def test_tensor_product_matches_index_summation_oracle():
     np.testing.assert_allclose(out.amplitudes, expected, atol=1e-15)
 
 
-def test_tensor_product_rejects_mixed_kinds():
-    a = basis_state(SystemLayout.of(("a", 2)), 0)
-    m = HermitianMatrix(SystemLayout.of(("b", 2)), np.eye(2))
-    with pytest.raises(KindMismatchError):
-        tensor_product([a, m])
-
-
 def test_tensor_then_trace_roundtrip():
     rng = np.random.default_rng(5)
     rho = rand_density(SystemLayout.of(("x", 2)), rng)
-    prod = tensor_product([rho, maximally_mixed(SystemLayout.of(("y", 2)))])
+    prod = operator_product([rho, maximally_mixed(SystemLayout.of(("y", 2)))])
     back = partial_trace(prod, {"x"})
     np.testing.assert_allclose(back.entries, rho.entries, atol=1e-12)
 
@@ -216,7 +224,7 @@ def test_tensor_then_trace_property(da, db, seed):
     rng = np.random.default_rng(seed)
     rho = rand_density(SystemLayout.of(("x", da)), rng)
     sig = rand_density(SystemLayout.of(("y", db)), rng)
-    joint = tensor_product([rho, sig])
+    joint = operator_product([rho, sig])
     np.testing.assert_allclose(partial_trace(joint, {"x"}).entries, rho.entries, atol=1e-12)
     np.testing.assert_allclose(partial_trace(joint, {"y"}).entries, sig.entries, atol=1e-12)
 
@@ -227,12 +235,12 @@ def test_tensor_then_trace_property(da, db, seed):
 
 def test_apply_identity_and_flip():
     lay = SystemLayout.of(("a", 2), ("b", 2))
-    state = basis_state(lay, [0, 0])
+    state = basis_state(lay, 0)  # |0>_a |0>_b
     same = apply_on_subsystems(state, np.eye(2), ["a"])
     assert states_equal(same, state)
     sigma_x = np.array([[0, 1], [1, 0]], dtype=complex)
     flipped = apply_on_subsystems(state, sigma_x, ["a"])
-    assert states_equal(flipped, basis_state(lay, [1, 0]))
+    assert states_equal(flipped, basis_state(lay, 2))  # |1>_a |0>_b
 
 
 def test_apply_matches_explicit_kron_oracle():
@@ -363,7 +371,7 @@ def test_states_equal_ignores_global_phase():
 
 
 # ---------------------------------------------------------------------------
-# permute / merge
+# permute, and the reference merge
 
 
 def test_permute_roundtrip():
@@ -378,7 +386,7 @@ def test_permute_operator_consistent_with_state():
     rng = np.random.default_rng(67)
     lay = SystemLayout.of(("a", 2), ("b", 3))
     psi = rand_state(lay, rng)
-    flipped = permute_subsystems(outer(psi), ["b", "a"])
+    flipped = permute_operator(outer(psi), ["b", "a"])
     np.testing.assert_allclose(flipped.entries,
                                outer(permute_subsystems(psi, ["b", "a"])).entries,
                                atol=1e-12)
