@@ -21,15 +21,20 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .branches import BranchBatch, Drift, infidelity, input_chunks
+from .branches import (
+    BranchBatch,
+    Drift,
+    infidelity,
+    input_chunks,
+    require_samples,
+    require_width,
+)
 from .engine import (
     PbtProtocol,
     _int_field,
     _typed_field,
     complex_pairs,
     from_complex_pairs,
-    require_samples,
-    require_width,
     write_document,
 )
 from .errors import LayoutError, ProtocolError, UnitarityError

@@ -30,13 +30,15 @@ true lower bound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .engine import PbtProtocol, input_chunks, measure, port_label, teleport_report
+from .branches import input_chunks
+from .engine import PbtProtocol, measure, port_label, teleport_report
 from .errors import LayoutError, ProtocolError
 from .pauli import haar_amplitudes
 from .report import AuditReport
@@ -55,14 +57,14 @@ EXTRACTION_PAD = 1e-7
 
 
 @lru_cache(maxsize=None)
-def _coordinate_map(d: int) -> tuple[np.ndarray, ...]:
+def _coordinate_map(d: int, count: int = 1) -> tuple[np.ndarray, ...]:
     """Index arrays of the Hermitian coordinate map over the interleaved
-    (Re, Im) storage of a d x d complex matrix.
+    (Re, Im) storage of ``count`` d x d complex matrices, back to back.
 
     Coordinates are the diagonal, then sqrt(2) (Re, Im) of each upper entry
-    in row-major order.  Returns, for ``herm_to_vec``, the storage slot and
-    weight of each coordinate, and for ``vec_to_herm``, the coordinate and
-    weight of each storage slot (weight 0 for the diagonal's imaginary parts)."""
+    in row-major order, per matrix.  Returns, for ``herm_to_vec``, the storage
+    slot and weight of each coordinate, and for ``vec_to_herm``, the coordinate
+    and weight of each slot (weight 0 for the diagonal's imaginary parts)."""
     rows, cols = np.triu_indices(d, 1)
     upper = np.stack([2 * (rows * d + cols), 2 * (rows * d + cols) + 1], -1).ravel()
     lower = np.stack([2 * (cols * d + rows), 2 * (cols * d + rows) + 1], -1).ravel()
@@ -74,7 +76,9 @@ def _coordinate_map(d: int) -> tuple[np.ndarray, ...]:
     weights[slots] = np.concatenate([np.ones(d), np.full(upper.size, 1.0 / np.sqrt(2.0))])
     coords[lower] = coords[upper]
     weights[lower] = weights[upper] * np.tile([1.0, -1.0], rows.size)  # conjugate
-    return slots, slot_weights, coords, weights
+    blocks = np.arange(count)[:, None]
+    return ((slots + 2 * d * d * blocks).ravel(), np.tile(slot_weights, count),
+            (coords + d * d * blocks).ravel(), np.tile(weights, count))
 
 
 def herm_to_vec(m: np.ndarray) -> np.ndarray:
@@ -348,7 +352,8 @@ class _FaceProblem:
         self.sl_y = slice(0, n_y)
         self.sl_slack = slice(n_y, n_y + n_slack)
         self.sl_s = slice(n_y + n_slack, n_y + n_slack + n_s)
-        self.sl_q = slice(n_y + n_slack + n_s, None)
+        self.sl_q = slice(n_y + n_slack + n_s, n_y + n_slack + n_s + self.N)
+        self.x_slots = np.r_[self.sl_y, self.sl_s, self.sl_q]  # the affine step's [Y, sigma, q]
 
         # H = I + W^T W with W = [-L_1 .. -L_N, embed]: small, materialized
         w_cols = np.hstack([-lift for lift in self.lifts]
@@ -369,55 +374,56 @@ class _FaceProblem:
             a_mat[-1, n_y : n_y + self.dim_sigma] = 1.0
             self.b_vec[-1] = 1.0
         self.a_mat = a_mat
-        h_inv_full = np.block([
-            [self.h_inv, np.zeros((n_y + n_s, self.N))],
-            [np.zeros((self.N, n_y + n_s)), np.eye(self.N)],
-        ])
+        h_inv_full = np.eye(n_y + n_s + self.N)
+        h_inv_full[: n_y + n_s, : n_y + n_s] = self.h_inv
         gram = a_mat @ h_inv_full @ a_mat.T
         self.gram_inv = np.linalg.inv(gram + 1e-13 * np.eye(n_rows))
         self.hia_t = h_inv_full @ a_mat.T
-
-    def port_blocks(self, y: np.ndarray) -> np.ndarray:
-        """The flat Y_1 .. Y_N coordinates as one (N, r^2) view."""
-        return y.reshape(self.N, -1)
+        self.clips = [(self.sl_y, _PsdClip(self.face_dim, self.N)),
+                      (self.sl_slack, _PsdClip(dim_big))]
+        if embed is not None:
+            self.clips.append((self.sl_s, _PsdClip(self.dim_sigma)))
 
     def slack_of(self, y: np.ndarray, s: np.ndarray) -> np.ndarray:
         out = self.base.copy()
         if self.embed is not None:
             out += self.embed @ s
-        for lift, yk in zip(self.lifts, self.port_blocks(y)):
+        for lift, yk in zip(self.lifts, y.reshape(self.N, -1)):
             out -= lift @ yk
         return out
 
-    def affine_step(self, v: np.ndarray, rho: float) -> np.ndarray:
+    def affine_step(self, v: np.ndarray, rho: float, out: np.ndarray) -> None:
         """Penalized minimization over the affine constraint set, from the
-        cone-side point ``v``; returns the matching flat iterate."""
-        g_ys = np.concatenate([v[self.sl_y], v[self.sl_s]])
-        g_ys = g_ys + self.w_cols.T @ (v[self.sl_slack] - self.base)
+        cone-side point ``v``; writes the matching flat iterate to ``out``."""
+        g_ys = v[self.x_slots[: -self.N]] + self.w_cols.T @ (v[self.sl_slack] - self.base)
         x = np.concatenate([self.h_inv @ g_ys, v[self.sl_q] + 1.0 / rho])
         lam = self.gram_inv @ (self.a_mat @ x - self.b_vec)
         x = x - self.hia_t @ lam
-        y, s = x[: self.n_y], x[self.n_y : self.n_y + self.n_s]
-        return np.concatenate([y, self.slack_of(y, s), s, x[self.n_y + self.n_s :]])
+        out[self.x_slots] = x
+        out[self.sl_slack] = self.slack_of(x[: self.n_y], x[self.n_y : -self.N])
 
-    def project(self, x: np.ndarray) -> np.ndarray:
+    def project(self, x: np.ndarray, out: np.ndarray) -> None:
         """Cone-side step: PSD clips of every block, box clip of q."""
-        z = np.empty_like(x)
-        z[self.sl_y] = _psd_clip_vec(self.port_blocks(x[self.sl_y]),
-                                     self.face_dim).reshape(-1)
-        z[self.sl_slack] = _psd_clip_vec(x[self.sl_slack], self.dim_big)
-        if self.n_s:
-            z[self.sl_s] = _psd_clip_vec(x[self.sl_s], self.dim_sigma)
-        z[self.sl_q] = np.clip(x[self.sl_q], 0.0, 1.0)
-        return z
+        for sl, clip in self.clips:
+            clip(x[sl], out[sl])
+        np.clip(x[self.sl_q], 0.0, 1.0, out=out[self.sl_q])
 
 
-def _psd_clip_vec(vec: np.ndarray, d: int) -> np.ndarray:
-    """Nearest PSD matrix in coordinates; leading axes are batch axes, so
-    equal-size blocks share one stacked ``eigh``."""
-    w, v = np.linalg.eigh(vec_to_herm(vec, d))
-    w = np.clip(w, 0.0, None)
-    return herm_to_vec((v * w[..., None, :]) @ v.conj().swapaxes(-1, -2))
+class _PsdClip:
+    """Nearest PSD matrices, in coordinates, of ``count`` d x d blocks laid
+    back to back in a flat vector, through one stacked ``eigh``."""
+
+    def __init__(self, d: int, count: int = 1):
+        self.slots, self.slot_weights, self.coords, self.weights = _coordinate_map(d, count)
+        self.storage = np.empty(2 * d * d * count)
+        self.herm = self.storage.view(np.complex128).reshape(count, d, d)
+
+    def __call__(self, vec: np.ndarray, out: np.ndarray) -> None:
+        np.multiply(vec[self.coords], self.weights, out=self.storage)
+        w, v = np.linalg.eigh(self.herm)
+        np.maximum(w, 0.0, out=w)
+        np.matmul(v * w[:, None, :], v.conj().swapaxes(-1, -2), out=self.herm)
+        np.multiply(self.storage[self.slots], self.slot_weights, out=out)
 
 
 def _run_splitting(fp: _FaceProblem, max_iterations: int):
@@ -431,9 +437,11 @@ def _run_splitting(fp: _FaceProblem, max_iterations: int):
     s = (herm_to_vec(np.eye(fp.dim_sigma) / fp.dim_sigma) if fp.n_s
          else np.zeros(0))
     q = [float((red @ yk) @ fp.rhs / (fp.rhs @ fp.rhs))
-         for red, yk in zip(fp.red_blocks, fp.port_blocks(y))]
+         for red, yk in zip(fp.red_blocks, y.reshape(fp.N, -1))]
     z = np.concatenate([y, fp.slack_of(y, s), s, q])
     u = np.zeros_like(z)
+    # iterate buffers; z and z_next alternate, as the dual residual reads both
+    z_next, x, x_hat, shifted, work = np.empty((5, z.size))
     watched = slice(0, fp.sl_slack.stop)  # Y and slack: residuals are measured here
 
     window = 4 * ADAPT_EVERY     # stall test: best residual per window
@@ -452,17 +460,17 @@ def _run_splitting(fp: _FaceProblem, max_iterations: int):
             rho = REFINE_PENALTY
             alpha = 1.0
             switch = iteration
-        x = fp.affine_step(z - u, rho)
-        x_hat = alpha * x + (1 - alpha) * z
-        z_prev = z[watched]
-        z = fp.project(x_hat + u)
-        u += x_hat - z
+        fp.affine_step(np.subtract(z, u, out=shifted), rho, x)
+        np.multiply(x, alpha, out=x_hat)
+        x_hat += np.multiply(z, 1 - alpha, out=work)
+        fp.project(np.add(x_hat, u, out=shifted), z_next)
+        u += np.subtract(x_hat, z_next, out=work)
 
-        primal = float(np.sqrt(np.linalg.norm(x[fp.sl_y] - z[fp.sl_y]) ** 2
-                               + np.linalg.norm(x[fp.sl_slack] - z[fp.sl_slack]) ** 2))
-        dual = float(rho * np.linalg.norm(z[watched] - z_prev))
-        scale = max(1.0, float(np.linalg.norm(x[fp.sl_y])),
-                    float(np.linalg.norm(z[fp.sl_y])))
+        diff = np.subtract(x[watched], z_next[watched], out=work[watched])
+        primal = math.sqrt(_norm(diff[fp.sl_y]) ** 2 + _norm(diff[fp.sl_slack]) ** 2)
+        dual = rho * _norm(np.subtract(z_next[watched], z[watched], out=diff))
+        z, z_next = z_next, z
+        scale = max(1.0, _norm(x[fp.sl_y]), _norm(z[fp.sl_y]))
         obj, relative = float(x[fp.sl_q].sum()), primal / scale
         trace.append((iteration, obj, relative))
 
@@ -488,12 +496,17 @@ def _run_splitting(fp: _FaceProblem, max_iterations: int):
                    trace=trace)
 
 
+def _norm(v: np.ndarray) -> float:
+    """The 2-norm of a flat vector, as ``np.linalg.norm`` computes it."""
+    return math.sqrt(v.dot(v))
+
+
 def _round_on_face(fp: _FaceProblem, z: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """Alternate affine projection and PSD clipping per port, in face coords."""
     r = fp.face_dim
     ys = []
     qs = np.zeros(fp.N)
-    for k, y_vec in enumerate(fp.port_blocks(z[fp.sl_y])):
+    for k, y_vec in enumerate(z[fp.sl_y].reshape(fp.N, -1)):
         bar = np.hstack([fp.red_blocks[k], -fp.rhs[:, None]])
         factor = np.linalg.inv(bar @ bar.T + 1e-14 * np.eye(bar.shape[0]))
         q = float(z[fp.sl_q][k])

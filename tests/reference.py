@@ -1,8 +1,9 @@
 """Reference helpers for the tests: dense per-state oracles the toolkit itself
 does not need (outer products, operator tensor products and reorderings,
 partial trace, pure-state fidelities, the maximally mixed state), the
-three-step construction of the standard resource, and a per-outcome view of
-one input's branches."""
+three-step construction of the standard resource, a per-outcome view of
+one input's branches, and the optimizer's splitting iteration written with
+fresh arrays at every step."""
 
 import functools
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -12,6 +13,17 @@ import numpy as np
 from pbtkit.branches import BranchBatch
 from pbtkit.engine import port_label
 from pbtkit.errors import LayoutError
+from pbtkit.optimizer import (
+    ADAPT_EVERY,
+    OBJECTIVE_TOLERANCE,
+    OVER_RELAXATION,
+    PENALTY,
+    PRIMAL_TOLERANCE,
+    REFINE_FRACTION,
+    REFINE_PENALTY,
+    herm_to_vec,
+    vec_to_herm,
+)
 from pbtkit.tensor import (
     HermitianMatrix,
     StateVector,
@@ -128,3 +140,111 @@ def fidelity(pure: StateVector, rho: HermitianMatrix) -> float:
     if pure.dim != rho.dim:
         raise LayoutError(f"dimension mismatch: state {pure.dim} vs operator {rho.dim}")
     return float(np.vdot(pure.amplitudes, rho.entries @ pure.amplitudes).real)
+
+
+# ---------------------------------------------------------------------------
+# the splitting iteration with fresh arrays at every step: the oracle that
+# optimizer._run_splitting must match bit for bit
+
+
+def reference_psd_clip(vec: np.ndarray, d: int) -> np.ndarray:
+    """Nearest PSD matrix in coordinates; leading axes are batch axes, so
+    equal-size blocks share one stacked ``eigh``."""
+    w, v = np.linalg.eigh(vec_to_herm(vec, d))
+    w = np.clip(w, 0.0, None)
+    return herm_to_vec((v * w[..., None, :]) @ v.conj().swapaxes(-1, -2))
+
+
+def _slack_of(fp, y: np.ndarray, s: np.ndarray) -> np.ndarray:
+    out = fp.base.copy()
+    if fp.embed is not None:
+        out += fp.embed @ s
+    for lift, yk in zip(fp.lifts, y.reshape(fp.N, -1)):
+        out -= lift @ yk
+    return out
+
+
+def _affine_step(fp, v: np.ndarray, rho: float) -> np.ndarray:
+    g_ys = np.concatenate([v[fp.sl_y], v[fp.sl_s]])
+    g_ys = g_ys + fp.w_cols.T @ (v[fp.sl_slack] - fp.base)
+    x = np.concatenate([fp.h_inv @ g_ys, v[fp.sl_q] + 1.0 / rho])
+    lam = fp.gram_inv @ (fp.a_mat @ x - fp.b_vec)
+    x = x - fp.hia_t @ lam
+    y, s = x[: fp.n_y], x[fp.n_y : fp.n_y + fp.n_s]
+    return np.concatenate([y, _slack_of(fp, y, s), s, x[fp.n_y + fp.n_s :]])
+
+
+def _project(fp, x: np.ndarray) -> np.ndarray:
+    z = np.empty_like(x)
+    z[fp.sl_y] = reference_psd_clip(x[fp.sl_y].reshape(fp.N, -1), fp.face_dim).reshape(-1)
+    z[fp.sl_slack] = reference_psd_clip(x[fp.sl_slack], fp.dim_big)
+    if fp.n_s:
+        z[fp.sl_s] = reference_psd_clip(x[fp.sl_s], fp.dim_sigma)
+    z[fp.sl_q] = np.clip(x[fp.sl_q], 0.0, 1.0)
+    return z
+
+
+def reference_splitting(fp, max_iterations: int):
+    """The consensus splitting on a ``optimizer._FaceProblem``; returns the
+    final cone-side iterate and the run record, as ``_run_splitting`` does."""
+    r = fp.face_dim
+    init = np.broadcast_to(np.eye(r) / (fp.N + 1), (fp.N, r, r))
+    y = herm_to_vec(init).reshape(-1)
+    s = (herm_to_vec(np.eye(fp.dim_sigma) / fp.dim_sigma) if fp.n_s
+         else np.zeros(0))
+    q = [float((red @ yk) @ fp.rhs / (fp.rhs @ fp.rhs))
+         for red, yk in zip(fp.red_blocks, y.reshape(fp.N, -1))]
+    z = np.concatenate([y, _slack_of(fp, y, s), s, q])
+    u = np.zeros_like(z)
+    watched = slice(0, fp.sl_slack.stop)
+
+    window = 4 * ADAPT_EVERY
+    min_stiff = 2 * ADAPT_EVERY
+    latest_switch = max(1, int(max_iterations * (1.0 - REFINE_FRACTION)))
+    best_prev = best_now = np.inf
+    stalled = False
+    rho = PENALTY
+    alpha = OVER_RELAXATION
+    switch = 0
+    trace = []
+    converged = False
+    for iteration in range(1, max_iterations + 1):
+        if not switch and (stalled or iteration >= latest_switch):
+            u *= rho / REFINE_PENALTY
+            rho = REFINE_PENALTY
+            alpha = 1.0
+            switch = iteration
+        x = _affine_step(fp, z - u, rho)
+        x_hat = alpha * x + (1 - alpha) * z
+        z_prev = z[watched]
+        z = _project(fp, x_hat + u)
+        u += x_hat - z
+
+        primal = float(np.sqrt(np.linalg.norm(x[fp.sl_y] - z[fp.sl_y]) ** 2
+                               + np.linalg.norm(x[fp.sl_slack] - z[fp.sl_slack]) ** 2))
+        dual = float(rho * np.linalg.norm(z[watched] - z_prev))
+        scale = max(1.0, float(np.linalg.norm(x[fp.sl_y])),
+                    float(np.linalg.norm(z[fp.sl_y])))
+        obj, relative = float(x[fp.sl_q].sum()), primal / scale
+        trace.append((iteration, obj, relative))
+
+        if switch:
+            if (iteration - switch >= min_stiff and relative < PRIMAL_TOLERANCE
+                    and abs(obj - trace[-1 - min_stiff][1]) < OBJECTIVE_TOLERANCE):
+                converged = True
+                break
+            continue
+        best_now = min(best_now, relative)
+        if iteration % window == 0:
+            stalled = best_now >= 0.5 * best_prev
+            best_prev, best_now = best_now, np.inf
+        if iteration % ADAPT_EVERY == 0:
+            if primal > 10 * dual:
+                rho *= 2.0
+                u /= 2.0
+            elif dual > 10 * primal:
+                rho /= 2.0
+                u *= 2.0
+
+    return z, dict(converged=converged, iterations=iteration, switch_iteration=switch,
+                   trace=trace)

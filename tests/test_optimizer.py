@@ -17,8 +17,10 @@ from pbtkit.optimizer import (
     ADAPT_EVERY,
     PRIMAL_TOLERANCE,
     REFINE_FRACTION,
+    _FaceProblem,
+    _PsdClip,
     _port_choi,
-    _psd_clip_vec,
+    _run_splitting,
     build_joint_sdp,
     build_sdp,
     certify,
@@ -30,6 +32,7 @@ from pbtkit.optimizer import (
     vec_to_herm,
 )
 from pbtkit.tensor import StateVector, SystemLayout, reduced_density
+from reference import reference_psd_clip, reference_splitting
 
 FAST = 4000  # iteration cap for the shared fixtures
 
@@ -127,14 +130,40 @@ def test_coordinate_map_matches_reference_expansion(d):
                                   [reference_vec_to_herm(e, d) for e in np.eye(d * d)])
 
 
+def clip_blocks(vecs, d):
+    """``_PsdClip`` on blocks laid back to back, reshaped to one per row."""
+    out = np.empty(vecs.size)
+    _PsdClip(d, len(vecs))(vecs.reshape(-1), out)
+    return out.reshape(vecs.shape)
+
+
 @pytest.mark.parametrize("d, blocks", [(1, 3), (2, 2), (4, 3), (8, 2)])
 def test_stacked_psd_clip_equals_per_block_clip(d, blocks):
     rng = np.random.default_rng(10 * d + blocks)
     vecs = rng.standard_normal((blocks, d * d))
-    stacked = _psd_clip_vec(vecs, d)
-    np.testing.assert_array_equal(stacked, [_psd_clip_vec(v, d) for v in vecs])
+    stacked = clip_blocks(vecs, d)
+    np.testing.assert_array_equal(stacked, [clip_blocks(v[None], d)[0] for v in vecs])
     for vec in stacked:
         assert np.linalg.eigvalsh(vec_to_herm(vec, d))[0] > -1e-12
+    assert stacked.tobytes() == reference_psd_clip(vecs, d).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 8])
+def test_psd_clip_matches_reference_on_zero_and_negative_eigenvalues(d):
+    """Blocks with exact-zero, negative and all-negative spectra clip to the
+    same bits as the reference, in place too."""
+    rng = np.random.default_rng(d)
+    u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    spectra = [np.zeros(d), np.arange(d) - d // 2, -1.0 - np.arange(d),
+               np.r_[np.zeros(d - 1), 3.0]]
+    vecs = np.stack([herm_to_vec((u * lam) @ u.conj().T) for lam in spectra]
+                    + [herm_to_vec(np.diag(lam).astype(complex)) for lam in spectra])
+    expected = reference_psd_clip(vecs, d)
+    assert clip_blocks(vecs, d).tobytes() == expected.tobytes()
+    for vec, want in zip(vecs, expected):
+        flat = vec.copy()
+        _PsdClip(d)(flat, flat)
+        assert flat.tobytes() == want.tobytes()
 
 
 def test_vec_roundtrip():
@@ -339,6 +368,30 @@ def test_budget_ending_before_stall_is_not_converged():
     assert res.iterations == 60 == len(res.trace)
     # the cap still leaves a refinement phase
     assert res.switch_iteration == int(60 * (1 - REFINE_FRACTION))
+
+
+def face_problem(joint, n, N):
+    if joint:
+        sdp = build_joint_sdp(n, N)
+        return _FaceProblem(sdp.blocks, sdp.rhs_pattern, sdp.faces(), sdp.dim_choi, sdp.embed)
+    sdp = build_sdp(n, N, standard_resource(n, N))
+    return _FaceProblem(sdp.blocks, sdp.rhs_pattern, sdp.faces(), sdp.dim_povm)
+
+
+@pytest.mark.parametrize("joint, n, N", [(False, 1, 1), (False, 1, 2), (False, 1, 3),
+                                         (True, 1, 1), (True, 1, 2), (True, 1, 3), (True, 2, 1)])
+def test_splitting_matches_the_reference_bit_for_bit(joint, n, N):
+    """The iteration on bound buffers computes the reference's iterates: the
+    final iterate has the same bytes and the run record is the same, whether
+    the stop test or the iteration cap ends the run."""
+    fp = face_problem(joint, n, N)
+    for cap in (20_000, 60):
+        z, run = _run_splitting(fp, cap)
+        z_ref, run_ref = reference_splitting(fp, cap)
+        assert run["converged"] is (cap == 20_000)
+        assert z.tobytes() == z_ref.tobytes()
+        assert run == run_ref
+        assert np.array(run["trace"]).tobytes() == np.array(run_ref["trace"]).tobytes()
 
 
 @pytest.mark.parametrize("budget", [0, -5])
