@@ -42,6 +42,7 @@ from .nocloning import (  # noqa: F401
     save_pointer,
     verify_theorem,
 )
+from .optima import p_fixed  # noqa: F401
 from .optimizer import (  # noqa: F401
     JointPbtSdp,
     PbtSdp,

@@ -1,0 +1,6 @@
+"""``python -m pbtkit``: the ``pbtkit`` command without an installed entry point."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    main()

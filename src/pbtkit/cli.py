@@ -303,12 +303,15 @@ def _cmd_optimize(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "objective", "residual", "phase"])
         for it, obj, res in result.trace:
-            phase = "stiff" if it >= result.switch_iteration else "adaptive"
+            stiff = result.switch_iteration and it >= result.switch_iteration
+            phase = "stiff" if stiff else "adaptive"
             writer.writerow([it, repr(obj), repr(res), phase])
     payload = {"manifest": manifest.to_dict(),
                "p_opt": result.p_opt,
+               "p_upper": result.p_upper,
                "bound": float(bound(n, big_n)),
                "converged": result.converged,
+               "stopped_by": result.stopped_by,
                "iterations": result.iterations,
                "switch_iteration": result.switch_iteration,
                "residuals": result.residuals,

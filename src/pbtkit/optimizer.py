@@ -13,19 +13,14 @@ also optimize the resource: the protocol is parameterized by the conditional
 Choi operators of the input-to-port maps, which form a valid protocol exactly
 when they are PSD and sum below (identity x resource marginal); a steering
 construction turns the optimum back into a concrete resource state and
-measurement.  The joint form is what attains the N/(N+3) single-qubit
-ceiling; with the resource pinned to maximally entangled pairs the true
-optima are strictly smaller for N >= 2 (exactly 1/3 at N = 2).
+measurement.  The joint form attains the ceiling N/(4^n + N - 1); with the
+resource pinned to maximally entangled pairs the optimum is ``p_fixed``.
 
-The teleportation constraint forces every feasible block onto an explicit
-face of the PSD cone (its partial trace is proportional to a fixed
-rank-deficient operator, which pins the support).  The solver therefore
-works in exact face coordinates, where the geometry is transversal: a
-first-order consensus splitting scheme alternates projection onto the affine
-constraints (precomputed factorization) with PSD-cone eigenvalue clipping,
-plus an objective-ascent tilt.  A final rounding pass projects to exact
+The teleportation constraint pins every feasible block to an explicit face
+of the PSD cone, so the solver, a first-order consensus splitting scheme,
+works in exact face coordinates.  A rounding pass projects to exact
 feasibility and re-evaluates the objective, so the reported optimum is a
-true lower bound.
+true lower bound; the exact optimum, where known, is the upper end.
 """
 
 from __future__ import annotations
@@ -33,13 +28,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .branches import input_chunks
-from .engine import PbtProtocol, measure, port_label, teleport_report
+from .engine import PbtProtocol, measure, port_label, standard_resource, teleport_report
 from .errors import LayoutError, ProtocolError
+from .optima import p_fixed
 from .pauli import haar_amplitudes
 from .report import AuditReport
 from .signaling import bound
@@ -168,6 +164,7 @@ class PbtSdp(_TeleportationRows):
     dim_povm: int                 # 2^n * dim(A)
     blocks: list[np.ndarray]      # per port: rows x dim_povm^2
     rhs_pattern: np.ndarray       # q-coupling vector over the constraint rows
+    p_upper: Optional[float] = None  # the exact optimum, where theory gives it
 
     def faces(self) -> list[np.ndarray]:
         """Exact support faces forced by the teleportation constraints.
@@ -223,8 +220,12 @@ def build_sdp(n: int, N: int, resource: StateVector) -> PbtSdp:
         g = np.einsum("bxy,cnm->bcxnym", basis, q_mats)
         blocks.append(herm_to_vec(g.reshape(n_basis * n_basis, dim_povm, dim_povm)))
 
+    # the closed form holds for the standard resource, compared bit for bit
+    exact = dim_alice == d**N and (resource.amplitudes.tobytes()
+                                   == standard_resource(n, N).amplitudes.tobytes())
     sdp = PbtSdp(n=n, N=N, resource=resource, dim_povm=dim_povm, blocks=blocks,
-                 rhs_pattern=np.eye(n_basis).reshape(-1))
+                 rhs_pattern=np.eye(n_basis).reshape(-1),
+                 p_upper=float(p_fixed(n, N)) if exact else None)
     zero = [np.zeros((dim_povm, dim_povm), dtype=np.complex128) for _ in range(N)]
     if sdp.port_map_residual(zero, [0.0] * N) > 1e-14 or sdp.psd_violation(zero) > 0:
         raise ProtocolError("zero measurement is not feasible; constraint assembly broken")
@@ -251,6 +252,7 @@ class JointPbtSdp(_TeleportationRows):
     blocks: list[np.ndarray]       # per port: rows x dim_choi^2
     rhs_pattern: np.ndarray        # Choi of the identity map, in row coordinates
     embed: np.ndarray              # sigma coordinates -> (identity x sigma) coordinates
+    p_upper: Optional[float] = None  # the optimum over resources, the ceiling
 
     def faces(self) -> list[np.ndarray]:
         return [_choi_face(2**self.n, self.N, k) for k in range(1, self.N + 1)]
@@ -275,8 +277,8 @@ def build_joint_sdp(n: int, N: int) -> JointPbtSdp:
     # column e is the coordinates of I_d x (sigma basis element e)
     embed = np.ascontiguousarray(
         herm_to_vec(np.kron(np.eye(d), hermitian_basis(dim_sigma))).T)
-    return JointPbtSdp(n=n, N=N, dim_choi=dim_choi, dim_sigma=dim_sigma,
-                       blocks=blocks, rhs_pattern=rhs, embed=embed)
+    return JointPbtSdp(n=n, N=N, dim_choi=dim_choi, dim_sigma=dim_sigma, blocks=blocks,
+                       rhs_pattern=rhs, embed=embed, p_upper=float(bound(n, N)))
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +294,13 @@ def build_joint_sdp(n: int, N: int) -> JointPbtSdp:
 # residual of a window of ``4 * ADAPT_EVERY`` iterations fails to halve the
 # previous window's best.  REFINE_FRACTION only bounds it: the switch happens
 # at the latest when that fraction of ``max_iterations`` is left.  The run
-# stops (``converged``) once, after at least ``2 * ADAPT_EVERY`` stiff
-# iterations, the relative primal residual is below PRIMAL_TOLERANCE and the
-# objective moved less than OBJECTIVE_TOLERANCE over those last
-# ``2 * ADAPT_EVERY`` iterations; otherwise ``max_iterations`` ends it.
+# stops (``converged``) on the first of two tests.  The certificate (problems
+# that know their exact optimum ``p_upper``): every ADAPT_EVERY iterations,
+# the answer rounded from the iterate is within OBJECTIVE_TOLERANCE of it.
+# The stall test: after at least ``2 * ADAPT_EVERY`` stiff iterations, the
+# relative primal residual is below PRIMAL_TOLERANCE and the objective moved
+# less than OBJECTIVE_TOLERANCE over those iterations.  Otherwise
+# ``max_iterations`` ends the run.
 PRIMAL_TOLERANCE = 1e-6
 OBJECTIVE_TOLERANCE = 1e-6
 PENALTY = 1.0
@@ -316,9 +321,11 @@ class SolveResult:
     converged: bool
     iterations: int
     trace: list[tuple[int, float, float]] = field(default_factory=list)
-    switch_iteration: int = 0     # first iteration of the stiff phase
+    switch_iteration: int = 0     # first iteration of the stiff phase, 0 if none
     resource: Optional[StateVector] = None
     protocol: Optional[PbtProtocol] = None
+    p_upper: Optional[float] = None  # the exact optimum, where theory gives it
+    stopped_by: str = "cap"       # "certificate", "stall" or "cap"
 
 
 class _FaceProblem:
@@ -332,10 +339,7 @@ class _FaceProblem:
     """
 
     def __init__(self, blocks, rhs, faces, dim_big, embed: Optional[np.ndarray] = None):
-        self.N = len(blocks)
-        self.rhs = rhs
-        self.rows = rhs.size
-        self.dim_big = dim_big
+        self.N, self.rhs, self.rows, self.dim_big = len(blocks), rhs, rhs.size, dim_big
         # every port face is spanned by the same number of vectors
         self.face_dim = faces[0].shape[1]
         self.lifts = [_lift_matrix(v) for v in faces]
@@ -345,9 +349,8 @@ class _FaceProblem:
         # the fixed form's slack is I - sum M_k; the joint form's is I x sigma - sum J_k
         self.base = (herm_to_vec(np.eye(dim_big)) if embed is None
                      else np.zeros(dim_big * dim_big))
-        n_y = self.N * self.face_dim**2
-        n_s = 0 if embed is None else embed.shape[1]
-        self.n_y, self.n_s = n_y, n_s
+        self.n_y = n_y = self.N * self.face_dim**2
+        self.n_s = n_s = 0 if embed is None else embed.shape[1]
         n_slack = dim_big * dim_big
         self.sl_y = slice(0, n_y)
         self.sl_slack = slice(n_y, n_y + n_slack)
@@ -356,11 +359,9 @@ class _FaceProblem:
         self.x_slots = np.r_[self.sl_y, self.sl_s, self.sl_q]  # the affine step's [Y, sigma, q]
 
         # H = I + W^T W with W = [-L_1 .. -L_N, embed]: small, materialized
-        w_cols = np.hstack([-lift for lift in self.lifts]
-                           + ([embed] if embed is not None else []))
-        h = np.eye(n_y + n_s) + w_cols.T @ w_cols
-        self.h_inv = np.linalg.inv(h)
-        self.w_cols = w_cols
+        self.w_cols = w_cols = np.hstack([-lift for lift in self.lifts]
+                                         + ([embed] if embed is not None else []))
+        self.h_inv = np.linalg.inv(np.eye(n_y + n_s) + w_cols.T @ w_cols)
 
         # constraint rows: per port [B_k | -rhs on q_k], plus unit trace of sigma
         n_rows = self.N * self.rows + (0 if embed is None else 1)
@@ -379,6 +380,10 @@ class _FaceProblem:
         gram = a_mat @ h_inv_full @ a_mat.T
         self.gram_inv = np.linalg.inv(gram + 1e-13 * np.eye(n_rows))
         self.hia_t = h_inv_full @ a_mat.T
+        # the rounding's per-port rows [B_k | -rhs on q_k] and their Gram inverses
+        self.bars = [np.hstack([red, -rhs[:, None]]) for red in self.red_blocks]
+        self.bar_factors = [np.linalg.inv(bar @ bar.T + 1e-14 * np.eye(bar.shape[0]))
+                            for bar in self.bars]
         self.clips = [(self.sl_y, _PsdClip(self.face_dim, self.N)),
                       (self.sl_slack, _PsdClip(dim_big))]
         if embed is not None:
@@ -426,16 +431,17 @@ class _PsdClip:
         np.multiply(self.storage[self.slots], self.slot_weights, out=out)
 
 
-def _run_splitting(fp: _FaceProblem, max_iterations: int):
-    """Iterate the consensus splitting; returns the final cone-side iterate
-    and the run record: whether the stop test fired, the iteration count,
-    the first iteration of the stiff phase, and the (iteration, objective,
-    relative primal residual) trace."""
+def _run_splitting(fp: _FaceProblem, max_iterations: int, finish: Callable[[np.ndarray], dict],
+                   p_upper: Optional[float] = None):
+    """Iterate the consensus splitting; returns ``finish`` (a dict with
+    ``p_opt``) of the final cone-side iterate, or of the checkpoint that met
+    ``p_upper``, and the run record: whether a stop test fired, which one or
+    the cap ended the run, the iteration count, the first stiff iteration and
+    the (iteration, objective, relative primal residual) trace."""
     r = fp.face_dim
     init = np.broadcast_to(np.eye(r) / (fp.N + 1), (fp.N, r, r))
     y = herm_to_vec(init).reshape(-1)
-    s = (herm_to_vec(np.eye(fp.dim_sigma) / fp.dim_sigma) if fp.n_s
-         else np.zeros(0))
+    s = herm_to_vec(np.eye(fp.dim_sigma) / fp.dim_sigma) if fp.n_s else np.zeros(0)
     q = [float((red @ yk) @ fp.rhs / (fp.rhs @ fp.rhs))
          for red, yk in zip(fp.red_blocks, y.reshape(fp.N, -1))]
     z = np.concatenate([y, fp.slack_of(y, s), s, q])
@@ -449,17 +455,14 @@ def _run_splitting(fp: _FaceProblem, max_iterations: int):
     latest_switch = max(1, int(max_iterations * (1.0 - REFINE_FRACTION)))
     best_prev = best_now = np.inf
     stalled = False
-    rho = PENALTY
-    alpha = OVER_RELAXATION
-    switch = 0
+    rho, alpha, switch = PENALTY, OVER_RELAXATION, 0
     trace: list[tuple[int, float, float]] = []
-    converged = False
+    stopped_by = "cap"
+    answered = 0  # the iteration whose iterate ``answer`` was made of
     for iteration in range(1, max_iterations + 1):
         if not switch and (stalled or iteration >= latest_switch):
             u *= rho / REFINE_PENALTY
-            rho = REFINE_PENALTY
-            alpha = 1.0
-            switch = iteration
+            rho, alpha, switch = REFINE_PENALTY, 1.0, iteration
         fp.affine_step(np.subtract(z, u, out=shifted), rho, x)
         np.multiply(x, alpha, out=x_hat)
         x_hat += np.multiply(z, 1 - alpha, out=work)
@@ -474,10 +477,15 @@ def _run_splitting(fp: _FaceProblem, max_iterations: int):
         obj, relative = float(x[fp.sl_q].sum()), primal / scale
         trace.append((iteration, obj, relative))
 
+        if p_upper is not None and iteration % ADAPT_EVERY == 0:
+            answer, answered = finish(z), iteration
+            if p_upper - answer["p_opt"] <= OBJECTIVE_TOLERANCE:
+                stopped_by = "certificate"
+                break
         if switch:
             if (iteration - switch >= min_stiff and relative < PRIMAL_TOLERANCE
                     and abs(obj - trace[-1 - min_stiff][1]) < OBJECTIVE_TOLERANCE):
-                converged = True
+                stopped_by = "stall"
                 break
             continue
         best_now = min(best_now, relative)
@@ -492,8 +500,10 @@ def _run_splitting(fp: _FaceProblem, max_iterations: int):
                 rho /= 2.0
                 u *= 2.0
 
-    return z, dict(converged=converged, iterations=iteration, switch_iteration=switch,
-                   trace=trace)
+    if answered != iteration:
+        answer = finish(z)
+    return answer, dict(converged=stopped_by != "cap", stopped_by=stopped_by,
+                        iterations=iteration, switch_iteration=switch, trace=trace)
 
 
 def _norm(v: np.ndarray) -> float:
@@ -503,12 +513,9 @@ def _norm(v: np.ndarray) -> float:
 
 def _round_on_face(fp: _FaceProblem, z: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """Alternate affine projection and PSD clipping per port, in face coords."""
-    r = fp.face_dim
-    ys = []
-    qs = np.zeros(fp.N)
+    r, ys, qs = fp.face_dim, [], np.zeros(fp.N)
     for k, y_vec in enumerate(z[fp.sl_y].reshape(fp.N, -1)):
-        bar = np.hstack([fp.red_blocks[k], -fp.rhs[:, None]])
-        factor = np.linalg.inv(bar @ bar.T + 1e-14 * np.eye(bar.shape[0]))
+        bar, factor = fp.bars[k], fp.bar_factors[k]
         q = float(z[fp.sl_q][k])
         for _ in range(ROUNDING_PASSES):
             x = np.append(y_vec, q)
@@ -527,56 +534,58 @@ def _round_on_face(fp: _FaceProblem, z: np.ndarray) -> tuple[list[np.ndarray], n
 
 
 def _solve_on_faces(sdp: PbtSdp | JointPbtSdp, dim_big: int, max_iterations: int,
-                    embed: Optional[np.ndarray] = None):
-    """Run the splitting scheme and the rounding pass; returns the rounded
-    big-space blocks, their weights, the final sigma coordinates (empty
-    without ``embed``), and the run record (``SolveResult`` fields).
-    ``ValueError`` before any work unless ``max_iterations`` is at least 1."""
+                    finish: Callable, embed: Optional[np.ndarray] = None) -> SolveResult:
+    """Run the splitting scheme; an answer is ``finish`` (``SolveResult``
+    fields) of the rounded big-space blocks, their weights and the sigma
+    coordinates (empty without ``embed``).  ``ValueError`` before any work
+    unless ``max_iterations`` is at least 1."""
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
     faces = sdp.faces()
     fp = _FaceProblem(sdp.blocks, sdp.rhs_pattern, faces, dim_big, embed)
-    z, run = _run_splitting(fp, max_iterations)
-    ys, qs = _round_on_face(fp, z)
-    ops = [face @ y @ face.conj().T for face, y in zip(faces, ys)]
-    ops = [0.5 * (op + op.conj().T) for op in ops]
-    return ops, qs, z[fp.sl_s], run
+
+    def answer(z: np.ndarray) -> dict:
+        ys, qs = _round_on_face(fp, z)
+        ops = [face @ y @ face.conj().T for face, y in zip(faces, ys)]
+        return finish([0.5 * (op + op.conj().T) for op in ops], qs, z[fp.sl_s])
+
+    fields, run = _run_splitting(fp, max_iterations, answer, sdp.p_upper)
+    return SolveResult(**fields, **run, p_upper=sdp.p_upper)
 
 
 def solve(sdp: PbtSdp, max_iterations: int = 20_000) -> SolveResult:
     """Splitting solve of the fixed-resource problem."""
-    ms, qs, _, run = _solve_on_faces(sdp, sdp.dim_povm, max_iterations)
-    lam_max = float(np.linalg.eigvalsh(sum(ms))[-1])
-    if lam_max > 1.0:
-        factor = (1.0 - 1e-12) / lam_max
-        ms = [m * factor for m in ms]
-        qs = qs * factor
     layout = SystemLayout.of(("a", 2**sdp.n), ("A", sdp.resource.layout.dim("A")))
-    slack = np.eye(sdp.dim_povm) - sum(ms)
-    povm = (HermitianMatrix(layout, 0.5 * (slack + slack.conj().T)),) + tuple(
-        HermitianMatrix(layout, m) for m in ms)
-    residuals = {
-        "teleportation": sdp.port_map_residual(ms, qs),
-        "completeness": 0.0,  # the failure element is the exact leftover
-        "psd": sdp.psd_violation(ms),
-    }
-    return SolveResult(p_opt=float(qs.sum()), povm=povm, q=qs, residuals=residuals,
-                       resource=sdp.resource, **run)
+
+    def finish(ms, qs, _) -> dict:
+        lam_max = float(np.linalg.eigvalsh(sum(ms))[-1])
+        if lam_max > 1.0:
+            factor = (1.0 - 1e-12) / lam_max
+            ms = [m * factor for m in ms]
+            qs = qs * factor
+        slack = np.eye(sdp.dim_povm) - sum(ms)
+        povm = (HermitianMatrix(layout, 0.5 * (slack + slack.conj().T)),) + tuple(
+            HermitianMatrix(layout, m) for m in ms)
+        # the failure element is the exact leftover: completeness holds exactly
+        residuals = {"teleportation": sdp.port_map_residual(ms, qs), "completeness": 0.0,
+                     "psd": sdp.psd_violation(ms)}
+        return dict(p_opt=float(qs.sum()), povm=povm, q=qs, residuals=residuals,
+                    resource=sdp.resource)
+
+    return _solve_on_faces(sdp, sdp.dim_povm, max_iterations, finish)
 
 
 def solve_joint(sdp: JointPbtSdp, max_iterations: int = 20_000) -> SolveResult:
     """Optimize measurement and resource together; extract a concrete protocol."""
-    js, _, s, run = _solve_on_faces(sdp, sdp.dim_choi, max_iterations, embed=sdp.embed)
-    protocol, qs = extract_protocol(sdp.n, sdp.N, js, vec_to_herm(s, sdp.dim_sigma))
-    residuals = {
-        "teleportation": sdp.port_map_residual(
-            js, [sdp.fit_q(j, k) for k, j in enumerate(js)]),
-        "completeness": 0.0,  # the failure element is the exact leftover
-        "psd": sdp.psd_violation([m.entries for m in protocol.povm[1:]]),
-    }
-    return SolveResult(p_opt=float(qs.sum()), povm=protocol.povm, q=qs,
-                       residuals=residuals, resource=protocol.resource,
-                       protocol=protocol, **run)
+    def finish(js, _, s) -> dict:
+        protocol, qs = extract_protocol(sdp.n, sdp.N, js, vec_to_herm(s, sdp.dim_sigma))
+        qs_fit = [sdp.fit_q(j, k) for k, j in enumerate(js)]
+        residuals = {"teleportation": sdp.port_map_residual(js, qs_fit), "completeness": 0.0,
+                     "psd": sdp.psd_violation([m.entries for m in protocol.povm[1:]])}
+        return dict(p_opt=float(qs.sum()), povm=protocol.povm, q=qs, residuals=residuals,
+                    resource=protocol.resource, protocol=protocol)
+
+    return _solve_on_faces(sdp, sdp.dim_choi, max_iterations, finish, embed=sdp.embed)
 
 
 def extract_protocol(n: int, N: int, js: Sequence[np.ndarray],
@@ -585,13 +594,11 @@ def extract_protocol(n: int, N: int, js: Sequence[np.ndarray],
     concrete resource state and measurement.
 
     The resource is the canonical purification of the (slightly padded,
-    hence full-rank) marginal with the purifying system as A; each
-    measurement element is the corresponding Choi block conjugated by the
-    inverse square root of the marginal and complex-conjugated.  The family
-    is shrunk by the exact factor that keeps the failure element PSD; the
-    teleportation constraints are homogeneous, so they survive with
-    rescaled success weights.
-    """
+    hence full-rank) marginal with the purifying system as A; each element is
+    its Choi block conjugated by the marginal's inverse square root, then
+    complex-conjugated.  The family is shrunk by the exact factor that keeps
+    the failure element PSD; the homogeneous teleportation constraints
+    survive with rescaled success weights."""
     d = 2**n
     ds = d**N
     sigma = 0.5 * (sigma + sigma.conj().T)
@@ -610,32 +617,25 @@ def extract_protocol(n: int, N: int, js: Sequence[np.ndarray],
     layout = SystemLayout(
         (("A", ds),) + tuple((port_label(j), d) for j in range(1, N + 1)))
     amps = sqrt_sigma.T.reshape(-1)
-    amps = amps / np.linalg.norm(amps)
-    resource = StateVector(layout, amps)
+    resource = StateVector(layout, amps / np.linalg.norm(amps))
 
     povm_layout = SystemLayout.of(("a", d), ("A", ds))
-    ms = []
-    for j_op in js:
-        m = np.conj(lift @ (shrink * j_op) @ lift.conj().T)
-        ms.append(0.5 * (m + m.conj().T))
+    ms = [np.conj(lift @ (shrink * j_op) @ lift.conj().T) for j_op in js]
+    ms = [0.5 * (m + m.conj().T) for m in ms]
     slack = np.eye(d * ds) - sum(ms)
     povm = [HermitianMatrix(povm_layout, 0.5 * (slack + slack.conj().T))]
     povm += [HermitianMatrix(povm_layout, m) for m in ms]
     proto = PbtProtocol(n=n, N=N, resource=resource, povm=tuple(povm))
     omega = _omega_vec(d)
-    qs = np.array([
-        float(np.vdot(omega, _port_choi(j_op * shrink, d, N, k + 1) @ omega).real)
-        / (d * d)
-        for k, j_op in enumerate(js)
-    ])
+    qs = np.array([float(np.vdot(omega, _port_choi(j_op * shrink, d, N, k + 1) @ omega).real)
+                   / (d * d) for k, j_op in enumerate(js)])
     return proto, qs
 
 
 def _port_choi(j_op: np.ndarray, d: int, N: int, k: int) -> np.ndarray:
     """Trace over all ports except k, keeping (input, port k)."""
-    dims = (d,) + (d,) * N
-    n_axes = len(dims)
-    t = j_op.reshape(dims + dims)
+    n_axes = N + 1
+    t = j_op.reshape((d,) * (2 * n_axes))
     row_idx = list(range(n_axes))
     col_idx = [n_axes + i if i in (0, k) else i for i in range(n_axes)]
     out_idx = [0, k, n_axes, n_axes + k]

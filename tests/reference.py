@@ -185,8 +185,9 @@ def _project(fp, x: np.ndarray) -> np.ndarray:
 
 
 def reference_splitting(fp, max_iterations: int):
-    """The consensus splitting on a ``optimizer._FaceProblem``; returns the
-    final cone-side iterate and the run record, as ``_run_splitting`` does."""
+    """The consensus splitting on a ``optimizer._FaceProblem`` without an
+    upper end; returns the final cone-side iterate and the run record, as
+    ``_run_splitting`` does."""
     r = fp.face_dim
     init = np.broadcast_to(np.eye(r) / (fp.N + 1), (fp.N, r, r))
     y = herm_to_vec(init).reshape(-1)
@@ -207,7 +208,7 @@ def reference_splitting(fp, max_iterations: int):
     alpha = OVER_RELAXATION
     switch = 0
     trace = []
-    converged = False
+    stopped_by = "cap"
     for iteration in range(1, max_iterations + 1):
         if not switch and (stalled or iteration >= latest_switch):
             u *= rho / REFINE_PENALTY
@@ -231,7 +232,7 @@ def reference_splitting(fp, max_iterations: int):
         if switch:
             if (iteration - switch >= min_stiff and relative < PRIMAL_TOLERANCE
                     and abs(obj - trace[-1 - min_stiff][1]) < OBJECTIVE_TOLERANCE):
-                converged = True
+                stopped_by = "stall"
                 break
             continue
         best_now = min(best_now, relative)
@@ -246,5 +247,5 @@ def reference_splitting(fp, max_iterations: int):
                 rho /= 2.0
                 u *= 2.0
 
-    return z, dict(converged=converged, iterations=iteration, switch_iteration=switch,
-                   trace=trace)
+    return z, dict(converged=stopped_by != "cap", stopped_by=stopped_by, iterations=iteration,
+                   switch_iteration=switch, trace=trace)

@@ -164,7 +164,8 @@ def test_criterion_6_no_signaling_master_check():
 
 
 def test_criterion_7_optimizer_reproduces_known_optimum(optimizer_results):
-    targets = {1: (0.25, 1e-4), 2: (0.4, 1e-3), 3: (0.5, 1e-3)}
+    # the optimum over resources is the ceiling N/(N+3) at n=1
+    targets = {N: (float(bound(1, N)), tol) for N, tol in ((1, 1e-4), (2, 1e-3), (3, 1e-3))}
     details = []
     ok = True
     for N, (target, tol) in targets.items():

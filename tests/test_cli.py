@@ -3,12 +3,20 @@
 import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from pbtkit import cli, nocloning
 from pbtkit.cli import PRIME_TOLERANCES, VERIFY_TOLERANCES, build_parser, dispatch
 from pbtkit.engine import bell_pbt_protocol, protocol_to_dict
+from pbtkit.optima import p_fixed
+from pbtkit.signaling import bound
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture()
@@ -164,13 +172,12 @@ def test_audit_signaling_all_messages_parallel(tmp_path):
     assert len(doc["signaling"]) == 4
 
 
-def test_optimize_fixed_resource(tmp_path):
-    code = dispatch(["optimize", "--qubits", "1", "--ports", "1",
-                     "--fixed-resource", "--max-iterations", "3000",
+def optimize_run(tmp_path, *flags):
+    """Certificate and trace phases of one optimize run that exits 0."""
+    code = dispatch(["optimize", "--qubits", "1", *flags, "--max-iterations", "3000",
                      "--out", str(tmp_path)])
     assert code == 0
     cert = read_json(tmp_path / "certification.json")
-    assert cert["p_opt"] == pytest.approx(0.25, abs=1e-4)
     assert cert["certification"]["passed"]
     rows = (tmp_path / "solver_trace.csv").read_text().splitlines()
     assert rows[0].startswith("# manifest:")
@@ -178,12 +185,30 @@ def test_optimize_fixed_resource(tmp_path):
     # the solver stops on its own, well inside the cap
     assert cert["converged"] is True
     assert len(rows) - 2 == cert["iterations"] < 3000
-    phases = [row.rsplit(",", 1)[1] for row in rows[2:]]
+    assert read_json(tmp_path / "optimized_protocol.json")["kind"] == "pbt-protocol"
+    return cert, [row.rsplit(",", 1)[1] for row in rows[2:]]
+
+
+def test_optimize_fixed_resource(tmp_path):
+    """N=1 with the standard resource: the certificate ends the run before
+    the stall switch, so every row is adaptive."""
+    cert, phases = optimize_run(tmp_path, "--ports", "1", "--fixed-resource")
+    assert cert["p_opt"] == pytest.approx(float(p_fixed(1, 1)), abs=1e-4)
+    assert cert["p_upper"] == float(p_fixed(1, 1))
+    assert cert["stopped_by"] == "certificate"
+    assert cert["switch_iteration"] == 0
+    assert phases == ["adaptive"] * cert["iterations"]
+
+
+def test_optimize_stall_stop_labels_the_phases(tmp_path):
+    """Joint N=3 never meets its upper end: the stall test ends the run and
+    the rows switch from adaptive to stiff at the switch iteration."""
+    cert, phases = optimize_run(tmp_path, "--ports", "3")
+    assert cert["p_upper"] == float(bound(1, 3))
+    assert cert["stopped_by"] == "stall"
     switch = cert["switch_iteration"]
     assert 1 < switch <= cert["iterations"]
     assert phases == ["adaptive"] * (switch - 1) + ["stiff"] * (len(phases) - switch + 1)
-    proto = read_json(tmp_path / "optimized_protocol.json")
-    assert proto["kind"] == "pbt-protocol"
 
 
 @pytest.mark.parametrize("budget", ["0", "-5"])
@@ -222,6 +247,14 @@ def test_bound_table_with_optimizer_value(tmp_path):
     rows = list(csv.DictReader(lines[1:]))
     assert rows[0]["optimizer_value"] == "0.25"
     assert rows[1]["optimizer_value"] == ""
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-m", "pbtkit", "bound-table", "--max-ports", "2",
+                           "--out", str(tmp_path)], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "bounds.csv").exists()
 
 
 def test_usage_errors(tmp_path, capsys):

@@ -1,5 +1,8 @@
 """Optimizer tests: constraint assembly, both solvers, extraction, certification."""
 
+import dataclasses
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -13,13 +16,16 @@ from pbtkit.engine import (
 from pbtkit.errors import LayoutError
 from pbtkit.pauli import haar_states
 from pbtkit import optimizer
+from pbtkit.optima import p_fixed
 from pbtkit.optimizer import (
     ADAPT_EVERY,
+    OBJECTIVE_TOLERANCE,
     PRIMAL_TOLERANCE,
     REFINE_FRACTION,
     _FaceProblem,
     _PsdClip,
     _port_choi,
+    _round_on_face,
     _run_splitting,
     build_joint_sdp,
     build_sdp,
@@ -31,6 +37,7 @@ from pbtkit.optimizer import (
     solve_joint,
     vec_to_herm,
 )
+from pbtkit.signaling import bound
 from pbtkit.tensor import StateVector, SystemLayout, reduced_density
 from reference import reference_psd_clip, reference_splitting
 
@@ -248,7 +255,7 @@ def test_build_sdp_dimension_guard():
 
 def test_solve_fixed_single_port(fixed_result_n1):
     res = fixed_result_n1
-    assert res.p_opt == pytest.approx(0.25, abs=1e-4)
+    assert res.p_opt == pytest.approx(float(p_fixed(1, 1)), abs=1e-4)
     assert res.residuals["teleportation"] < 1e-10
     assert res.residuals["psd"] < 1e-12
     rep = certify(res.povm, res.resource, 1, 1, samples=10)
@@ -264,8 +271,9 @@ def test_solve_fixed_two_ports_true_value():
     # with the resource pinned to two maximally entangled pairs the exact
     # optimum is 1/3: the constraint forces M_k = (projector) x Q_k and the
     # completeness cap tops out at Q_k = (2/3) I
+    assert p_fixed(1, 2) == Fraction(1, 3)
     res = solve(build_sdp(1, 2, standard_resource(1, 2)), max_iterations=FAST)
-    assert res.p_opt == pytest.approx(1 / 3, abs=1e-5)
+    assert res.p_opt == pytest.approx(float(p_fixed(1, 2)), abs=1e-5)
     proto_q = res.q
     assert proto_q.sum() == pytest.approx(res.p_opt, abs=1e-12)
     rep = certify(res.povm, res.resource, 1, 2, samples=10)
@@ -282,7 +290,7 @@ def test_solve_trace_and_determinism(fixed_result_n1):
 
 def test_solve_joint_two_ports(joint_result_12):
     res = joint_result_12
-    assert res.p_opt == pytest.approx(0.4, abs=1e-3)
+    assert res.p_opt == pytest.approx(float(bound(1, 2)), abs=1e-3)
     assert res.protocol is not None
     rep = certify(res.povm, res.resource, 1, 2, samples=10)
     assert rep.passed, rep.to_dict()
@@ -290,7 +298,7 @@ def test_solve_joint_two_ports(joint_result_12):
 
 def test_joint_beats_fixed_resource(joint_result_12):
     # optimizing the resource strictly helps for two ports: 0.4 > 1/3
-    assert joint_result_12.p_opt > 1 / 3 + 0.05
+    assert joint_result_12.p_opt > float(p_fixed(1, 2)) + 0.05
 
 
 def test_joint_extracted_protocol_passes_brute_force_oracle(joint_result_12):
@@ -315,7 +323,7 @@ def test_solve_fixed_tilted_resource():
 
 def test_joint_two_qubit_single_port():
     res = solve_joint(build_joint_sdp(2, 1), max_iterations=FAST)
-    assert res.p_opt == pytest.approx(1 / 16, abs=1e-4)
+    assert res.p_opt == pytest.approx(float(bound(2, 1)), abs=1e-4)
     rep = certify(res.povm, res.resource, 2, 1, samples=5)
     assert rep.passed, rep.to_dict()
 
@@ -342,19 +350,62 @@ def test_certify_rejects_broken_completeness():
 
 
 def test_bound_never_exceeded_across_runs(fixed_result_n1, joint_result_12):
-    from pbtkit.signaling import bound
-
     assert fixed_result_n1.p_opt <= float(bound(1, 1)) + 1e-8
     assert joint_result_12.p_opt <= float(bound(1, 2)) + 1e-8
 
 
-@pytest.mark.parametrize("joint, N", [(False, 1), (False, 2), (True, 1), (True, 2)])
+def rotated_resource(n, N, seed):
+    """The standard resource with a Haar-random unitary on A: the same
+    optimum, but not the standard resource bit for bit."""
+    d = 2**n
+    res = standard_resource(n, N)
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((d**N, d**N))
+                        + 1j * rng.standard_normal((d**N, d**N)))
+    return StateVector(res.layout, (u @ res.amplitudes.reshape(d**N, d**N)).reshape(-1))
+
+
+def test_upper_end_is_set_where_theory_gives_it():
+    for n, N in [(1, 1), (1, 2), (1, 3), (2, 1)]:
+        assert build_sdp(n, N, standard_resource(n, N)).p_upper == float(p_fixed(n, N))
+        assert build_joint_sdp(n, N).p_upper == float(bound(n, N))
+    assert build_sdp(1, 2, rotated_resource(1, 2, 3)).p_upper is None
+    # one unit in the last place of one amplitude is another resource
+    res = standard_resource(1, 2)
+    amps = res.amplitudes.copy()
+    amps[0] = np.nextafter(amps[0].real, 1.0)
+    assert build_sdp(1, 2, StateVector(res.layout, amps)).p_upper is None
+
+
+def solve_case(joint, n, N, sdp=None):
+    if sdp is None:
+        sdp = build_joint_sdp(n, N) if joint else build_sdp(n, N, standard_resource(n, N))
+    return (solve_joint if joint else solve)(sdp)
+
+
+@pytest.mark.parametrize("joint, n, N", [(False, 1, 1), (False, 1, 2), (False, 2, 1),
+                                         (True, 1, 1), (True, 1, 2), (True, 2, 1)])
+def test_default_solve_stops_on_the_certificate(joint, n, N):
+    res = solve_case(joint, n, N)
+    assert res.p_upper == float(bound(n, N) if joint else p_fixed(n, N))
+    assert res.stopped_by == "certificate" and res.converged is True
+    assert res.iterations % ADAPT_EVERY == 0 and len(res.trace) == res.iterations
+    assert 0 <= res.p_upper - res.p_opt <= OBJECTIVE_TOLERANCE
+    assert certify(res.povm, res.resource, n, N, samples=5).passed
+
+
+@pytest.mark.parametrize("joint, N", [(False, 1), (False, 2), (True, 1), (True, 2), (True, 3)])
 def test_default_solve_stops_when_converged(joint, N):
+    """Runs the certificate does not end take the stall test: a rotated
+    resource has no upper end, joint N=3 never meets its own, and joint
+    N=1, 2 run here with their upper end taken away."""
     if joint:
-        res = solve_joint(build_joint_sdp(1, N))
+        sdp = build_joint_sdp(1, N)
+        res = solve_joint(sdp if N == 3 else dataclasses.replace(sdp, p_upper=None))
     else:
-        res = solve(build_sdp(1, N, standard_resource(1, N)))
-    assert res.converged is True
+        res = solve(build_sdp(1, N, rotated_resource(1, N, N)))
+        assert res.p_upper is None
+    assert res.stopped_by == "stall" and res.converged is True
     assert res.iterations < 20_000  # the default cap
     # the switch comes from a stalled adaptive phase, not from the cap
     assert 1 < res.switch_iteration < 20_000 * (1 - REFINE_FRACTION)
@@ -362,9 +413,61 @@ def test_default_solve_stops_when_converged(joint, N):
     assert res.trace[-1][2] < PRIMAL_TOLERANCE
 
 
+def result_bytes(res):
+    return (res.p_opt, res.q.tobytes(), [m.entries.tobytes() for m in res.povm],
+            res.resource.amplitudes.tobytes(), res.residuals, res.trace, res.iterations,
+            res.switch_iteration, res.converged, res.stopped_by)
+
+
+@pytest.mark.parametrize("joint", [False, True])
+def test_runs_the_certificate_does_not_end_are_unchanged(joint):
+    """Joint N=3 never meets its upper end and a rotated resource has none:
+    both return what the run without any upper end returns, and their
+    iterations are the reference's."""
+    if joint:
+        sdp = build_joint_sdp(1, 3)
+        fp = _FaceProblem(sdp.blocks, sdp.rhs_pattern, sdp.faces(), sdp.dim_choi, sdp.embed)
+    else:
+        sdp = build_sdp(1, 2, rotated_resource(1, 2, 3))
+        fp = _FaceProblem(sdp.blocks, sdp.rhs_pattern, sdp.faces(), sdp.dim_povm)
+    res = solve_case(joint, 1, sdp.N, sdp)
+    plain = solve_case(joint, 1, sdp.N, dataclasses.replace(sdp, p_upper=None))
+    assert res.stopped_by == "stall"
+    assert result_bytes(res) == result_bytes(plain)
+    _, run_ref = reference_splitting(fp, 20_000)
+    assert np.array(res.trace).tobytes() == np.array(run_ref["trace"]).tobytes()
+    assert (res.iterations, res.switch_iteration) == (run_ref["iterations"],
+                                                      run_ref["switch_iteration"])
+
+
+def perturbed(a, rng):
+    """``a`` with each nonzero entry below 2 moved one unit in the last place
+    (toward zero at and above 1), so by at most eps = 2.2e-16."""
+    target = np.where(np.abs(a) >= 1, 0.0, rng.choice([-np.inf, np.inf], size=a.shape))
+    out = np.where((a != 0) & (np.abs(a) < 2), np.nextafter(a, target), a)
+    assert 0 < np.max(np.abs(out - a)) <= np.finfo(float).eps
+    return out
+
+
+@pytest.mark.parametrize("joint, N", [(False, 2), (True, 1), (True, 2)])
+def test_certificate_stop_survives_rounding_noise_in_the_blocks(joint, N):
+    """Iteration counts follow the last bits of the blocks; the certified
+    stop does not."""
+    rng = np.random.default_rng(10 * joint + N)
+    sdp = build_joint_sdp(1, N) if joint else build_sdp(1, N, standard_resource(1, N))
+    noise = dict(blocks=[perturbed(b, rng) for b in sdp.blocks],
+                 rhs_pattern=perturbed(sdp.rhs_pattern, rng))
+    if joint:
+        noise["embed"] = perturbed(sdp.embed, rng)
+    for problem in (sdp, dataclasses.replace(sdp, **noise)):
+        res = solve_case(joint, 1, N, problem)
+        assert res.stopped_by == "certificate"
+        assert res.p_upper - res.p_opt <= OBJECTIVE_TOLERANCE
+
+
 def test_budget_ending_before_stall_is_not_converged():
     res = solve_joint(build_joint_sdp(1, 2), max_iterations=60)
-    assert res.converged is False
+    assert res.converged is False and res.stopped_by == "cap"
     assert res.iterations == 60 == len(res.trace)
     # the cap still leaves a refinement phase
     assert res.switch_iteration == int(60 * (1 - REFINE_FRACTION))
@@ -378,20 +481,42 @@ def face_problem(joint, n, N):
     return _FaceProblem(sdp.blocks, sdp.rhs_pattern, sdp.faces(), sdp.dim_povm)
 
 
-@pytest.mark.parametrize("joint, n, N", [(False, 1, 1), (False, 1, 2), (False, 1, 3),
-                                         (True, 1, 1), (True, 1, 2), (True, 1, 3), (True, 2, 1)])
+REFERENCE_CASES = [(False, 1, 1), (False, 1, 2), (False, 1, 3),
+                   (True, 1, 1), (True, 1, 2), (True, 1, 3), (True, 2, 1)]
+
+
+@pytest.mark.parametrize("joint, n, N", REFERENCE_CASES)
 def test_splitting_matches_the_reference_bit_for_bit(joint, n, N):
     """The iteration on bound buffers computes the reference's iterates: the
     final iterate has the same bytes and the run record is the same, whether
     the stop test or the iteration cap ends the run."""
     fp = face_problem(joint, n, N)
     for cap in (20_000, 60):
-        z, run = _run_splitting(fp, cap)
+        z, run = _run_splitting(fp, cap, np.copy)
         z_ref, run_ref = reference_splitting(fp, cap)
         assert run["converged"] is (cap == 20_000)
         assert z.tobytes() == z_ref.tobytes()
         assert run == run_ref
         assert np.array(run["trace"]).tobytes() == np.array(run_ref["trace"]).tobytes()
+
+
+@pytest.mark.parametrize("joint, n, N", REFERENCE_CASES)
+def test_checkpoints_never_write_the_iterates(joint, n, N):
+    """An upper end no answer meets rounds the iterate at every checkpoint
+    and changes nothing: the run is still the reference's, bit for bit."""
+    fp = face_problem(joint, n, N)
+    seen = []
+
+    def finish(z):
+        seen.append(z.tobytes())
+        return {"p_opt": float(_round_on_face(fp, z)[1].sum()), "z": z.copy()}
+
+    answer, run = _run_splitting(fp, 20_000, finish, p_upper=2.0)
+    z_ref, run_ref = reference_splitting(fp, 20_000)
+    assert answer["z"].tobytes() == z_ref.tobytes() == seen[-1]
+    assert run == run_ref
+    # one answer per checkpoint, and the final one unless a checkpoint made it
+    assert len(seen) == -(-run["iterations"] // ADAPT_EVERY)
 
 
 @pytest.mark.parametrize("budget", [0, -5])
