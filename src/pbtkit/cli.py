@@ -16,7 +16,6 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cache
 from pathlib import Path
 from typing import Optional
@@ -33,13 +32,13 @@ from .engine import (
     measure,
     mixture_residuals,
     protocol_to_dict,
-    standard_resource,
     teleport_report,
     verify_psi_independence,
     write_document,
 )
 from .errors import ProtocolError, ToolkitError
 from .nocloning import pointer_form, verify_theorem
+from .optima import p_fixed
 from .pauli import RNG_ALGORITHM, haar_amplitudes, haar_states, sample_haar_state
 from .primed import build_primed, primed_to_dict, verify_eq5, verify_failure_marginal_twirl
 from .report import AuditReport
@@ -281,19 +280,16 @@ def _cmd_optimize(args) -> int:
     out_dir = _output_dir(args)
     n, big_n = args.qubits, args.ports
     if args.fixed_resource:
-        resource = standard_resource(n, big_n)
-        result = solve(build_sdp(n, big_n, resource), args.max_iterations)
+        result = solve(build_sdp(n, big_n))
     else:
         result = solve_joint(build_joint_sdp(n, big_n), args.max_iterations)
     cert = certify(result.povm, result.resource, n, big_n, seed=args.seed)
-    proto = result.protocol or PbtProtocol(n=n, N=big_n, resource=result.resource,
-                                           povm=result.povm)
     manifest = RunManifest("optimize",
                            {"n": n, "N": big_n, "seed": args.seed,
                             "fixed_resource": bool(args.fixed_resource),
                             "max_iterations": args.max_iterations},
                            [], str(out_dir))
-    doc = protocol_to_dict(proto)
+    doc = protocol_to_dict(result.protocol)
     doc["manifest"] = manifest.to_dict()
     doc["p_opt"] = result.p_opt
     doc["q"] = [float(x) for x in result.q]
@@ -346,12 +342,12 @@ def _cmd_bound_table(args) -> int:
     rows = []
     for n in range(n_lo, n_hi + 1):
         for big_n in range(1, args.max_ports + 1):
-            b = bound(n, big_n)
-            pmax = Fraction(big_n, big_n + 3)
+            pmax = bound(1, big_n)
             rows.append({
                 "n": n,
                 "N": big_n,
-                "bound": float(b),
+                "bound": float(bound(n, big_n)),
+                "p_fixed": float(p_fixed(n, big_n)),
                 "p_max_n1_formula": float(pmax),
                 "p_max_n1_pow_n": float(pmax) ** n,
                 "optimizer_value": optimizer_values.get((n, big_n), ""),
@@ -460,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixed-resource", action="store_true",
                    help="keep the resource pinned to maximally entangled pairs")
     p.add_argument("--max-iterations", type=_at_least(1), default=20_000,
-                   help="iteration cap; the solver stops earlier once converged")
+                   help="iteration cap of the joint solve; it stops earlier once converged")
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("bound-table", help="CSV of bounds over an (n, N) grid")

@@ -1,26 +1,19 @@
 """Success-probability maximization over the sender's measurement.
 
-For a fixed resource state, the measurements that teleport perfectly on
-every success outcome are cut out by linear constraints: replacing the input
-state with any operator X on the input space, the port-k output of element
-M_k must be q_k X.  Together with positivity of the M_k and of the leftover
-failure element, maximizing the total success probability sum_k q_k is a
-semidefinite program.
-
-Two problem forms are provided.  ``build_sdp``/``solve`` keep the resource
-fixed and optimize the measurement only.  ``build_joint_sdp``/``solve_joint``
-also optimize the resource: the protocol is parameterized by the conditional
-Choi operators of the input-to-port maps, which form a valid protocol exactly
-when they are PSD and sum below (identity x resource marginal); a steering
-construction turns the optimum back into a concrete resource state and
-measurement.  The joint form attains the ceiling N/(4^n + N - 1); with the
-resource pinned to maximally entangled pairs the optimum is ``p_fixed``.
-
-The teleportation constraint pins every feasible block to an explicit face
-of the PSD cone, so the solver, a first-order consensus splitting scheme,
-works in exact face coordinates.  A rounding pass projects to exact
-feasibility and re-evaluates the objective, so the reported optimum is a
-true lower bound; the exact optimum, where known, is the upper end.
+A measurement teleports perfectly on every success outcome when, for every
+operator X on the input space, the port-k output of element M_k is q_k X.
+With positivity of the M_k and of the leftover failure element, maximizing
+sum_k q_k is a semidefinite program, in two forms.  ``build_sdp``/``solve``
+keep the resource fixed to N maximally entangled pairs, whose optimum
+``optima`` gives in closed form: the optimal measurement is constructed, not
+iterated toward.  ``build_joint_sdp``/``solve_joint`` optimize the resource
+too, over the conditional Choi operators of the input-to-port maps (a valid
+protocol exactly when they are PSD and sum below identity x resource
+marginal), by a first-order consensus splitting scheme in the exact PSD-cone
+faces that the teleportation constraint pins.  A rounding pass makes the
+answer exactly feasible, so it is a true lower bound under the ceiling
+N/(4^n + N - 1), and a steering construction turns it into a concrete
+resource state and measurement.
 """
 
 from __future__ import annotations
@@ -35,7 +28,7 @@ import numpy as np
 from .branches import input_chunks
 from .engine import PbtProtocol, measure, port_label, standard_resource, teleport_report
 from .errors import LayoutError, ProtocolError
-from .optima import p_fixed
+from .optima import fixed_weights, isotypic_projectors, p_fixed
 from .pauli import haar_amplitudes
 from .report import AuditReport
 from .signaling import bound
@@ -43,6 +36,8 @@ from .tensor import HermitianMatrix, StateVector, SystemLayout
 
 #: largest total protocol dimension accepted by the optimizer
 DIMENSION_CAP = 1 << 15
+#: largest single array, in bytes, the joint problem may build
+JOINT_ARRAY_CAP = 1 << 30
 #: weight of the maximally mixed state mixed into the marginal before the
 #: steering construction, so that its inverse square root exists
 EXTRACTION_PAD = 1e-7
@@ -126,110 +121,38 @@ def _choi_face(d: int, N: int, k: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# problem assembly: fixed resource
-
-
-class _TeleportationRows:
-    """Per-port teleportation constraints shared by both problem forms:
-    blocks[k] @ herm_to_vec(X_k) = q_k * rhs_pattern."""
-
-    blocks: list[np.ndarray]
-    rhs_pattern: np.ndarray
-
-    def port_map_residual(self, ops: Sequence[np.ndarray], qs: Sequence[float]) -> float:
-        """Max violation of the teleportation constraints, in basis coordinates."""
-        return max(float(np.max(np.abs(block @ herm_to_vec(op) - q * self.rhs_pattern)))
-                   for block, op, q in zip(self.blocks, ops, qs))
-
-    def fit_q(self, op: np.ndarray, k: int) -> float:
-        lhs = self.blocks[k] @ herm_to_vec(op)
-        return float(lhs @ self.rhs_pattern / (self.rhs_pattern @ self.rhs_pattern))
-
-    @staticmethod
-    def psd_violation(ms: Sequence[np.ndarray]) -> float:
-        """Most negative eigenvalue over the elements and the leftover
-        identity - sum(ms), as a non-negative violation."""
-        slack = np.eye(ms[0].shape[0]) - sum(ms)
-        return max(float(max(0.0, -np.linalg.eigvalsh(m)[0])) for m in [*ms, slack])
+# the fixed-resource optimum, constructed
 
 
 @dataclass
-class PbtSdp(_TeleportationRows):
-    """The teleportation SDP for a fixed resource: per-port affine constraint
-    blocks over real Hermitian coordinates, plus the q-coupling pattern."""
+class PbtSdp:
+    """The fixed-resource problem: the standard resource of N maximally
+    entangled pairs, the operator Theta = sum_alpha theta_alpha P_alpha on
+    N-1 ports that its optimal measurement is built from, and the exact
+    optimum ``p_fixed``."""
 
     n: int
     N: int
     resource: StateVector
-    dim_povm: int                 # 2^n * dim(A)
-    blocks: list[np.ndarray]      # per port: rows x dim_povm^2
-    rhs_pattern: np.ndarray       # q-coupling vector over the constraint rows
-    p_upper: Optional[float] = None  # the exact optimum, where theory gives it
-
-    def faces(self) -> list[np.ndarray]:
-        """Exact support faces forced by the teleportation constraints.
-
-        In Choi form the constraint reads (partial trace over the other
-        ports) = q x (rank-one projector), which pins the support of every
-        feasible Choi block; pulling that support back through the resource
-        amplitude matrix gives the support of every feasible M_k."""
-        d = 2**self.n
-        dim_alice = self.resource.layout.dim("A")
-        c_mat = self.resource.amplitudes.reshape(dim_alice, d**self.N).T
-        c_pinv = np.linalg.pinv(c_mat)
-        out = []
-        for k in range(1, self.N + 1):
-            w = _choi_face(d, self.N, k)
-            u = (w.T.reshape(-1, d, d**self.N) @ c_pinv.T).reshape(w.shape[1], -1)
-            basis, _ = np.linalg.qr(u.T.conj())
-            out.append(basis)
-        return out
+    theta: np.ndarray             # real d^(N-1) x d^(N-1)
+    p_upper: float
 
 
-def build_sdp(n: int, N: int, resource: StateVector) -> PbtSdp:
-    """Assemble the fixed-resource constraint system; verify the zero
-    measurement is feasible."""
+def build_sdp(n: int, N: int) -> PbtSdp:
+    """The fixed-resource problem for N pairs of n qubits: the exact weights
+    of ``optima.fixed_weights`` on the isotypic projectors they multiply.
+    ``LayoutError`` above the optimizer cap, before anything is built."""
     d = 2**n
-    expected = ("A",) + tuple(port_label(j) for j in range(1, N + 1))
-    if resource.layout.labels != expected:
-        raise LayoutError(f"resource layout {resource.layout.labels} != {expected}")
-    dim_alice = resource.layout.dim("A")
-    global_dim = d * dim_alice * d**N
+    global_dim = d ** (2 * N + 1)
     if global_dim > DIMENSION_CAP:
         raise LayoutError(
             f"global dimension {global_dim} exceeds the optimizer cap {DIMENSION_CAP}"
         )
-    dim_povm = d * dim_alice
-    n_basis = d * d
-
-    xi = resource.amplitudes.reshape((dim_alice,) + (d,) * N)
-    basis = hermitian_basis(d)
-
-    # row (b, c) of block k is <H_c, port-k output for input X_b> = Tr(G_bc M)
-    # with the adjoint map G_bc = X_b x Q_c on (a, A)
-    blocks = []
-    for k in range(1, N + 1):
-        moved = np.moveaxis(xi, k, N)
-        xi_k = moved.reshape(dim_alice, d ** (N - 1), d)
-        # P[n', p, m', q] = sum_t xi[n', t, p] conj(xi[m', t, q])
-        p_tens = np.einsum("ntp,mtq->npmq", xi_k, xi_k.conj())
-        # Q_c[n', m'] = sum_{p,q} H_c[q, p] P[n', p, m', q]
-        q_mats = np.einsum("npmq,cqp->cnm", p_tens, basis)
-        # exactly Hermitian, so the upper triangle that herm_to_vec reads is all of G
-        q_mats = 0.5 * (q_mats + q_mats.conj().swapaxes(-1, -2))
-        g = np.einsum("bxy,cnm->bcxnym", basis, q_mats)
-        blocks.append(herm_to_vec(g.reshape(n_basis * n_basis, dim_povm, dim_povm)))
-
-    # the closed form holds for the standard resource, compared bit for bit
-    exact = dim_alice == d**N and (resource.amplitudes.tobytes()
-                                   == standard_resource(n, N).amplitudes.tobytes())
-    sdp = PbtSdp(n=n, N=N, resource=resource, dim_povm=dim_povm, blocks=blocks,
-                 rhs_pattern=np.eye(n_basis).reshape(-1),
-                 p_upper=float(p_fixed(n, N)) if exact else None)
-    zero = [np.zeros((dim_povm, dim_povm), dtype=np.complex128) for _ in range(N)]
-    if sdp.port_map_residual(zero, [0.0] * N) > 1e-14 or sdp.psd_violation(zero) > 0:
-        raise ProtocolError("zero measurement is not feasible; constraint assembly broken")
-    return sdp
+    projectors = isotypic_projectors(d, N - 1)
+    theta = sum(float(weight) * projectors[alpha]
+                for alpha, weight in fixed_weights(n, N).items())
+    return PbtSdp(n=n, N=N, resource=standard_resource(n, N), theta=theta,
+                  p_upper=float(p_fixed(n, N)))
 
 
 # ---------------------------------------------------------------------------
@@ -237,13 +160,14 @@ def build_sdp(n: int, N: int, resource: StateVector) -> PbtSdp:
 
 
 @dataclass
-class JointPbtSdp(_TeleportationRows):
+class JointPbtSdp:
     """Choi-form teleportation SDP with the resource marginal as a variable.
 
     Variables: Choi blocks J_1..J_N on (input x ports), the port-side
     marginal sigma, and the success weights q.  A family is realizable by
     some resource and measurement exactly when every J_k is PSD and
-    sum_k J_k <= identity x sigma."""
+    sum_k J_k <= identity x sigma.  The per-port teleportation constraints
+    read blocks[k] @ herm_to_vec(J_k) = q_k * rhs_pattern."""
 
     n: int
     N: int
@@ -257,9 +181,38 @@ class JointPbtSdp(_TeleportationRows):
     def faces(self) -> list[np.ndarray]:
         return [_choi_face(2**self.n, self.N, k) for k in range(1, self.N + 1)]
 
+    def port_map_residual(self, ops: Sequence[np.ndarray], qs: Sequence[float]) -> float:
+        """Max violation of the teleportation constraints, in basis coordinates."""
+        return max(float(np.max(np.abs(block @ herm_to_vec(op) - q * self.rhs_pattern)))
+                   for block, op, q in zip(self.blocks, ops, qs))
+
+    def fit_q(self, op: np.ndarray, k: int) -> float:
+        lhs = self.blocks[k] @ herm_to_vec(op)
+        return float(lhs @ self.rhs_pattern / (self.rhs_pattern @ self.rhs_pattern))
+
+
+def _psd_violation(ms: Sequence[np.ndarray]) -> float:
+    """Most negative eigenvalue over the elements and the leftover
+    identity - sum(ms), as a non-negative violation."""
+    slack = np.eye(ms[0].shape[0]) - sum(ms)
+    return max(float(max(0.0, -np.linalg.eigvalsh(m)[0])) for m in [*ms, slack])
+
+
+def _joint_array_bytes(n: int, N: int) -> int:
+    """Bytes of the largest array ``build_joint_sdp`` and ``_FaceProblem`` build:
+    the complex port adjoint or sigma embedding, the lifts W or their Gram inverse."""
+    d = 2**n
+    choi_entries = d ** (2 * N + 2)
+    sigma_coords = d ** (2 * N)
+    face_coords = N * d ** (2 * N - 2) + sigma_coords
+    return max(16 * d**4 * choi_entries, 16 * sigma_coords * choi_entries,
+               8 * face_coords * choi_entries, 8 * face_coords**2)
+
 
 def build_joint_sdp(n: int, N: int) -> JointPbtSdp:
-    """Assemble the joint constraint system over Choi variables."""
+    """Assemble the joint constraint system over Choi variables.
+    ``LayoutError`` above the optimizer cap, or when its largest array
+    exceeds ``JOINT_ARRAY_CAP`` bytes, before anything is built."""
     d = 2**n
     dim_sigma = d**N
     dim_choi = d * dim_sigma
@@ -268,6 +221,10 @@ def build_joint_sdp(n: int, N: int) -> JointPbtSdp:
             f"extracted protocol dimension {d * dim_sigma**2} exceeds the cap "
             f"{DIMENSION_CAP}"
         )
+    needed = _joint_array_bytes(n, N)
+    if needed > JOINT_ARRAY_CAP:
+        raise LayoutError(f"the joint problem at n={n}, N={N} needs an array of {needed} "
+                          f"bytes, above the cap of {JOINT_ARRAY_CAP} bytes")
     # row c of block k is <H_c, port-k Choi of J> = Tr((H_c x I_others) J)
     adjoint = np.kron(hermitian_basis(d * d), np.eye(d ** (N - 1)))
     blocks = [herm_to_vec(_place_port(_place_port(adjoint, d, N, k, 1), d, N, k, 2))
@@ -331,27 +288,24 @@ class SolveResult:
 class _FaceProblem:
     """The splitting scheme in exact face coordinates.
 
-    Variables: per-port face blocks Y_k (PSD), optionally the resource
-    marginal sigma (PSD, unit trace), and the weights q (box [0, 1]).
-    Consensus slots add the shared big-space slack, which must stay PSD:
-    slack = base + embed(sigma) - sum_k lift_k(Y_k).  Cone-side iterates are
-    flat vectors laid out as [Y_1 .. Y_N, slack, sigma, q].
+    Variables: per-port face blocks Y_k (PSD), the resource marginal sigma
+    (PSD, unit trace), and the weights q (box [0, 1]).  Consensus slots add
+    the shared big-space slack, which must stay PSD:
+    slack = embed(sigma) - sum_k lift_k(Y_k).  Cone-side iterates are flat
+    vectors laid out as [Y_1 .. Y_N, slack, sigma, q].
     """
 
-    def __init__(self, blocks, rhs, faces, dim_big, embed: Optional[np.ndarray] = None):
-        self.N, self.rhs, self.rows, self.dim_big = len(blocks), rhs, rhs.size, dim_big
+    def __init__(self, sdp: JointPbtSdp):
+        self.N, self.rhs, self.rows = sdp.N, sdp.rhs_pattern, sdp.rhs_pattern.size
+        self.dim_big, self.dim_sigma, self.embed = sdp.dim_choi, sdp.dim_sigma, sdp.embed
+        self.faces = sdp.faces()
         # every port face is spanned by the same number of vectors
-        self.face_dim = faces[0].shape[1]
-        self.lifts = [_lift_matrix(v) for v in faces]
-        self.red_blocks = [blocks[k] @ self.lifts[k] for k in range(self.N)]
-        self.embed = embed
-        self.dim_sigma = None if embed is None else int(np.sqrt(embed.shape[1]))
-        # the fixed form's slack is I - sum M_k; the joint form's is I x sigma - sum J_k
-        self.base = (herm_to_vec(np.eye(dim_big)) if embed is None
-                     else np.zeros(dim_big * dim_big))
+        self.face_dim = self.faces[0].shape[1]
+        self.lifts = [_lift_matrix(v) for v in self.faces]
+        self.red_blocks = [sdp.blocks[k] @ self.lifts[k] for k in range(self.N)]
         self.n_y = n_y = self.N * self.face_dim**2
-        self.n_s = n_s = 0 if embed is None else embed.shape[1]
-        n_slack = dim_big * dim_big
+        self.n_s = n_s = self.embed.shape[1]
+        n_slack = self.dim_big**2
         self.sl_y = slice(0, n_y)
         self.sl_slack = slice(n_y, n_y + n_slack)
         self.sl_s = slice(n_y + n_slack, n_y + n_slack + n_s)
@@ -359,40 +313,33 @@ class _FaceProblem:
         self.x_slots = np.r_[self.sl_y, self.sl_s, self.sl_q]  # the affine step's [Y, sigma, q]
 
         # H = I + W^T W with W = [-L_1 .. -L_N, embed]: small, materialized
-        self.w_cols = w_cols = np.hstack([-lift for lift in self.lifts]
-                                         + ([embed] if embed is not None else []))
+        self.w_cols = w_cols = np.hstack([-lift for lift in self.lifts] + [self.embed])
         self.h_inv = np.linalg.inv(np.eye(n_y + n_s) + w_cols.T @ w_cols)
 
         # constraint rows: per port [B_k | -rhs on q_k], plus unit trace of sigma
-        n_rows = self.N * self.rows + (0 if embed is None else 1)
+        n_rows = self.N * self.rows + 1
         a_mat = np.zeros((n_rows, n_y + n_s + self.N))
         for k, red in enumerate(self.red_blocks):
             rows = slice(k * self.rows, (k + 1) * self.rows)
             a_mat[rows, k * red.shape[1] : (k + 1) * red.shape[1]] = red
-            a_mat[rows, n_y + n_s + k] = -rhs
-        self.b_vec = np.zeros(n_rows)
-        if embed is not None:
-            a_mat[-1, n_y : n_y + self.dim_sigma] = 1.0
-            self.b_vec[-1] = 1.0
-        self.a_mat = a_mat
+            a_mat[rows, n_y + n_s + k] = -self.rhs
+        a_mat[-1, n_y : n_y + self.dim_sigma] = 1.0
+        self.a_mat, self.b_vec = a_mat, np.r_[np.zeros(n_rows - 1), 1.0]
         h_inv_full = np.eye(n_y + n_s + self.N)
         h_inv_full[: n_y + n_s, : n_y + n_s] = self.h_inv
         gram = a_mat @ h_inv_full @ a_mat.T
         self.gram_inv = np.linalg.inv(gram + 1e-13 * np.eye(n_rows))
         self.hia_t = h_inv_full @ a_mat.T
         # the rounding's per-port rows [B_k | -rhs on q_k] and their Gram inverses
-        self.bars = [np.hstack([red, -rhs[:, None]]) for red in self.red_blocks]
+        self.bars = [np.hstack([red, -self.rhs[:, None]]) for red in self.red_blocks]
         self.bar_factors = [np.linalg.inv(bar @ bar.T + 1e-14 * np.eye(bar.shape[0]))
                             for bar in self.bars]
         self.clips = [(self.sl_y, _PsdClip(self.face_dim, self.N)),
-                      (self.sl_slack, _PsdClip(dim_big))]
-        if embed is not None:
-            self.clips.append((self.sl_s, _PsdClip(self.dim_sigma)))
+                      (self.sl_slack, _PsdClip(self.dim_big)),
+                      (self.sl_s, _PsdClip(self.dim_sigma))]
 
     def slack_of(self, y: np.ndarray, s: np.ndarray) -> np.ndarray:
-        out = self.base.copy()
-        if self.embed is not None:
-            out += self.embed @ s
+        out = self.embed @ s
         for lift, yk in zip(self.lifts, y.reshape(self.N, -1)):
             out -= lift @ yk
         return out
@@ -400,7 +347,7 @@ class _FaceProblem:
     def affine_step(self, v: np.ndarray, rho: float, out: np.ndarray) -> None:
         """Penalized minimization over the affine constraint set, from the
         cone-side point ``v``; writes the matching flat iterate to ``out``."""
-        g_ys = v[self.x_slots[: -self.N]] + self.w_cols.T @ (v[self.sl_slack] - self.base)
+        g_ys = v[self.x_slots[: -self.N]] + self.w_cols.T @ v[self.sl_slack]
         x = np.concatenate([self.h_inv @ g_ys, v[self.sl_q] + 1.0 / rho])
         lam = self.gram_inv @ (self.a_mat @ x - self.b_vec)
         x = x - self.hia_t @ lam
@@ -441,7 +388,7 @@ def _run_splitting(fp: _FaceProblem, max_iterations: int, finish: Callable[[np.n
     r = fp.face_dim
     init = np.broadcast_to(np.eye(r) / (fp.N + 1), (fp.N, r, r))
     y = herm_to_vec(init).reshape(-1)
-    s = herm_to_vec(np.eye(fp.dim_sigma) / fp.dim_sigma) if fp.n_s else np.zeros(0)
+    s = herm_to_vec(np.eye(fp.dim_sigma) / fp.dim_sigma)
     q = [float((red @ yk) @ fp.rhs / (fp.rhs @ fp.rhs))
          for red, yk in zip(fp.red_blocks, y.reshape(fp.N, -1))]
     z = np.concatenate([y, fp.slack_of(y, s), s, q])
@@ -533,59 +480,49 @@ def _round_on_face(fp: _FaceProblem, z: np.ndarray) -> tuple[list[np.ndarray], n
     return ys, qs
 
 
-def _solve_on_faces(sdp: PbtSdp | JointPbtSdp, dim_big: int, max_iterations: int,
-                    finish: Callable, embed: Optional[np.ndarray] = None) -> SolveResult:
-    """Run the splitting scheme; an answer is ``finish`` (``SolveResult``
-    fields) of the rounded big-space blocks, their weights and the sigma
-    coordinates (empty without ``embed``).  ``ValueError`` before any work
-    unless ``max_iterations`` is at least 1."""
-    if max_iterations < 1:
-        raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
-    faces = sdp.faces()
-    fp = _FaceProblem(sdp.blocks, sdp.rhs_pattern, faces, dim_big, embed)
-
-    def answer(z: np.ndarray) -> dict:
-        ys, qs = _round_on_face(fp, z)
-        ops = [face @ y @ face.conj().T for face, y in zip(faces, ys)]
-        return finish([0.5 * (op + op.conj().T) for op in ops], qs, z[fp.sl_s])
-
-    fields, run = _run_splitting(fp, max_iterations, answer, sdp.p_upper)
-    return SolveResult(**fields, **run, p_upper=sdp.p_upper)
-
-
-def solve(sdp: PbtSdp, max_iterations: int = 20_000) -> SolveResult:
-    """Splitting solve of the fixed-resource problem."""
-    layout = SystemLayout.of(("a", 2**sdp.n), ("A", sdp.resource.layout.dim("A")))
-
-    def finish(ms, qs, _) -> dict:
-        lam_max = float(np.linalg.eigvalsh(sum(ms))[-1])
-        if lam_max > 1.0:
-            factor = (1.0 - 1e-12) / lam_max
-            ms = [m * factor for m in ms]
-            qs = qs * factor
-        slack = np.eye(sdp.dim_povm) - sum(ms)
-        povm = (HermitianMatrix(layout, 0.5 * (slack + slack.conj().T)),) + tuple(
-            HermitianMatrix(layout, m) for m in ms)
-        # the failure element is the exact leftover: completeness holds exactly
-        residuals = {"teleportation": sdp.port_map_residual(ms, qs), "completeness": 0.0,
-                     "psd": sdp.psd_violation(ms)}
-        return dict(p_opt=float(qs.sum()), povm=povm, q=qs, residuals=residuals,
-                    resource=sdp.resource)
-
-    return _solve_on_faces(sdp, sdp.dim_povm, max_iterations, finish)
+def solve(sdp: PbtSdp) -> SolveResult:
+    """The optimal measurement on the standard resource, constructed:
+    M_k = d^N Phi x Theta with Phi = |sum_i ii><sum_i ii| on (input, A_k), and
+    the failure element the exact leftover.  The Choi block of port k is
+    Phi x Theta / d^N, so every M_k teleports exactly, with q_k = tr Theta."""
+    n, N, d = sdp.n, sdp.N, 2**sdp.n
+    phi = np.outer(_omega_vec(d), _omega_vec(d)).real
+    block = d**N * np.kron(phi, sdp.theta)
+    ms = [_place_port(_place_port(block, d, N, k, 0), d, N, k, 1) for k in range(1, N + 1)]
+    qs = np.full(N, np.trace(sdp.theta))
+    layout = SystemLayout.of(("a", d), ("A", d**N))
+    povm = tuple(HermitianMatrix(layout, m) for m in [np.eye(d * d**N) - sum(ms), *ms])
+    protocol = PbtProtocol(n=n, N=N, resource=sdp.resource, povm=povm)
+    teleportation = max(float(np.max(np.abs(_port_choi(m, d, N, k) / d**N - q * phi)))
+                        for k, (m, q) in enumerate(zip(ms, qs), start=1))
+    residuals = {"teleportation": teleportation, "completeness": 0.0,
+                 "psd": _psd_violation(ms)}
+    return SolveResult(p_opt=float(qs.sum()), povm=povm, q=qs, residuals=residuals,
+                       converged=True, iterations=0, resource=sdp.resource, protocol=protocol,
+                       p_upper=sdp.p_upper, stopped_by="certificate")
 
 
 def solve_joint(sdp: JointPbtSdp, max_iterations: int = 20_000) -> SolveResult:
-    """Optimize measurement and resource together; extract a concrete protocol."""
-    def finish(js, _, s) -> dict:
-        protocol, qs = extract_protocol(sdp.n, sdp.N, js, vec_to_herm(s, sdp.dim_sigma))
+    """Optimize measurement and resource together by the splitting scheme;
+    an answer is the protocol extracted from the rounded Choi blocks.
+    ``ValueError`` before any work unless ``max_iterations`` is at least 1."""
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
+    fp = _FaceProblem(sdp)
+
+    def finish(z: np.ndarray) -> dict:
+        ys, _ = _round_on_face(fp, z)
+        js = [face @ y @ face.conj().T for face, y in zip(fp.faces, ys)]
+        js = [0.5 * (j + j.conj().T) for j in js]
+        protocol, qs = extract_protocol(sdp.n, sdp.N, js, vec_to_herm(z[fp.sl_s], sdp.dim_sigma))
         qs_fit = [sdp.fit_q(j, k) for k, j in enumerate(js)]
         residuals = {"teleportation": sdp.port_map_residual(js, qs_fit), "completeness": 0.0,
-                     "psd": sdp.psd_violation([m.entries for m in protocol.povm[1:]])}
+                     "psd": _psd_violation([m.entries for m in protocol.povm[1:]])}
         return dict(p_opt=float(qs.sum()), povm=protocol.povm, q=qs, residuals=residuals,
                     resource=protocol.resource, protocol=protocol)
 
-    return _solve_on_faces(sdp, sdp.dim_choi, max_iterations, finish, embed=sdp.embed)
+    fields, run = _run_splitting(fp, max_iterations, finish, sdp.p_upper)
+    return SolveResult(**fields, **run, p_upper=sdp.p_upper)
 
 
 def extract_protocol(n: int, N: int, js: Sequence[np.ndarray],

@@ -156,9 +156,7 @@ def reference_psd_clip(vec: np.ndarray, d: int) -> np.ndarray:
 
 
 def _slack_of(fp, y: np.ndarray, s: np.ndarray) -> np.ndarray:
-    out = fp.base.copy()
-    if fp.embed is not None:
-        out += fp.embed @ s
+    out = fp.embed @ s
     for lift, yk in zip(fp.lifts, y.reshape(fp.N, -1)):
         out -= lift @ yk
     return out
@@ -166,7 +164,7 @@ def _slack_of(fp, y: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 def _affine_step(fp, v: np.ndarray, rho: float) -> np.ndarray:
     g_ys = np.concatenate([v[fp.sl_y], v[fp.sl_s]])
-    g_ys = g_ys + fp.w_cols.T @ (v[fp.sl_slack] - fp.base)
+    g_ys = g_ys + fp.w_cols.T @ v[fp.sl_slack]
     x = np.concatenate([fp.h_inv @ g_ys, v[fp.sl_q] + 1.0 / rho])
     lam = fp.gram_inv @ (fp.a_mat @ x - fp.b_vec)
     x = x - fp.hia_t @ lam
@@ -178,8 +176,7 @@ def _project(fp, x: np.ndarray) -> np.ndarray:
     z = np.empty_like(x)
     z[fp.sl_y] = reference_psd_clip(x[fp.sl_y].reshape(fp.N, -1), fp.face_dim).reshape(-1)
     z[fp.sl_slack] = reference_psd_clip(x[fp.sl_slack], fp.dim_big)
-    if fp.n_s:
-        z[fp.sl_s] = reference_psd_clip(x[fp.sl_s], fp.dim_sigma)
+    z[fp.sl_s] = reference_psd_clip(x[fp.sl_s], fp.dim_sigma)
     z[fp.sl_q] = np.clip(x[fp.sl_q], 0.0, 1.0)
     return z
 
@@ -191,8 +188,7 @@ def reference_splitting(fp, max_iterations: int):
     r = fp.face_dim
     init = np.broadcast_to(np.eye(r) / (fp.N + 1), (fp.N, r, r))
     y = herm_to_vec(init).reshape(-1)
-    s = (herm_to_vec(np.eye(fp.dim_sigma) / fp.dim_sigma) if fp.n_s
-         else np.zeros(0))
+    s = herm_to_vec(np.eye(fp.dim_sigma) / fp.dim_sigma)
     q = [float((red @ yk) @ fp.rhs / (fp.rhs @ fp.rhs))
          for red, yk in zip(fp.red_blocks, y.reshape(fp.N, -1))]
     z = np.concatenate([y, _slack_of(fp, y, s), s, q])

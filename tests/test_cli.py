@@ -190,14 +190,14 @@ def optimize_run(tmp_path, *flags):
 
 
 def test_optimize_fixed_resource(tmp_path):
-    """N=1 with the standard resource: the certificate ends the run before
-    the stall switch, so every row is adaptive."""
+    """N=1 with the standard resource: the optimum is constructed, so no
+    iteration runs and the trace has only its header."""
     cert, phases = optimize_run(tmp_path, "--ports", "1", "--fixed-resource")
-    assert cert["p_opt"] == pytest.approx(float(p_fixed(1, 1)), abs=1e-4)
+    assert cert["p_opt"] == pytest.approx(float(p_fixed(1, 1)), abs=1e-12)
     assert cert["p_upper"] == float(p_fixed(1, 1))
     assert cert["stopped_by"] == "certificate"
-    assert cert["switch_iteration"] == 0
-    assert phases == ["adaptive"] * cert["iterations"]
+    assert (cert["iterations"], cert["switch_iteration"]) == (0, 0)
+    assert phases == []
 
 
 def test_optimize_stall_stop_labels_the_phases(tmp_path):
@@ -233,6 +233,10 @@ def test_bound_table(tmp_path):
     assert float(by_key[("2", "4")]["bound"]) == pytest.approx(4 / 19, abs=1e-12)
     assert float(by_key[("2", "4")]["p_max_n1_pow_n"]) == pytest.approx(
         (4 / 7) ** 2, abs=1e-12)
+    for (n, big_n), row in by_key.items():
+        assert float(row["p_max_n1_formula"]) == float(bound(1, int(big_n)))
+        assert float(row["p_fixed"]) == float(p_fixed(int(n), int(big_n)))
+    assert by_key[("1", "3")]["p_fixed"] == repr(13 / 32)
 
 
 def test_bound_table_with_optimizer_value(tmp_path):

@@ -1,4 +1,5 @@
-"""Optimizer tests: constraint assembly, both solvers, extraction, certification."""
+"""Optimizer tests: the constructed fixed-resource optimum, the joint constraint
+assembly and its splitting solver, extraction, certification."""
 
 import dataclasses
 from fractions import Fraction
@@ -6,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from pbtkit.cli import dispatch
 from pbtkit.engine import (
     HermitianMatrix,
     PbtProtocol,
@@ -19,10 +21,12 @@ from pbtkit import optimizer
 from pbtkit.optima import p_fixed
 from pbtkit.optimizer import (
     ADAPT_EVERY,
+    JOINT_ARRAY_CAP,
     OBJECTIVE_TOLERANCE,
     PRIMAL_TOLERANCE,
     REFINE_FRACTION,
     _FaceProblem,
+    _joint_array_bytes,
     _PsdClip,
     _port_choi,
     _round_on_face,
@@ -38,7 +42,7 @@ from pbtkit.optimizer import (
     vec_to_herm,
 )
 from pbtkit.signaling import bound
-from pbtkit.tensor import StateVector, SystemLayout, reduced_density
+from pbtkit.tensor import reduced_density
 from reference import reference_psd_clip, reference_splitting
 
 FAST = 4000  # iteration cap for the shared fixtures
@@ -46,7 +50,7 @@ FAST = 4000  # iteration cap for the shared fixtures
 
 @pytest.fixture(scope="module")
 def fixed_result_n1():
-    return solve(build_sdp(1, 1, standard_resource(1, 1)), max_iterations=FAST)
+    return solve(build_sdp(1, 1))
 
 
 @pytest.fixture(scope="module")
@@ -196,22 +200,11 @@ ASSEMBLY_CASES = [(1, 1), (1, 2), (1, 3), (2, 1)]
 
 @pytest.mark.parametrize("n, N", ASSEMBLY_CASES)
 def test_fixed_blocks_match_brute_port_output(n, N):
-    rng = np.random.default_rng(10 * n + N)
-    d = 2**n
-    layout = SystemLayout((("A", d**N),) + tuple((f"B{j}", d) for j in range(1, N + 1)))
-    amps = rng.standard_normal(d ** (2 * N)) + 1j * rng.standard_normal(d ** (2 * N))
-    resource = StateVector(layout, amps / np.linalg.norm(amps))
-    sdp = build_sdp(n, N, resource)
-    m = random_hermitian(rng, sdp.dim_povm)
-    for k, block in enumerate(sdp.blocks, start=1):
-        # row (b, c): coordinate c of the port-k output for input basis element b
-        got = (block @ herm_to_vec(m)).reshape(d * d, d * d)
-        want = [herm_to_vec(brute_port_output(m, x, resource, n, N, k))
-                for x in hermitian_basis(d)]
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
-    for face in sdp.faces():
-        np.testing.assert_allclose(face.conj().T @ face, np.eye(face.shape[1]),
-                                   rtol=0, atol=1e-13)
+    """Every constructed element, plugged into the standard resource, outputs
+    q_k X on its port for every Hermitian input X."""
+    res = solve(build_sdp(n, N))
+    assert brute_constraint_residual(res.protocol, res.q) <= 1e-10
+    assert res.residuals["teleportation"] <= 1e-15
 
 
 @pytest.mark.parametrize("n, N", ASSEMBLY_CASES)
@@ -232,30 +225,14 @@ def test_joint_blocks_match_port_choi_and_embed_matches_kron(n, N):
                                    rtol=0, atol=1e-13)
 
 
-def test_build_sdp_accepts_known_feasible_point():
-    proto = bell_pbt_protocol(2)
-    sdp = build_sdp(1, 2, standard_resource(1, 2))
-    ms = [proto.povm[1].entries, proto.povm[2].entries]
-    assert sdp.port_map_residual(ms, [0.25, 0.0]) < 1e-10
-    assert sdp.fit_q(ms[0], 0) == pytest.approx(0.25, abs=1e-12)
-    assert sdp.psd_violation(ms) < 1e-12
-
-
-def test_build_sdp_detects_identity_povm_violation():
-    sdp = build_sdp(1, 1, standard_resource(1, 1))
-    eye = np.eye(4, dtype=complex)
-    q_fit = sdp.fit_q(eye, 0)
-    assert sdp.port_map_residual([eye], [q_fit]) > 0.1
-
-
 def test_build_sdp_dimension_guard():
     with pytest.raises(LayoutError, match="cap"):
-        build_sdp(2, 4, standard_resource(2, 4))
+        build_sdp(2, 4)
 
 
 def test_solve_fixed_single_port(fixed_result_n1):
     res = fixed_result_n1
-    assert res.p_opt == pytest.approx(float(p_fixed(1, 1)), abs=1e-4)
+    assert res.p_opt == pytest.approx(float(p_fixed(1, 1)), abs=1e-12)
     assert res.residuals["teleportation"] < 1e-10
     assert res.residuals["psd"] < 1e-12
     rep = certify(res.povm, res.resource, 1, 1, samples=10)
@@ -272,18 +249,18 @@ def test_solve_fixed_two_ports_true_value():
     # optimum is 1/3: the constraint forces M_k = (projector) x Q_k and the
     # completeness cap tops out at Q_k = (2/3) I
     assert p_fixed(1, 2) == Fraction(1, 3)
-    res = solve(build_sdp(1, 2, standard_resource(1, 2)), max_iterations=FAST)
-    assert res.p_opt == pytest.approx(float(p_fixed(1, 2)), abs=1e-5)
+    res = solve(build_sdp(1, 2))
+    assert res.p_opt == pytest.approx(float(p_fixed(1, 2)), abs=1e-12)
     proto_q = res.q
     assert proto_q.sum() == pytest.approx(res.p_opt, abs=1e-12)
     rep = certify(res.povm, res.resource, 1, 2, samples=10)
     assert rep.passed, rep.to_dict()
 
 
-def test_solve_trace_and_determinism(fixed_result_n1):
-    res = fixed_result_n1
+def test_solve_trace_and_determinism(joint_result_12):
+    res = joint_result_12
     assert len(res.trace) == res.iterations
-    again = solve(build_sdp(1, 1, standard_resource(1, 1)), max_iterations=FAST)
+    again = solve_joint(build_joint_sdp(1, 2), max_iterations=FAST)
     assert again.p_opt == res.p_opt
     np.testing.assert_array_equal(again.q, res.q)
 
@@ -305,20 +282,6 @@ def test_joint_extracted_protocol_passes_brute_force_oracle(joint_result_12):
     res = joint_result_12
     worst = brute_constraint_residual(res.protocol, res.q)
     assert worst < 1e-8
-
-
-def test_solve_fixed_tilted_resource():
-    # closed-form oracle for one tilted pair alpha|00> + beta|11>: the only
-    # exactly-teleporting element is the projector onto the inverting vector
-    # (|00>/alpha + |11>/beta), normalized, whose weight gives p = alpha^2 beta^2
-    for beta_sq in (0.2, 0.35):
-        alpha_sq = 1 - beta_sq
-        amps = np.zeros(4, dtype=complex)
-        amps[0], amps[3] = np.sqrt(alpha_sq), np.sqrt(beta_sq)
-        resource = StateVector(SystemLayout.of(("A", 2), ("B1", 2)), amps)
-        res = solve(build_sdp(1, 1, resource), max_iterations=FAST)
-        assert res.p_opt == pytest.approx(alpha_sq * beta_sq, abs=1e-5)
-        assert certify(res.povm, resource, 1, 1, samples=10).passed
 
 
 def test_joint_two_qubit_single_port():
@@ -354,32 +317,15 @@ def test_bound_never_exceeded_across_runs(fixed_result_n1, joint_result_12):
     assert joint_result_12.p_opt <= float(bound(1, 2)) + 1e-8
 
 
-def rotated_resource(n, N, seed):
-    """The standard resource with a Haar-random unitary on A: the same
-    optimum, but not the standard resource bit for bit."""
-    d = 2**n
-    res = standard_resource(n, N)
-    rng = np.random.default_rng(seed)
-    u, _ = np.linalg.qr(rng.standard_normal((d**N, d**N))
-                        + 1j * rng.standard_normal((d**N, d**N)))
-    return StateVector(res.layout, (u @ res.amplitudes.reshape(d**N, d**N)).reshape(-1))
-
-
 def test_upper_end_is_set_where_theory_gives_it():
     for n, N in [(1, 1), (1, 2), (1, 3), (2, 1)]:
-        assert build_sdp(n, N, standard_resource(n, N)).p_upper == float(p_fixed(n, N))
+        assert build_sdp(n, N).p_upper == float(p_fixed(n, N))
         assert build_joint_sdp(n, N).p_upper == float(bound(n, N))
-    assert build_sdp(1, 2, rotated_resource(1, 2, 3)).p_upper is None
-    # one unit in the last place of one amplitude is another resource
-    res = standard_resource(1, 2)
-    amps = res.amplitudes.copy()
-    amps[0] = np.nextafter(amps[0].real, 1.0)
-    assert build_sdp(1, 2, StateVector(res.layout, amps)).p_upper is None
 
 
 def solve_case(joint, n, N, sdp=None):
     if sdp is None:
-        sdp = build_joint_sdp(n, N) if joint else build_sdp(n, N, standard_resource(n, N))
+        sdp = build_joint_sdp(n, N) if joint else build_sdp(n, N)
     return (solve_joint if joint else solve)(sdp)
 
 
@@ -394,17 +340,12 @@ def test_default_solve_stops_on_the_certificate(joint, n, N):
     assert certify(res.povm, res.resource, n, N, samples=5).passed
 
 
-@pytest.mark.parametrize("joint, N", [(False, 1), (False, 2), (True, 1), (True, 2), (True, 3)])
+@pytest.mark.parametrize("joint, N", [(True, 1), (True, 2), (True, 3)])
 def test_default_solve_stops_when_converged(joint, N):
-    """Runs the certificate does not end take the stall test: a rotated
-    resource has no upper end, joint N=3 never meets its own, and joint
-    N=1, 2 run here with their upper end taken away."""
-    if joint:
-        sdp = build_joint_sdp(1, N)
-        res = solve_joint(sdp if N == 3 else dataclasses.replace(sdp, p_upper=None))
-    else:
-        res = solve(build_sdp(1, N, rotated_resource(1, N, N)))
-        assert res.p_upper is None
+    """Runs the certificate does not end take the stall test: N=3 never
+    meets its upper end, and N=1, 2 run here with theirs taken away."""
+    sdp = build_joint_sdp(1, N)
+    res = solve_joint(sdp if N == 3 else dataclasses.replace(sdp, p_upper=None))
     assert res.stopped_by == "stall" and res.converged is True
     assert res.iterations < 20_000  # the default cap
     # the switch comes from a stalled adaptive phase, not from the cap
@@ -419,19 +360,14 @@ def result_bytes(res):
             res.switch_iteration, res.converged, res.stopped_by)
 
 
-@pytest.mark.parametrize("joint", [False, True])
+@pytest.mark.parametrize("joint", [True])
 def test_runs_the_certificate_does_not_end_are_unchanged(joint):
-    """Joint N=3 never meets its upper end and a rotated resource has none:
-    both return what the run without any upper end returns, and their
-    iterations are the reference's."""
-    if joint:
-        sdp = build_joint_sdp(1, 3)
-        fp = _FaceProblem(sdp.blocks, sdp.rhs_pattern, sdp.faces(), sdp.dim_choi, sdp.embed)
-    else:
-        sdp = build_sdp(1, 2, rotated_resource(1, 2, 3))
-        fp = _FaceProblem(sdp.blocks, sdp.rhs_pattern, sdp.faces(), sdp.dim_povm)
-    res = solve_case(joint, 1, sdp.N, sdp)
-    plain = solve_case(joint, 1, sdp.N, dataclasses.replace(sdp, p_upper=None))
+    """Joint N=3 never meets its upper end: it returns what the run without
+    an upper end returns, and its iterations are the reference's."""
+    sdp = build_joint_sdp(1, 3)
+    fp = _FaceProblem(sdp)
+    res = solve_joint(sdp)
+    plain = solve_joint(dataclasses.replace(sdp, p_upper=None))
     assert res.stopped_by == "stall"
     assert result_bytes(res) == result_bytes(plain)
     _, run_ref = reference_splitting(fp, 20_000)
@@ -449,18 +385,16 @@ def perturbed(a, rng):
     return out
 
 
-@pytest.mark.parametrize("joint, N", [(False, 2), (True, 1), (True, 2)])
+@pytest.mark.parametrize("joint, N", [(True, 1), (True, 2)])
 def test_certificate_stop_survives_rounding_noise_in_the_blocks(joint, N):
     """Iteration counts follow the last bits of the blocks; the certified
     stop does not."""
     rng = np.random.default_rng(10 * joint + N)
-    sdp = build_joint_sdp(1, N) if joint else build_sdp(1, N, standard_resource(1, N))
+    sdp = build_joint_sdp(1, N)
     noise = dict(blocks=[perturbed(b, rng) for b in sdp.blocks],
-                 rhs_pattern=perturbed(sdp.rhs_pattern, rng))
-    if joint:
-        noise["embed"] = perturbed(sdp.embed, rng)
+                 rhs_pattern=perturbed(sdp.rhs_pattern, rng), embed=perturbed(sdp.embed, rng))
     for problem in (sdp, dataclasses.replace(sdp, **noise)):
-        res = solve_case(joint, 1, N, problem)
+        res = solve_joint(problem)
         assert res.stopped_by == "certificate"
         assert res.p_upper - res.p_opt <= OBJECTIVE_TOLERANCE
 
@@ -473,16 +407,8 @@ def test_budget_ending_before_stall_is_not_converged():
     assert res.switch_iteration == int(60 * (1 - REFINE_FRACTION))
 
 
-def face_problem(joint, n, N):
-    if joint:
-        sdp = build_joint_sdp(n, N)
-        return _FaceProblem(sdp.blocks, sdp.rhs_pattern, sdp.faces(), sdp.dim_choi, sdp.embed)
-    sdp = build_sdp(n, N, standard_resource(n, N))
-    return _FaceProblem(sdp.blocks, sdp.rhs_pattern, sdp.faces(), sdp.dim_povm)
-
-
-REFERENCE_CASES = [(False, 1, 1), (False, 1, 2), (False, 1, 3),
-                   (True, 1, 1), (True, 1, 2), (True, 1, 3), (True, 2, 1)]
+#: the splitting solver runs only the joint form
+REFERENCE_CASES = [(True, 1, 1), (True, 1, 2), (True, 1, 3), (True, 2, 1)]
 
 
 @pytest.mark.parametrize("joint, n, N", REFERENCE_CASES)
@@ -490,7 +416,7 @@ def test_splitting_matches_the_reference_bit_for_bit(joint, n, N):
     """The iteration on bound buffers computes the reference's iterates: the
     final iterate has the same bytes and the run record is the same, whether
     the stop test or the iteration cap ends the run."""
-    fp = face_problem(joint, n, N)
+    fp = _FaceProblem(build_joint_sdp(n, N))
     for cap in (20_000, 60):
         z, run = _run_splitting(fp, cap, np.copy)
         z_ref, run_ref = reference_splitting(fp, cap)
@@ -504,7 +430,7 @@ def test_splitting_matches_the_reference_bit_for_bit(joint, n, N):
 def test_checkpoints_never_write_the_iterates(joint, n, N):
     """An upper end no answer meets rounds the iterate at every checkpoint
     and changes nothing: the run is still the reference's, bit for bit."""
-    fp = face_problem(joint, n, N)
+    fp = _FaceProblem(build_joint_sdp(n, N))
     seen = []
 
     def finish(z):
@@ -526,8 +452,6 @@ def test_solve_rejects_non_positive_budget(monkeypatch, budget):
 
     monkeypatch.setattr(optimizer, "_FaceProblem", no_work)
     with pytest.raises(ValueError, match="max_iterations"):
-        solve(build_sdp(1, 1, standard_resource(1, 1)), max_iterations=budget)
-    with pytest.raises(ValueError, match="max_iterations"):
         solve_joint(build_joint_sdp(1, 1), max_iterations=budget)
 
 
@@ -538,3 +462,53 @@ def test_joint_psd_residual_is_measured(joint_result_12):
     expected = max(max(0.0, -np.linalg.eigvalsh(m)[0]) for m in elements + [slack])
     assert res.residuals["psd"] == expected
     assert res.residuals["psd"] < 1e-12
+
+
+#: every fixed-resource case under the optimizer cap but (3, 2) and (5, 1),
+#: which take about 1 s and 5 s
+FIXED_GRID = [(1, N) for N in range(1, 8)] + [(2, 1), (2, 2), (2, 3), (3, 1), (4, 1)]
+
+
+@pytest.mark.parametrize("n, N", FIXED_GRID)
+def test_constructed_fixed_optimum_certifies_at_p_fixed(n, N):
+    res = solve(build_sdp(n, N))
+    assert abs(res.p_opt - float(p_fixed(n, N))) <= 1e-12
+    assert res.p_upper == float(p_fixed(n, N))
+    assert (res.iterations, res.converged, res.stopped_by, res.trace) == (0, True,
+                                                                         "certificate", [])
+    assert res.residuals["psd"] <= 1e-14
+    assert res.resource.amplitudes.tobytes() == standard_resource(n, N).amplitudes.tobytes()
+    assert certify(res.povm, res.resource, n, N, samples=3).passed
+
+
+@pytest.mark.parametrize("n, N", [(1, 1), (1, 2), (2, 1)])
+def test_joint_array_bytes_is_the_largest_array_built(n, N):
+    """The guard's estimate is the size of the largest array of the assembly
+    (the complex adjoint and sigma embedding, twice their real coordinates)
+    and of the splitting solver."""
+    sdp = build_joint_sdp(n, N)
+    fp = _FaceProblem(sdp)
+    built = [2 * sdp.blocks[0].nbytes, 2 * sdp.embed.nbytes, fp.w_cols.nbytes,
+             fp.h_inv.nbytes]
+    assert _joint_array_bytes(n, N) == max(built)
+
+
+@pytest.mark.parametrize("n, N", [(1, 6), (1, 7), (2, 3), (3, 2), (4, 1), (5, 1)])
+def test_joint_guard_refuses_before_allocating(monkeypatch, capsys, tmp_path, n, N):
+    def no_basis(d):
+        raise AssertionError("the joint problem allocated before its memory guard")
+
+    monkeypatch.setattr(optimizer, "hermitian_basis", no_basis)
+    needed = _joint_array_bytes(n, N)
+    assert needed > JOINT_ARRAY_CAP
+    with pytest.raises(LayoutError, match=f"{needed} bytes"):
+        build_joint_sdp(n, N)
+    code = dispatch(["optimize", "--qubits", str(n), "--ports", str(N),
+                     "--out", str(tmp_path)])
+    assert code == 2
+    assert f"needs an array of {needed} bytes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n, N", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2)])
+def test_joint_guard_admits_the_cases_that_solve(n, N):
+    assert _joint_array_bytes(n, N) <= JOINT_ARRAY_CAP
