@@ -27,6 +27,7 @@ from .engine import (
     PURITY_ATOL,
     PbtProtocol,
     bell_pbt_protocol,
+    from_complex_floats,
     from_complex_pairs,
     load_protocol,
     measure,
@@ -138,7 +139,9 @@ def _psi_state(spec: str, n: int, seed: int) -> StateVector:
         return sample_haar_state(d, seed)
     try:
         with open(spec) as fh:
-            amps = from_complex_pairs(json.load(fh), "--psi")
+            values = json.load(fh)
+        pairs = isinstance(values, list) and values and isinstance(values[0], list)
+        amps = (from_complex_pairs if pairs else from_complex_floats)(values, "--psi")
     except FileNotFoundError as exc:
         raise UsageError(f"--psi {spec!r}: no such named state and no such file") from exc
     except (json.JSONDecodeError, ProtocolError) as exc:
@@ -293,7 +296,7 @@ def _cmd_optimize(args) -> int:
     doc["manifest"] = manifest.to_dict()
     doc["p_opt"] = result.p_opt
     doc["q"] = [float(x) for x in result.q]
-    _write_json(out_dir / "optimized_protocol.json", doc)
+    write_document(doc, out_dir / "optimized_protocol.json")
     with open(out_dir / "solver_trace.csv", "w", newline="") as fh:
         fh.write(f"# manifest: {json.dumps(manifest.to_dict(), sort_keys=True)}\n")
         writer = csv.writer(fh)

@@ -44,7 +44,7 @@ PURITY_ATOL = 1e-8
 #: POVM elements must be PSD / complete within this tolerance
 POVM_ATOL = 1e-10
 
-PROTOCOL_FORMAT_VERSION = "1"
+PROTOCOL_FORMAT_VERSION = "2"
 
 
 def port_label(j: int) -> str:
@@ -273,14 +273,36 @@ def bell_pbt_protocol(N: int) -> PbtProtocol:
 
 
 # ---------------------------------------------------------------------------
-# serialization: complex numbers as [re, im] pairs, matrices row-major
+# serialization: a complex array is one flat list of floats, its row-major
+# float64 view with real and imaginary parts interleaved.  Format-1 protocol
+# documents (and format-1 and -2 pointer documents) hold [re, im] pairs.
 
 
-def complex_pairs(arr: np.ndarray) -> list[list[float]]:
-    return np.ascontiguousarray(arr, np.complex128).view(np.float64).reshape(-1, 2).tolist()
+def complex_floats(arr: np.ndarray) -> list[float]:
+    return np.ascontiguousarray(arr, np.complex128).view(np.float64).ravel().tolist()
+
+
+def from_complex_floats(values, field: str) -> np.ndarray:
+    """The complex array ``complex_floats`` wrote; ProtocolError, naming
+    ``field``, unless ``values`` is a flat list of an even number of finite
+    JSON numbers (``np.array`` alone would read the string "1.5", ``true``
+    as 1 and ``null`` as NaN)."""
+    if not isinstance(values, list) or not set(map(type, values)) <= {float, int}:
+        raise ProtocolError(f"field {field!r}: expected a flat list of numbers")
+    if len(values) % 2:
+        raise ProtocolError(f"field {field!r}: expected an even number of floats "
+                            f"(re, im interleaved), got {len(values)}")
+    try:
+        out = np.array(values, np.float64)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ProtocolError(f"field {field!r}: entries must be finite") from exc
+    if not np.all(np.isfinite(out)):
+        raise ProtocolError(f"field {field!r}: entries must be finite")
+    return out.view(np.complex128)
 
 
 def from_complex_pairs(pairs, field: str) -> np.ndarray:
+    """The format-1 layout: a list of [re, im] pairs."""
     try:
         out = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
     except (TypeError, ValueError) as exc:
@@ -290,6 +312,19 @@ def from_complex_pairs(pairs, field: str) -> np.ndarray:
     return out
 
 
+def complex_reader(doc: dict, pair_versions: tuple[str, ...], flat_version: str):
+    """The array decoder of ``doc``'s format version (``"1"`` when absent):
+    ``from_complex_floats`` for ``flat_version``, ``from_complex_pairs`` for
+    the earlier ``pair_versions``; ProtocolError for any other version."""
+    version = doc.get("version", "1")
+    if version == flat_version:
+        return from_complex_floats
+    if version in pair_versions:
+        return from_complex_pairs
+    raise ProtocolError(f"field 'version': expected one of "
+                        f"{[*pair_versions, flat_version]}, got {version!r}")
+
+
 def protocol_to_dict(proto: PbtProtocol) -> dict:
     return {
         "version": PROTOCOL_FORMAT_VERSION,
@@ -297,8 +332,8 @@ def protocol_to_dict(proto: PbtProtocol) -> dict:
         "n": proto.n,
         "N": proto.N,
         "dims": {"a": proto.port_dim, "A": proto.alice_dim, "B": proto.port_dim},
-        "resource": complex_pairs(proto.resource.amplitudes),
-        "povm": [complex_pairs(m.entries) for m in proto.povm],
+        "resource": complex_floats(proto.resource.amplitudes),
+        "povm": [complex_floats(m.entries) for m in proto.povm],
     }
 
 
@@ -318,8 +353,10 @@ def _typed_field(value, kind: type, name: str):
 
 
 def protocol_from_dict(doc: dict) -> PbtProtocol:
-    """Raise ProtocolError, naming the field, for a malformed document."""
+    """Read either format version.  Raise ProtocolError, naming the field,
+    for a malformed document."""
     _typed_field(doc, dict, "protocol document")
+    read = complex_reader(doc, ("1",), PROTOCOL_FORMAT_VERSION)
     for field_name in ("n", "N", "dims", "resource", "povm"):
         if field_name not in doc:
             raise ProtocolError(f"protocol document is missing field {field_name!r}")
@@ -334,14 +371,14 @@ def protocol_from_dict(doc: dict) -> PbtProtocol:
         (("A", dim_alice),) + tuple((port_label(j), 2**n) for j in range(1, big_n + 1))
     )
     try:
-        resource = StateVector(layout, from_complex_pairs(doc["resource"], "resource"))
+        resource = StateVector(layout, read(doc["resource"], "resource"))
     except ValueError as exc:  # unnormalized, or not the layout's size
         raise ProtocolError(f"field 'resource': {exc}") from exc
     d = 2**n * dim_alice
     povm_layout = SystemLayout.of(("a", 2**n), ("A", dim_alice))
     povm = []
     for k, mat in enumerate(povm_doc):
-        flat = from_complex_pairs(mat, f"povm[{k}]")
+        flat = read(mat, f"povm[{k}]")
         if flat.size != d * d:
             raise ProtocolError(f"field 'povm[{k}]': expected {d * d} entries, got {flat.size}")
         try:

@@ -33,8 +33,8 @@ from .engine import (
     PbtProtocol,
     _int_field,
     _typed_field,
-    complex_pairs,
-    from_complex_pairs,
+    complex_floats,
+    complex_reader,
     write_document,
 )
 from .errors import LayoutError, ProtocolError, UnitarityError
@@ -42,7 +42,7 @@ from .pauli import haar_amplitudes
 from .report import AuditReport
 from .tensor import StateVector, SystemLayout, basis_state, unitarity_deviation
 
-POINTER_FORMAT_VERSION = "2"
+POINTER_FORMAT_VERSION = "3"
 
 #: tolerance for the theorem's hypothesis (input intact, branch factorizes)
 HYPOTHESIS_ATOL = 1e-8
@@ -299,18 +299,28 @@ def pointer_to_dict(op: PointerOperation) -> dict:
         "kind": "pointer-operation",
         "dims": {"a": op.dim_a, "b": op.dim_b, "pi": op.dim_pointer},
         "lift": {"ports": op.ports, "ancilla": op.ancilla},
-        "unitary": complex_pairs(op.u),
-        "xi": complex_pairs(op.xi_b.amplitudes),
-        "chi": complex_pairs(op.chi_pi.amplitudes),
-        "pointer_basis": [complex_pairs(v.amplitudes) for v in op.pointer_basis],
+        "unitary": complex_floats(op.u),
+        "xi": complex_floats(op.xi_b.amplitudes),
+        "chi": complex_floats(op.chi_pi.amplitudes),
+        "pointer_basis": [complex_floats(v.amplitudes) for v in op.pointer_basis],
     }
 
 
 def pointer_from_dict(doc: dict) -> PointerOperation:
-    """Read either format version: a version-1 document has no ``lift`` and
-    holds the operation's whole unitary, which is the zero-port case.  Raise
-    ProtocolError, naming the field, for a malformed document."""
+    """Read any format version: a version-1 document has no ``lift`` and
+    holds the operation's whole unitary, which is the zero-port case, and
+    versions 1 and 2 hold [re, im] pairs.  Raise ProtocolError, naming the
+    field, for a malformed document."""
     _typed_field(doc, dict, "pointer document")
+    read = complex_reader(doc, ("1", "2"), POINTER_FORMAT_VERSION)
+
+    def state(label: str, dim: int, values, name: str) -> StateVector:
+        amplitudes = read(values, name)
+        try:
+            return StateVector(SystemLayout.of((label, dim)), amplitudes)
+        except ValueError as exc:  # unnormalized, or not the dimension's size
+            raise ProtocolError(f"field {name!r}: {exc}") from exc
+
     for field_name in ("dims", "unitary", "xi", "chi"):
         if field_name not in doc:
             raise ProtocolError(f"pointer document is missing field {field_name!r}")
@@ -320,14 +330,13 @@ def pointer_from_dict(doc: dict) -> PointerOperation:
             raise ProtocolError(f"pointer field 'dims' is missing entry {field_name!r}")
     da, db, npi = (_int_field(dims[name], f"dims.{name}") for name in ("a", "b", "pi"))
     lift = _typed_field(doc.get("lift", {}), dict, "field 'lift'")
-    u = from_complex_pairs(doc["unitary"], "unitary")
+    u = read(doc["unitary"], "unitary")
     side = math.isqrt(u.size)
     if side * side != u.size:
         raise ProtocolError(f"field 'unitary': {u.size} entries are not a square matrix")
     if "pointer_basis" in doc:
         basis = tuple(
-            StateVector(SystemLayout.of(("pi", npi)),
-                        from_complex_pairs(vec, f"pointer_basis[{i}]"))
+            state("pi", npi, vec, f"pointer_basis[{i}]")
             for i, vec in enumerate(_typed_field(doc["pointer_basis"], list,
                                                  "field 'pointer_basis'"))
         )
@@ -337,8 +346,8 @@ def pointer_from_dict(doc: dict) -> PointerOperation:
         dim_a=da,
         dim_b=db,
         u=u.reshape(side, side),
-        xi_b=StateVector(SystemLayout.of(("b", db)), from_complex_pairs(doc["xi"], "xi")),
-        chi_pi=StateVector(SystemLayout.of(("pi", npi)), from_complex_pairs(doc["chi"], "chi")),
+        xi_b=state("b", db, doc["xi"], "xi"),
+        chi_pi=state("pi", npi, doc["chi"], "chi"),
         pointer_basis=basis,
         ports=_int_field(lift.get("ports", 0), "lift.ports"),
         ancilla=_int_field(lift.get("ancilla", 1), "lift.ancilla"),

@@ -2,10 +2,12 @@
 does not need (outer products, operator tensor products and reorderings,
 partial trace, pure-state fidelities, the maximally mixed state), the
 three-step construction of the standard resource, a per-outcome view of
-one input's branches, and the optimizer's splitting iteration written with
-fresh arrays at every step."""
+one input's branches, the optimizer's splitting iteration written with
+fresh arrays at every step, and the [re, im]-pair layout of the earlier
+document formats."""
 
 import functools
+import json
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -121,6 +123,14 @@ def partial_trace(op: HermitianMatrix, keep: Iterable[str]) -> HermitianMatrix:
     reduced = np.einsum(t, row_idx + col_idx, out_idx).reshape(d, d)
     reduced = 0.5 * (reduced + reduced.conj().T)
     return HermitianMatrix(out_layout, reduced)
+
+
+def haar_unitary(d: int, seed: int) -> np.ndarray:
+    """A Haar-random d x d unitary."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
 def state_fidelity(a: StateVector, b: StateVector) -> float:
@@ -245,3 +255,46 @@ def reference_splitting(fp, max_iterations: int):
 
     return z, dict(converged=stopped_by != "cap", stopped_by=stopped_by, iterations=iteration,
                    switch_iteration=switch, trace=trace)
+
+
+# ---------------------------------------------------------------------------
+# the earlier document formats: complex numbers as [re, im] pairs
+
+#: the last format version of each document kind that holds [re, im] pairs
+PAIR_VERSIONS = {"pbt-protocol": "1", "pointer-operation": "2"}
+LAYOUTS = ("pairs", "flat")
+
+
+def complex_pairs(arr: np.ndarray) -> list[list[float]]:
+    """A complex array as the earlier formats wrote it: [re, im] pairs, row-major."""
+    return np.ascontiguousarray(arr, np.complex128).view(np.float64).reshape(-1, 2).tolist()
+
+
+def in_layout(doc: dict, layout: str) -> dict:
+    """A copy of a protocol, primed-protocol or pointer document in ``layout``:
+    ``"flat"`` as written, ``"pairs"`` with every array's floats regrouped into
+    [re, im] pairs under the kind's last pair-layout version."""
+    doc = json.loads(json.dumps(doc))
+    if layout == "flat":
+        return doc
+
+    def pairs(values):
+        return [values[i:i + 2] for i in range(0, len(values), 2)]
+
+    for name in ("resource", "unitary", "xi", "chi"):
+        if name in doc:
+            doc[name] = pairs(doc[name])
+    for name in ("povm", "pointer_basis"):
+        if name in doc:
+            doc[name] = [pairs(values) for values in doc[name]]
+    doc["version"] = PAIR_VERSIONS[doc["kind"]]
+    return doc
+
+
+def set_part(values: list, entry: int, part: int, value) -> None:
+    """Set the real (``part`` 0) or imaginary (1) part of complex entry
+    ``entry`` of one array field, in either layout."""
+    if isinstance(values[0], list):
+        values[entry][part] = value
+    else:
+        values[2 * entry + part] = value

@@ -6,13 +6,20 @@ A pbtkit name moved or renamed under the benchmark fails here, and so does
 a traced run that leaves a wrapper behind or misses the routine it names."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pbtkit.engine import bell_pbt_protocol, measure, save_protocol
+from pbtkit.engine import (
+    PROTOCOL_FORMAT_VERSION,
+    bell_pbt_protocol,
+    load_protocol,
+    measure,
+    save_protocol,
+)
 from pbtkit.nocloning import pointer_form
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -55,6 +62,23 @@ def test_rotated_reference_protocol_builds_and_teleports():
     proto = workloads.rotated_bell_protocol(2, np.random.Generator(np.random.PCG64(7)))
     q = measure(proto, np.eye(2, dtype=complex)).q
     np.testing.assert_allclose(q[:, 1:].sum(axis=1), workloads.SIMULATE_P, atol=1e-12)
+
+
+def test_simulate_inputs_carry_the_current_format_and_load_bit_identically(monkeypatch, tmp_path):
+    monkeypatch.setattr(workloads, "SIMULATE_FILES", 6)
+    workloads.write_inputs("simulate", 41, tmp_path)
+    rng = np.random.Generator(np.random.PCG64(41))
+    paths = sorted(tmp_path.iterdir())
+    assert len(paths) == 6
+    ports = workloads.SIMULATE_PORTS
+    for i, path in enumerate(paths):
+        built = workloads.rotated_bell_protocol(ports[i % len(ports)], rng)
+        assert json.loads(path.read_text())["version"] == PROTOCOL_FORMAT_VERSION == "2"
+        loaded = load_protocol(path)
+        assert loaded.resource.amplitudes.tobytes() == built.resource.amplitudes.tobytes()
+        assert len(loaded.povm) == len(built.povm) == built.N + 1
+        for a, b in zip(loaded.povm, built.povm):
+            assert a.entries.tobytes() == b.entries.tobytes()
 
 
 def bindings():

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pbtkit import cli, nocloning
@@ -15,6 +16,7 @@ from pbtkit.cli import PRIME_TOLERANCES, VERIFY_TOLERANCES, build_parser, dispat
 from pbtkit.engine import bell_pbt_protocol, protocol_to_dict
 from pbtkit.optima import p_fixed
 from pbtkit.signaling import bound
+from reference import LAYOUTS, in_layout, set_part
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -43,12 +45,16 @@ def test_simulate_builtin(tmp_path):
 
 
 def test_simulate_protocol_file_and_psi_file(tmp_path, bell_file):
-    psi_path = tmp_path / "psi.json"
-    with open(psi_path, "w") as fh:
-        json.dump([[0.6, 0.0], [0.0, 0.8]], fh)
-    code = dispatch(["simulate", "--protocol", str(bell_file),
-                     "--psi", str(psi_path), "--out", str(tmp_path)])
-    assert code == 0
+    reports = []
+    for name, amplitudes in (("pairs", [[0.6, 0.0], [0.0, 0.8]]), ("flat", [0.6, 0.0, 0.0, 0.8])):
+        psi_path = tmp_path / f"psi-{name}.json"
+        with open(psi_path, "w") as fh:
+            json.dump(amplitudes, fh)
+        code = dispatch(["simulate", "--protocol", str(bell_file),
+                         "--psi", str(psi_path), "--out", str(tmp_path / name)])
+        assert code == 0
+        reports.append(read_json(tmp_path / name / "simulate.json")["branches"])
+    assert reports[0] == reports[1]
 
 
 def test_verify_bell_passes(tmp_path):
@@ -78,14 +84,15 @@ def test_verify_is_byte_identical_for_same_manifest(tmp_path, monkeypatch):
 
 
 def test_malformed_povm_gives_exit_2(tmp_path, capsys):
-    doc = protocol_to_dict(bell_pbt_protocol(1))
-    doc["povm"] = [[[1.01 * re, 1.01 * im] for re, im in mat] for mat in doc["povm"]]
-    path = tmp_path / "bad.json"
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-    code = dispatch(["simulate", "--protocol", str(path), "--out", str(tmp_path)])
-    assert code == 2
-    assert "completeness" in capsys.readouterr().err
+    for layout in LAYOUTS:
+        doc = in_layout(protocol_to_dict(bell_pbt_protocol(1)), layout)
+        doc["povm"] = [(1.01 * np.array(mat)).tolist() for mat in doc["povm"]]
+        path = tmp_path / "bad.json"
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        code = dispatch(["simulate", "--protocol", str(path), "--out", str(tmp_path)])
+        assert code == 2
+        assert "completeness" in capsys.readouterr().err
 
 
 def test_malformed_json_gives_exit_2(tmp_path, capsys):
@@ -410,21 +417,24 @@ def test_bad_counts_are_rejected_at_parse_time(tmp_path, capsys, argv):
                                    [[1, 0], [0, float("inf")]]])
 def test_psi_file_that_is_zero_or_not_finite_exits_2(tmp_path, capsys, pairs):
     path = tmp_path / "psi.json"
-    path.write_text(json.dumps(pairs))
-    code = dispatch(["simulate", "--builtin", "bell", "--ports", "2", "--psi", str(path),
-                     "--out", str(tmp_path)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "--psi" in err and ("finite" in err or "zero" in err)
-    assert not (tmp_path / "simulate.json").exists()
+    for amplitudes in (pairs, [x for pair in pairs for x in pair]):
+        path.write_text(json.dumps(amplitudes))
+        code = dispatch(["simulate", "--builtin", "bell", "--ports", "2", "--psi", str(path),
+                         "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--psi" in err and ("finite" in err or "zero" in err)
+        assert not (tmp_path / "simulate.json").exists()
 
 
-def corrupted(doc, field, value):
-    doc = json.loads(json.dumps(doc))
+def corrupted(doc, field, value, layout):
+    """``doc`` in ``layout`` with the real part of resource entry 3, or the
+    imaginary part of entry 5 of POVM element 1, set to ``value``."""
+    doc = in_layout(doc, layout)
     if field == "resource":
-        doc["resource"][3][0] = value
+        set_part(doc["resource"], 3, 0, value)
     else:
-        doc["povm"][1][5][1] = value
+        set_part(doc["povm"][1], 5, 1, value)
     return doc
 
 
@@ -435,11 +445,13 @@ def corrupted(doc, field, value):
 def test_protocol_file_with_non_finite_entries_exits_2(tmp_path, capsys, command, field,
                                                        value, named):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(corrupted(protocol_to_dict(bell_pbt_protocol(2)), field, value)))
-    code = dispatch([command, "--protocol", str(path), "--out", str(tmp_path)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert named in err and "finite" in err and "bad.json" in err
+    for layout in LAYOUTS:
+        doc = corrupted(protocol_to_dict(bell_pbt_protocol(2)), field, value, layout)
+        path.write_text(json.dumps(doc))
+        code = dispatch([command, "--protocol", str(path), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert named in err and "finite" in err and "bad.json" in err
 
 
 @pytest.mark.parametrize("field,value,message", [("resource", 5.0, "norm"),
@@ -447,6 +459,8 @@ def test_protocol_file_with_non_finite_entries_exits_2(tmp_path, capsys, command
 def test_protocol_file_with_invalid_state_or_operator_exits_2(tmp_path, capsys, field, value,
                                                               message):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(corrupted(protocol_to_dict(bell_pbt_protocol(2)), field, value)))
-    assert dispatch(["simulate", "--protocol", str(path), "--out", str(tmp_path)]) == 2
-    assert message in capsys.readouterr().err
+    for layout in LAYOUTS:
+        doc = corrupted(protocol_to_dict(bell_pbt_protocol(2)), field, value, layout)
+        path.write_text(json.dumps(doc))
+        assert dispatch(["simulate", "--protocol", str(path), "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err

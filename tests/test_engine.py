@@ -38,10 +38,13 @@ from pbtkit.tensor import (
     schmidt_decompose,
 )
 from reference import (
+    LAYOUTS,
     branches_of,
     fidelity,
+    in_layout,
     paired_resource,
     permute_operator,
+    set_part,
     state_fidelity,
     states_equal,
 )
@@ -345,15 +348,16 @@ def test_protocol_from_dict_names_missing_field():
     ("N", None, "'N'.*integer"),
 ])
 def test_protocol_from_dict_names_an_invalid_field(field, value, named):
-    doc = json.loads(json.dumps(protocol_to_dict(bell_pbt_protocol(2))))
-    if field == "resource":
-        doc["resource"][3][0] = value
-    elif field == "povm":
-        doc["povm"][1][5][1] = value
-    else:
-        doc[field] = value
-    with pytest.raises(ProtocolError, match=named):
-        protocol_from_dict(doc)
+    for layout in LAYOUTS:
+        doc = in_layout(protocol_to_dict(bell_pbt_protocol(2)), layout)
+        if field == "resource":
+            set_part(doc["resource"], 3, 0, value)
+        elif field == "povm":
+            set_part(doc["povm"][1], 5, 1, value)
+        else:
+            doc[field] = value
+        with pytest.raises(ProtocolError, match=named):
+            protocol_from_dict(doc)
 
 
 def test_kraus_roots_square_to_povm_and_are_cached():

@@ -8,7 +8,7 @@ import pytest
 
 from pbtkit import branches
 from pbtkit.branches import BRANCH_PRUNE
-from pbtkit.engine import bell_pbt_protocol, complex_pairs
+from pbtkit.engine import bell_pbt_protocol
 from pbtkit.errors import LayoutError, ProtocolError, SampleCountError, UnitarityError
 from pbtkit.nocloning import (
     POINTER_U_CAP_BYTES,
@@ -25,7 +25,15 @@ from pbtkit.nocloning import (
 )
 from pbtkit.pauli import haar_amplitudes, haar_states
 from pbtkit.tensor import StateVector, SystemLayout, basis_state, reduced_density
-from reference import branches_of, outer
+from reference import (
+    LAYOUTS,
+    branches_of,
+    complex_pairs,
+    haar_unitary,
+    in_layout,
+    outer,
+    set_part,
+)
 
 BELL_VECS = [
     np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2),
@@ -409,13 +417,6 @@ def dense_deviation(u):
     return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
 
 
-def haar_unitary(d, seed):
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(z)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
 def pointer_op_with(u, dim_b=2, npi=2):
     return PointerOperation(
         dim_a=2,
@@ -466,8 +467,9 @@ def test_zero_column_is_rejected():
 
 
 def version_1_document(op):
-    """``op`` as a format-1 file holds it: its whole unitary, no lift."""
-    doc = pointer_to_dict(op)
+    """``op`` as a format-1 file holds it: its whole unitary, no lift, and
+    [re, im] pairs."""
+    doc = in_layout(pointer_to_dict(op), "pairs")
     del doc["lift"]
     doc.update(version="1", unitary=complex_pairs(scatter_lift(op)))
     return doc
@@ -478,12 +480,13 @@ def test_non_finite_entry_is_rejected(tmp_path):
     u[3, 3] = np.nan
     with pytest.raises(UnitarityError, match="within 1e-10"):
         pointer_op_with(u)
-    doc = version_1_document(pointer_form(bell_pbt_protocol(1)))
-    doc["unitary"][5][1] = float("nan")
-    path = tmp_path / "pointer.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ProtocolError, match="'unitary'.*finite"):
-        load_pointer(path)
+    op = pointer_form(bell_pbt_protocol(1))
+    for doc in (version_1_document(op), pointer_to_dict(op)):
+        set_part(doc["unitary"], 5, 1, float("nan"))
+        path = tmp_path / "pointer.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ProtocolError, match="'unitary'.*finite"):
+            load_pointer(path)
 
 
 @pytest.mark.parametrize("ports,ancilla,npi", [(-1, 1, 2), (0, 0, 2), (1, 1, 3), (3, 1, 4)])
@@ -515,7 +518,7 @@ def test_save_and_load_pointer_round_trip(tmp_path):
     op = pointer_form(bell_pbt_protocol(2), fine_grained=fine_failure(2))
     path = tmp_path / "pointer.json"
     save_pointer(op, path)
-    assert json.loads(path.read_text())["version"] == "2"
+    assert json.loads(path.read_text())["version"] == "3"
     back = load_pointer(path)
     assert (back.ports, back.ancilla) == (op.ports, op.ancilla) == (2, 3)
     assert back.u.tobytes() == op.u.tobytes()
@@ -662,7 +665,8 @@ def test_chunked_verify_theorem_matches_one_batch(monkeypatch, N):
 
 @pytest.mark.parametrize("field", ["unitary", "xi", "chi"])
 def test_pointer_from_dict_rejects_non_finite_entries(field):
-    doc = pointer_to_dict(pointer_form(bell_pbt_protocol(1)))
-    doc[field][0][0] = float("nan")
-    with pytest.raises(ProtocolError, match=f"'{field}'.*finite"):
-        pointer_from_dict(doc)
+    for layout in LAYOUTS:
+        doc = in_layout(pointer_to_dict(pointer_form(bell_pbt_protocol(1))), layout)
+        set_part(doc[field], 0, 0, float("nan"))
+        with pytest.raises(ProtocolError, match=f"'{field}'.*finite"):
+            pointer_from_dict(doc)
