@@ -302,14 +302,14 @@ def from_complex_floats(values, field: str) -> np.ndarray:
 
 
 def from_complex_pairs(pairs, field: str) -> np.ndarray:
-    """The format-1 layout: a list of [re, im] pairs."""
-    try:
-        out = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError(f"field {field!r}: expected a list of [re, im] pairs") from exc
-    if not np.all(np.isfinite(out)):
-        raise ProtocolError(f"field {field!r}: entries must be finite")
-    return out
+    """The format-1 layout: a list of [re, im] pairs of JSON numbers;
+    ProtocolError, naming ``field``, otherwise (``complex`` alone would read
+    ``true`` as 1)."""
+    if not isinstance(pairs, list) or not all(
+            isinstance(pair, list) and len(pair) == 2 and set(map(type, pair)) <= {float, int}
+            for pair in pairs):
+        raise ProtocolError(f"field {field!r}: expected a list of [re, im] pairs of numbers")
+    return from_complex_floats([part for pair in pairs for part in pair], field)
 
 
 def complex_reader(doc: dict, pair_versions: tuple[str, ...], flat_version: str):
@@ -338,10 +338,11 @@ def protocol_to_dict(proto: PbtProtocol) -> dict:
 
 
 def _int_field(value, name: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError(f"field {name!r}: expected an integer, got {value!r}") from exc
+    """``value``; ProtocolError naming ``name`` unless it is a JSON integer
+    (``int`` would read 2.9 and "2" as 2 and ``true`` as 1)."""
+    if type(value) is not int:
+        raise ProtocolError(f"field {name!r}: expected an integer, got {value!r}")
+    return value
 
 
 def _typed_field(value, kind: type, name: str):
@@ -366,7 +367,7 @@ def protocol_from_dict(doc: dict) -> PbtProtocol:
     for field_name in ("a", "A", "B"):
         if field_name not in dims:
             raise ProtocolError(f"protocol field 'dims' is missing entry {field_name!r}")
-    dim_alice = _int_field(dims["A"], "dims.A")
+    _, dim_alice, _ = (_int_field(dims[name], f"dims.{name}") for name in ("a", "A", "B"))
     layout = SystemLayout(
         (("A", dim_alice),) + tuple((port_label(j), 2**n) for j in range(1, big_n + 1))
     )

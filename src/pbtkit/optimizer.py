@@ -296,7 +296,7 @@ class _FaceProblem:
     """
 
     def __init__(self, sdp: JointPbtSdp):
-        self.N, self.rhs, self.rows = sdp.N, sdp.rhs_pattern, sdp.rhs_pattern.size
+        self.n, self.N, self.rhs, self.rows = sdp.n, sdp.N, sdp.rhs_pattern, sdp.rhs_pattern.size
         self.dim_big, self.dim_sigma, self.embed = sdp.dim_choi, sdp.dim_sigma, sdp.embed
         self.faces = sdp.faces()
         # every port face is spanned by the same number of vectors
@@ -334,9 +334,9 @@ class _FaceProblem:
         self.bars = [np.hstack([red, -self.rhs[:, None]]) for red in self.red_blocks]
         self.bar_factors = [np.linalg.inv(bar @ bar.T + 1e-14 * np.eye(bar.shape[0]))
                             for bar in self.bars]
-        self.clips = [(self.sl_y, _PsdClip(self.face_dim, self.N)),
-                      (self.sl_slack, _PsdClip(self.dim_big)),
-                      (self.sl_s, _PsdClip(self.dim_sigma))]
+        # the PSD blocks Y_1..Y_N, slack, sigma lie back to back before q
+        self.sl_psd = slice(0, self.sl_q.start)
+        self.clip = _PsdClip((self.face_dim, self.N), (self.dim_big, 1), (self.dim_sigma, 1))
 
     def slack_of(self, y: np.ndarray, s: np.ndarray) -> np.ndarray:
         out = self.embed @ s
@@ -356,31 +356,42 @@ class _FaceProblem:
 
     def project(self, x: np.ndarray, out: np.ndarray) -> None:
         """Cone-side step: PSD clips of every block, box clip of q."""
-        for sl, clip in self.clips:
-            clip(x[sl], out[sl])
+        self.clip(x[self.sl_psd], out[self.sl_psd])
         np.clip(x[self.sl_q], 0.0, 1.0, out=out[self.sl_q])
 
 
 class _PsdClip:
-    """Nearest PSD matrices, in coordinates, of ``count`` d x d blocks laid
-    back to back in a flat vector, through one stacked ``eigh``."""
+    """Nearest PSD matrices, in coordinates, of Hermitian blocks laid back to
+    back in a flat vector: per ``(d, count)`` group, ``count`` d x d blocks.
+    One gather fills one storage buffer, each group goes through one stacked
+    ``eigh``, and one scatter writes the coordinates back."""
 
-    def __init__(self, d: int, count: int = 1):
-        self.slots, self.slot_weights, self.coords, self.weights = _coordinate_map(d, count)
-        self.storage = np.empty(2 * d * d * count)
-        self.herm = self.storage.view(np.complex128).reshape(count, d, d)
+    def __init__(self, *groups: tuple[int, int]):
+        slots, slot_weights, coords, weights = zip(*(_coordinate_map(d, count)
+                                                     for d, count in groups))
+        sizes = [d * d * count for d, count in groups]  # coordinates per group
+        starts = np.cumsum([0] + sizes[:-1])
+        self.slots = np.concatenate([sl + 2 * at for sl, at in zip(slots, starts)])
+        self.slot_weights = np.concatenate(slot_weights)
+        self.coords = np.concatenate([co + at for co, at in zip(coords, starts)])
+        self.weights = np.concatenate(weights)
+        self.storage = np.empty(2 * sum(sizes))
+        self.herms = [self.storage[2 * at : 2 * (at + size)].view(np.complex128)
+                      .reshape(count, d, d)
+                      for (d, count), at, size in zip(groups, starts, sizes)]
 
     def __call__(self, vec: np.ndarray, out: np.ndarray) -> None:
         np.multiply(vec[self.coords], self.weights, out=self.storage)
-        w, v = np.linalg.eigh(self.herm)
-        np.maximum(w, 0.0, out=w)
-        np.matmul(v * w[:, None, :], v.conj().swapaxes(-1, -2), out=self.herm)
+        for herm in self.herms:
+            w, v = np.linalg.eigh(herm)
+            np.maximum(w, 0.0, out=w)
+            np.matmul(v * w[:, None, :], v.conj().swapaxes(-1, -2), out=herm)
         np.multiply(self.storage[self.slots], self.slot_weights, out=out)
 
 
-def _run_splitting(fp: _FaceProblem, max_iterations: int, finish: Callable[[np.ndarray], dict],
+def _run_splitting(fp: _FaceProblem, max_iterations: int, score: Callable[[np.ndarray], dict],
                    p_upper: Optional[float] = None):
-    """Iterate the consensus splitting; returns ``finish`` (a dict with
+    """Iterate the consensus splitting; returns ``score`` (a dict with
     ``p_opt``) of the final cone-side iterate, or of the checkpoint that met
     ``p_upper``, and the run record: whether a stop test fired, which one or
     the cap ended the run, the iteration count, the first stiff iteration and
@@ -405,7 +416,7 @@ def _run_splitting(fp: _FaceProblem, max_iterations: int, finish: Callable[[np.n
     rho, alpha, switch = PENALTY, OVER_RELAXATION, 0
     trace: list[tuple[int, float, float]] = []
     stopped_by = "cap"
-    answered = 0  # the iteration whose iterate ``answer`` was made of
+    answered = 0  # the iteration whose iterate ``answer`` scores
     for iteration in range(1, max_iterations + 1):
         if not switch and (stalled or iteration >= latest_switch):
             u *= rho / REFINE_PENALTY
@@ -425,7 +436,7 @@ def _run_splitting(fp: _FaceProblem, max_iterations: int, finish: Callable[[np.n
         trace.append((iteration, obj, relative))
 
         if p_upper is not None and iteration % ADAPT_EVERY == 0:
-            answer, answered = finish(z), iteration
+            answer, answered = score(z), iteration
             if p_upper - answer["p_opt"] <= OBJECTIVE_TOLERANCE:
                 stopped_by = "certificate"
                 break
@@ -448,7 +459,7 @@ def _run_splitting(fp: _FaceProblem, max_iterations: int, finish: Callable[[np.n
                 u *= 2.0
 
     if answered != iteration:
-        answer = finish(z)
+        answer = score(z)
     return answer, dict(converged=stopped_by != "cap", stopped_by=stopped_by,
                         iterations=iteration, switch_iteration=switch, trace=trace)
 
@@ -504,25 +515,56 @@ def solve(sdp: PbtSdp) -> SolveResult:
 
 def solve_joint(sdp: JointPbtSdp, max_iterations: int = 20_000) -> SolveResult:
     """Optimize measurement and resource together by the splitting scheme;
-    an answer is the protocol extracted from the rounded Choi blocks.
-    ``ValueError`` before any work unless ``max_iterations`` is at least 1."""
+    an answer is the protocol extracted from the rounded Choi blocks.  Each
+    checkpoint only scores its iterate (``_score``); the protocol is built
+    once, for the answer returned.  ``ValueError`` before any work unless
+    ``max_iterations`` is at least 1."""
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
     fp = _FaceProblem(sdp)
+    scored, run = _run_splitting(fp, max_iterations, lambda z: _score(fp, z), sdp.p_upper)
+    js = scored["js"]
+    protocol, qs = extract_protocol(sdp.n, sdp.N, js, scored["sigma"])
+    qs_fit = [sdp.fit_q(j, k) for k, j in enumerate(js)]
+    residuals = {"teleportation": sdp.port_map_residual(js, qs_fit), "completeness": 0.0,
+                 "psd": _psd_violation([m.entries for m in protocol.povm[1:]])}
+    return SolveResult(p_opt=float(qs.sum()), povm=protocol.povm, q=qs, residuals=residuals,
+                       resource=protocol.resource, protocol=protocol, **run,
+                       p_upper=sdp.p_upper)
 
-    def finish(z: np.ndarray) -> dict:
-        ys, _ = _round_on_face(fp, z)
-        js = [face @ y @ face.conj().T for face, y in zip(fp.faces, ys)]
-        js = [0.5 * (j + j.conj().T) for j in js]
-        protocol, qs = extract_protocol(sdp.n, sdp.N, js, vec_to_herm(z[fp.sl_s], sdp.dim_sigma))
-        qs_fit = [sdp.fit_q(j, k) for k, j in enumerate(js)]
-        residuals = {"teleportation": sdp.port_map_residual(js, qs_fit), "completeness": 0.0,
-                     "psd": _psd_violation([m.entries for m in protocol.povm[1:]])}
-        return dict(p_opt=float(qs.sum()), povm=protocol.povm, q=qs, residuals=residuals,
-                    resource=protocol.resource, protocol=protocol)
 
-    fields, run = _run_splitting(fp, max_iterations, finish, sdp.p_upper)
-    return SolveResult(**fields, **run, p_upper=sdp.p_upper)
+def _score(fp: _FaceProblem, z: np.ndarray) -> dict:
+    """The answer the cone-side iterate ``z`` rounds to, up to its objective:
+    the rounded Choi blocks ``js``, the marginal ``sigma`` and ``p_opt``, the
+    same float ``extract_protocol`` gives them."""
+    ys, _ = _round_on_face(fp, z)
+    js = [face @ y @ face.conj().T for face, y in zip(fp.faces, ys)]
+    js = [0.5 * (j + j.conj().T) for j in js]
+    sigma = vec_to_herm(z[fp.sl_s], fp.dim_sigma)
+    return dict(p_opt=float(_steering(fp.n, fp.N, js, sigma)[-1].sum()), js=js, sigma=sigma)
+
+
+def _steering(n: int, N: int, js: Sequence[np.ndarray], sigma: np.ndarray):
+    """The part of the steering construction that sets the success weights:
+    the padded marginal's eigendecomposition (w, v), the lift by its inverse
+    square root, the shrink factor and the weights q."""
+    d = 2**n
+    ds = d**N
+    sigma = 0.5 * (sigma + sigma.conj().T)
+    sigma = (1.0 - EXTRACTION_PAD) * sigma + EXTRACTION_PAD * np.eye(ds) / ds
+    sigma = sigma / np.trace(sigma).real
+    w, v = np.linalg.eigh(sigma)
+    w = np.clip(w, EXTRACTION_PAD / (2 * ds), None)
+    inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
+
+    lift = np.kron(np.eye(d), inv_sqrt)
+    sandwich = lift @ sum(js) @ lift.conj().T
+    lam_max = float(np.linalg.eigvalsh(sandwich)[-1])
+    shrink = 1.0 if lam_max <= 1.0 else (1.0 - 1e-12) / lam_max
+    omega = _omega_vec(d)
+    qs = np.array([float(np.vdot(omega, _port_choi(j_op * shrink, d, N, k + 1) @ omega).real)
+                   / (d * d) for k, j_op in enumerate(js)])
+    return (w, v), lift, shrink, qs
 
 
 def extract_protocol(n: int, N: int, js: Sequence[np.ndarray],
@@ -538,18 +580,8 @@ def extract_protocol(n: int, N: int, js: Sequence[np.ndarray],
     survive with rescaled success weights."""
     d = 2**n
     ds = d**N
-    sigma = 0.5 * (sigma + sigma.conj().T)
-    sigma = (1.0 - EXTRACTION_PAD) * sigma + EXTRACTION_PAD * np.eye(ds) / ds
-    sigma = sigma / np.trace(sigma).real
-    w, v = np.linalg.eigh(sigma)
-    w = np.clip(w, EXTRACTION_PAD / (2 * ds), None)
+    (w, v), lift, shrink, qs = _steering(n, N, js, sigma)
     sqrt_sigma = (v * np.sqrt(w)) @ v.conj().T
-    inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
-
-    lift = np.kron(np.eye(d), inv_sqrt)
-    sandwich = lift @ sum(js) @ lift.conj().T
-    lam_max = float(np.linalg.eigvalsh(sandwich)[-1])
-    shrink = 1.0 if lam_max <= 1.0 else (1.0 - 1e-12) / lam_max
 
     layout = SystemLayout(
         (("A", ds),) + tuple((port_label(j), d) for j in range(1, N + 1)))
@@ -562,11 +594,7 @@ def extract_protocol(n: int, N: int, js: Sequence[np.ndarray],
     slack = np.eye(d * ds) - sum(ms)
     povm = [HermitianMatrix(povm_layout, 0.5 * (slack + slack.conj().T))]
     povm += [HermitianMatrix(povm_layout, m) for m in ms]
-    proto = PbtProtocol(n=n, N=N, resource=resource, povm=tuple(povm))
-    omega = _omega_vec(d)
-    qs = np.array([float(np.vdot(omega, _port_choi(j_op * shrink, d, N, k + 1) @ omega).real)
-                   / (d * d) for k, j_op in enumerate(js)])
-    return proto, qs
+    return PbtProtocol(n=n, N=N, resource=resource, povm=tuple(povm)), qs
 
 
 def _port_choi(j_op: np.ndarray, d: int, N: int, k: int) -> np.ndarray:

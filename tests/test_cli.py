@@ -4,6 +4,7 @@ import argparse
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -81,6 +82,21 @@ def test_verify_is_byte_identical_for_same_manifest(tmp_path, monkeypatch):
     doc1, doc2 = json.loads(blob1), json.loads(blob2)
     doc1["manifest"]["output_dir"] = doc2["manifest"]["output_dir"] = ""
     assert json.dumps(doc1, sort_keys=True) == json.dumps(doc2, sort_keys=True)
+
+
+@pytest.mark.parametrize("flags", [["--ports", "1"], ["--ports", "2"],
+                                   ["--ports", "2", "--fixed-resource"]],
+                         ids=["joint-1", "joint-2", "fixed-2"])
+def test_optimize_is_byte_identical_for_same_manifest(tmp_path, monkeypatch, flags):
+    """Two runs into the same directory, so even the manifests agree."""
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    out, runs = tmp_path / "out", []
+    for _ in range(2):
+        assert dispatch(["optimize", "--qubits", "1", *flags, "--out", str(out)]) == 0
+        runs.append({name: (out / name).read_bytes() for name in
+                     ("certification.json", "optimized_protocol.json", "solver_trace.csv")})
+        shutil.rmtree(out)
+    assert runs[0] == runs[1]
 
 
 def test_malformed_povm_gives_exit_2(tmp_path, capsys):

@@ -272,6 +272,116 @@ def test_malformed_flat_psi_file_exits_2(tmp_path, capsys, case, edit, message):
     assert not (tmp_path / "simulate.json").exists()
 
 
+# ---------------------------------------------------------------------------
+# what the pair reader of the earlier formats refuses, naming the field
+
+#: (case, edit of one [re, im]-pair field, what the error says besides the field)
+MALFORMED_PAIRS = [
+    ("boolean real part", lambda v: [[True, v[0][1]]] + v[1:], "pairs of numbers"),
+    ("boolean imaginary part", lambda v: [[v[0][0], False]] + v[1:], "pairs of numbers"),
+    ("string", lambda v: [[str(v[0][0]), v[0][1]]] + v[1:], "pairs of numbers"),
+    ("null", lambda v: [[None, v[0][1]]] + v[1:], "pairs of numbers"),
+    ("three parts", lambda v: [v[0] + [0.0]] + v[1:], "pairs of numbers"),
+    ("bare number", lambda v: [v[0][0]] + v[1:], "pairs of numbers"),
+    ("integer beyond the float range", lambda v: [[10**400, v[0][1]]] + v[1:], "finite"),
+]
+MALFORMED_PAIR_IDS = [case for case, _, _ in MALFORMED_PAIRS]
+
+
+@pytest.mark.parametrize("case,edit,message", MALFORMED_PAIRS, ids=MALFORMED_PAIR_IDS)
+@pytest.mark.parametrize("field", ["resource", "povm[1]"])
+def test_protocol_and_primed_readers_refuse_a_malformed_pair_field(field, case, edit, message):
+    proto = bell_pbt_protocol(2)
+    pattern = f"{re.escape(repr(field))}.*({message})"
+    with pytest.raises(ProtocolError, match=pattern):
+        protocol_from_dict(edited(in_layout(protocol_to_dict(proto), "pairs"), field, edit))
+    with pytest.raises(ProtocolError, match=pattern):
+        primed_from_dict(edited(in_layout(primed_to_dict(build_primed(proto)), "pairs"),
+                                field, edit))
+
+
+@pytest.mark.parametrize("case,edit,message", MALFORMED_PAIRS, ids=MALFORMED_PAIR_IDS)
+@pytest.mark.parametrize("field", ["unitary", "xi", "chi", "pointer_basis[1]"])
+@pytest.mark.parametrize("version", ["1", "2"])
+def test_pointer_reader_refuses_a_malformed_pair_field(version, field, case, edit, message):
+    doc = in_layout(pointer_to_dict(zero_port_pointer(5)), "pairs")
+    doc["version"] = version
+    if version == "1":
+        del doc["lift"]
+    with pytest.raises(ProtocolError, match=f"{re.escape(repr(field))}.*({message})"):
+        pointer_from_dict(edited(doc, field, edit))
+
+
+@pytest.mark.parametrize("case,edit,message", MALFORMED_PAIRS, ids=MALFORMED_PAIR_IDS)
+@pytest.mark.parametrize("field", ["resource", "povm[1]"])
+def test_malformed_pair_protocol_field_exits_2(tmp_path, capsys, field, case, edit, message):
+    path = tmp_path / "bad.json"
+    doc = in_layout(protocol_to_dict(bell_pbt_protocol(2)), "pairs")
+    path.write_text(json.dumps(edited(doc, field, edit)))
+    assert dispatch(["simulate", "--protocol", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert repr(field) in err and "bad.json" in err and re.search(message, err)
+    assert not (tmp_path / "simulate.json").exists()
+
+
+@pytest.mark.parametrize("case,edit,message", MALFORMED_PAIRS, ids=MALFORMED_PAIR_IDS)
+def test_malformed_pair_psi_file_exits_2(tmp_path, capsys, case, edit, message):
+    path = tmp_path / "psi.json"
+    path.write_text(json.dumps(edit([[0.6, 0.0], [0.0, 0.8]])))
+    assert dispatch(["simulate", "--builtin", "bell", "--ports", "2", "--psi", str(path),
+                     "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    # a first entry that is not a list makes the file a flat one
+    assert "--psi" in err and re.search("flat list" if case == "bare number" else message, err)
+    assert not (tmp_path / "simulate.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# integer fields take JSON integers only, in every format version
+
+#: values ``int`` would have read as an integer, or that are not numbers at all
+NOT_INTEGERS = [2.9, 2.0, "2", True, None]
+NOT_INTEGER_IDS = ["fraction", "integral float", "string", "boolean", "null"]
+
+
+def with_field(doc, field, value):
+    """``doc`` with its entry ``field`` ("dims.A" for a nested one) set to ``value``."""
+    doc = through_json(doc)
+    *outer, name = field.split(".")
+    (doc[outer[0]] if outer else doc)[name] = value
+    return doc
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS, ids=NOT_INTEGER_IDS)
+@pytest.mark.parametrize("field", ["n", "N", "dims.a", "dims.A", "dims.B"])
+@pytest.mark.parametrize("layout", ["flat", "pairs"])
+def test_protocol_reader_refuses_a_non_integer_field(layout, field, value):
+    doc = in_layout(protocol_to_dict(bell_pbt_protocol(2)), layout)
+    with pytest.raises(ProtocolError, match=f"{re.escape(repr(field))}: expected an integer"):
+        protocol_from_dict(with_field(doc, field, value))
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS, ids=NOT_INTEGER_IDS)
+@pytest.mark.parametrize("field", ["dims.a", "dims.b", "dims.pi", "lift.ports",
+                                   "lift.ancilla"])
+@pytest.mark.parametrize("layout", ["flat", "pairs"])
+def test_pointer_reader_refuses_a_non_integer_field(layout, field, value):
+    doc = in_layout(pointer_to_dict(pointer_form(bell_pbt_protocol(2))), layout)
+    with pytest.raises(ProtocolError, match=f"{re.escape(repr(field))}: expected an integer"):
+        pointer_from_dict(with_field(doc, field, value))
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS, ids=NOT_INTEGER_IDS)
+@pytest.mark.parametrize("field", ["n", "N", "dims.A"])
+def test_non_integer_protocol_field_exits_2(tmp_path, capsys, field, value):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(with_field(protocol_to_dict(bell_pbt_protocol(2)), field, value)))
+    assert dispatch(["simulate", "--protocol", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{field!r}: expected an integer" in err and "bad.json" in err
+    assert not (tmp_path / "simulate.json").exists()
+
+
 @pytest.mark.parametrize("reader,doc,version", [
     (protocol_from_dict, lambda: protocol_to_dict(bell_pbt_protocol(1)), "3"),
     (pointer_from_dict, lambda: pointer_to_dict(pointer_form(bell_pbt_protocol(1))), "4"),

@@ -31,6 +31,7 @@ from pbtkit.optimizer import (
     _port_choi,
     _round_on_face,
     _run_splitting,
+    _score,
     build_joint_sdp,
     build_sdp,
     certify,
@@ -144,7 +145,7 @@ def test_coordinate_map_matches_reference_expansion(d):
 def clip_blocks(vecs, d):
     """``_PsdClip`` on blocks laid back to back, reshaped to one per row."""
     out = np.empty(vecs.size)
-    _PsdClip(d, len(vecs))(vecs.reshape(-1), out)
+    _PsdClip((d, len(vecs)))(vecs.reshape(-1), out)
     return out.reshape(vecs.shape)
 
 
@@ -173,7 +174,7 @@ def test_psd_clip_matches_reference_on_zero_and_negative_eigenvalues(d):
     assert clip_blocks(vecs, d).tobytes() == expected.tobytes()
     for vec, want in zip(vecs, expected):
         flat = vec.copy()
-        _PsdClip(d)(flat, flat)
+        _PsdClip((d, 1))(flat, flat)
         assert flat.tobytes() == want.tobytes()
 
 
@@ -443,6 +444,45 @@ def test_checkpoints_never_write_the_iterates(joint, n, N):
     assert run == run_ref
     # one answer per checkpoint, and the final one unless a checkpoint made it
     assert len(seen) == -(-run["iterations"] // ADAPT_EVERY)
+
+
+@pytest.mark.parametrize("n, N", [(1, 1), (1, 2), (1, 3), (2, 1)])
+def test_checkpoint_score_is_the_built_answers_p_opt(n, N):
+    """At every checkpoint of the default joint solve, and at its end, the
+    score's p_opt is the float the full steering construction of the same
+    rounded blocks gives, bit for bit."""
+    sdp = build_joint_sdp(n, N)
+    fp = _FaceProblem(sdp)
+    pairs = []
+
+    def score(z):
+        scored = _score(fp, z)
+        _, qs = extract_protocol(n, N, scored["js"], scored["sigma"])
+        pairs.append((scored["p_opt"].hex(), float(qs.sum()).hex()))
+        return scored
+
+    answer, run = _run_splitting(fp, 20_000, score, sdp.p_upper)
+    assert len(pairs) == -(-run["iterations"] // ADAPT_EVERY) >= 1
+    assert all(scored == built for scored, built in pairs)
+    assert answer["p_opt"] == solve_joint(sdp).p_opt
+
+
+@pytest.mark.parametrize("N, cap, stopped_by", [(2, 20_000, "certificate"), (3, 20_000, "stall"),
+                                                (2, 60, "cap")])
+def test_joint_solve_builds_one_protocol(monkeypatch, N, cap, stopped_by):
+    """Checkpoints only score the iterate: whichever test ends the run, the
+    solve constructs (and validates) one protocol, the one it returns."""
+    validate, built = PbtProtocol.validate, []
+
+    def counted(self):
+        built.append(self)
+        return validate(self)
+
+    sdp = build_joint_sdp(1, N)
+    monkeypatch.setattr(PbtProtocol, "validate", counted)
+    res = solve_joint(sdp, max_iterations=cap)
+    assert res.stopped_by == stopped_by and res.iterations > ADAPT_EVERY
+    assert len(built) == 1 and built[0] is res.protocol
 
 
 @pytest.mark.parametrize("budget", [0, -5])
