@@ -74,7 +74,7 @@ from .primed import (  # noqa: F401
 )
 from .report import AuditReport, CheckResult  # noqa: F401
 from .signaling import (  # noqa: F401
-    ChainOutcome,
+    ChainBranches,
     SignalingReport,
     analyze_chain,
     bound,

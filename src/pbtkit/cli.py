@@ -26,6 +26,7 @@ from . import __version__
 from .engine import (
     PURITY_ATOL,
     PbtProtocol,
+    _int_field,
     bell_pbt_protocol,
     from_complex_floats,
     from_complex_pairs,
@@ -259,9 +260,9 @@ def _cmd_audit_signaling(args) -> int:
     primed = build_primed(proto)
     sig_reports = [compute_chain_exact(primed, m) for m in messages]
 
-    # the sampled cross-check runs on the first message only
-    mc_reports = [monte_carlo_check(primed, messages[0], j, args.mc_rounds, args.seed)
-                  for j in range(1, proto.N + 1)] if args.mc_rounds else []
+    # the sampled cross-check samples the first message's port analyses
+    mc_reports = [monte_carlo_check(port, args.mc_rounds, args.seed)
+                  for port in sig_reports[0].ports] if args.mc_rounds else []
     manifest = RunManifest("audit-signaling",
                            {"messages": messages, "seed": args.seed,
                             "mc_rounds": args.mc_rounds,
@@ -321,6 +322,15 @@ def _cmd_optimize(args) -> int:
     return 0 if cert.passed else 1
 
 
+def _finite_number(value, name: str) -> float:
+    """``value`` as a float; ProtocolError naming ``name`` unless it is a
+    finite JSON number (``float`` would read "0.4" and ``true``)."""
+    # NaN fails the comparison; an integer beyond the float range exceeds it
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ProtocolError(f"field {name!r}: expected a finite number, got {value!r}")
+    return float(value)
+
+
 def _cmd_bound_table(args) -> int:
     out_dir = _output_dir(args)
     n_lo = args.qubits
@@ -334,7 +344,8 @@ def _cmd_bound_table(args) -> int:
         try:
             with open(path) as fh:
                 doc = json.load(fh)
-            optimizer_values[(int(doc["n"]), int(doc["N"]))] = float(doc["p_opt"])
+            key = (_int_field(doc["n"], "n", 1), _int_field(doc["N"], "N", 1))
+            optimizer_values[key] = _finite_number(doc["p_opt"], "p_opt")
         except FileNotFoundError as exc:
             raise UsageError(f"{path}: {exc.strerror}") from exc
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:

@@ -337,11 +337,13 @@ def protocol_to_dict(proto: PbtProtocol) -> dict:
     }
 
 
-def _int_field(value, name: str) -> int:
+def _int_field(value, name: str, minimum: int) -> int:
     """``value``; ProtocolError naming ``name`` unless it is a JSON integer
-    (``int`` would read 2.9 and "2" as 2 and ``true`` as 1)."""
-    if type(value) is not int:
-        raise ProtocolError(f"field {name!r}: expected an integer, got {value!r}")
+    of at least ``minimum`` (``int`` would read 2.9 and "2" as 2 and
+    ``true`` as 1)."""
+    if type(value) is not int or value < minimum:
+        raise ProtocolError(f"field {name!r}: expected an integer >= {minimum}, "
+                            f"got {value!r}")
     return value
 
 
@@ -361,13 +363,17 @@ def protocol_from_dict(doc: dict) -> PbtProtocol:
     for field_name in ("n", "N", "dims", "resource", "povm"):
         if field_name not in doc:
             raise ProtocolError(f"protocol document is missing field {field_name!r}")
-    n, big_n = _int_field(doc["n"], "n"), _int_field(doc["N"], "N")
+    n, big_n = _int_field(doc["n"], "n", 1), _int_field(doc["N"], "N", 1)
     dims = _typed_field(doc["dims"], dict, "field 'dims'")
     povm_doc = _typed_field(doc["povm"], list, "field 'povm'")
     for field_name in ("a", "A", "B"):
         if field_name not in dims:
             raise ProtocolError(f"protocol field 'dims' is missing entry {field_name!r}")
-    _, dim_alice, _ = (_int_field(dims[name], f"dims.{name}") for name in ("a", "A", "B"))
+    dim_a, dim_alice, dim_b = (_int_field(dims[name], f"dims.{name}", 1)
+                               for name in ("a", "A", "B"))
+    for name, dim in (("a", dim_a), ("B", dim_b)):
+        if dim != 2**n:
+            raise ProtocolError(f"field 'dims.{name}': expected 2^n = {2**n}, got {dim}")
     layout = SystemLayout(
         (("A", dim_alice),) + tuple((port_label(j), 2**n) for j in range(1, big_n + 1))
     )

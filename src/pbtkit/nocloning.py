@@ -328,7 +328,7 @@ def pointer_from_dict(doc: dict) -> PointerOperation:
     for field_name in ("a", "b", "pi"):
         if field_name not in dims:
             raise ProtocolError(f"pointer field 'dims' is missing entry {field_name!r}")
-    da, db, npi = (_int_field(dims[name], f"dims.{name}") for name in ("a", "b", "pi"))
+    da, db, npi = (_int_field(dims[name], f"dims.{name}", 1) for name in ("a", "b", "pi"))
     lift = _typed_field(doc.get("lift", {}), dict, "field 'lift'")
     u = read(doc["unitary"], "unitary")
     side = math.isqrt(u.size)
@@ -349,8 +349,8 @@ def pointer_from_dict(doc: dict) -> PointerOperation:
         xi_b=state("b", db, doc["xi"], "xi"),
         chi_pi=state("pi", npi, doc["chi"], "chi"),
         pointer_basis=basis,
-        ports=_int_field(lift.get("ports", 0), "lift.ports"),
-        ancilla=_int_field(lift.get("ancilla", 1), "lift.ancilla"),
+        ports=_int_field(lift.get("ports", 0), "lift.ports", 0),
+        ancilla=_int_field(lift.get("ancilla", 1), "lift.ancilla", 1),
     )
 
 

@@ -11,8 +11,11 @@ receiver's total success probability to exactly 4^-n, and summing the
 resulting balance equation over ports yields the success-probability bound
 N/(4^n + N - 1).
 
-Everything here is computed twice: by exact branch summation (the verdict)
-and by seeded Monte-Carlo rounds (an independent cross-check).
+A chain is one data flow: ``ChainBranches`` checks the protocol and
+measures the sender's branches on one message, ``analyze_chain`` reads one
+receiver port's exact distribution tree off them, and exact branch summation
+over that tree gives the verdict.  Seeded Monte-Carlo rounds drawn from the
+same trees (``run_chain_batch``) give the cross-check.
 """
 
 from __future__ import annotations
@@ -99,16 +102,6 @@ def f_of_R(n: int, N: int, R: float) -> FValue:
 # chain protocol
 
 
-@dataclass(frozen=True)
-class ChainOutcome:
-    """One sampled round of the message chain."""
-
-    case: str  # "port_hit" | "port_miss" | "failure"
-    alice_outcome: int
-    bob_message: int
-    correct: bool
-
-
 @dataclass
 class Case2Analysis:
     """Fallback teleportation from source port i onto the receiver's port."""
@@ -123,8 +116,10 @@ class Case2Analysis:
 
 @dataclass
 class ChainAnalysis:
-    """Exact conditional distributions of one (protocol, message, port) chain."""
+    """Exact conditional distributions of one (protocol, message, port) chain;
+    ``n`` sets the random guess 4^-n and is not part of the report entry."""
 
+    n: int
     j: int
     message: int
     q: np.ndarray
@@ -171,16 +166,18 @@ def _decode(m: np.ndarray, n: int) -> np.ndarray:
 
 class ChainBranches:
     """The sender's branches on one encoded message, the same for every
-    receiver port: one input of a ``BranchBatch``.  Each miss branch is
-    factored across (B_i, b) once, on first use."""
+    receiver port: one input of a ``BranchBatch``.  The only way into a
+    chain, so the protocol's preconditions are checked here, once.  Each
+    miss branch is factored across (B_i, b) once, on first use."""
 
     def __init__(self, primed: PrimedProtocol, message: int):
+        check_chain_preconditions(primed)
         enc = sdc_encode(message, primed.base.n)
         layout = enc.layout.concat(primed.primed_resource.layout)
         state = np.kron(enc.amplitudes, primed.primed_resource.amplitudes).reshape(layout.dims)
         state = _apply_matrix(state, layout.dims, [layout.axis("a"), layout.axis(ANCILLA_LABEL)],
                               primed.w)
-        self.n = primed.base.n
+        self.n, self.message = primed.base.n, message
         self.batch = povm_branches(state[None], layout, primed.base.kraus, ("a", "A"))
         self._residuals: dict[int, StateVector] = {}
 
@@ -205,11 +202,11 @@ class ChainBranches:
         return self._residuals[i]
 
 
-def _analyze_case2(branches: ChainBranches, i: int, j: int, decoded: np.ndarray,
-                   message: int) -> Case2Analysis:
+def _analyze_case2(branches: ChainBranches, i: int, j: int,
+                   decoded: np.ndarray) -> Case2Analysis:
     """Exactly resolve the fallback teleportation + decoding for source port i;
     ``decoded`` is branch i's own decoding distribution."""
-    n = branches.n
+    n, message = branches.n, branches.message
     d = 2**n
     batch = branches.batch
     residual = branches.residual(i)
@@ -240,16 +237,12 @@ def _analyze_case2(branches: ChainBranches, i: int, j: int, decoded: np.ndarray,
                          bob_probs=bob_probs, success=success, schmidt_deviation=schmidt_dev)
 
 
-def analyze_chain(primed: PrimedProtocol, message: int, j: int,
-                  branches: Optional[ChainBranches] = None) -> ChainAnalysis:
-    """Exact conditional distribution tree for one chain (``branches``: the message's)."""
-    big_n = primed.base.N
+def analyze_chain(branches: ChainBranches, j: int) -> ChainAnalysis:
+    """Exact conditional distribution tree of the chain to receiver port j."""
+    n, batch, message = branches.n, branches.batch, branches.message
+    big_n = batch.q.shape[1] - 1
     if not 1 <= j <= big_n:
         raise ValueError(f"receiver port {j} out of range [1, {big_n}]")
-    check_chain_preconditions(primed)
-    if branches is None:
-        branches = ChainBranches(primed, message)
-    n, batch = branches.n, branches.batch
     q, present = batch.q[0], batch.present[0]
     # the receiver's decoding distribution of each branch that happens
     ks = np.flatnonzero(present)
@@ -257,7 +250,7 @@ def analyze_chain(primed: PrimedProtocol, message: int, j: int,
     decoded[ks] = _decode(batch.split((port_label(j), "b"), ks)[0], n) / q[ks, None]
     case1 = decoded[j] if present[j] else None
     case0 = decoded[0] if present[0] else None
-    case2 = {i: _analyze_case2(branches, i, j, decoded[i], message)
+    case2 = {i: _analyze_case2(branches, i, j, decoded[i])
              for i in range(1, big_n + 1) if i != j and present[i]}
     r_j = float(case0[message - 1]) if present[0] else 0.0
     p_success = float(q[1:].sum())
@@ -269,45 +262,31 @@ def analyze_chain(primed: PrimedProtocol, message: int, j: int,
         p_prime += q[i] * c2.success
     p_prime += q[0] * r_j
     formula = float(q[j] + 4.0**-n * (p_success - q[j]) + (1.0 - p_success) * r_j)
-    return ChainAnalysis(j=j, message=message, q=q, case1_probs=case1, case2=case2,
+    return ChainAnalysis(n=n, j=j, message=message, q=q, case1_probs=case1, case2=case2,
                          case0_probs=case0, r_j=r_j, p=p_success,
                          p_prime_simulated=p_prime, p_prime_formula=formula)
 
 
-def run_chain_batch(primed: PrimedProtocol, message: int, rounds: int, seed: int,
-                    j: int = 1, force_k: Optional[int] = None,
-                    analysis: Optional[ChainAnalysis] = None) -> list[ChainOutcome]:
-    """Sample many chain rounds; the conditional tree is computed once.
+def run_chain_batch(analysis: ChainAnalysis, rounds: int, seed: int) -> np.ndarray:
+    """Sample ``rounds`` rounds of the analysed chain: a ``(rounds, 2)``
+    integer array of the sender's outcome k and the decoded message r.
 
-    ``rounds`` must be at least 1 (``SampleCountError`` otherwise) and
-    ``force_k`` in ``[0, N]``.  The rounds are computed as arrays from the
-    stream a round-by-round ``Generator.choice`` loop reads: one uniform per
-    categorical draw (outcome k unless forced; on a miss the fallback outcome
-    t; the decoded message r), resolved on the cumulative table ``choice``
-    builds, so a seed gives the same outcomes it always gave.
+    ``rounds`` must be at least 1 (``SampleCountError`` otherwise).  The
+    rounds are computed as arrays from the stream a round-by-round
+    ``Generator.choice`` loop reads: one uniform per categorical draw (the
+    outcome k; on a miss the fallback outcome t; the decoded message r),
+    resolved on the cumulative table ``choice`` builds, so a seed gives the
+    same rounds it always gave.
     """
     require_samples(rounds, "rounds")
-    big_n = primed.base.N
-    if force_k is not None and not 0 <= force_k <= big_n:
-        raise ValueError(f"forced outcome {force_k} out of range [0, {big_n}]")
-    if analysis is None:
-        analysis = analyze_chain(primed, message, j)
-    q = analysis.q
-    if force_k is not None and q[force_k] <= 0.0:
-        raise ValueError(f"cannot force outcome {force_k}: probability 0")
+    j = analysis.j
     rng = np.random.Generator(np.random.PCG64(seed))
-    if force_k is None:
-        draws = rng.random(3 * rounds)
-        k_at = _draw(q, draws)
-        # a round takes 2 draws on a hit or a failure and 3 on a miss
-        start = _round_starts(np.where((k_at == j) | (k_at == 0), 2, 3), rounds)
-        k = k_at[start]
-        start += 1  # the draws after k
-    else:
-        per_round = 1 if force_k in (0, j) else 2
-        draws = rng.random(per_round * rounds)
-        start = np.arange(rounds) * per_round
-        k = np.full(rounds, force_k)
+    draws = rng.random(3 * rounds)
+    k_at = _draw(analysis.q, draws)
+    # a round takes 2 draws on a hit or a failure and 3 on a miss
+    start = _round_starts(np.where((k_at == j) | (k_at == 0), 2, 3), rounds)
+    k = k_at[start]
+    start += 1  # the draws after k
 
     r = np.empty(rounds, dtype=np.intp)
     for case_k, probs in ((j, analysis.case1_probs), (0, analysis.case0_probs)):
@@ -324,16 +303,7 @@ def run_chain_batch(primed: PrimedProtocol, message: int, rounds: int, seed: int
             rows = sel[t == tt]
             r[rows] = _draw(c2.bob_probs[tt], draws[start[rows] + 1])
     r += 1
-
-    # outcomes are immutable, so rounds with equal (k, r) share one object
-    width = int(r.max()) + 1
-    keys, which = np.unique(k * width + r, return_inverse=True)
-    shared = []
-    for kk, rr in (divmod(key, width) for key in keys.tolist()):
-        case = "port_hit" if kk == j else "failure" if kk == 0 else "port_miss"
-        shared.append(ChainOutcome(case=case, alice_outcome=kk, bob_message=rr,
-                                   correct=(rr == message)))
-    return [shared[w] for w in which.tolist()]
+    return np.column_stack((k, r))
 
 
 def _draw(weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -411,17 +381,16 @@ def compute_chain_exact(primed: PrimedProtocol, message: int) -> SignalingReport
     miss case collectively contributes 4^-n (p - q_j), and the port sum
     lands back on the protocol's success probability.
     """
-    check_chain_preconditions(primed)
+    branches = ChainBranches(primed, message)
     n, big_n = primed.base.n, primed.base.N
     guess = 4.0**-n
     audit = AuditReport(subject=f"no-signaling chain audit, message {message}")
     ports = []
     r_total = 0.0
-    branches = ChainBranches(primed, message)
     q = branches.batch.q[0]
     p_success = float(q[1:].sum())
     for j in range(1, big_n + 1):
-        ana = analyze_chain(primed, message, j, branches=branches)
+        ana = analyze_chain(branches, j)
         ports.append(ana)
         r_total += ana.r_j
         audit.add(f"port {j}: receiver success equals the random guess", "NS",
@@ -450,18 +419,16 @@ def compute_chain_exact(primed: PrimedProtocol, message: int) -> SignalingReport
                            audit=audit)
 
 
-def monte_carlo_check(primed: PrimedProtocol, message: int, j: int, rounds: int,
-                      seed: int) -> AuditReport:
-    """Sampled cross-check: empirical success within 3 sigma of 4^-n.
-    ``rounds`` must be at least 1 (``SampleCountError`` otherwise)."""
-    require_samples(rounds, "rounds")
-    ana = analyze_chain(primed, message, j)
-    outcomes = run_chain_batch(primed, message, rounds, seed, j=j, analysis=ana)
-    hits = sum(1 for o in outcomes if o.correct)
-    guess = 4.0**-primed.base.n
+def monte_carlo_check(analysis: ChainAnalysis, rounds: int, seed: int) -> AuditReport:
+    """Sampled cross-check of one analysed chain: empirical success within
+    3 sigma of 4^-n.  ``rounds`` must be at least 1 (``SampleCountError``
+    otherwise)."""
+    decoded = run_chain_batch(analysis, rounds, seed)[:, 1]
+    hits = int(np.count_nonzero(decoded == analysis.message))
+    guess = 4.0**-analysis.n
     sigma = np.sqrt(guess * (1 - guess) / rounds)
-    rep = AuditReport(subject=f"sampled chain cross-check, message {message}, port {j}",
-                      seed=seed)
+    rep = AuditReport(subject=f"sampled chain cross-check, message {analysis.message}, "
+                              f"port {analysis.j}", seed=seed)
     rep.add("empirical success within 3 sigma of the guess", "NS",
             abs(hits / rounds - guess), 3 * sigma, rounds=rounds, hits=hits)
     return rep

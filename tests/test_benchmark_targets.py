@@ -1,6 +1,7 @@
 """The benchmark's view of pbtkit must stay resolvable: ``perfbench/run.py
 --trace 1`` patches every ``"module:attr"`` in ``perfbench/tracing.py``
-``TARGETS`` and reads ``u.nbytes`` from what ``pointer_form`` returns, and
+``TARGETS`` and reads ``u.nbytes`` from what ``pointer_form`` returns and
+the round count from what ``run_chain_batch`` returns, and
 ``perfbench/workloads.py`` imports pbtkit names to build its jobs and inputs.
 A pbtkit name moved or renamed under the benchmark fails here, and so does
 a traced run that leaves a wrapper behind or misses the routine it names."""
@@ -21,6 +22,8 @@ from pbtkit.engine import (
     save_protocol,
 )
 from pbtkit.nocloning import pointer_form
+from pbtkit.primed import build_primed
+from pbtkit.signaling import compute_chain_exact, run_chain_batch
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -44,6 +47,12 @@ def test_trace_target_resolves_to_a_callable(name):
     _, member, original = tracing.resolve(target)
     assert callable(original), f"{name}: {target} is not callable"
     assert member == target.rsplit(":", 1)[1].rsplit(".", 1)[-1]
+
+
+def test_run_chain_batch_still_reports_the_round_count():
+    port = compute_chain_exact(build_primed(bell_pbt_protocol(2)), message=1).ports[1]
+    drawn = run_chain_batch(port, rounds=333, seed=7)
+    assert tracing.OBSERVE["signaling.run_chain_batch"](drawn) == 333
 
 
 def test_pointer_form_still_reports_the_unitary_bytes():

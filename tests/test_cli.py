@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pbtkit import cli, nocloning
+from pbtkit import cli, nocloning, signaling
 from pbtkit.cli import PRIME_TOLERANCES, VERIFY_TOLERANCES, build_parser, dispatch
 from pbtkit.engine import bell_pbt_protocol, protocol_to_dict
 from pbtkit.optima import p_fixed
@@ -187,6 +187,27 @@ def test_audit_signaling(tmp_path):
     assert doc["monte_carlo"][0]["passed"]
 
 
+def test_audit_signaling_samples_the_reported_port_analyses(tmp_path, monkeypatch):
+    # the cross-check draws from the exact audit's trees, analysed once each
+    analysed, sampled = [], []
+    real_analyze, real_batch = signaling.analyze_chain, signaling.run_chain_batch
+
+    def analyze(branches, j):
+        analysed.append(real_analyze(branches, j))
+        return analysed[-1]
+
+    def batch(analysis, rounds, seed):
+        sampled.append(analysis)
+        return real_batch(analysis, rounds, seed)
+
+    monkeypatch.setattr(signaling, "analyze_chain", analyze)
+    monkeypatch.setattr(signaling, "run_chain_batch", batch)
+    assert dispatch(["audit-signaling", "--builtin", "bell", "--ports", "3",
+                     "--mc-rounds", "100", "--out", str(tmp_path)]) == 0
+    assert [a.j for a in analysed] == [1, 2, 3]
+    assert len(sampled) == 3 and all(a is b for a, b in zip(sampled, analysed))
+
+
 def test_audit_signaling_all_messages_parallel(tmp_path):
     code = dispatch(["audit-signaling", "--builtin", "bell", "--ports", "2",
                      "--all-messages", "--out", str(tmp_path)])
@@ -274,6 +295,30 @@ def test_bound_table_with_optimizer_value(tmp_path):
     rows = list(csv.DictReader(lines[1:]))
     assert rows[0]["optimizer_value"] == "0.25"
     assert rows[1]["optimizer_value"] == ""
+
+
+@pytest.mark.parametrize("opt,field", [
+    ({"n": 2.9, "N": "2", "p_opt": "0.4"}, "n"),
+    ({"n": 2, "N": "2", "p_opt": 0.1}, "N"),
+    ({"n": 0, "N": 2, "p_opt": 0.1}, "n"),
+    ({"n": 2, "N": -1, "p_opt": 0.1}, "N"),
+    ({"n": 2, "N": 2, "p_opt": "0.4"}, "p_opt"),
+    ({"n": 2, "N": 2, "p_opt": True}, "p_opt"),
+    ({"n": 2, "N": 2, "p_opt": None}, "p_opt"),
+    ({"n": 2, "N": 2, "p_opt": float("nan")}, "p_opt"),
+    ({"n": 2, "N": 2, "p_opt": float("-inf")}, "p_opt"),
+    ({"n": 2, "N": 2, "p_opt": 10**400}, "p_opt"),
+], ids=["fraction n", "string N", "zero n", "negative N", "string p_opt", "boolean p_opt",
+        "null p_opt", "nan p_opt", "infinite p_opt", "huge p_opt"])
+def test_bound_table_refuses_a_malformed_optimizer_field(tmp_path, capsys, opt, field):
+    path = tmp_path / "opt.json"
+    path.write_text(json.dumps(opt))
+    code = dispatch(["bound-table", "--n", "1", "--max-qubits", "2", "--max-ports", "2",
+                     "--optimizer-json", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "opt.json" in err and f"field {field!r}" in err
+    assert not (tmp_path / "out" / "bounds.csv").exists()
 
 
 def test_module_entry_point_runs_the_cli(tmp_path):

@@ -382,6 +382,50 @@ def test_non_integer_protocol_field_exits_2(tmp_path, capsys, field, value):
     assert not (tmp_path / "simulate.json").exists()
 
 
+#: JSON integers outside a protocol field's range, and what the error expects
+#: (the reference protocol at N = 2 has n = 1, so 2^n = 2)
+PROTOCOL_OUT_OF_RANGE = [("n", 0, "an integer >= 1"), ("n", -1, "an integer >= 1"),
+                         ("N", 0, "an integer >= 1"), ("N", -2, "an integer >= 1"),
+                         ("dims.A", 0, "an integer >= 1"), ("dims.a", 0, "an integer >= 1"),
+                         ("dims.a", 7, "2^n = 2"), ("dims.B", 3, "2^n = 2")]
+POINTER_OUT_OF_RANGE = [("dims.a", 0, "an integer >= 1"), ("dims.a", -1, "an integer >= 1"),
+                        ("dims.b", 0, "an integer >= 1"), ("dims.pi", 0, "an integer >= 1"),
+                        ("lift.ports", -1, "an integer >= 0"),
+                        ("lift.ancilla", 0, "an integer >= 1")]
+
+
+def out_of_range_message(field, value, expected):
+    return re.escape(f"{field!r}: expected {expected}, got {value}")
+
+
+@pytest.mark.parametrize("field,value,expected", PROTOCOL_OUT_OF_RANGE)
+@pytest.mark.parametrize("layout", ["flat", "pairs"])
+def test_protocol_reader_refuses_an_integer_out_of_range(layout, field, value, expected):
+    doc = in_layout(protocol_to_dict(bell_pbt_protocol(2)), layout)
+    with pytest.raises(ProtocolError, match=out_of_range_message(field, value, expected)):
+        protocol_from_dict(with_field(doc, field, value))
+
+
+@pytest.mark.parametrize("field,value,expected", POINTER_OUT_OF_RANGE)
+@pytest.mark.parametrize("layout", ["flat", "pairs"])
+def test_pointer_reader_refuses_an_integer_out_of_range(layout, field, value, expected):
+    doc = in_layout(pointer_to_dict(pointer_form(bell_pbt_protocol(2))), layout)
+    with pytest.raises(ProtocolError, match=out_of_range_message(field, value, expected)):
+        pointer_from_dict(with_field(doc, field, value))
+
+
+@pytest.mark.parametrize("field,value,expected", PROTOCOL_OUT_OF_RANGE)
+@pytest.mark.parametrize("layout", ["flat", "pairs"])
+def test_protocol_field_out_of_range_exits_2(tmp_path, capsys, layout, field, value, expected):
+    path = tmp_path / "bad.json"
+    doc = in_layout(protocol_to_dict(bell_pbt_protocol(2)), layout)
+    path.write_text(json.dumps(with_field(doc, field, value)))
+    assert dispatch(["simulate", "--protocol", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert re.search(out_of_range_message(field, value, expected), err) and "bad.json" in err
+    assert not (tmp_path / "simulate.json").exists()
+
+
 @pytest.mark.parametrize("reader,doc,version", [
     (protocol_from_dict, lambda: protocol_to_dict(bell_pbt_protocol(1)), "3"),
     (pointer_from_dict, lambda: pointer_to_dict(pointer_form(bell_pbt_protocol(1))), "4"),

@@ -19,7 +19,7 @@ from pbtkit.errors import ChainPreconditionError, SampleCountError
 from pbtkit.pauli import SIGMA, pauli_set
 from pbtkit.primed import build_primed
 from pbtkit.signaling import (
-    ChainOutcome,
+    ChainBranches,
     analyze_chain,
     bound,
     compute_chain_exact,
@@ -42,6 +42,11 @@ from reference import branches_of, outer, partial_trace, permute_operator
 
 def primed_bell(N):
     return build_primed(bell_pbt_protocol(N))
+
+
+def analyze(primed, message, j):
+    """The exact tree of one (protocol, message, port) chain."""
+    return analyze_chain(ChainBranches(primed, message), j)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +181,7 @@ def test_chain_message_independence():
 
 def test_chain_case2_structure():
     # with two ports, a miss at port 1 forces the fallback onto port 2
-    ana = analyze_chain(primed_bell(2), message=2, j=2)
+    ana = analyze(primed_bell(2), message=2, j=2)
     assert 1 in ana.case2
     c2 = ana.case2[1]
     # generalized-Bell outcomes are uniform and nothing leaks outside them
@@ -190,7 +195,7 @@ def test_chain_case2_structure():
 def test_adversarial_decoding_permutation_cannot_beat_guess():
     # decoding through any relabeling permutes the distribution; every entry is 4^-n
     primed = primed_bell(2)
-    ana = analyze_chain(primed, message=1, j=2)
+    ana = analyze(primed, message=1, j=2)
     total = np.zeros(4)
     if ana.case1_probs is not None:
         total += ana.q[2] * ana.case1_probs
@@ -200,61 +205,56 @@ def test_adversarial_decoding_permutation_cannot_beat_guess():
     np.testing.assert_allclose(total, np.full(4, 0.25), atol=1e-10)
 
 
-def test_run_chain_port_hit_forced_always_correct():
-    primed = primed_bell(1)
-    outcomes = run_chain_batch(primed, message=2, rounds=200, seed=3, j=1, force_k=1)
-    assert all(o.case == "port_hit" and o.correct for o in outcomes)
+def test_run_chain_port_hit_always_correct():
+    # free draws on one port: every hit (k = j = 1) decodes the message
+    drawn = run_chain_batch(analyze(primed_bell(1), message=2, j=1), rounds=200, seed=3)
+    hits = drawn[drawn[:, 0] == 1]
+    assert len(hits) > 0 and np.all(hits[:, 1] == 2)
 
 
 def test_run_chain_port_miss_rate():
-    primed = primed_bell(2)
-    outcomes = run_chain_batch(primed, message=1, rounds=20_000, seed=5, j=2, force_k=1)
-    assert all(o.case == "port_miss" for o in outcomes)
-    rate = np.mean([o.correct for o in outcomes])
+    # free draws at j = 2 on two ports: the misses (k = 1, a quarter of the
+    # rounds) decode the message at the guess 1/4
+    drawn = run_chain_batch(analyze(primed_bell(2), message=1, j=2), rounds=80_000, seed=5)
+    misses = drawn[drawn[:, 0] == 1]
+    assert len(misses) >= 19_000
+    rate = np.mean(misses[:, 1] == 1)
     assert abs(rate - 0.25) < 0.01
 
 
 def test_run_chain_failure_estimates_r():
-    primed = primed_bell(2)
-    ana = analyze_chain(primed, message=1, j=2)
-    outcomes = run_chain_batch(primed, message=1, rounds=20_000, seed=7, j=2, force_k=0)
-    rate = np.mean([o.correct for o in outcomes])
-    sigma = np.sqrt(ana.r_j * (1 - ana.r_j) / 20_000)
+    ana = analyze(primed_bell(2), message=1, j=2)
+    drawn = run_chain_batch(ana, rounds=27_000, seed=7)
+    failures = drawn[drawn[:, 0] == 0]
+    assert len(failures) >= 19_000
+    rate = np.mean(failures[:, 1] == 1)
+    sigma = np.sqrt(ana.r_j * (1 - ana.r_j) / len(failures))
     assert abs(rate - ana.r_j) < 4 * sigma + 1e-9
 
 
 def test_run_chain_deterministic_and_single():
-    primed = primed_bell(1)
-    a = run_chain_batch(primed, message=3, rounds=1, seed=11)
-    b = run_chain_batch(primed, message=3, rounds=1, seed=11)
-    assert len(a) == 1 and a == b
+    ana = analyze(primed_bell(1), message=3, j=1)
+    a = run_chain_batch(ana, rounds=1, seed=11)
+    b = run_chain_batch(ana, rounds=1, seed=11)
+    assert a.shape == (1, 2) and np.array_equal(a, b)
 
 
-def loop_chain_batch(primed, message, rounds, seed, j, force_k, analysis):
+def loop_chain_batch(analysis, rounds, seed):
     """The round-by-round sampler the array sampler replaced: one
     ``Generator.choice`` call per categorical draw, kept as the reference
-    for the random stream."""
+    for the random stream.  Rows of (k, r), as ``run_chain_batch`` returns."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    big_n = primed.base.N
-    q = analysis.q
-    outcomes = []
+    q, j = analysis.q, analysis.j
+    drawn = []
     for _ in range(rounds):
-        if force_k is None:
-            k = int(rng.choice(big_n + 1, p=q / q.sum()))
-        else:
-            if q[force_k] <= 0.0:
-                raise ValueError(f"cannot force outcome {force_k}: probability 0")
-            k = force_k
+        k = int(rng.choice(len(q), p=q / q.sum()))
         if k == j:
-            case = "port_hit"
             r = int(rng.choice(len(analysis.case1_probs),
                                p=analysis.case1_probs / analysis.case1_probs.sum())) + 1
         elif k == 0:
-            case = "failure"
             r = int(rng.choice(len(analysis.case0_probs),
                                p=analysis.case0_probs / analysis.case0_probs.sum())) + 1
         else:
-            case = "port_miss"
             c2 = analysis.case2[k]
             probs = np.append(c2.teleport_probs, c2.leak_prob)
             t = int(rng.choice(len(probs), p=probs / probs.sum()))
@@ -262,65 +262,72 @@ def loop_chain_batch(primed, message, rounds, seed, j, force_k, analysis):
                 raise ChainPreconditionError("sampled the leak branch of an invalid chain")
             row = c2.bob_probs[t]
             r = int(rng.choice(len(row), p=row / row.sum())) + 1
-        outcomes.append(ChainOutcome(case=case, alice_outcome=k, bob_message=r,
-                                     correct=(r == message)))
-    return outcomes
+        drawn.append((k, r))
+    return np.array(drawn).reshape(rounds, 2)
 
 
-# (N, j, force_k): free k, a forced failure, a forced hit (j = 1) and a forced
-# miss (j = 2, port 1); the primed reference protocol only ever succeeds at port 1
+# (N, j, k): free draws, compared on every round (k None) or on the rounds
+# that drew outcome k, which must occur.  The primed reference protocol only
+# ever succeeds at port 1, so j = 1 gives hits and failures and j = 2 on two
+# ports gives misses (k = 1) and failures.
 CHAIN_CASES = [(1, 1, None), (1, 1, 0), (1, 1, 1),
                (2, 1, None), (2, 1, 0), (2, 1, 1),
                (2, 2, None), (2, 2, 0), (2, 2, 1)]
 
 
-@pytest.mark.parametrize("N,j,force_k", CHAIN_CASES)
-def test_run_chain_batch_equals_the_loop_sampler(N, j, force_k):
+@pytest.mark.parametrize("N,j,k", CHAIN_CASES)
+def test_run_chain_batch_equals_the_loop_sampler(N, j, k):
     primed = primed_bell(N)
     for message in (1, 3):
-        ana = analyze_chain(primed, message, j)
+        ana = analyze(primed, message, j)
+        drew_k = 0
         for seed, rounds in ((0, 1), (1, 2), (7, 333), (12345, 2000)):
-            expected = loop_chain_batch(primed, message, rounds, seed, j, force_k, ana)
-            got = run_chain_batch(primed, message, rounds, seed, j=j, force_k=force_k,
-                                  analysis=ana)
-            assert got == expected, (message, seed, rounds)
+            expected = loop_chain_batch(ana, rounds, seed)
+            got = run_chain_batch(ana, rounds, seed)
+            assert got.shape == (rounds, 2)
+            if k is not None:
+                drew_k += np.count_nonzero(expected[:, 0] == k)
+                got, expected = got[got[:, 0] == k], expected[expected[:, 0] == k]
+            assert np.array_equal(got, expected), (message, seed, rounds)
+        assert k is None or drew_k > 0, message
+
+
+def cases_drawn(drawn, j):
+    return {"port_hit" if k == j else "failure" if k == 0 else "port_miss"
+            for k in np.unique(drawn[:, 0]).tolist()}
 
 
 def test_run_chain_batch_free_k_visits_every_case():
     # j = 2 on two ports: free draws give hits never (q_2 = 0), misses and failures
-    cases = {o.case for o in run_chain_batch(primed_bell(2), 1, 2000, 4, j=2)}
-    assert cases == {"port_miss", "failure"}
-    cases = {o.case for o in run_chain_batch(primed_bell(2), 1, 2000, 4, j=1)}
-    assert cases == {"port_hit", "failure"}
+    primed = primed_bell(2)
+    drawn = run_chain_batch(analyze(primed, 1, 2), 2000, 4)
+    assert cases_drawn(drawn, 2) == {"port_miss", "failure"}
+    drawn = run_chain_batch(analyze(primed, 1, 1), 2000, 4)
+    assert cases_drawn(drawn, 1) == {"port_hit", "failure"}
 
 
-def refuse_analysis(*args, **kwargs):
+def refuse_draws(*args, **kwargs):
     raise AssertionError("a bad count must be rejected before any work")
 
 
 @pytest.mark.parametrize("rounds", [0, -5])
 def test_round_count_below_one_is_rejected(monkeypatch, rounds):
-    monkeypatch.setattr(signaling, "analyze_chain", refuse_analysis)
+    ana = analyze(primed_bell(1), message=1, j=1)
+    monkeypatch.setattr(signaling, "_draw", refuse_draws)
     with pytest.raises(SampleCountError, match="rounds must be at least 1"):
-        run_chain_batch(primed_bell(1), message=1, rounds=rounds, seed=0)
+        run_chain_batch(ana, rounds=rounds, seed=0)
     with pytest.raises(SampleCountError, match="rounds must be at least 1"):
-        monte_carlo_check(primed_bell(1), message=1, j=1, rounds=rounds, seed=0)
+        monte_carlo_check(ana, rounds=rounds, seed=0)
 
 
-@pytest.mark.parametrize("N,force_k", [(1, 7), (1, 2), (1, -1), (2, 3)])
-def test_forced_outcome_out_of_range_is_rejected(monkeypatch, N, force_k):
-    monkeypatch.setattr(signaling, "analyze_chain", refuse_analysis)
-    with pytest.raises(ValueError, match=rf"\[0, {N}\]"):
-        run_chain_batch(primed_bell(N), message=1, rounds=10, seed=0, force_k=force_k)
-
-
-def test_forced_outcome_of_probability_zero_is_rejected():
-    with pytest.raises(ValueError, match="probability 0"):
-        run_chain_batch(primed_bell(2), message=1, rounds=10, seed=0, j=1, force_k=2)
+@pytest.mark.parametrize("N,j", [(1, 0), (1, 2), (1, -1), (2, 3)])
+def test_receiver_port_out_of_range_is_rejected(N, j):
+    with pytest.raises(ValueError, match=rf"receiver port {j} out of range \[1, {N}\]"):
+        analyze(primed_bell(N), message=1, j=j)
 
 
 def test_monte_carlo_check_passes():
-    rep = monte_carlo_check(primed_bell(1), message=2, j=1, rounds=20_000, seed=13)
+    rep = monte_carlo_check(analyze(primed_bell(1), message=2, j=1), rounds=20_000, seed=13)
     assert rep.passed, rep.to_dict()
 
 
@@ -358,8 +365,8 @@ def test_chain_precondition_runs_once_per_protocol(monkeypatch):
     primed = primed_bell(2)
     for message in (1, 2, 3, 4):
         compute_chain_exact(primed, message)
-    monte_carlo_check(primed, message=1, j=2, rounds=100, seed=1)
-    analyze_chain(primed, message=3, j=1)
+    monte_carlo_check(analyze(primed, message=1, j=2), rounds=100, seed=1)
+    analyze(primed, message=3, j=1)
     assert calls == [2]
 
 
@@ -371,7 +378,7 @@ def test_failed_chain_precondition_raises_on_every_call():
         with pytest.raises(ChainPreconditionError):
             compute_chain_exact(bad, message=1)
         with pytest.raises(ChainPreconditionError):
-            analyze_chain(bad, message=1, j=1)
+            ChainBranches(bad, message=1)
 
 
 def test_chain_branches_are_measured_once_per_message(monkeypatch):
@@ -388,7 +395,7 @@ def test_chain_branches_are_measured_once_per_message(monkeypatch):
     assert len(calls) == 2
     monkeypatch.setattr(signaling, "povm_branches", real)
     for m, doc in zip((1, 2), reports):
-        per_port = [analyze_chain(primed, m, j) for j in (1, 2, 3)]
+        per_port = [analyze(primed, m, j) for j in (1, 2, 3)]
         assert [port["p_prime_simulated"] for port in doc["ports"]] == [
             a.p_prime_simulated for a in per_port]
 
@@ -469,7 +476,7 @@ def reference_chain(primed, message, j):
         p_prime += q[i] * c2.success
     p_prime += q[0] * r_j
     formula = float(q[j] + 4.0**-n * (p_success - q[j]) + (1.0 - p_success) * r_j)
-    return signaling.ChainAnalysis(j, message, q, case1, case2, case0, r_j, p_success,
+    return signaling.ChainAnalysis(n, j, message, q, case1, case2, case0, r_j, p_success,
                                    p_prime, formula)
 
 
@@ -533,7 +540,7 @@ def test_chain_equals_the_object_path_on_the_reference_protocol(N):
     primed = primed_bell(N)
     for message in range(1, 5):
         for j in range(1, N + 1):
-            assert_chains_agree(analyze_chain(primed, message, j),
+            assert_chains_agree(analyze(primed, message, j),
                                 reference_chain(primed, message, j), 1e-13)
 
 
@@ -544,16 +551,16 @@ def test_chain_equals_the_object_path_on_a_rotated_protocol(N):
     primed = build_primed(rotated_protocol(bell_pbt_protocol(N), seed=40 + N))
     for message in range(1, 5):
         for j in range(1, N + 1):
-            assert_chains_agree(analyze_chain(primed, message, j),
+            assert_chains_agree(analyze(primed, message, j),
                                 reference_chain(primed, message, j), 1e-13, bob_probs=False)
 
 
 def test_chain_equals_the_object_path_when_every_port_succeeds():
     primed = build_primed(every_port_protocol(3))
-    assert np.all(analyze_chain(primed, 1, 1).q[1:] > 0.0)
+    assert np.all(analyze(primed, 1, 1).q[1:] > 0.0)
     for message in (1, 4):
         for j in (1, 2, 3):
-            got = analyze_chain(primed, message, j)
+            got = analyze(primed, message, j)
             assert len(got.case2) == 2
             assert_chains_agree(got, reference_chain(primed, message, j), 1e-13,
                                 bob_probs=False)
@@ -576,7 +583,7 @@ def test_chain_decoding_matches_a_dense_partial_trace(make):
     for message in (1, 3):
         branches = reference_branches(primed, message)
         for j in range(1, big_n + 1):
-            ana = analyze_chain(primed, message, j)
+            ana = analyze(primed, message, j)
             if branches[j].post_state is not None:
                 np.testing.assert_allclose(ana.case1_probs,
                                            oracle_decoding(branches[j].post_state, j, n),
