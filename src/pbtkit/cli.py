@@ -44,7 +44,7 @@ from .optima import p_fixed
 from .pauli import RNG_ALGORITHM, haar_amplitudes, haar_states, sample_haar_state
 from .primed import build_primed, primed_to_dict, verify_eq5, verify_failure_marginal_twirl
 from .report import AuditReport
-from .signaling import bound, compute_chain_exact, monte_carlo_check
+from .signaling import BOUND_ATOL, bound, compute_chain_exact, monte_carlo_check
 from .optimizer import (
     build_joint_sdp,
     build_sdp,
@@ -337,41 +337,45 @@ def _cmd_bound_table(args) -> int:
     n_hi = args.max_qubits or n_lo
     if n_hi < n_lo:
         raise UsageError("--max-qubits must be >= --n")
-    optimizer_values: dict[tuple[int, int], float] = {}
-    paths = []
-    for path in args.optimizer_json or []:
-        paths.append(path)
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-            key = (_int_field(doc["n"], "n", 1), _int_field(doc["N"], "N", 1))
-            optimizer_values[key] = _finite_number(doc["p_opt"], "p_opt")
-        except FileNotFoundError as exc:
-            raise UsageError(f"{path}: {exc.strerror}") from exc
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise UsageError(f"{path}: not an optimizer output: {exc}") from exc
-    manifest = RunManifest("bound-table",
-                           {"n": n_lo, "max_qubits": n_hi, "max_ports": args.max_ports},
-                           paths, str(out_dir))
-    rows = []
+    rows = {}
     for n in range(n_lo, n_hi + 1):
         for big_n in range(1, args.max_ports + 1):
             pmax = bound(1, big_n)
-            rows.append({
+            rows[n, big_n] = {
                 "n": n,
                 "N": big_n,
                 "bound": float(bound(n, big_n)),
                 "p_fixed": float(p_fixed(n, big_n)),
                 "p_max_n1_formula": float(pmax),
                 "p_max_n1_pow_n": float(pmax) ** n,
-                "optimizer_value": optimizer_values.get((n, big_n), ""),
-            })
+                "optimizer_value": "",
+            }
+    paths = args.optimizer_json or []
+    for path in paths:
+        try:
+            with open(path) as fh:
+                doc = json.load(fh)
+            key = (_int_field(doc["n"], "n", 1), _int_field(doc["N"], "N", 1))
+            p_opt = _finite_number(doc["p_opt"], "p_opt")
+        except FileNotFoundError as exc:
+            raise UsageError(f"{path}: {exc.strerror}") from exc
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            raise UsageError(f"{path}: not an optimizer output: {exc}") from exc
+        if key not in rows:
+            raise UsageError(f"{path}: fields 'n', 'N': {key} is outside the table")
+        row = rows[key]
+        if p_opt - row["bound"] > BOUND_ATOL:
+            raise UsageError(f"{path}: field 'p_opt': {p_opt!r} exceeds bound {row['bound']!r}")
+        row["optimizer_value"] = p_opt
+    manifest = RunManifest("bound-table",
+                           {"n": n_lo, "max_qubits": n_hi, "max_ports": args.max_ports},
+                           paths, str(out_dir))
     table_path = out_dir / "bounds.csv"
     with open(table_path, "w", newline="") as fh:
         fh.write(f"# manifest: {json.dumps(manifest.to_dict(), sort_keys=True)}\n")
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+        writer = csv.DictWriter(fh, fieldnames=list(rows[n_lo, 1]))
         writer.writeheader()
-        for row in rows:
+        for row in rows.values():
             writer.writerow({k: (repr(v) if isinstance(v, float) else v)
                              for k, v in row.items()})
     print(f"bound-table: {len(rows)} rows -> {table_path}")

@@ -31,7 +31,7 @@ from .errors import LayoutError, ProtocolError
 from .optima import fixed_weights, isotypic_projectors, p_fixed
 from .pauli import haar_amplitudes
 from .report import AuditReport
-from .signaling import bound
+from .signaling import BOUND_ATOL, bound
 from .tensor import HermitianMatrix, StateVector, SystemLayout
 
 #: largest total protocol dimension accepted by the optimizer
@@ -637,6 +637,6 @@ def certify(povm: Sequence[HermitianMatrix], resource: StateVector, n: int, N: i
     rep.add("success probability is input-independent", "Lemma",
             float(np.max(p_values) - np.min(p_values)), 1e-8)
     limit = float(bound(n, N))
-    rep.add("success probability respects the bound", "Eq.2", p_mean - limit, 1e-8,
+    rep.add("success probability respects the bound", "Eq.2", p_mean - limit, BOUND_ATOL,
             p=p_mean, bound=limit, gap=limit - p_mean)
     return rep

@@ -4,12 +4,12 @@ The sender tries to push a 2n-bit message to the receiver without any
 communication: she encodes it superdensely into a shared entangled pair, then
 teleports her half through a twirled protocol in which she holds every port
 except B_j.  On a hit (outcome j) the receiver's decoding succeeds; on a miss
-she silently re-teleports the state from the port she received onto B_j
-through the Schmidt basis of the residual, with no correction message; on a
-failure the receiver decodes whatever is left.  No-signaling pins the
-receiver's total success probability to exactly 4^-n, and summing the
-resulting balance equation over ports yields the success-probability bound
-N/(4^n + N - 1).
+she silently re-teleports the state from the port she received onto B_j,
+pairing each basis state |m> of B_j with its partner in the residual, with
+no correction message; on a failure the receiver decodes whatever is left.
+No-signaling pins the receiver's total success probability to exactly 4^-n,
+and summing the resulting balance equation over ports yields the
+success-probability bound N/(4^n + N - 1).
 
 A chain is one data flow: ``ChainBranches`` checks the protocol and
 measures the sender's branches on one message, ``analyze_chain`` reads one
@@ -38,11 +38,12 @@ from .tensor import (
     _apply_matrix,
     apply_on_subsystems,
     maximally_entangled,
-    schmidt_decompose,
 )
 
 #: tolerance for the exact no-signaling checks
 EXACT_ATOL = 1e-10
+#: how far a success probability may sit above ``bound`` and still respect it
+BOUND_ATOL = 1e-8
 
 
 def sdc_encode(message: int, n: int) -> StateVector:
@@ -106,7 +107,6 @@ def f_of_R(n: int, N: int, R: float) -> FValue:
 class Case2Analysis:
     """Fallback teleportation from source port i onto the receiver's port."""
 
-    source_port: int
     teleport_probs: np.ndarray        # per generalized-Bell outcome, conditional on k=i
     leak_prob: float                  # weight outside the Bell family (0 for valid chains)
     bob_probs: np.ndarray             # [outcome t, decoded message r]
@@ -184,12 +184,8 @@ class ChainBranches:
     def residual(self, i: int) -> StateVector:
         """Branch i without (b, B_i), which it must factorize from: the top
         right singular vector of the normalized branch split across them.
-
-        Alice's pairing basis is a Schmidt basis of this residual over a
-        degenerate spectrum, so outside the reference protocol rounding
-        decides it, and with it which fallback outcome decodes which message.
-        The split here (rows (b, B_i), normalized amplitudes) is the one
-        ``schmidt_decompose`` makes of the branch: both give the same basis."""
+        Any split gives it up to a global phase, which the fallback does not
+        see."""
         if i not in self._residuals:
             pair = ("b", port_label(i))
             split = self.batch.split(pair, i)[0] / np.sqrt(self.batch.q[0, i])
@@ -211,29 +207,28 @@ def _analyze_case2(branches: ChainBranches, i: int, j: int,
     batch = branches.batch
     residual = branches.residual(i)
     alice = residual.layout.without({port_label(j)})
-    coeffs, alice_basis, _ = schmidt_decompose(residual, alice.labels)
-    schmidt_dev = float(np.max(np.abs(coeffs[:d] - 1.0 / np.sqrt(d))))
-    omega = np.array([v.amplitudes for v in alice_basis[:d]]) / np.sqrt(d)
+    # row m, B_j's axis first: Alice's partner of |m> on B_j, times 2^(-n/2)
+    omega = np.moveaxis(residual.tensorized(), residual.layout.axis(port_label(j)), 0)
+    omega = omega.reshape(d, -1)
+    schmidt_dev = float(np.max(np.abs(np.linalg.svd(omega, compute_uv=False) - 1 / np.sqrt(d))))
     # the generalized-Bell vectors V_t omega on (B_i, Alice's systems), every
     # outcome t at once, against the branch as a matrix with rows over them
-    # (stacked vector-matrix products and BLAS dots: each outcome is summed
-    # as a product and ``np.vdot`` of its own vector would be)
-    bell = (pauli_set(n) @ omega).reshape(4**n, 1, -1)
-    mat = batch.split((port_label(i),) + alice.labels, i)[0] / np.sqrt(batch.q[0, i])
-    # the receiver's unnormalized state per outcome, over (b, B_j), then (B_j, b)
-    heard = (bell.conj() @ mat).reshape(4**n, d, d).swapaxes(1, 2).reshape(4**n, -1)
-    teleport_probs = (heard.conj()[:, None, :] @ heard[:, :, None])[:, 0, 0].real
+    bell = (pauli_set(n) @ omega).reshape(4**n, -1)
+    rows = (port_label(i),) + alice.labels + (port_label(j), "b")
+    mat = batch.split(rows, i)[0].reshape(-1, d * d) / np.sqrt(batch.q[0, i])
+    # the receiver's unnormalized state per outcome, over (B_j, b)
+    heard = bell.conj() @ mat
+    teleport_probs = (np.abs(heard) ** 2).sum(axis=1)
     kept = teleport_probs >= BRANCH_PRUNE
     bob_probs = np.zeros((4**n, 4**n))
-    cond = heard[kept] / np.sqrt(teleport_probs[kept, None])
-    bob_probs[kept] = _decode(cond[:, :, None], n)
+    bob_probs[kept] = _decode(heard[kept, :, None], n) / teleport_probs[kept, None]
     leak = float(max(0.0, 1.0 - teleport_probs.sum()))
     success = float(teleport_probs @ bob_probs[:, message - 1])
     if leak > BRANCH_PRUNE:
         # the leak adds the rest of the branch's (B_j, b) marginal: with it,
         # the receiver decodes the whole marginal
         success = float(decoded[message - 1])
-    return Case2Analysis(source_port=i, teleport_probs=teleport_probs, leak_prob=leak,
+    return Case2Analysis(teleport_probs=teleport_probs, leak_prob=leak,
                          bob_probs=bob_probs, success=success, schmidt_deviation=schmidt_dev)
 
 
@@ -413,7 +408,7 @@ def compute_chain_exact(primed: PrimedProtocol, message: int) -> SignalingReport
               EXACT_ATOL, R=r_total)
     b = bound(n, big_n)
     audit.add("success probability respects the bound", "Eq.2",
-              p_success - float(b), 1e-8)
+              p_success - float(b), BOUND_ATOL)
     return SignalingReport(n=n, N=big_n, message=message, q=q.tolist(), p=p_success,
                            ports=ports, R=r_total, p_implied=implied.value, bound=b,
                            audit=audit)

@@ -321,6 +321,21 @@ def test_bound_table_refuses_a_malformed_optimizer_field(tmp_path, capsys, opt, 
     assert not (tmp_path / "out" / "bounds.csv").exists()
 
 
+@pytest.mark.parametrize("opt,named", [
+    ({"n": 2, "N": 2, "p_opt": 0.4}, "field 'p_opt'"),
+    ({"n": 3, "N": 9, "p_opt": 0.1}, "fields 'n', 'N'"),
+], ids=["p_opt above the bound", "(n, N) outside the table"])
+def test_bound_table_refuses_an_optimizer_value_it_cannot_place(tmp_path, capsys, opt, named):
+    path = tmp_path / "opt.json"
+    path.write_text(json.dumps(opt))
+    code = dispatch(["bound-table", "--n", "1", "--max-qubits", "2", "--max-ports", "2",
+                     "--optimizer-json", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "opt.json" in err and named in err
+    assert not (tmp_path / "out" / "bounds.csv").exists()
+
+
 def test_module_entry_point_runs_the_cli(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, "-m", "pbtkit", "bound-table", "--max-ports", "2",

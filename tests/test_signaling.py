@@ -30,6 +30,7 @@ from pbtkit.signaling import (
     sdc_encode,
 )
 from pbtkit.tensor import (
+    StateVector,
     SystemLayout,
     apply_on_subsystems,
     permute_subsystems,
@@ -412,17 +413,19 @@ def reference_decoding(state, j, n):
 
 
 def reference_case2(post, i, j, n, message):
-    """The fallback from source port i, one generalized-Bell outcome at a time."""
+    """The fallback from source port i, one generalized-Bell outcome at a time:
+    B_j's basis state |m> pairs with Alice's partner, the residual's row m."""
     d = 2**n
     src = port_label(i)
     coeffs, _, right = schmidt_decompose(post, {src, "b"})
     assert 1.0 - coeffs[0] ** 2 <= 1e-8
     residual = right[0]
     alice_labels = [lbl for lbl in residual.layout.labels if lbl != port_label(j)]
-    coeffs2, alice_basis, _ = schmidt_decompose(residual, set(alice_labels))
+    coeffs2 = schmidt_decompose(residual, set(alice_labels))[0]
     schmidt_dev = float(np.max(np.abs(coeffs2[:d] - 1.0 / np.sqrt(d))))
-    dim_alice = alice_basis[0].dim
-    omega = np.stack([alice_basis[l].amplitudes for l in range(d)], axis=0) / np.sqrt(d)
+    omega = permute_subsystems(residual, [port_label(j)] + alice_labels).amplitudes
+    omega = omega.reshape(d, -1)
+    dim_alice = omega.shape[1]
     ordered = permute_subsystems(post, [src] + alice_labels + [port_label(j), "b"])
     mat = ordered.amplitudes.reshape(d * dim_alice, d * d)
     rho_bob = reduced_density(post, {port_label(j), "b"})
@@ -445,7 +448,7 @@ def reference_case2(post, i, j, n, message):
         rho_out = rho_bob / leak
         success += leak * float(np.vdot(sdc_basis(n)[message - 1],
                                         rho_out @ sdc_basis(n)[message - 1]).real)
-    return signaling.Case2Analysis(i, teleport_probs, leak, bob_probs, success, schmidt_dev)
+    return signaling.Case2Analysis(teleport_probs, leak, bob_probs, success, schmidt_dev)
 
 
 def reference_branches(primed, message):
@@ -516,7 +519,7 @@ def every_port_protocol(N):
                        povm=tuple(HermitianMatrix(hit.layout, m) for m in povm))
 
 
-def assert_chains_agree(got, ref, atol, bob_probs=True):
+def assert_chains_agree(got, ref, atol):
     np.testing.assert_allclose(got.q, ref.q, rtol=0, atol=atol)
     for name in ("case1_probs", "case0_probs"):
         a, b = getattr(got, name), getattr(ref, name)
@@ -531,8 +534,7 @@ def assert_chains_agree(got, ref, atol, bob_probs=True):
         np.testing.assert_allclose(c.teleport_probs, r.teleport_probs, rtol=0, atol=atol)
         for name in ("leak_prob", "success", "schmidt_deviation"):
             assert abs(getattr(c, name) - getattr(r, name)) <= atol, (i, name)
-        if bob_probs:
-            np.testing.assert_allclose(c.bob_probs, r.bob_probs, rtol=0, atol=atol)
+        np.testing.assert_allclose(c.bob_probs, r.bob_probs, rtol=0, atol=atol)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
@@ -546,13 +548,11 @@ def test_chain_equals_the_object_path_on_the_reference_protocol(N):
 
 @pytest.mark.parametrize("N", [2, 3])
 def test_chain_equals_the_object_path_on_a_rotated_protocol(N):
-    # the fallback's pairing of outcomes with messages is fixed by a Schmidt
-    # basis of a degenerate spectrum, so bob_probs is compared on bell only
     primed = build_primed(rotated_protocol(bell_pbt_protocol(N), seed=40 + N))
     for message in range(1, 5):
         for j in range(1, N + 1):
             assert_chains_agree(analyze(primed, message, j),
-                                reference_chain(primed, message, j), 1e-13, bob_probs=False)
+                                reference_chain(primed, message, j), 1e-13)
 
 
 def test_chain_equals_the_object_path_when_every_port_succeeds():
@@ -562,8 +562,7 @@ def test_chain_equals_the_object_path_when_every_port_succeeds():
         for j in (1, 2, 3):
             got = analyze(primed, message, j)
             assert len(got.case2) == 2
-            assert_chains_agree(got, reference_chain(primed, message, j), 1e-13,
-                                bob_probs=False)
+            assert_chains_agree(got, reference_chain(primed, message, j), 1e-13)
 
 
 def oracle_decoding(post, j, n):
@@ -600,19 +599,74 @@ def test_chain_decoding_matches_a_dense_partial_trace(make):
 
 @pytest.mark.parametrize("make", [lambda: bell_pbt_protocol(4), lambda: every_port_protocol(3)])
 def test_one_schmidt_decomposition_per_miss(monkeypatch, make):
-    calls = []
-    real = signaling.schmidt_decompose
-
-    def counting(state, left_labels):
-        calls.append(tuple(left_labels))
-        return real(state, left_labels)
-
-    monkeypatch.setattr(signaling, "schmidt_decompose", counting)
+    # the residual of miss source i is read off one SVD of its branch, shared
+    # by every receiver port; the pairing reads singular values only
     primed = build_primed(make())
-    misses = 0
+    signaling.check_chain_preconditions(primed)
+    calls = []
+    real = np.linalg.svd
+
+    def counting(a, full_matrices=True, compute_uv=True, **kwargs):
+        if compute_uv:
+            calls.append(message)
+        return real(a, full_matrices=full_matrices, compute_uv=compute_uv, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    misses, sources = 0, []
     for message in range(1, 5):
         report = compute_chain_exact(primed, message)
         assert report.audit.passed
         misses += sum(len(port.case2) for port in report.ports)
+        sources += [(message, i) for i in sorted(set().union(*(p.case2 for p in report.ports)))]
     assert misses > 0
+    assert [m for m, _ in sources] == calls
     assert len(calls) <= misses
+
+
+def residual_from_unnormalized_rows(branches, i):
+    """``ChainBranches.residual`` from the other split: rows (B_i, b), the
+    branch's amplitudes as they are."""
+    pair = (port_label(i), "b")
+    right = np.linalg.svd(branches.batch.split(pair, i)[0], full_matrices=False)[2][0]
+    return StateVector(branches.batch.layout.without(pair), right)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: rotated_protocol(bell_pbt_protocol(2), seed=42),
+    lambda: rotated_protocol(bell_pbt_protocol(3), seed=43),
+    lambda: every_port_protocol(3),
+], ids=["rotated bell 2", "rotated bell 3", "every port 3"])
+def test_equivalent_residual_splits_give_the_same_fallback(monkeypatch, make):
+    primed = build_primed(make())
+    ports = range(1, primed.base.N + 1)
+    chains = [[analyze(primed, message, j) for j in ports] for message in range(1, 5)]
+    monkeypatch.setattr(ChainBranches, "residual", residual_from_unnormalized_rows)
+    for message, per_port in enumerate(chains, start=1):
+        for j, got in zip(ports, per_port):
+            other = analyze(primed, message, j)
+            assert got.case2.keys() == other.case2.keys()
+            for i, c in got.case2.items():
+                np.testing.assert_allclose(c.bob_probs, other.case2[i].bob_probs,
+                                           rtol=0, atol=1e-15)
+            assert np.array_equal(run_chain_batch(got, 20_000, 7),
+                                  run_chain_batch(other, 20_000, 7)), (message, j)
+
+
+@pytest.mark.parametrize("make", [
+    *[lambda N=N: bell_pbt_protocol(N) for N in (2, 3, 4)],
+    *[lambda N=N: rotated_protocol(bell_pbt_protocol(N), seed=40 + N) for N in (2, 3)],
+], ids=["bell 2", "bell 3", "bell 4", "rotated bell 2", "rotated bell 3"])
+def test_each_fallback_outcome_decodes_one_message(make):
+    # outcome t = 1 (V_1 = I) hands B_i's state to B_j unchanged
+    primed = build_primed(make())
+    misses = 0
+    for message in range(1, 5):
+        branches = ChainBranches(primed, message)
+        for j in range(1, primed.base.N + 1):
+            for c2 in analyze_chain(branches, j).case2.values():
+                decoded = c2.bob_probs.argmax(axis=1)
+                np.testing.assert_allclose(c2.bob_probs, np.eye(4)[decoded], rtol=0, atol=1e-12)
+                assert sorted(decoded) == [0, 1, 2, 3]
+                assert decoded[0] + 1 == message
+                misses += 1
+    assert misses > 0
