@@ -351,6 +351,7 @@ def _cmd_bound_table(args) -> int:
                 "optimizer_value": "",
             }
     paths = args.optimizer_json or []
+    filled_by = {}
     for path in paths:
         try:
             with open(path) as fh:
@@ -363,6 +364,10 @@ def _cmd_bound_table(args) -> int:
             raise UsageError(f"{path}: not an optimizer output: {exc}") from exc
         if key not in rows:
             raise UsageError(f"{path}: fields 'n', 'N': {key} is outside the table")
+        if key in filled_by:
+            raise UsageError(f"{path}: fields 'n', 'N': {key} is already given by "
+                             f"{filled_by[key]}")
+        filled_by[key] = path
         row = rows[key]
         if p_opt - row["bound"] > BOUND_ATOL:
             raise UsageError(f"{path}: field 'p_opt': {p_opt!r} exceeds bound {row['bound']!r}")

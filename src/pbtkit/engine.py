@@ -34,7 +34,7 @@ from .tensor import (
     HermitianMatrix,
     StateVector,
     SystemLayout,
-    check_memory_cap,
+    check_budget,
     maximally_entangled,
     reduced_density,
 )
@@ -90,10 +90,12 @@ class PbtProtocol:
         return SystemLayout.of(("a", self.port_dim)).concat(self.resource.layout)
 
     def validate(self) -> np.ndarray:
-        """Raise ProtocolError naming the first violated invariant.  Returns
-        the roots sqrt(M_k), stacked (read-only), from the eigendecomposition
-        of each element that its PSD check makes; small negative eigenvalues
-        are clipped."""
+        """Raise ProtocolError naming the first violated invariant, and
+        LayoutError, before the first eigendecomposition, if the roots or one
+        input's branches exceed the memory budget.  Returns the roots
+        sqrt(M_k), stacked (read-only), from the eigendecomposition of each
+        element that its PSD check makes; small negative eigenvalues are
+        clipped."""
         if self.n < 1 or self.N < 1:
             raise ProtocolError(f"need n >= 1 and N >= 1, got n={self.n}, N={self.N}")
         expected = ("A",) + tuple(port_label(j) for j in range(1, self.N + 1))
@@ -108,6 +110,7 @@ class PbtProtocol:
             raise ProtocolError("resource state is not normalized")
         if len(self.povm) != self.N + 1:
             raise ProtocolError(f"POVM needs N+1 = {self.N + 1} elements, got {len(self.povm)}")
+        check_protocol_bytes(self.n, self.N, self.alice_dim)
         d = self.port_dim * self.alice_dim
         total = np.zeros((d, d), dtype=np.complex128)
         roots = []
@@ -122,10 +125,24 @@ class PbtProtocol:
         dev = float(np.max(np.abs(total - np.eye(d))))
         if dev > POVM_ATOL:
             raise ProtocolError(f"POVM completeness violated: max deviation {dev:.3e}")
-        check_memory_cap(self.global_layout())
         roots = np.stack(roots)
         roots.setflags(write=False)
         return roots
+
+
+def check_branch_bytes(n: int, N: int, alice_dim: int) -> None:
+    """``LayoutError`` unless one input's measurement branches under an
+    (n, N) protocol whose sender holds ``alice_dim`` dimensions, N + 1
+    complex vectors over (a, A, B1..BN), fit the memory budget."""
+    check_budget(f"one input's branches at n={n}, N={N}",
+                 16 * (N + 1) * 2**n * alice_dim * 2 ** (n * N))
+
+
+def check_protocol_bytes(n: int, N: int, alice_dim: int) -> None:
+    """``check_branch_bytes``, and the same for the stack of N + 1 POVM
+    roots on (a, A)."""
+    check_branch_bytes(n, N, alice_dim)
+    check_budget(f"the POVM roots at n={n}, N={N}", 16 * (N + 1) * (2**n * alice_dim) ** 2)
 
 
 def measure(proto: PbtProtocol, inputs: np.ndarray) -> BranchBatch:
@@ -243,11 +260,12 @@ def standard_resource(n: int, N: int) -> StateVector:
     """N maximally entangled pairs of 2^n-dimensional systems, as (A, B1..BN)
     with A the sender's N halves: amplitude d^(-N/2) where the index of A
     equals that of (B1..BN), the product of the pair amplitudes taken in the
-    order a Kronecker product of the pairs multiplies them.  ``LayoutError``
-    above the memory cap, before anything is allocated."""
+    order a Kronecker product of the pairs multiplies them.  ``LayoutError``,
+    before anything is allocated, if one input's branches under it exceed
+    the memory budget."""
     d = 2**n
+    check_branch_bytes(n, N, d**N)
     layout = SystemLayout((("A", d**N),) + tuple((port_label(j), d) for j in range(1, N + 1)))
-    check_memory_cap(layout)
     return StateVector(layout, np.eye(d**N).ravel() * math.prod([1 / np.sqrt(d)] * N))
 
 
@@ -256,9 +274,12 @@ def bell_pbt_protocol(N: int) -> PbtProtocol:
     maximally entangled vector to teleport onto port 1.
 
     Perfect single-qubit PBT with success probability 1/4 for every N.
+    ``LayoutError`` before anything is built if the protocol exceeds the
+    memory budget.
     """
     if N < 1:
         raise ValueError(f"need at least one port, got N={N}")
+    check_protocol_bytes(1, N, 2**N)
     resource = standard_resource(1, N)
     dim_a_alice = 2 * 2**N
     povm_layout = SystemLayout.of(("a", 2), ("A", 2**N))

@@ -6,7 +6,8 @@ class ToolkitError(Exception):
 
 
 class LayoutError(ToolkitError, ValueError):
-    """Unknown label, incompatible layout, or a dimension that exceeds the memory cap."""
+    """Unknown label, incompatible layout, or an array above the memory
+    budget (``tensor.MEMORY_BUDGET`` bytes), refused before it is built."""
 
 
 class UnitarityError(ToolkitError, ValueError):

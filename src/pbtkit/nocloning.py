@@ -37,18 +37,17 @@ from .engine import (
     complex_reader,
     write_document,
 )
-from .errors import LayoutError, ProtocolError, UnitarityError
+from .errors import ProtocolError, UnitarityError
 from .pauli import haar_amplitudes
 from .report import AuditReport
-from .tensor import StateVector, SystemLayout, basis_state, unitarity_deviation
+from .tensor import StateVector, SystemLayout, basis_state, check_budget, unitarity_deviation
 
 POINTER_FORMAT_VERSION = "3"
 
 #: tolerance for the theorem's hypothesis (input intact, branch factorizes)
 HYPOTHESIS_ATOL = 1e-8
-#: largest pointer-form dilation, in bytes, that ``pointer_form`` allocates:
-#: its small unitary plus the SVD's U, both complex and square
-POINTER_U_CAP_BYTES = 1 << 30
+#: failure states per side of one tile of the pairwise inner-product check
+GRAM_TILE = 1024
 
 
 @dataclass(frozen=True)
@@ -186,8 +185,12 @@ def verify_theorem(op: PointerOperation, samples: int, seed: int,
     """Check hypothesis on basis + superpositions, then the three conclusions on
     Haar-sampled inputs: constant branch probabilities, constant residual
     states, and inner-product preservation between failure states.
-    ``samples`` must be at least 1 (``SampleCountError`` otherwise)."""
+    ``samples`` must be at least 1 (``SampleCountError`` otherwise), and
+    ``LayoutError`` is raised before anything is built if the failure
+    states, at most one (a, b) vector per sample, exceed the memory budget.
+    The pairwise check runs in tiles of at most GRAM_TILE x GRAM_TILE pairs."""
     require_samples(samples)
+    check_budget(f"the failure states of {samples} samples", 16 * samples * op.dim_a * op.dim_b)
     rep = AuditReport(subject="information-extraction impossibility", seed=seed)
     hypothesis_states = _hypothesis_states(op.dim_a)
     if info := _hypothesis_failure(op, hypothesis_states):
@@ -212,17 +215,38 @@ def verify_theorem(op: PointerOperation, samples: int, seed: int,
             residual_tolerance,
             outcomes_present=[k for k in range(1, op.dim_pointer) if residuals.seen[k - 1]])
 
-    # <f_i|f_j> = <psi_i|psi_j> for every pair i < j of failure states
-    f, psi = np.vstack(failures), np.vstack(failed_inputs)
-    gram = f.conj() @ f.T - psi.conj() @ psi.T
+    f = np.vstack(failures)
     rep.add("failure states preserve input inner products", "Eq.a8",
-            float(np.max(np.abs(np.triu(gram, 1)), initial=0.0)),
+            _overlap_drift(f, np.vstack(failed_inputs)),
             overlap_tolerance, pairs=len(f) * (len(f) - 1) // 2)
     return rep
 
 
+def _overlap_drift(f: np.ndarray, psi: np.ndarray) -> float:
+    """``max |<f_i|f_j> - <psi_i|psi_j>|`` over the pairs i < j of rows, one
+    tile of at most GRAM_TILE x GRAM_TILE pairs at a time (0 without pairs)."""
+    worst = 0.0
+    for i in range(0, len(f), GRAM_TILE):
+        for j in range(i, len(f), GRAM_TILE):
+            gram = f[i:i + GRAM_TILE].conj() @ f[j:j + GRAM_TILE].T
+            gram -= psi[i:i + GRAM_TILE].conj() @ psi[j:j + GRAM_TILE].T
+            gram = np.abs(gram)
+            worst = max(worst, float(np.max(np.triu(gram, 1) if i == j else gram,
+                                            initial=0.0)))
+    return worst
+
+
 # ---------------------------------------------------------------------------
 # converter from POVM protocols
+
+
+def check_dilation_bytes(dim_s: int, outcomes: int, ancilla: int) -> None:
+    """``LayoutError`` unless the pointer-form dilation of a measurement on a
+    ``dim_s``-dimensional (a, A) with ``outcomes`` outcomes, routed into an
+    ``ancilla``-dimensional ancilla, fits the memory budget: its unitary on
+    (a, A, ancilla, pi) and the SVD's U of the same size, both complex and
+    square."""
+    check_budget("the pointer-form dilation", 2 * 16 * (dim_s * ancilla * outcomes) ** 2)
 
 
 def pointer_form(proto: PbtProtocol,
@@ -239,9 +263,9 @@ def pointer_form(proto: PbtProtocol,
     Every K acts on (a, A) only: the isometry is completed to a unitary on
     (a, A) x ancilla x pointer (SVD complement in the free columns), and the
     operation is its lift over the ports (``PointerOperation.ports``).  Only
-    the free columns depend on the completion.  A dilation whose unitary and
-    SVD factor together exceed ``POINTER_U_CAP_BYTES`` raises ``LayoutError``
-    before anything is built.
+    the free columns depend on the completion.  ``LayoutError`` before
+    anything is built if the dilation exceeds the memory budget
+    (``check_dilation_bytes``).
     """
     da, npi = proto.port_dim, proto.N + 1
     ds = da * proto.alice_dim
@@ -258,13 +282,8 @@ def pointer_form(proto: PbtProtocol,
         else:
             kraus.append([root])
     danc = max(len(ops) for ops in kraus)
+    check_dilation_bytes(ds, npi, danc)
     d = ds * danc * npi
-    u_bytes = 2 * 16 * d**2
-    if u_bytes > POINTER_U_CAP_BYTES:
-        raise LayoutError(
-            f"the pointer-form dilation needs {u_bytes} bytes (its unitary and the SVD's U), "
-            f"above the cap of {POINTER_U_CAP_BYTES} bytes"
-        )
 
     # isometry |x> -> sum_{k, kappa} K_{k,kappa}|x> |kappa>_anc |k>_pi in the start
     # columns (kappa = k = 0), left singular vectors past ds in the others, in order

@@ -32,12 +32,10 @@ from .optima import fixed_weights, isotypic_projectors, p_fixed
 from .pauli import haar_amplitudes
 from .report import AuditReport
 from .signaling import BOUND_ATOL, bound
-from .tensor import HermitianMatrix, StateVector, SystemLayout
+from .tensor import HermitianMatrix, StateVector, SystemLayout, check_budget
 
 #: largest total protocol dimension accepted by the optimizer
 DIMENSION_CAP = 1 << 15
-#: largest single array, in bytes, the joint problem may build
-JOINT_ARRAY_CAP = 1 << 30
 #: weight of the maximally mixed state mixed into the marginal before the
 #: steering construction, so that its inverse square root exists
 EXTRACTION_PAD = 1e-7
@@ -212,7 +210,8 @@ def _joint_array_bytes(n: int, N: int) -> int:
 def build_joint_sdp(n: int, N: int) -> JointPbtSdp:
     """Assemble the joint constraint system over Choi variables.
     ``LayoutError`` above the optimizer cap, or when its largest array
-    exceeds ``JOINT_ARRAY_CAP`` bytes, before anything is built."""
+    (``_joint_array_bytes``) exceeds the memory budget, before anything is
+    built."""
     d = 2**n
     dim_sigma = d**N
     dim_choi = d * dim_sigma
@@ -221,10 +220,8 @@ def build_joint_sdp(n: int, N: int) -> JointPbtSdp:
             f"extracted protocol dimension {d * dim_sigma**2} exceeds the cap "
             f"{DIMENSION_CAP}"
         )
-    needed = _joint_array_bytes(n, N)
-    if needed > JOINT_ARRAY_CAP:
-        raise LayoutError(f"the joint problem at n={n}, N={N} needs an array of {needed} "
-                          f"bytes, above the cap of {JOINT_ARRAY_CAP} bytes")
+    check_budget(f"the largest array of the joint problem at n={n}, N={N}",
+                 _joint_array_bytes(n, N))
     # row c of block k is <H_c, port-k Choi of J> = Tr((H_c x I_others) J)
     adjoint = np.kron(hermitian_basis(d * d), np.eye(d ** (N - 1)))
     blocks = [herm_to_vec(_place_port(_place_port(adjoint, d, N, k, 1), d, N, k, 2))

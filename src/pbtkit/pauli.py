@@ -15,7 +15,7 @@ from functools import cache
 import numpy as np
 
 from .errors import LayoutError
-from .tensor import HermitianMatrix, StateVector, SystemLayout
+from .tensor import HermitianMatrix, StateVector, SystemLayout, check_budget
 
 #: name of the pseudorandom bit generator; recorded in every audit report so
 #: sampled results are reproducible from (algorithm, seed) alone.
@@ -94,7 +94,9 @@ def sample_haar_state(dim: int, seed: int) -> StateVector:
 
 def haar_amplitudes(dim: int, count: int, seed: int) -> np.ndarray:
     """``haar_states`` as one array, a state per row, normalized bit for bit as
-    ``np.linalg.norm`` does it (one strided BLAS dot per real and imaginary part)."""
+    ``np.linalg.norm`` does it (one strided BLAS dot per real and imaginary part).
+    ``LayoutError`` before anything is drawn if the draws exceed the memory budget."""
+    check_budget(f"the draws of {count} Haar states of dimension {dim}", 16 * count * dim)
     rng = np.random.Generator(np.random.PCG64(seed))
     parts = rng.standard_normal((count, 2, dim))
     vec = parts[:, 0] + 1j * parts[:, 1]

@@ -32,7 +32,7 @@ from .engine import (
 from .errors import ProtocolError
 from .pauli import haar_states, pauli_set
 from .report import AuditReport
-from .tensor import StateVector, SystemLayout, check_memory_cap, reduced_density
+from .tensor import StateVector, SystemLayout, check_budget, reduced_density
 
 ANCILLA_LABEL = "ap"
 
@@ -43,7 +43,8 @@ class PrimedProtocol:
     construction: ``primed_resource``, the resource on (a', A, B1..BN) with
     the control ancilla a' in uniform superposition and every port twirled,
     and ``w``, the compensating input-side controlled unitary on (a, a')
-    (read-only).  ``LayoutError`` if the primed run exceeds the memory cap."""
+    (read-only).  ``LayoutError`` before anything is built if the chain's
+    branches exceed the memory budget (``check_chain_bytes``)."""
 
     base: PbtProtocol
     primed_resource: StateVector = field(init=False, repr=False, compare=False)
@@ -51,8 +52,8 @@ class PrimedProtocol:
 
     def __post_init__(self):
         base, n = self.base, self.base.n
+        check_chain_bytes(n, base.N, base.alice_dim)
         layout = SystemLayout.of((ANCILLA_LABEL, 4**n)).concat(base.resource.layout)
-        check_memory_cap(SystemLayout.of(("a", 2**n)).concat(layout))
         uniform = np.full((4**n, 1), 2.0**-n) * base.resource.amplitudes
         amps = _twirl_ports(uniform.reshape(layout.dims), layout, n, base.N)
         object.__setattr__(self, "primed_resource", StateVector(layout, amps))
@@ -72,6 +73,15 @@ class PrimedProtocol:
     def global_layout(self) -> SystemLayout:
         return SystemLayout.of(("a", self.base.port_dim)).concat(
             self.primed_resource.layout)
+
+
+def check_chain_bytes(n: int, N: int, alice_dim: int) -> None:
+    """``LayoutError`` unless the no-signaling chain's branches fit the memory
+    budget: N + 1 complex vectors over the encoded pair (a, b), the control
+    ancilla a' and the base resource (A, B1..BN), the largest array a twirled
+    protocol of this shape runs into."""
+    check_budget(f"the chain's branches at n={n}, N={N}",
+                 16 * (N + 1) * 16**n * alice_dim * 2 ** (n * N))
 
 
 def _twirl_ports(amps: np.ndarray, layout: SystemLayout, n: int, big_n: int) -> np.ndarray:

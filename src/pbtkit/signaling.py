@@ -37,6 +37,7 @@ from .tensor import (
     StateVector,
     _apply_matrix,
     apply_on_subsystems,
+    check_budget,
     maximally_entangled,
 )
 
@@ -266,14 +267,16 @@ def run_chain_batch(analysis: ChainAnalysis, rounds: int, seed: int) -> np.ndarr
     """Sample ``rounds`` rounds of the analysed chain: a ``(rounds, 2)``
     integer array of the sender's outcome k and the decoded message r.
 
-    ``rounds`` must be at least 1 (``SampleCountError`` otherwise).  The
-    rounds are computed as arrays from the stream a round-by-round
-    ``Generator.choice`` loop reads: one uniform per categorical draw (the
-    outcome k; on a miss the fallback outcome t; the decoded message r),
-    resolved on the cumulative table ``choice`` builds, so a seed gives the
-    same rounds it always gave.
+    ``rounds`` must be at least 1 (``SampleCountError`` otherwise), and
+    ``LayoutError`` is raised before anything is drawn if the draws, three
+    uniforms per round, exceed the memory budget.  The rounds are computed
+    as arrays from the stream a round-by-round ``Generator.choice`` loop
+    reads: one uniform per categorical draw (the outcome k; on a miss the
+    fallback outcome t; the decoded message r), resolved on the cumulative
+    table ``choice`` builds, so a seed gives the same rounds it always gave.
     """
     require_samples(rounds, "rounds")
+    check_budget(f"the draws of {rounds} chain rounds", 24 * rounds)
     j = analysis.j
     rng = np.random.Generator(np.random.PCG64(seed))
     draws = rng.random(3 * rounds)

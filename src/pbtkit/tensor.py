@@ -19,8 +19,10 @@ from .errors import LayoutError, UnitarityError
 
 #: normalization / hermiticity tolerance at construction time
 STRICT_ATOL = 1e-12
-#: largest total state dimension the toolkit agrees to allocate
-MEMORY_CAP = 1 << 22
+#: the most bytes that one array, or one run of what a call builds, may
+#: take; every site checks its size against it, read at call time, before it
+#: allocates anything
+MEMORY_BUDGET = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -87,13 +89,12 @@ class SystemLayout:
         return len(self.subsystems)
 
 
-def check_memory_cap(layout: SystemLayout) -> None:
-    """Raise ``LayoutError`` if the layout exceeds MEMORY_CAP, read at call time."""
-    if layout.total_dim > MEMORY_CAP:
-        raise LayoutError(
-            f"layout {layout.labels} with total dimension {layout.total_dim} "
-            f"exceeds the configured cap of {MEMORY_CAP}"
-        )
+def check_budget(what: str, needed: int) -> None:
+    """Raise ``LayoutError``, naming ``what`` and both sizes, if ``needed``
+    bytes exceed MEMORY_BUDGET."""
+    if needed > MEMORY_BUDGET:
+        raise LayoutError(f"{what} needs {needed} bytes, above the cap of "
+                          f"{MEMORY_BUDGET} bytes")
 
 
 def _as_complex(arr, name: str) -> np.ndarray:

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pbtkit import cli, nocloning, signaling
+from pbtkit import cli, signaling, tensor
 from pbtkit.cli import PRIME_TOLERANCES, VERIFY_TOLERANCES, build_parser, dispatch
 from pbtkit.engine import bell_pbt_protocol, protocol_to_dict
 from pbtkit.optima import p_fixed
@@ -336,6 +336,19 @@ def test_bound_table_refuses_an_optimizer_value_it_cannot_place(tmp_path, capsys
     assert not (tmp_path / "out" / "bounds.csv").exists()
 
 
+def test_bound_table_refuses_two_optimizer_values_for_one_row(tmp_path, capsys):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    first.write_text(json.dumps({"n": 1, "N": 2, "p_opt": 0.3}))
+    second.write_text(json.dumps({"n": 1, "N": 2, "p_opt": 0.39}))
+    code = dispatch(["bound-table", "--n", "1", "--max-ports", "2",
+                     "--optimizer-json", str(first), "--optimizer-json", str(second),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "first.json" in err and "second.json" in err and "(1, 2)" in err
+    assert not (tmp_path / "out" / "bounds.csv").exists()
+
+
 def test_module_entry_point_runs_the_cli(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, "-m", "pbtkit", "bound-table", "--max-ports", "2",
@@ -355,10 +368,11 @@ def test_usage_errors(tmp_path, capsys):
 
 def test_verify_refuses_an_oversized_pointer_form_with_exit_2(tmp_path, capsys, monkeypatch):
     # at N = 2 the dilation is a 24 x 24 unitary plus the SVD's U of the same size
-    monkeypatch.setattr(nocloning, "POINTER_U_CAP_BYTES", 2 * 16 * 24**2 - 1)
+    monkeypatch.setattr(tensor, "MEMORY_BUDGET", 2 * 16 * 24**2 - 1)
     assert dispatch(["verify", "--builtin", "bell", "--ports", "2",
                      "--out", str(tmp_path)]) == 2
-    assert f"pointer-form dilation needs {2 * 16 * 24**2} bytes" in capsys.readouterr().err
+    assert (f"pointer-form dilation needs {2 * 16 * 24**2} bytes, above the cap of "
+            f"{2 * 16 * 24**2 - 1} bytes") in capsys.readouterr().err
 
 
 def test_verify_bell_five_ports_passes(tmp_path):

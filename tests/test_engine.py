@@ -28,7 +28,6 @@ from pbtkit.nocloning import decompose_by_pointer, pointer_form
 from pbtkit.pauli import SIGMA, haar_amplitudes, haar_states
 from pbtkit.primed import build_primed, run_primed
 from pbtkit.tensor import (
-    MEMORY_CAP,
     HermitianMatrix,
     StateVector,
     SystemLayout,
@@ -290,16 +289,19 @@ def test_bell_protocol_values():
     np.testing.assert_array_equal(total, np.eye(16))
 
 
+#: the most ports whose one-input branches fit the memory budget, per n: the
+#: N whose reference protocol, input included, stayed within 2^22 amplitudes
+LAST_RESOURCE_PORTS = {1: 10, 2: 5, 3: 3}
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_standard_resource_is_the_product_of_its_pairs_bit_for_bit(n):
-    # every N whose reference protocol, input included, fits under the cap
-    big_n = 1
-    while 2**n * 4 ** (n * big_n) <= MEMORY_CAP:
+    for big_n in range(1, LAST_RESOURCE_PORTS[n] + 1):
         got, expected = standard_resource(n, big_n), paired_resource(n, big_n)
         assert got.layout == expected.layout
         assert got.amplitudes.tobytes() == expected.amplitudes.tobytes(), big_n
-        big_n += 1
-    assert big_n > 1
+    with pytest.raises(LayoutError, match="cap"):
+        standard_resource(n, LAST_RESOURCE_PORTS[n] + 1)
 
 
 def test_standard_resource_above_the_cap_is_refused_before_allocation(monkeypatch):
@@ -307,8 +309,9 @@ def test_standard_resource_above_the_cap_is_refused_before_allocation(monkeypatc
         raise AssertionError("the resource was allocated before the cap check")
 
     monkeypatch.setattr(engine.np, "eye", refuse)
-    with pytest.raises(LayoutError, match="cap"):
-        standard_resource(1, 12)  # 2^24 amplitudes
+    # 13 branches of 2^25 amplitudes
+    with pytest.raises(LayoutError, match=f"needs {16 * 13 * 2**25} bytes, above the cap"):
+        standard_resource(1, 12)
 
 
 def test_protocol_invariant_violations_raise():

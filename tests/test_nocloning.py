@@ -2,16 +2,16 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from pbtkit import branches
+from pbtkit import branches, nocloning
 from pbtkit.branches import BRANCH_PRUNE
 from pbtkit.engine import bell_pbt_protocol
 from pbtkit.errors import LayoutError, ProtocolError, SampleCountError, UnitarityError
 from pbtkit.nocloning import (
-    POINTER_U_CAP_BYTES,
     PointerOperation,
     computational_pointer_basis,
     decompose_by_pointer,
@@ -24,7 +24,7 @@ from pbtkit.nocloning import (
     verify_theorem,
 )
 from pbtkit.pauli import haar_amplitudes, haar_states
-from pbtkit.tensor import StateVector, SystemLayout, basis_state, reduced_density
+from pbtkit.tensor import MEMORY_BUDGET, StateVector, SystemLayout, basis_state, reduced_density
 from reference import (
     LAYOUTS,
     branches_of,
@@ -379,7 +379,7 @@ def test_pointer_form_refuses_an_oversized_unitary_before_building_it(monkeypatc
     # and the SVD's U of the same size, 1.08e9 bytes together
     proto = bell_pbt_protocol(1)
     fine = {0: [proto.kraus[0] / np.sqrt(725)] * 725}
-    with pytest.raises(LayoutError, match=f"needs {2 * 16 * 5800**2} bytes.*{POINTER_U_CAP_BYTES}"):
+    with pytest.raises(LayoutError, match=f"needs {2 * 16 * 5800**2} bytes.*{MEMORY_BUDGET}"):
         pointer_form(proto, fine_grained=fine)
 
 
@@ -649,6 +649,37 @@ def test_failure_overlap_gram_matches_the_pair_loop(make_op):
     check = rep.checks[-1]
     assert check.tag == "Eq.a8" and check.details["pairs"] == pairs
     assert check.deviation == pytest.approx(worst, abs=1e-13)
+
+
+def whole_gram_drift(f: np.ndarray, psi: np.ndarray) -> float:
+    """The pairwise check as one Gram difference over all failure states."""
+    gram = f.conj() @ f.T - psi.conj() @ psi.T
+    return float(np.max(np.abs(np.triu(gram, 1)), initial=0.0))
+
+
+@pytest.mark.parametrize("rows", [0, 1, 5, 7, 8, 23])
+def test_tiled_overlap_drift_matches_the_whole_gram(monkeypatch, rows):
+    rng = np.random.default_rng(rows)
+    f = rng.standard_normal((rows, 6)) + 1j * rng.standard_normal((rows, 6))
+    psi = rng.standard_normal((rows, 2)) + 1j * rng.standard_normal((rows, 2))
+    whole = whole_gram_drift(f, psi)
+    assert nocloning._overlap_drift(f, psi) == whole  # one tile: the same sums
+    monkeypatch.setattr(nocloning, "GRAM_TILE", 4)
+    assert nocloning._overlap_drift(f, psi) == pytest.approx(whole, rel=1e-15)
+
+
+def test_verify_theorem_memory_stays_flat_in_the_sample_count():
+    op = pointer_form(bell_pbt_protocol(1))
+    tracemalloc.start()
+    try:
+        rep = verify_theorem(op, samples=4000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a whole Gram of the ~3000 failure states alone would take over 140 MB
+    assert peak <= 50e6
+    check = rep.checks[-1]
+    assert check.passed and check.details["pairs"] > 1024 * 1023 // 2
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])

@@ -21,7 +21,6 @@ from pbtkit import optimizer
 from pbtkit.optima import p_fixed
 from pbtkit.optimizer import (
     ADAPT_EVERY,
-    JOINT_ARRAY_CAP,
     OBJECTIVE_TOLERANCE,
     PRIMAL_TOLERANCE,
     REFINE_FRACTION,
@@ -43,7 +42,7 @@ from pbtkit.optimizer import (
     vec_to_herm,
 )
 from pbtkit.signaling import bound
-from pbtkit.tensor import reduced_density
+from pbtkit.tensor import MEMORY_BUDGET, reduced_density
 from reference import reference_psd_clip, reference_splitting
 
 FAST = 4000  # iteration cap for the shared fixtures
@@ -540,15 +539,16 @@ def test_joint_guard_refuses_before_allocating(monkeypatch, capsys, tmp_path, n,
 
     monkeypatch.setattr(optimizer, "hermitian_basis", no_basis)
     needed = _joint_array_bytes(n, N)
-    assert needed > JOINT_ARRAY_CAP
+    assert needed > MEMORY_BUDGET
     with pytest.raises(LayoutError, match=f"{needed} bytes"):
         build_joint_sdp(n, N)
     code = dispatch(["optimize", "--qubits", str(n), "--ports", str(N),
                      "--out", str(tmp_path)])
     assert code == 2
-    assert f"needs an array of {needed} bytes" in capsys.readouterr().err
+    assert f"needs {needed} bytes, above the cap of {MEMORY_BUDGET} bytes" in \
+        capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n, N", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2)])
 def test_joint_guard_admits_the_cases_that_solve(n, N):
-    assert _joint_array_bytes(n, N) <= JOINT_ARRAY_CAP
+    assert _joint_array_bytes(n, N) <= MEMORY_BUDGET

@@ -13,7 +13,7 @@ from pbtkit.tensor import (
     SystemLayout,
     apply_on_subsystems,
     basis_state,
-    check_memory_cap,
+    check_budget,
     maximally_entangled,
     permute_subsystems,
     reduced_density,
@@ -68,17 +68,20 @@ def test_layout_total_dim_is_product():
     assert lay.without({"b"}).labels == ("a", "c")
 
 
-def test_memory_cap_names_layout():
-    lay = SystemLayout.of(("big", 1 << 23))
-    with pytest.raises(LayoutError, match="big"):
-        check_memory_cap(lay)
+def test_memory_budget_names_what_and_both_sizes():
+    budget = tensor.MEMORY_BUDGET
+    assert budget == 1 << 30
+    with pytest.raises(LayoutError, match=f"^the big array needs {budget + 1} bytes, "
+                                          f"above the cap of {budget} bytes$"):
+        check_budget("the big array", budget + 1)
+    check_budget("the big array", budget)  # at the cap: fine
 
 
 def test_memory_cap_is_read_when_checked(monkeypatch):
-    monkeypatch.setattr(tensor, "MEMORY_CAP", 4)
-    with pytest.raises(LayoutError, match="cap of 4"):
-        check_memory_cap(SystemLayout.of(("a", 8)))
-    check_memory_cap(SystemLayout.of(("a", 4)))  # at the cap: fine
+    monkeypatch.setattr(tensor, "MEMORY_BUDGET", 4)
+    with pytest.raises(LayoutError, match="needs 8 bytes, above the cap of 4 bytes"):
+        check_budget("an array", 8)
+    check_budget("an array", 4)  # at the cap: fine
 
 
 def test_state_rejects_wrong_length_and_bad_norm():
