@@ -403,17 +403,22 @@ def _at_least(minimum: int):
 
 
 def _tolerance_override(defaults: dict[str, float]):
-    """argparse type: a NAME=VALUE override of one of ``defaults``' tolerances."""
+    """argparse type: a NAME=VALUE override of one of ``defaults``'
+    tolerances, by a finite positive number."""
     def parse(text: str) -> tuple[str, float]:
         name, _, value = text.partition("=")
         if name not in defaults:
             raise argparse.ArgumentTypeError(
                 f"unknown tolerance {name!r}; known: {sorted(defaults)}")
         try:
-            return name, float(value)
+            tolerance = float(value)
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"tolerance {name!r}: {value!r} is not a number") from None
+        if not (np.isfinite(tolerance) and tolerance > 0):
+            raise argparse.ArgumentTypeError(
+                f"tolerance {name!r}: {value!r} is not a finite positive number")
+        return name, tolerance
     return parse
 
 

@@ -113,19 +113,18 @@ class PbtProtocol:
         check_protocol_bytes(self.n, self.N, self.alice_dim)
         d = self.port_dim * self.alice_dim
         total = np.zeros((d, d), dtype=np.complex128)
-        roots = []
+        roots = np.empty((self.N + 1, d, d), dtype=np.complex128)
         for k, m in enumerate(self.povm):
             if m.layout.labels != ("a", "A") or m.dim != d:
                 raise ProtocolError(f"POVM element {k} must live on (a, A) with dimension {d}")
             w, v = np.linalg.eigh(m.entries)
             if w[0] < -POVM_ATOL:
                 raise ProtocolError(f"POVM element {k} is not PSD: min eigenvalue {w[0]:.3e}")
-            roots.append((v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T)
+            np.matmul(v * np.sqrt(np.clip(w, 0.0, None)), v.conj().T, out=roots[k])
             total += m.entries
         dev = float(np.max(np.abs(total - np.eye(d))))
         if dev > POVM_ATOL:
             raise ProtocolError(f"POVM completeness violated: max deviation {dev:.3e}")
-        roots = np.stack(roots)
         roots.setflags(write=False)
         return roots
 
@@ -287,10 +286,10 @@ def bell_pbt_protocol(N: int) -> PbtProtocol:
     bell_proj = np.outer(phi.amplitudes, phi.amplitudes.conj())
     m1 = np.kron(bell_proj, np.eye(2 ** (N - 1), dtype=np.complex128))
     zero = np.zeros((dim_a_alice, dim_a_alice), dtype=np.complex128)
-    povm = [HermitianMatrix(povm_layout, np.eye(dim_a_alice) - m1),
-            HermitianMatrix(povm_layout, m1)]
-    povm += [HermitianMatrix(povm_layout, zero) for _ in range(2, N + 1)]
-    return PbtProtocol(n=1, N=N, resource=resource, povm=tuple(povm))
+    # one shared element for the N - 1 ports the protocol never teleports to
+    povm = (HermitianMatrix(povm_layout, np.eye(dim_a_alice) - m1),
+            HermitianMatrix(povm_layout, m1)) + (HermitianMatrix(povm_layout, zero),) * (N - 1)
+    return PbtProtocol(n=1, N=N, resource=resource, povm=povm)
 
 
 # ---------------------------------------------------------------------------

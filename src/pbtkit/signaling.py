@@ -45,6 +45,10 @@ from .tensor import (
 EXACT_ATOL = 1e-10
 #: how far a success probability may sit above ``bound`` and still respect it
 BOUND_ATOL = 1e-8
+#: the most bytes per round that ``run_chain_batch`` holds at once: its
+#: tracemalloc peak, 49.003 bytes per round at 1M rounds when every round is
+#: a miss with one fallback outcome, rounded up
+ROUND_BYTES = 50
 
 
 def sdc_encode(message: int, n: int) -> StateVector:
@@ -268,71 +272,37 @@ def run_chain_batch(analysis: ChainAnalysis, rounds: int, seed: int) -> np.ndarr
     integer array of the sender's outcome k and the decoded message r.
 
     ``rounds`` must be at least 1 (``SampleCountError`` otherwise), and
-    ``LayoutError`` is raised before anything is drawn if the draws, three
-    uniforms per round, exceed the memory budget.  The rounds are computed
-    as arrays from the stream a round-by-round ``Generator.choice`` loop
-    reads: one uniform per categorical draw (the outcome k; on a miss the
-    fallback outcome t; the decoded message r), resolved on the cumulative
-    table ``choice`` builds, so a seed gives the same rounds it always gave.
+    ``LayoutError`` is raised before anything is drawn if the sampler's
+    arrays, ``ROUND_BYTES`` per round, exceed the memory budget.  Each
+    (seed, message, port) draws from its own ``PCG64`` stream: every
+    round's k at once, then per case one ``Generator.choice`` for r, or on a
+    miss one for the fallback outcome t and one per t for r.
     """
     require_samples(rounds, "rounds")
-    check_budget(f"the draws of {rounds} chain rounds", 24 * rounds)
+    check_budget(f"the draws of {rounds} chain rounds", ROUND_BYTES * rounds)
     j = analysis.j
-    rng = np.random.Generator(np.random.PCG64(seed))
-    draws = rng.random(3 * rounds)
-    k_at = _draw(analysis.q, draws)
-    # a round takes 2 draws on a hit or a failure and 3 on a miss
-    start = _round_starts(np.where((k_at == j) | (k_at == 0), 2, 3), rounds)
-    k = k_at[start]
-    start += 1  # the draws after k
+    rng = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence((seed, analysis.message, j))))
 
+    def draw(weights: np.ndarray, size: int) -> np.ndarray:
+        return rng.choice(len(weights), size=size, p=weights / weights.sum())
+
+    k = draw(analysis.q, rounds)
     r = np.empty(rounds, dtype=np.intp)
-    for case_k, probs in ((j, analysis.case1_probs), (0, analysis.case0_probs)):
-        sel = k == case_k
-        if sel.any():
-            r[sel] = _draw(probs, draws[start[sel]])
-    for i in np.unique(k[(k != j) & (k != 0)]).tolist():
-        c2 = analysis.case2[i]
-        sel = np.flatnonzero(k == i)
-        t = _draw(np.append(c2.teleport_probs, c2.leak_prob), draws[start[sel]])
+    for case_k in np.unique(k).tolist():
+        rows = np.flatnonzero(k == case_k)
+        if case_k in (j, 0):
+            probs = analysis.case1_probs if case_k == j else analysis.case0_probs
+            r[rows] = draw(probs, rows.size)
+            continue
+        c2 = analysis.case2[case_k]
+        t = draw(np.append(c2.teleport_probs, c2.leak_prob), rows.size)
         if np.any(t == len(c2.teleport_probs)):
             raise ChainPreconditionError("sampled the leak branch of an invalid chain")
         for tt in np.unique(t).tolist():
-            rows = sel[t == tt]
-            r[rows] = _draw(c2.bob_probs[tt], draws[start[rows] + 1])
+            r[rows[t == tt]] = draw(c2.bob_probs[tt], np.count_nonzero(t == tt))
     r += 1
     return np.column_stack((k, r))
-
-
-def _draw(weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Categorical draws with ``Generator.choice(len(w), p=w / w.sum())``'s
-    checks and table: the index whose cumulative bin holds each uniform."""
-    p = weights / weights.sum()
-    if not np.all(np.isfinite(p)):
-        raise ValueError("probabilities are not finite")
-    if np.any(p < 0):
-        raise ValueError("probabilities are not non-negative")
-    if abs(p.sum() - 1.0) > np.sqrt(np.finfo(np.float64).eps):
-        raise ValueError("probabilities do not sum to 1")
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    return cdf.searchsorted(uniforms, side="right")
-
-
-def _round_starts(step: np.ndarray, rounds: int) -> np.ndarray:
-    """The first ``rounds`` points 0, f(0), f(f(0)), ... of f(p) = p + step[p],
-    composing f with itself (f, f^2, f^4, ...) instead of stepping."""
-    # clipping only touches points past the last round's draws
-    jump = np.minimum(np.arange(step.size) + step, step.size - 1)
-    start = np.zeros(rounds, dtype=np.intp)
-    index = np.arange(rounds)
-    bit = 1
-    while bit < rounds:
-        sel = (index & bit) != 0
-        start[sel] = jump[start[sel]]
-        jump = jump[jump]
-        bit <<= 1
-    return start
 
 
 # ---------------------------------------------------------------------------

@@ -357,6 +357,27 @@ def test_module_entry_point_runs_the_cli(tmp_path):
     assert (tmp_path / "bounds.csv").exists()
 
 
+def refuse_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--builtin", "bell", "--ports", "2"],
+    ["verify", "--builtin", "bell", "--ports", "2", "--samples", "2"],
+    ["prime", "--builtin", "bell", "--ports", "2", "--samples", "2"],
+    ["audit-signaling", "--builtin", "bell", "--ports", "2", "--mc-rounds", "1000"],
+    ["optimize", "--ports", "1", "--max-iterations", "100"],
+    ["optimize", "--fixed-resource", "--ports", "2"],
+], ids=["simulate", "verify", "prime", "audit-signaling", "optimize", "optimize fixed"])
+def test_every_subcommand_writes_strict_json(tmp_path, argv):
+    # NaN and Infinity are not JSON: a report carrying one fails to parse here
+    assert dispatch([*argv, "--out", str(tmp_path)]) == 0
+    written = sorted(tmp_path.glob("*.json"))
+    assert written
+    for path in written:
+        json.loads(path.read_text(), parse_constant=refuse_constant)
+
+
 def test_usage_errors(tmp_path, capsys):
     assert dispatch(["verify", "--out", str(tmp_path)]) == 2  # no protocol source
     assert dispatch(["simulate", "--builtin", "bell", "--qubits", "2",
@@ -458,6 +479,18 @@ def test_tolerance_of_another_subcommand_exits_2(tmp_path, capsys, subcommand, n
     assert dispatch([subcommand, "--builtin", "bell", "--tolerance", f"{name}=1",
                      "--out", str(out)]) == 2
     assert f"unknown tolerance {name!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand,name", [("verify", "eq3"), ("prime", "b9")])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0", "-1"])
+def test_non_finite_or_non_positive_tolerance_exits_2(tmp_path, capsys, subcommand, name,
+                                                      value):
+    out = tmp_path / "out"
+    assert dispatch([subcommand, "--builtin", "bell", "--samples", "2",
+                     "--tolerance", f"{name}={value}", "--out", str(out)]) == 2
+    assert (f"tolerance {name!r}: {value!r} is not a finite positive number"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 

@@ -7,6 +7,7 @@ former caps admitted on the shipped grid; and the oversized commands exit 2
 at once."""
 
 import ast
+import dataclasses
 import time
 import tracemalloc
 from pathlib import Path
@@ -27,7 +28,7 @@ from pbtkit.nocloning import check_dilation_bytes, pointer_form, verify_theorem
 from pbtkit.optimizer import DIMENSION_CAP, _joint_array_bytes, build_joint_sdp, build_sdp
 from pbtkit.pauli import haar_amplitudes
 from pbtkit.primed import build_primed, check_chain_bytes
-from pbtkit.signaling import ChainBranches, analyze_chain, run_chain_batch
+from pbtkit.signaling import ROUND_BYTES, ChainBranches, analyze_chain, run_chain_batch
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pbtkit"
 
@@ -103,9 +104,9 @@ SITES = {
     "build_joint_sdp": (lambda: None, lambda _: build_joint_sdp(1, 3), 16 * 64 * 256),
     # two normal draws per amplitude
     "haar_amplitudes": (lambda: None, lambda _: haar_amplitudes(2, 10_000, 0), 16 * 10_000 * 2),
-    # three uniforms per round
+    # the sampler's peak per round
     "run_chain_batch": (_chain_analysis, lambda ana: run_chain_batch(ana, 100_000, 0),
-                        24 * 100_000),
+                        ROUND_BYTES * 100_000),
     # at most one failure state over (a, b) of 2 x 4 amplitudes per sample
     "verify_theorem": (lambda: pointer_form(bell_pbt_protocol(1)),
                        lambda op: verify_theorem(op, 10_000, 0), 16 * 10_000 * 2 * 4),
@@ -132,6 +133,34 @@ def test_site_is_refused_just_below_its_array_before_allocating(monkeypatch, sit
     finally:
         tracemalloc.stop()
     assert peak < budget
+
+
+def test_bell_build_peaks_within_twice_its_roots_stack():
+    tracemalloc.start()
+    try:
+        proto = bell_pbt_protocol(8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * proto.kraus.nbytes
+
+
+def test_run_chain_batch_holds_at_most_what_the_guard_counts():
+    # bell N=2's two ports, and the tree whose rounds are all misses with one
+    # fallback outcome, the sampler's largest
+    branches = ChainBranches(build_primed(bell_pbt_protocol(2)), 1)
+    port1, port2 = analyze_chain(branches, 1), analyze_chain(branches, 2)
+    one_outcome = dataclasses.replace(port2.case2[1], teleport_probs=np.eye(4)[0])
+    all_miss = dataclasses.replace(port2, q=np.eye(3)[1], case2={1: one_outcome})
+    rounds = 1_000_000
+    for name, ana in {"port 1": port1, "port 2": port2, "all misses": all_miss}.items():
+        tracemalloc.start()
+        try:
+            run_chain_batch(ana, rounds, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= ROUND_BYTES * rounds, name
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +242,8 @@ def test_budget_admits_every_optimize_case_within_the_dimension_cap():
 @pytest.mark.parametrize("argv, needed", [
     (["simulate", "--builtin", "bell", "--ports", "11"], 16 * 12 * 2 * 4**11),
     (["verify", "--builtin", "bell", "--samples", "1000000000000"], 16 * 10**12 * 2),
-    (["audit-signaling", "--builtin", "bell", "--mc-rounds", "1000000000000"], 24 * 10**12),
+    (["audit-signaling", "--builtin", "bell", "--mc-rounds", "1000000000000"],
+     ROUND_BYTES * 10**12),
 ], ids=["simulate ports", "verify samples", "audit-signaling rounds"])
 def test_oversized_command_exits_2_at_once(tmp_path, capsys, argv, needed):
     start = time.perf_counter()

@@ -240,57 +240,76 @@ def test_run_chain_deterministic_and_single():
     assert a.shape == (1, 2) and np.array_equal(a, b)
 
 
-def loop_chain_batch(analysis, rounds, seed):
-    """The round-by-round sampler the array sampler replaced: one
-    ``Generator.choice`` call per categorical draw, kept as the reference
-    for the random stream.  Rows of (k, r), as ``run_chain_batch`` returns."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    q, j = analysis.q, analysis.j
-    drawn = []
-    for _ in range(rounds):
-        k = int(rng.choice(len(q), p=q / q.sum()))
-        if k == j:
-            r = int(rng.choice(len(analysis.case1_probs),
-                               p=analysis.case1_probs / analysis.case1_probs.sum())) + 1
-        elif k == 0:
-            r = int(rng.choice(len(analysis.case0_probs),
-                               p=analysis.case0_probs / analysis.case0_probs.sum())) + 1
-        else:
-            c2 = analysis.case2[k]
-            probs = np.append(c2.teleport_probs, c2.leak_prob)
-            t = int(rng.choice(len(probs), p=probs / probs.sum()))
-            if t == len(c2.teleport_probs):
-                raise ChainPreconditionError("sampled the leak branch of an invalid chain")
-            row = c2.bob_probs[t]
-            r = int(rng.choice(len(row), p=row / row.sum())) + 1
-        drawn.append((k, r))
-    return np.array(drawn).reshape(rounds, 2)
+def miss_case(teleport_probs, bob_probs, leak_prob=0.0):
+    """A miss's fallback tree; the fields the sampler does not read are 0."""
+    return signaling.Case2Analysis(teleport_probs=np.array(teleport_probs),
+                                   leak_prob=leak_prob, bob_probs=bob_probs,
+                                   success=0.0, schmidt_deviation=0.0)
 
 
-# (N, j, k): free draws, compared on every round (k None) or on the rounds
-# that drew outcome k, which must occur.  The primed reference protocol only
-# ever succeeds at port 1, so j = 1 gives hits and failures and j = 2 on two
-# ports gives misses (k = 1) and failures.
-CHAIN_CASES = [(1, 1, None), (1, 1, 0), (1, 1, 1),
-               (2, 1, None), (2, 1, 0), (2, 1, 1),
-               (2, 2, None), (2, 2, 0), (2, 2, 1)]
+def chain_tree(q, case1_probs, case2, case0_probs):
+    """A receiver port-3 tree for message 1; the fields the sampler does not
+    read are 0."""
+    return signaling.ChainAnalysis(n=1, j=3, message=1, q=np.array(q),
+                                   case1_probs=case1_probs, case2=case2,
+                                   case0_probs=case0_probs, r_j=0.0, p=0.0,
+                                   p_prime_simulated=0.0, p_prime_formula=0.0)
 
 
-@pytest.mark.parametrize("N,j,k", CHAIN_CASES)
-def test_run_chain_batch_equals_the_loop_sampler(N, j, k):
-    primed = primed_bell(N)
-    for message in (1, 3):
-        ana = analyze(primed, message, j)
-        drew_k = 0
-        for seed, rounds in ((0, 1), (1, 2), (7, 333), (12345, 2000)):
-            expected = loop_chain_batch(ana, rounds, seed)
-            got = run_chain_batch(ana, rounds, seed)
-            assert got.shape == (rounds, 2)
-            if k is not None:
-                drew_k += np.count_nonzero(expected[:, 0] == k)
-                got, expected = got[got[:, 0] == k], expected[expected[:, 0] == k]
-            assert np.array_equal(got, expected), (message, seed, rounds)
-        assert k is None or drew_k > 0, message
+def assert_frequencies(drawn, probs):
+    """Each outcome's frequency among ``drawn`` lies within 4.5 sigma of its
+    probability."""
+    freq = np.bincount(drawn, minlength=len(probs)) / len(drawn)
+    sigma = np.sqrt(probs * (1 - probs) / len(drawn))
+    np.testing.assert_array_less(np.abs(freq - probs), 4.5 * sigma + 1e-12)
+
+
+def test_run_chain_batch_draws_each_case_from_its_tree():
+    # a hit (k = 3), misses from ports 1 and 2, and failures, each with its
+    # own probabilities; port 1's fallback outcome t decodes message t + 1,
+    # so its rounds show t
+    mixed = np.random.default_rng(0).random((4, 4))
+    mixed /= mixed.sum(axis=1, keepdims=True)
+    ana = chain_tree([0.4, 0.2, 0.15, 0.25], np.array([0.1, 0.2, 0.3, 0.4]),
+                     {1: miss_case([0.4, 0.3, 0.2, 0.1], np.eye(4)),
+                      2: miss_case([0.1, 0.2, 0.3, 0.4], mixed)},
+                     np.array([0.05, 0.15, 0.3, 0.5]))
+    k, r = run_chain_batch(ana, 400_000, 1).T
+    assert_frequencies(k, ana.q)
+    assert_frequencies(r[k == 3] - 1, ana.case1_probs)
+    assert_frequencies(r[k == 0] - 1, ana.case0_probs)
+    assert_frequencies(r[k == 1] - 1, ana.case2[1].teleport_probs)
+    assert_frequencies(r[k == 2] - 1, ana.case2[2].teleport_probs @ mixed)
+
+
+def test_run_chain_batch_refuses_a_sampled_leak():
+    ana = chain_tree([0.5, 0.5, 0.0, 0.0], None,
+                     {1: miss_case([0.0, 0.0, 0.0, 0.0], np.eye(4), leak_prob=1.0)},
+                     np.full(4, 0.25))
+    with pytest.raises(ChainPreconditionError, match="sampled the leak branch"):
+        run_chain_batch(ana, 100, 0)
+
+
+def test_ports_draw_from_their_own_calibrated_streams():
+    # bell N=2, message 1, over a fixed seed range: each port's z is standard
+    # normal and the two ports' hits are uncorrelated, each statistic within
+    # 3.5 of its standard errors; the ports' first outcomes k agree as often
+    # as independent draws from q do (within 4.5 sigma), not on every seed
+    branches = ChainBranches(primed_bell(2), 1)
+    ports = [analyze_chain(branches, j) for j in (1, 2)]
+    seeds, rounds = 600, 20_000
+    hits, first = np.empty((seeds, 2)), np.empty((seeds, 2))
+    for seed in range(seeds):
+        drawn = [run_chain_batch(ana, rounds, seed) for ana in ports]
+        hits[seed] = [np.count_nonzero(d[:, 1] == 1) for d in drawn]
+        first[seed] = [d[0, 0] for d in drawn]
+    z = (hits / rounds - 0.25) / np.sqrt(0.25 * 0.75 / rounds)
+    assert np.all(np.abs(z.mean(axis=0)) < 3.5 / np.sqrt(seeds))
+    assert np.all(np.abs(z.std(axis=0) - 1) < 3.5 / np.sqrt(2 * seeds))
+    assert abs(np.corrcoef(hits.T)[0, 1]) < 3.5 / np.sqrt(seeds)
+    agree = np.sum(ports[0].q ** 2)
+    assert (abs(np.mean(first[:, 0] == first[:, 1]) - agree)
+            < 4.5 * np.sqrt(agree * (1 - agree) / seeds))
 
 
 def cases_drawn(drawn, j):
@@ -314,7 +333,7 @@ def refuse_draws(*args, **kwargs):
 @pytest.mark.parametrize("rounds", [0, -5])
 def test_round_count_below_one_is_rejected(monkeypatch, rounds):
     ana = analyze(primed_bell(1), message=1, j=1)
-    monkeypatch.setattr(signaling, "_draw", refuse_draws)
+    monkeypatch.setattr(np.random, "PCG64", refuse_draws)
     with pytest.raises(SampleCountError, match="rounds must be at least 1"):
         run_chain_batch(ana, rounds=rounds, seed=0)
     with pytest.raises(SampleCountError, match="rounds must be at least 1"):
