@@ -78,8 +78,16 @@ class BranchBatch:
 
     def residuals(self, labels: Labels, k) -> np.ndarray:
         """The state of the other subsystems in the branches of outcome(s)
-        ``k`` that factorize across ``labels``: the top right singular vector."""
-        return np.linalg.svd(self.split(labels, k), full_matrices=False)[2][..., 0, :]
+        ``k`` that factorize across ``labels``: the top right singular vector.
+        Only outcomes that some input reached are factored; the rows of the
+        others stay 0."""
+        m = self.split(labels, k)
+        out = np.zeros(m.shape[:-2] + m.shape[-1:], m.dtype)
+        # a scalar k gives a 0-d mask, which indexes as a new axis of length 0 or 1
+        reached = self.present[:, k].any(axis=0)
+        if reached.any():
+            out[:, reached] = np.linalg.svd(m[:, reached], full_matrices=False)[2][..., 0, :]
+        return out
 
 
 def povm_branches(states: np.ndarray, layout: SystemLayout, roots: np.ndarray,

@@ -230,10 +230,7 @@ def _cmd_prime(args) -> int:
     rep = verify_eq5(primed, samples,
                      marginal_tolerance=tol["eq5_marginal"],
                      probability_tolerance=tol["eq5_probability"])
-    twirl_reports = [
-        verify_failure_marginal_twirl(primed, samples[0], j, tolerance=tol["b9"])
-        for j in range(1, proto.N + 1)
-    ]
+    twirl_reports = verify_failure_marginal_twirl(primed, samples[0], tolerance=tol["b9"])
     manifest = RunManifest("prime", {"samples": args.samples, "seed": args.seed,
                                      "n": proto.n, "N": proto.N, "tolerances": tol},
                            paths, str(out_dir))
@@ -287,7 +284,7 @@ def _cmd_optimize(args) -> int:
         result = solve(build_sdp(n, big_n))
     else:
         result = solve_joint(build_joint_sdp(n, big_n), args.max_iterations)
-    cert = certify(result.povm, result.resource, n, big_n, seed=args.seed)
+    cert = certify(result.protocol.povm, result.protocol.resource, n, big_n, seed=args.seed)
     manifest = RunManifest("optimize",
                            {"n": n, "N": big_n, "seed": args.seed,
                             "fixed_resource": bool(args.fixed_resource),

@@ -91,8 +91,8 @@ class PbtProtocol:
 
     def validate(self) -> np.ndarray:
         """Raise ProtocolError naming the first violated invariant, and
-        LayoutError, before the first eigendecomposition, if the roots or one
-        input's branches exceed the memory budget.  Returns the roots
+        LayoutError, before the first eigendecomposition, if the roots and one
+        input's branches together exceed the memory budget.  Returns the roots
         sqrt(M_k), stacked (read-only), from the eigendecomposition of each
         element that its PSD check makes; small negative eigenvalues are
         clipped."""
@@ -138,10 +138,11 @@ def check_branch_bytes(n: int, N: int, alice_dim: int) -> None:
 
 
 def check_protocol_bytes(n: int, N: int, alice_dim: int) -> None:
-    """``check_branch_bytes``, and the same for the stack of N + 1 POVM
-    roots on (a, A)."""
-    check_branch_bytes(n, N, alice_dim)
-    check_budget(f"the POVM roots at n={n}, N={N}", 16 * (N + 1) * (2**n * alice_dim) ** 2)
+    """``LayoutError`` unless the stack of N + 1 POVM roots on (a, A) and one
+    input's branches fit the memory budget together: ``measure`` holds both."""
+    d = 2**n * alice_dim
+    check_budget(f"the POVM roots and one input's branches at n={n}, N={N}",
+                 16 * (N + 1) * d * (d + 2 ** (n * N)))
 
 
 def measure(proto: PbtProtocol, inputs: np.ndarray) -> BranchBatch:

@@ -269,15 +269,13 @@ ROUNDING_PASSES = 500
 @dataclass
 class SolveResult:
     p_opt: float
-    povm: tuple[HermitianMatrix, ...]
+    protocol: PbtProtocol
     q: np.ndarray
     residuals: dict[str, float]
     converged: bool
     iterations: int
     trace: list[tuple[int, float, float]] = field(default_factory=list)
     switch_iteration: int = 0     # first iteration of the stiff phase, 0 if none
-    resource: Optional[StateVector] = None
-    protocol: Optional[PbtProtocol] = None
     p_upper: Optional[float] = None  # the exact optimum, where theory gives it
     stopped_by: str = "cap"       # "certificate", "stall" or "cap"
 
@@ -505,9 +503,9 @@ def solve(sdp: PbtSdp) -> SolveResult:
                         for k, (m, q) in enumerate(zip(ms, qs), start=1))
     residuals = {"teleportation": teleportation, "completeness": 0.0,
                  "psd": _psd_violation(ms)}
-    return SolveResult(p_opt=float(qs.sum()), povm=povm, q=qs, residuals=residuals,
-                       converged=True, iterations=0, resource=sdp.resource, protocol=protocol,
-                       p_upper=sdp.p_upper, stopped_by="certificate")
+    return SolveResult(p_opt=float(qs.sum()), protocol=protocol, q=qs, residuals=residuals,
+                       converged=True, iterations=0, p_upper=sdp.p_upper,
+                       stopped_by="certificate")
 
 
 def solve_joint(sdp: JointPbtSdp, max_iterations: int = 20_000) -> SolveResult:
@@ -525,9 +523,8 @@ def solve_joint(sdp: JointPbtSdp, max_iterations: int = 20_000) -> SolveResult:
     qs_fit = [sdp.fit_q(j, k) for k, j in enumerate(js)]
     residuals = {"teleportation": sdp.port_map_residual(js, qs_fit), "completeness": 0.0,
                  "psd": _psd_violation([m.entries for m in protocol.povm[1:]])}
-    return SolveResult(p_opt=float(qs.sum()), povm=protocol.povm, q=qs, residuals=residuals,
-                       resource=protocol.resource, protocol=protocol, **run,
-                       p_upper=sdp.p_upper)
+    return SolveResult(p_opt=float(qs.sum()), protocol=protocol, q=qs, residuals=residuals,
+                       **run, p_upper=sdp.p_upper)
 
 
 def _score(fp: _FaceProblem, z: np.ndarray) -> dict:

@@ -179,41 +179,44 @@ def verify_eq5(p: PrimedProtocol, psi_samples: Sequence[StateVector],
     return rep
 
 
-def verify_failure_marginal_twirl(p: PrimedProtocol, psi: StateVector, j: int,
-                                  tolerance: float = 1e-10) -> AuditReport:
-    """Term-by-term check of the failure marginal against base runs on rotated inputs.
+def verify_failure_marginal_twirl(p: PrimedProtocol, psi: StateVector,
+                                  tolerance: float = 1e-10) -> list[AuditReport]:
+    """Term-by-term check of the failure marginal against base runs on rotated
+    inputs: one report per port B_j, j = 1..N.
 
     Conditioned on ancilla value l, the primed failure marginal at B_j must be
     V_l (base failure marginal for input V_l^dag psi) V_l^dag, each ancilla
-    value carrying weight 4^-n; the aggregate is their average.  The 4^n
-    rotated base runs are one batch.
+    value carrying weight 4^-n; the aggregate is their average.  One twirled
+    run of psi and one batch of the 4^n rotated base runs serve every port.
     """
-    rep = AuditReport(subject=f"failure marginal twirl decomposition, port {j}")
-    anc, port = p.ancilla_dim, port_label(j)
+    reports = [AuditReport(subject=f"failure marginal twirl decomposition, port {j}")
+               for j in range(1, p.base.N + 1)]
+    anc = p.ancilla_dim
     branches = run_primed(p, psi.amplitudes[None])
     if not branches.present[0, 0]:
-        return rep.not_applicable(
+        return [rep.not_applicable(
             "protocol never fails on this input; twirl decomposition not applicable",
-            "failure branch present", "Eq.b8")
+            "failure branch present", "Eq.b8") for rep in reports]
     # the normalized failure branch, split by ancilla value into one state each
     lay = p.global_layout()
     fail = np.moveaxis(branches.amplitudes[0, 0].reshape(lay.dims), lay.axis(ANCILLA_LABEL), 0)
     per_l = BranchBatch.of(lay.without({ANCILLA_LABEL}),
                            fail.reshape(anc, 1, -1) / np.sqrt(branches.q[0, 0]))
     weights = per_l.q[:, 0]
-    rho = per_l.normalized(per_l.marginals(port, 0), 0)
     paulis = pauli_set(p.base.n)
     rotated = measure(p.base, paulis.conj().swapaxes(1, 2) @ psi.amplitudes)
-    omega = rotated.normalized(rotated.marginals(port, 0), 0)
-    expected = paulis @ omega @ paulis.conj().swapaxes(1, 2)
-    rep.add("per-ancilla-value failure marginal matches rotated base run", "Eq.b9",
-            float(np.max(np.abs(rho - expected))), tolerance, terms=anc)
-    rep.add("ancilla values carry uniform weight", "Eq.b8",
-            float(np.max(np.abs(weights - 1.0 / anc))), tolerance)
-    rep.add("aggregate failure marginal is the Pauli average", "Eq.b9",
-            float(np.max(np.abs(np.tensordot(weights, rho, 1) - expected.mean(axis=0)))),
-            tolerance)
-    return rep
+    for j, rep in enumerate(reports, start=1):
+        rho = per_l.normalized(per_l.marginals(port_label(j), 0), 0)
+        omega = rotated.normalized(rotated.marginals(port_label(j), 0), 0)
+        expected = paulis @ omega @ paulis.conj().swapaxes(1, 2)
+        rep.add("per-ancilla-value failure marginal matches rotated base run", "Eq.b9",
+                float(np.max(np.abs(rho - expected))), tolerance, terms=anc)
+        rep.add("ancilla values carry uniform weight", "Eq.b8",
+                float(np.max(np.abs(weights - 1.0 / anc))), tolerance)
+        rep.add("aggregate failure marginal is the Pauli average", "Eq.b9",
+                float(np.max(np.abs(np.tensordot(weights, rho, 1) - expected.mean(axis=0)))),
+                tolerance)
+    return reports
 
 
 def commutation_witness(p: PrimedProtocol, psi: StateVector) -> AuditReport:

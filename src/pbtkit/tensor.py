@@ -257,34 +257,14 @@ def apply_on_subsystems(state: StateVector, u: np.ndarray,
     return StateVector(state.layout, out.reshape(-1))
 
 
-def _canonical_phase(u: np.ndarray, vh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rotate each Schmidt pair so the dominant left component is real positive."""
-    u = u.copy()
-    vh = vh.copy()
-    for col in range(u.shape[1]):
-        pivot = int(np.argmax(np.abs(u[:, col])))
-        a = u[pivot, col]
-        if abs(a) > 1e-14:
-            phase = np.conj(a) / abs(a)
-            u[:, col] *= phase
-            vh[col, :] *= np.conj(phase)
-    return u, vh
-
-
-def _lex_key(vec: np.ndarray) -> tuple:
-    """(Re, Im) of every amplitude in order, rounded to 10 decimals."""
-    return tuple(np.round(np.ascontiguousarray(vec).view(np.float64), 10).tolist())
-
-
 def schmidt_decompose(state: StateVector, left_labels: Iterable[str]):
     """Schmidt decomposition across the bipartition (left_labels | rest).
 
     Returns ``(coefficients, left_basis, right_basis)`` with descending
     non-negative coefficients and orthonormal bases such that
     ``sum_l c_l |l>_L |l>_R`` reconstructs the state with subsystems permuted
-    to left-then-right order.  Degenerate coefficients are ordered by the
-    lexicographic key of the left-basis amplitudes, making the result
-    deterministic.
+    to left-then-right order.  The bases are the SVD's: the phase of each
+    pair, and the basis of a degenerate coefficient, are its choice.
     """
     left = set(left_labels)
     labels = state.layout.labels
@@ -299,18 +279,6 @@ def schmidt_decompose(state: StateVector, left_labels: Iterable[str]):
     perm = permute_subsystems(state, left_order + right_order)
     mat = perm.amplitudes.reshape(left_layout.total_dim, right_layout.total_dim)
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    u, vh = _canonical_phase(u, vh)
-    # stable tie-break inside groups of (numerically) equal coefficients
-    order = list(range(len(s)))
-    start = 0
-    while start < len(s):
-        stop = start + 1
-        while stop < len(s) and abs(s[stop] - s[start]) < 1e-12:
-            stop += 1
-        if stop - start > 1:
-            order[start:stop] = sorted(order[start:stop], key=lambda i: _lex_key(u[:, i]))
-        start = stop
-    u, s, vh = u[:, order], s[order], vh[order, :]
     left_basis = [StateVector(left_layout, u[:, i]) for i in range(len(s))]
     right_basis = [StateVector(right_layout, vh[i, :]) for i in range(len(s))]
-    return s.copy(), left_basis, right_basis
+    return s, left_basis, right_basis

@@ -34,7 +34,7 @@ def optimizer_results():
     start = time.time()
     for N in (1, 2, 3):
         res = solve_joint(build_joint_sdp(1, N))
-        cert = certify(res.povm, res.resource, 1, N, samples=20, seed=11)
+        cert = certify(res.protocol.povm, res.protocol.resource, 1, N, samples=20, seed=11)
         results[N] = (res, cert)
     results["elapsed"] = time.time() - start
     return results
@@ -123,8 +123,7 @@ def test_criterion_5_twirled_construction():
                 worst_marginal = max(worst_marginal, check.deviation)
             if check.tag == "Eq.b6" and "probabilities" in check.name:
                 worst_prob = max(worst_prob, check.deviation)
-        for j in range(1, N + 1):
-            twirl_rep = verify_failure_marginal_twirl(primed, samples[0], j)
+        for twirl_rep in verify_failure_marginal_twirl(primed, samples[0]):
             assert twirl_rep.passed, twirl_rep.to_dict()
             worst_b9 = max(worst_b9, twirl_rep.max_deviation())
     elapsed = time.time() - start

@@ -2,12 +2,15 @@
 --trace 1`` patches every ``"module:attr"`` in ``perfbench/tracing.py``
 ``TARGETS`` and reads ``u.nbytes`` from what ``pointer_form`` returns and
 the round count from what ``run_chain_batch`` returns, and
-``perfbench/workloads.py`` imports pbtkit names to build its jobs and inputs.
-A pbtkit name moved or renamed under the benchmark fails here, and so does
-a traced run that leaves a wrapper behind or misses the routine it names."""
+``perfbench/workloads.py`` imports pbtkit names to build its jobs and inputs,
+and its gate and ``perfbench/run.py`` read fields of the reports jobs write.
+A pbtkit name moved or renamed under the benchmark fails here, and so do a
+report field the benchmark reads going missing and a traced run that leaves
+a wrapper behind or misses the routine it names."""
 
 import importlib.util
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -65,6 +68,26 @@ def test_pointer_form_still_reports_the_unitary_bytes():
 def test_workload_job_lists_build(name, tmp_path):
     jobs = workloads.build_jobs(name, 7, tmp_path) + workloads.warmup_jobs(name, tmp_path)
     assert jobs and all(job.subcommand in workloads.OUTPUT_FILE for job in jobs)
+
+
+def test_benchmark_reads_its_fields_from_the_reports(monkeypatch, tmp_path):
+    # run.py pins the BLAS threads in os.environ and extends sys.path on loading
+    monkeypatch.setattr(os, "environ", dict(os.environ))
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    run = load_perfbench("run")
+    monkeypatch.setattr(run.workloads, "SIMULATE_FILES", 1)
+    inputs = tmp_path / "inputs"
+    run.workloads.write_inputs("simulate", 3, inputs)
+    # the joint N=1 optimize job, and one simulate job
+    jobs = [run.workloads.build_jobs(name, 3, inputs)[0] for name in ("optimize", "simulate")]
+    outcomes = []
+    for i, job in enumerate(jobs):
+        code, seconds = run.workloads.call_cli(job, tmp_path / str(i))
+        outcomes.append(run.workloads.check(job, code, seconds, tmp_path / str(i)))
+    assert [o.passed for o in outcomes] == [True, True]
+    counts = run._optimizer_counts(jobs, outcomes)
+    assert counts["optimizer.iterations"] > 0 and counts["optimizer.converged"] == 1
+    assert counts["optimizer.gap_max"] <= jobs[0].tolerance
 
 
 def test_rotated_reference_protocol_builds_and_teleports():

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pbtkit import cli, signaling, tensor
+from pbtkit import branches, cli, primed, signaling, tensor
 from pbtkit.cli import PRIME_TOLERANCES, VERIFY_TOLERANCES, build_parser, dispatch
 from pbtkit.engine import bell_pbt_protocol, protocol_to_dict
 from pbtkit.optima import p_fixed
@@ -587,3 +587,63 @@ def test_protocol_file_with_invalid_state_or_operator_exits_2(tmp_path, capsys, 
         path.write_text(json.dumps(doc))
         assert dispatch(["simulate", "--protocol", str(path), "--out", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# each step computes what its report reads, once
+
+
+def test_verify_factors_only_the_outcomes_an_input_reached(monkeypatch, tmp_path):
+    # bell N=4 reaches outcome 1 alone: the Lemma factors the port-B1 branches
+    # and the theorem the pointer-outcome-1 branches, one matrix per input
+    # each (factoring every outcome took 50 per port B1..B4 and 200 over a)
+    factored, inside = {}, []
+    real_residuals, real_svd = branches.BranchBatch.residuals, np.linalg.svd
+
+    def residuals(batch, labels, k):
+        inside.append(labels)
+        try:
+            return real_residuals(batch, labels, k)
+        finally:
+            inside.pop()
+
+    def svd(a, *args, **kwargs):
+        if inside:
+            factored[inside[-1]] = factored.get(inside[-1], 0) + int(np.prod(a.shape[:-2]))
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(branches.BranchBatch, "residuals", residuals)
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    argv = ["verify", "--builtin", "bell", "--ports", "4", "--samples", "50"]
+    assert dispatch([*argv, "--out", str(tmp_path)]) == 0
+    assert factored == {"B1": 50, "a": 50}
+
+
+def test_prime_runs_the_failure_twirl_once(monkeypatch, tmp_path):
+    # one twirled run of the input and one batch of rotated base runs serve
+    # all four ports (one per port each took 4 + 4)
+    calls, inside = [], []
+    real_twirl = cli.verify_failure_marginal_twirl
+
+    def twirl(*args, **kwargs):
+        inside.append(True)
+        try:
+            return real_twirl(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            if inside:
+                calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "verify_failure_marginal_twirl", twirl)
+    monkeypatch.setattr(primed, "run_primed", counting("run_primed", primed.run_primed))
+    monkeypatch.setattr(primed, "measure", counting("measure", primed.measure))
+    assert dispatch(["prime", "--builtin", "bell", "--ports", "4", "--out", str(tmp_path)]) == 0
+    assert sorted(calls) == ["measure", "run_primed"]
+    twirl_reports = json.loads((tmp_path / "eq5_report.json").read_text())["failure_twirl"]
+    assert [rep["subject"] for rep in twirl_reports] == [
+        f"failure marginal twirl decomposition, port {j}" for j in range(1, 5)]

@@ -556,6 +556,28 @@ def test_pruned_branches_add_nothing():
         False, False, True, True, True]
 
 
+def test_residuals_factor_the_reached_outcomes_and_drift_as_factoring_all():
+    # outcome 0 reached by every input, outcome 1 by inputs 0 and 2, outcome 2 by none
+    rng = np.random.default_rng(8)
+    amps = rng.standard_normal((4, 3, 6)) + 1j * rng.standard_normal((4, 3, 6))
+    amps[[1, 3], 1] = amps[:, 2] = 0.0
+    batch = branches.BranchBatch.of(SystemLayout.of(("x", 2), ("y", 3)), amps)
+    assert batch.present.tolist() == [[True, True, False], [True, False, False]] * 2
+    every = np.linalg.svd(batch.split("x"), full_matrices=False)[2][..., 0, :]
+    got = batch.residuals("x", slice(None))
+    np.testing.assert_array_equal(got[:, :2], every[:, :2])
+    assert not got[:, 2].any()
+    np.testing.assert_array_equal(batch.residuals("x", 1), every[:, 1])
+    assert not batch.residuals("x", 2).any()
+    drifts = []
+    for values in (got, every):
+        drift = branches.Drift(branches.infidelity)
+        drift.add(values[:2], batch.present[:2])
+        drift.add(values[2:], batch.present[2:])
+        drifts.append(drift.worst)
+    assert drifts[0] == drifts[1] > 0.1
+
+
 def shrink_chunks(monkeypatch, proto, rows):
     """Make every chunk of a sample set hold ``rows`` inputs of ``proto``."""
     per_row = 16 * (proto.N + 1) * proto.global_layout().total_dim

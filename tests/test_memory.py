@@ -84,18 +84,14 @@ def _chain_analysis():
 SITES = {
     # 7 branches over (a, A, B1..B6) of 2 x 64 x 64 amplitudes
     "standard_resource": (lambda: None, lambda _: standard_resource(1, 6), 16 * 7 * 2 * 64 * 64),
-    "bell_pbt_protocol branches": (lambda: None, lambda _: bell_pbt_protocol(6),
-                                   16 * 7 * 2 * 64 * 64),
-    # 7 POVM elements on (a, A), 128 x 128 each
-    "bell_pbt_protocol roots": (lambda: None, lambda _: bell_pbt_protocol(6), 16 * 7 * 128**2),
-    "PbtProtocol branches": (lambda: bell_pbt_protocol(6),
-                             lambda base: PbtProtocol(n=1, N=6, resource=base.resource,
-                                                      povm=base.povm),
-                             16 * 7 * 2 * 64 * 64),
+    # 7 POVM roots on (a, A), 128 x 128 each, and one input's 7 branches:
+    # measure holds both, so they are counted together
+    "bell_pbt_protocol roots": (lambda: None, lambda _: bell_pbt_protocol(6),
+                                16 * 7 * 128**2 + 16 * 7 * 2 * 64 * 64),
     "PbtProtocol roots": (lambda: bell_pbt_protocol(6),
                           lambda base: PbtProtocol(n=1, N=6, resource=base.resource,
                                                    povm=base.povm),
-                          16 * 7 * 128**2),
+                          16 * 7 * 128**2 + 16 * 7 * 2 * 64 * 64),
     # 5 chain branches over (a, b, a', A, B1..B4) of 2 x 2 x 4 x 16 x 16 amplitudes
     "PrimedProtocol": (lambda: bell_pbt_protocol(4), build_primed, 16 * 5 * 2 * 2 * 4 * 16 * 16),
     # the 160 x 160 unitary on (a, A, ancilla, pi) and the SVD's U
@@ -113,14 +109,14 @@ SITES = {
 }
 
 
+def no_eigh(*args, **kwargs):
+    raise AssertionError("an eigendecomposition ran before the memory check")
+
+
 @pytest.mark.parametrize("site", SITES)
 def test_site_is_refused_just_below_its_array_before_allocating(monkeypatch, site):
     setup, call, needed = SITES[site]
     inputs = setup()
-
-    def no_eigh(*args, **kwargs):
-        raise AssertionError("an eigendecomposition ran before the memory check")
-
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
     budget = needed - 1
     monkeypatch.setattr(tensor, "MEMORY_BUDGET", budget)
@@ -189,12 +185,26 @@ def bell_fits(command: str, N: int) -> bool:
 
 #: the most bell ports each command accepted under the former caps: 2^22
 #: amplitudes over (a, A, B1..BN), the same over (a, a', A, B1..BN) for the
-#: twirled protocol, and 1 GiB for the pointer-form dilation
-@pytest.mark.parametrize("command, last", [("simulate", 10), ("prime", 9),
+#: twirled protocol, and 1 GiB for the pointer-form dilation.  simulate stops
+#: one port short of its former 10: the roots and branches are counted together
+@pytest.mark.parametrize("command, last", [("simulate", 9), ("prime", 9),
                                            ("audit-signaling", 9), ("verify", 8)])
 def test_budget_admits_the_bell_ports_the_former_caps_admitted(command, last):
     assert all(bell_fits(command, N) for N in range(1, last + 1))
     assert not bell_fits(command, last + 1)
+
+
+def test_roots_and_branches_are_counted_together(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    # bell N=10: 704 MiB of roots and 352 MiB of branches fit the budget one
+    # at a time, not together
+    roots, branches = 16 * 11 * 2048**2, 16 * 11 * 2 * 4**10
+    assert max(roots, branches) <= tensor.MEMORY_BUDGET < roots + branches
+    with pytest.raises(LayoutError, match=f"needs {roots + branches} bytes"):
+        bell_pbt_protocol(10)
+    # (n, N) = (3, 3): the roots alone fill the budget
+    assert 16 * 4 * (8 * 8**3) ** 2 == tensor.MEMORY_BUDGET
+    assert not fits(check_protocol_bytes, 3, 3, 8**3)
 
 
 class Admitted(Exception):
@@ -240,7 +250,7 @@ def test_budget_admits_every_optimize_case_within_the_dimension_cap():
 
 
 @pytest.mark.parametrize("argv, needed", [
-    (["simulate", "--builtin", "bell", "--ports", "11"], 16 * 12 * 2 * 4**11),
+    (["simulate", "--builtin", "bell", "--ports", "10"], 16 * 11 * 2048 * (2048 + 1024)),
     (["verify", "--builtin", "bell", "--samples", "1000000000000"], 16 * 10**12 * 2),
     (["audit-signaling", "--builtin", "bell", "--mc-rounds", "1000000000000"],
      ROUND_BYTES * 10**12),

@@ -235,10 +235,11 @@ def test_solve_fixed_single_port(fixed_result_n1):
     assert res.p_opt == pytest.approx(float(p_fixed(1, 1)), abs=1e-12)
     assert res.residuals["teleportation"] < 1e-10
     assert res.residuals["psd"] < 1e-12
-    rep = certify(res.povm, res.resource, 1, 1, samples=10)
+    rep = certify(res.protocol.povm, res.protocol.resource, 1, 1, samples=10)
     assert rep.passed, rep.to_dict()
     # re-simulation through the engine reproduces the reported optimum
-    wrapped = PbtProtocol(n=1, N=1, resource=res.resource, povm=res.povm)
+    wrapped = PbtProtocol(n=1, N=1, resource=res.protocol.resource,
+                          povm=res.protocol.povm)
     for psi in haar_states(2, 5, seed=9):
         p_sim = measure(wrapped, psi.amplitudes[None]).q[0, 1:].sum()
         assert abs(p_sim - res.p_opt) < 1e-8
@@ -253,7 +254,7 @@ def test_solve_fixed_two_ports_true_value():
     assert res.p_opt == pytest.approx(float(p_fixed(1, 2)), abs=1e-12)
     proto_q = res.q
     assert proto_q.sum() == pytest.approx(res.p_opt, abs=1e-12)
-    rep = certify(res.povm, res.resource, 1, 2, samples=10)
+    rep = certify(res.protocol.povm, res.protocol.resource, 1, 2, samples=10)
     assert rep.passed, rep.to_dict()
 
 
@@ -269,7 +270,7 @@ def test_solve_joint_two_ports(joint_result_12):
     res = joint_result_12
     assert res.p_opt == pytest.approx(float(bound(1, 2)), abs=1e-3)
     assert res.protocol is not None
-    rep = certify(res.povm, res.resource, 1, 2, samples=10)
+    rep = certify(res.protocol.povm, res.protocol.resource, 1, 2, samples=10)
     assert rep.passed, rep.to_dict()
 
 
@@ -287,7 +288,7 @@ def test_joint_extracted_protocol_passes_brute_force_oracle(joint_result_12):
 def test_joint_two_qubit_single_port():
     res = solve_joint(build_joint_sdp(2, 1), max_iterations=FAST)
     assert res.p_opt == pytest.approx(float(bound(2, 1)), abs=1e-4)
-    rep = certify(res.povm, res.resource, 2, 1, samples=5)
+    rep = certify(res.protocol.povm, res.protocol.resource, 2, 1, samples=5)
     assert rep.passed, rep.to_dict()
 
 
@@ -337,7 +338,7 @@ def test_default_solve_stops_on_the_certificate(joint, n, N):
     assert res.stopped_by == "certificate" and res.converged is True
     assert res.iterations % ADAPT_EVERY == 0 and len(res.trace) == res.iterations
     assert 0 <= res.p_upper - res.p_opt <= OBJECTIVE_TOLERANCE
-    assert certify(res.povm, res.resource, n, N, samples=5).passed
+    assert certify(res.protocol.povm, res.protocol.resource, n, N, samples=5).passed
 
 
 @pytest.mark.parametrize("joint, N", [(True, 1), (True, 2), (True, 3)])
@@ -355,9 +356,9 @@ def test_default_solve_stops_when_converged(joint, N):
 
 
 def result_bytes(res):
-    return (res.p_opt, res.q.tobytes(), [m.entries.tobytes() for m in res.povm],
-            res.resource.amplitudes.tobytes(), res.residuals, res.trace, res.iterations,
-            res.switch_iteration, res.converged, res.stopped_by)
+    return (res.p_opt, res.q.tobytes(), [m.entries.tobytes() for m in res.protocol.povm],
+            res.protocol.resource.amplitudes.tobytes(), res.residuals, res.trace,
+            res.iterations, res.switch_iteration, res.converged, res.stopped_by)
 
 
 @pytest.mark.parametrize("joint", [True])
@@ -496,7 +497,7 @@ def test_solve_rejects_non_positive_budget(monkeypatch, budget):
 
 def test_joint_psd_residual_is_measured(joint_result_12):
     res = joint_result_12
-    elements = [m.entries for m in res.povm[1:]]
+    elements = [m.entries for m in res.protocol.povm[1:]]
     slack = np.eye(elements[0].shape[0]) - sum(elements)
     expected = max(max(0.0, -np.linalg.eigvalsh(m)[0]) for m in elements + [slack])
     assert res.residuals["psd"] == expected
@@ -516,8 +517,9 @@ def test_constructed_fixed_optimum_certifies_at_p_fixed(n, N):
     assert (res.iterations, res.converged, res.stopped_by, res.trace) == (0, True,
                                                                          "certificate", [])
     assert res.residuals["psd"] <= 1e-14
-    assert res.resource.amplitudes.tobytes() == standard_resource(n, N).amplitudes.tobytes()
-    assert certify(res.povm, res.resource, n, N, samples=3).passed
+    resource = res.protocol.resource.amplitudes
+    assert resource.tobytes() == standard_resource(n, N).amplitudes.tobytes()
+    assert certify(res.protocol.povm, res.protocol.resource, n, N, samples=3).passed
 
 
 @pytest.mark.parametrize("n, N", [(1, 1), (1, 2), (2, 1)])

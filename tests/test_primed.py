@@ -145,8 +145,10 @@ def test_failure_marginal_twirl_term_by_term():
     for N in (1, 2):
         primed = build_primed(bell_pbt_protocol(N))
         for psi in haar_states(2, 3, seed=77 + N):
-            for j in range(1, N + 1):
-                rep = verify_failure_marginal_twirl(primed, psi, j)
+            reports = verify_failure_marginal_twirl(primed, psi)
+            assert [rep.subject for rep in reports] == [
+                f"failure marginal twirl decomposition, port {j}" for j in range(1, N + 1)]
+            for rep in reports:
                 assert rep.passed, rep.to_dict()
 
 
@@ -340,7 +342,6 @@ def reference_twirl_deviations(p, psi, j):
 def test_failure_twirl_batch_matches_the_per_ancilla_loop(base):
     primed = build_primed(base)
     for psi in haar_states(2, 2, seed=90 + base.N):
-        for j in range(1, base.N + 1):
-            rep = verify_failure_marginal_twirl(primed, psi, j)
+        for j, rep in enumerate(verify_failure_marginal_twirl(primed, psi), start=1):
             np.testing.assert_allclose([c.deviation for c in rep.checks],
                                        reference_twirl_deviations(primed, psi, j), atol=1e-13)
