@@ -299,10 +299,10 @@ def _cmd_optimize(args) -> int:
         fh.write(f"# manifest: {json.dumps(manifest.to_dict(), sort_keys=True)}\n")
         writer = csv.writer(fh)
         writer.writerow(["iteration", "objective", "residual", "phase"])
-        for it, obj, res in result.trace:
-            stiff = result.switch_iteration and it >= result.switch_iteration
-            phase = "stiff" if stiff else "adaptive"
-            writer.writerow([it, repr(obj), repr(res), phase])
+        switch = result.switch_iteration
+        writer.writerows([(it, repr(obj), repr(res),
+                           "stiff" if switch and it >= switch else "adaptive")
+                          for it, obj, res in result.trace])
     payload = {"manifest": manifest.to_dict(),
                "p_opt": result.p_opt,
                "p_upper": result.p_upper,

@@ -184,16 +184,22 @@ def mixture_residuals(proto: PbtProtocol, inputs: np.ndarray) -> np.ndarray:
     """Eq.3 residual per input (rows of ``inputs``) and port j, shape (inputs,
     N): ``max |eta_j - (q_j psi psi^dag + sum_{i != j} q_i rho_i)|``, with
     eta_j the resource marginal and rho_i the port-j marginal of branch i."""
+    eta = _resource_marginals(proto)
     return np.vstack([
-        _batch_mixture_residuals(proto, measure(proto, part), part)
+        _batch_mixture_residuals(proto, eta, measure(proto, part), part)
         for part in input_chunks(inputs, (proto.N + 1) * proto.global_layout().total_dim)])
 
 
-def _batch_mixture_residuals(proto: PbtProtocol, batch: BranchBatch,
+def _resource_marginals(proto: PbtProtocol) -> np.ndarray:
+    """The resource marginals eta_1..eta_N, stacked."""
+    return np.array([reduced_density(proto.resource, {port_label(j)}).entries
+                     for j in range(1, proto.N + 1)])
+
+
+def _batch_mixture_residuals(proto: PbtProtocol, eta: np.ndarray, batch: BranchBatch,
                              inputs: np.ndarray) -> np.ndarray:
-    """``mixture_residuals`` of the inputs whose branches are ``batch``."""
-    eta = np.array([reduced_density(proto.resource, {port_label(j)}).entries
-                    for j in range(1, proto.N + 1)])
+    """``mixture_residuals`` of the inputs whose branches are ``batch``, with
+    ``eta`` the resource marginals."""
     others = 1 - np.eye(proto.N, proto.N + 1, 1)
     proj = inputs[:, None, :, None] * inputs.conj()[:, None, None, :]
     mix = (np.einsum("jk,skjab->sjab", others, port_table(batch))
@@ -208,9 +214,9 @@ def verify_port_decomposition(proto: PbtProtocol, psi: StateVector, j: int,
     inputs = psi.amplitudes[None]
     batch = measure(proto, inputs)
     rep = AuditReport(subject=f"port marginal decomposition, port {j}")
+    residual = _batch_mixture_residuals(proto, _resource_marginals(proto), batch, inputs)
     rep.add("eta_j equals success/miss/failure mixture", "Eq.3",
-            float(_batch_mixture_residuals(proto, batch, inputs)[0, j - 1]), tolerance,
-            port=j, q=batch.q[0].tolist())
+            float(residual[0, j - 1]), tolerance, port=j, q=batch.q[0].tolist())
     return rep
 
 

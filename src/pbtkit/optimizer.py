@@ -24,6 +24,7 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .branches import input_chunks
 from .engine import PbtProtocol, measure, port_label, standard_resource, teleport_report
@@ -86,6 +87,25 @@ def vec_to_herm(vec: np.ndarray, d: int) -> np.ndarray:
     _, _, coords, weights = _coordinate_map(d)
     storage = np.ascontiguousarray(vec[..., coords] * weights)
     return storage.view(np.complex128).reshape(vec.shape[:-1] + (d, d))
+
+
+def _eigh(a: np.ndarray, vectors: bool = True):
+    """``np.linalg.eigh`` of a stack of complex Hermitian matrices (only
+    ``eigvalsh``'s eigenvalues without ``vectors``), read from the lower
+    triangle: the LAPACK gufunc numpy's function calls, without its Python
+    wrapper, so the same bits.  An output that is not finite (a non-finite
+    input, or LAPACK not converging) is computed again by numpy's function,
+    which returns the same NaNs or raises the same ``LinAlgError``; on that
+    path alone the gufunc may warn first, as it clears the floating-point
+    flags whenever LAPACK succeeds."""
+    if vectors:
+        out = _umath_linalg.eigh_lo(a, signature="D->dD")
+        w = out[0]
+    else:
+        out = w = _umath_linalg.eigvalsh_lo(a, signature="D->d")
+    if math.isfinite(np.add.reduce(w, None)):
+        return out
+    return np.linalg.eigh(a) if vectors else np.linalg.eigvalsh(a)
 
 
 def hermitian_basis(d: int) -> np.ndarray:
@@ -306,6 +326,9 @@ class _FaceProblem:
         self.sl_s = slice(n_y + n_slack, n_y + n_slack + n_s)
         self.sl_q = slice(n_y + n_slack + n_s, n_y + n_slack + n_s + self.N)
         self.x_slots = np.r_[self.sl_y, self.sl_s, self.sl_q]  # the affine step's [Y, sigma, q]
+        # the affine step's iterate, written in place: [Y, sigma] then q
+        self.x = np.empty(n_y + n_s + self.N)
+        self.x_ys, self.x_q = self.x[: n_y + n_s], self.x[n_y + n_s :]
 
         # H = I + W^T W with W = [-L_1 .. -L_N, embed]: small, materialized
         self.w_cols = w_cols = np.hstack([-lift for lift in self.lifts] + [self.embed])
@@ -333,8 +356,9 @@ class _FaceProblem:
         self.sl_psd = slice(0, self.sl_q.start)
         self.clip = _PsdClip((self.face_dim, self.N), (self.dim_big, 1), (self.dim_sigma, 1))
 
-    def slack_of(self, y: np.ndarray, s: np.ndarray) -> np.ndarray:
-        out = self.embed @ s
+    def slack_of(self, y: np.ndarray, s: np.ndarray,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
+        out = np.matmul(self.embed, s, out=out)
         for lift, yk in zip(self.lifts, y.reshape(self.N, -1)):
             out -= lift @ yk
         return out
@@ -342,17 +366,20 @@ class _FaceProblem:
     def affine_step(self, v: np.ndarray, rho: float, out: np.ndarray) -> None:
         """Penalized minimization over the affine constraint set, from the
         cone-side point ``v``; writes the matching flat iterate to ``out``."""
+        x = self.x
         g_ys = v[self.x_slots[: -self.N]] + self.w_cols.T @ v[self.sl_slack]
-        x = np.concatenate([self.h_inv @ g_ys, v[self.sl_q] + 1.0 / rho])
-        lam = self.gram_inv @ (self.a_mat @ x - self.b_vec)
-        x = x - self.hia_t @ lam
+        np.matmul(self.h_inv, g_ys, out=self.x_ys)
+        np.add(v[self.sl_q], 1.0 / rho, out=self.x_q)
+        x -= self.hia_t @ (self.gram_inv @ (self.a_mat @ x - self.b_vec))
         out[self.x_slots] = x
-        out[self.sl_slack] = self.slack_of(x[: self.n_y], x[self.n_y : -self.N])
+        self.slack_of(x[: self.n_y], x[self.n_y : -self.N], out[self.sl_slack])
 
     def project(self, x: np.ndarray, out: np.ndarray) -> None:
-        """Cone-side step: PSD clips of every block, box clip of q."""
+        """Cone-side step: PSD clips of every block, box clip of q (the
+        bits of ``np.clip(x, 0, 1)``: a scalar-first ``maximum`` keeps -0.0)."""
         self.clip(x[self.sl_psd], out[self.sl_psd])
-        np.clip(x[self.sl_q], 0.0, 1.0, out=out[self.sl_q])
+        q = out[self.sl_q]
+        np.minimum(1.0, np.maximum(0.0, x[self.sl_q], out=q), out=q)
 
 
 class _PsdClip:
@@ -378,7 +405,7 @@ class _PsdClip:
     def __call__(self, vec: np.ndarray, out: np.ndarray) -> None:
         np.multiply(vec[self.coords], self.weights, out=self.storage)
         for herm in self.herms:
-            w, v = np.linalg.eigh(herm)
+            w, v = _eigh(herm)
             np.maximum(w, 0.0, out=w)
             np.matmul(v * w[:, None, :], v.conj().swapaxes(-1, -2), out=herm)
         np.multiply(self.storage[self.slots], self.slot_weights, out=out)
@@ -465,20 +492,26 @@ def _norm(v: np.ndarray) -> float:
 
 
 def _round_on_face(fp: _FaceProblem, z: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Alternate affine projection and PSD clipping per port, in face coords."""
+    """Alternate affine projection and PSD clipping per port, in face coords.
+    One buffer holds [Y_k, q_k] through the passes, which index the cached
+    coordinate maps of ``vec_to_herm``/``herm_to_vec`` directly."""
     r, ys, qs = fp.face_dim, [], np.zeros(fp.N)
-    for k, y_vec in enumerate(z[fp.sl_y].reshape(fp.N, -1)):
+    slots, slot_weights, coords, weights = _coordinate_map(r)
+    x = np.empty(r * r + 1)
+    y_vec = x[:-1]
+    for k, z_y in enumerate(z[fp.sl_y].reshape(fp.N, -1)):
         bar, factor = fp.bars[k], fp.bar_factors[k]
-        q = float(z[fp.sl_q][k])
+        y_vec[:] = z_y
+        x[-1] = z[fp.sl_q][k]
         for _ in range(ROUNDING_PASSES):
-            x = np.append(y_vec, q)
-            lam = factor @ (bar @ x)
-            x = x - bar.T @ lam
-            y_vec, q = x[:-1], float(x[-1])
-            lam_y, v_y = np.linalg.eigh(vec_to_herm(y_vec, r))
+            x -= bar.T @ (factor @ (bar @ x))
+            q = float(x[-1])
+            lam_y, v_y = _eigh((x[coords] * weights).view(np.complex128).reshape(r, r))
             clip = float(max(0.0, -lam_y[0]))
-            y_vec = herm_to_vec((v_y * np.clip(lam_y, 0.0, None)) @ v_y.conj().T)
-            residual = float(np.max(np.abs(fp.red_blocks[k] @ y_vec - q * fp.rhs)))
+            np.maximum(lam_y, 0.0, out=lam_y)
+            y_herm = (v_y * lam_y) @ v_y.conj().T
+            np.multiply(y_herm.reshape(-1).view(np.float64)[slots], slot_weights, out=y_vec)
+            residual = float(np.maximum.reduce(np.abs(fp.red_blocks[k] @ y_vec - q * fp.rhs)))
             if residual < 1e-13 and clip < 1e-13:
                 break
         ys.append(vec_to_herm(y_vec, r))
@@ -547,13 +580,13 @@ def _steering(n: int, N: int, js: Sequence[np.ndarray], sigma: np.ndarray):
     sigma = 0.5 * (sigma + sigma.conj().T)
     sigma = (1.0 - EXTRACTION_PAD) * sigma + EXTRACTION_PAD * np.eye(ds) / ds
     sigma = sigma / np.trace(sigma).real
-    w, v = np.linalg.eigh(sigma)
-    w = np.clip(w, EXTRACTION_PAD / (2 * ds), None)
+    w, v = _eigh(sigma)
+    w = np.maximum(w, EXTRACTION_PAD / (2 * ds))
     inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
 
     lift = np.kron(np.eye(d), inv_sqrt)
     sandwich = lift @ sum(js) @ lift.conj().T
-    lam_max = float(np.linalg.eigvalsh(sandwich)[-1])
+    lam_max = float(_eigh(sandwich, vectors=False)[-1])
     shrink = 1.0 if lam_max <= 1.0 else (1.0 - 1e-12) / lam_max
     omega = _omega_vec(d)
     qs = np.array([float(np.vdot(omega, _port_choi(j_op * shrink, d, N, k + 1) @ omega).real)

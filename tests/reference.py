@@ -182,7 +182,7 @@ def _affine_step(fp, v: np.ndarray, rho: float) -> np.ndarray:
     return np.concatenate([y, _slack_of(fp, y, s), s, x[fp.n_y + fp.n_s :]])
 
 
-def _project(fp, x: np.ndarray) -> np.ndarray:
+def reference_project(fp, x: np.ndarray) -> np.ndarray:
     z = np.empty_like(x)
     z[fp.sl_y] = reference_psd_clip(x[fp.sl_y].reshape(fp.N, -1), fp.face_dim).reshape(-1)
     z[fp.sl_slack] = reference_psd_clip(x[fp.sl_slack], fp.dim_big)
@@ -224,7 +224,7 @@ def reference_splitting(fp, max_iterations: int):
         x = _affine_step(fp, z - u, rho)
         x_hat = alpha * x + (1 - alpha) * z
         z_prev = z[watched]
-        z = _project(fp, x_hat + u)
+        z = reference_project(fp, x_hat + u)
         u += x_hat - z
 
         primal = float(np.sqrt(np.linalg.norm(x[fp.sl_y] - z[fp.sl_y]) ** 2

@@ -597,6 +597,22 @@ def test_chunked_sample_sets_match_one_batch(monkeypatch, kind, N, seed):
     assert_reports_close(verify_psi_independence(proto, 10, seed).to_dict(), whole[1])
 
 
+def test_resource_marginals_are_formed_once_per_sample_set(monkeypatch):
+    """Eq.3 forms the N resource marginals once per call, not once per chunk."""
+    proto = bell_pbt_protocol(5)
+    inputs = haar_amplitudes(2, 50, 9)
+    chunks = branches.input_chunks(inputs, 6 * proto.global_layout().total_dim)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return reduced_density(*args)
+
+    monkeypatch.setattr(engine, "reduced_density", counted)
+    mixture_residuals(proto, inputs)
+    assert len(list(chunks)) == 5 and len(calls) == proto.N
+
+
 def assert_reports_close(got, want, atol=1e-13):
     """Equal structure, strings, flags and counts; floats within ``atol``."""
     if isinstance(want, dict):

@@ -2,6 +2,7 @@
 assembly and its splitting solver, extraction, certification."""
 
 import dataclasses
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,7 @@ from pbtkit.optimizer import (
     OBJECTIVE_TOLERANCE,
     PRIMAL_TOLERANCE,
     REFINE_FRACTION,
+    _eigh,
     _FaceProblem,
     _joint_array_bytes,
     _PsdClip,
@@ -43,7 +45,7 @@ from pbtkit.optimizer import (
 )
 from pbtkit.signaling import bound
 from pbtkit.tensor import MEMORY_BUDGET, reduced_density
-from reference import reference_psd_clip, reference_splitting
+from reference import reference_project, reference_psd_clip, reference_splitting
 
 FAST = 4000  # iteration cap for the shared fixtures
 
@@ -175,6 +177,63 @@ def test_psd_clip_matches_reference_on_zero_and_negative_eigenvalues(d):
         flat = vec.copy()
         _PsdClip((d, 1))(flat, flat)
         assert flat.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 8, 16, 64])
+def test_eigh_helper_is_numpys_eigh_bit_for_bit(d):
+    """Stacks and single matrices, read from the lower triangle as numpy
+    reads them: the same eigenvalue and eigenvector bytes."""
+    rng = np.random.default_rng(d)
+    raw = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
+    for a in (raw + raw.conj().swapaxes(-1, -2), raw, raw[0]):
+        w, v = _eigh(a)
+        want_w, want_v = np.linalg.eigh(a)
+        assert (w.tobytes(), v.tobytes()) == (want_w.tobytes(), want_v.tobytes())
+        assert _eigh(a, vectors=False).tobytes() == np.linalg.eigvalsh(a).tobytes()
+
+
+def numpys_eigh(a, vectors):
+    """What numpy's own function gives: the bytes of its output, or the type
+    of the error it raises."""
+    try:
+        out = np.linalg.eigh(a) if vectors else [np.linalg.eigvalsh(a)]
+    except np.linalg.LinAlgError as exc:
+        return type(exc)
+    return [part.tobytes() for part in out]
+
+
+def helpers_eigh(a, vectors):
+    try:
+        with np.errstate(all="ignore"):  # the gufunc's warnings when LAPACK fails
+            out = _eigh(a, vectors) if vectors else [_eigh(a, vectors)]
+    except np.linalg.LinAlgError as exc:
+        return type(exc)
+    return [part.tobytes() for part in out]
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 8])
+def test_eigh_helper_keeps_numpys_non_finite_behaviour(d):
+    """NaN or inf entries give numpy's NaNs, or numpy's ``LinAlgError``
+    (from d = 4 on), single or stacked with finite matrices."""
+    lower_nan = np.eye(d, dtype=complex)
+    lower_nan[-1, 0] = np.nan
+    cases = [np.full((d, d), np.nan, complex), np.full((d, d), np.inf, complex), lower_nan]
+    cases += [np.stack([np.eye(d), bad, 2 * np.eye(d)]) for bad in cases]
+    outcomes = [numpys_eigh(a, vectors) for a in cases for vectors in (True, False)]
+    assert outcomes == [helpers_eigh(a, vectors) for a in cases for vectors in (True, False)]
+    assert (np.linalg.LinAlgError in outcomes) is (d >= 4)
+
+
+def test_box_clip_keeps_np_clips_signed_zeros():
+    """The q box clip gives ``np.clip``'s bits, -0.0 and NaN included."""
+    fp = _FaceProblem(build_joint_sdp(1, 2))
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(fp.sl_q.stop)
+    out = np.empty_like(x)
+    for q in ([-0.0, 0.0], [-0.0, 1.0], [np.nan, -3.0], [0.5, 2.0]):
+        x[fp.sl_q] = q
+        fp.project(x, out)
+        assert out.tobytes() == reference_project(fp, x).tobytes()
 
 
 def test_vec_roundtrip():
@@ -410,15 +469,18 @@ def test_budget_ending_before_stall_is_not_converged():
 
 #: the splitting solver runs only the joint form
 REFERENCE_CASES = [(True, 1, 1), (True, 1, 2), (True, 1, 3), (True, 2, 1)]
+#: the largest blocks the stacked clip handles (a 64 x 64 slack), run to the
+#: short cap only
+LARGEST_BLOCKS = (True, 2, 2)
 
 
-@pytest.mark.parametrize("joint, n, N", REFERENCE_CASES)
+@pytest.mark.parametrize("joint, n, N", REFERENCE_CASES + [LARGEST_BLOCKS])
 def test_splitting_matches_the_reference_bit_for_bit(joint, n, N):
     """The iteration on bound buffers computes the reference's iterates: the
     final iterate has the same bytes and the run record is the same, whether
     the stop test or the iteration cap ends the run."""
     fp = _FaceProblem(build_joint_sdp(n, N))
-    for cap in (20_000, 60):
+    for cap in (60,) if (joint, n, N) == LARGEST_BLOCKS else (20_000, 60):
         z, run = _run_splitting(fp, cap, np.copy)
         z_ref, run_ref = reference_splitting(fp, cap)
         assert run["converged"] is (cap == 20_000)
@@ -465,6 +527,36 @@ def test_checkpoint_score_is_the_built_answers_p_opt(n, N):
     assert len(pairs) == -(-run["iterations"] // ADAPT_EVERY) >= 1
     assert all(scored == built for scored, built in pairs)
     assert answer["p_opt"] == solve_joint(sdp).p_opt
+
+
+def python_calls(fn, *args) -> int:
+    """Python-level calls (``sys.setprofile`` "call" events) ``fn(*args)``
+    makes, ``fn`` included."""
+    calls, previous = 0, sys.getprofile()
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+def test_iterations_and_checkpoints_make_few_python_calls():
+    """The loop's fixed cost is numpy's C calls, not Python wrappers: at joint
+    n=1 N=2, at most 18 Python-level calls per splitting iteration and 200
+    per checkpoint score (54 and about 400 through numpy's ``eigh``,
+    ``clip``, ``append`` and ``concatenate``)."""
+    fp = _FaceProblem(build_joint_sdp(1, 2))
+    assert python_calls(_run_splitting, fp, 100, np.copy) <= 18 * 100
+    checkpoints = []
+    _run_splitting(fp, 20_000, lambda z: checkpoints.append(z.copy()) or {"p_opt": 0.0}, 2.0)
+    assert len(checkpoints) >= 10
+    assert max(python_calls(_score, fp, z) for z in checkpoints) <= 200
 
 
 @pytest.mark.parametrize("N, cap, stopped_by", [(2, 20_000, "certificate"), (3, 20_000, "stall"),
