@@ -21,8 +21,8 @@ from .engine import (  # noqa: F401
     save_protocol,
     standard_resource,
     teleport_report,
+    verify_eq3_and_lemma,
     verify_port_decomposition,
-    verify_psi_independence,
 )
 from .errors import (  # noqa: F401
     ChainPreconditionError,

@@ -33,7 +33,8 @@ Labels = Union[str, Sequence[str]]
 class BranchBatch:
     """``amplitudes[s, k]``: the unnormalized branch k of input s over
     ``layout``; ``q[s, k]``: its probability.  A branch below BRANCH_PRUNE
-    has probability 0 and zero amplitudes, so it adds to no marginal."""
+    has probability 0 and zero amplitudes.  Marginals and residuals are
+    formed only for the outcomes that some input reached, 0 for the others."""
 
     layout: SystemLayout
     amplitudes: np.ndarray
@@ -67,8 +68,8 @@ class BranchBatch:
 
     def marginals(self, labels: Labels, k=slice(None)) -> np.ndarray:
         """Marginals of the subsystem(s) ``labels``, each times its branch probability."""
-        m = self.split(labels, k)
-        return m @ m.conj().swapaxes(-1, -2)
+        return self._of_reached(labels, k, lambda rows, cols: (rows, rows),
+                                lambda m: m @ m.conj().swapaxes(-1, -2))
 
     def normalized(self, values: np.ndarray, k=slice(None)) -> np.ndarray:
         """Per-branch ``values``, leading axes those of ``q[:, k]``, over the
@@ -78,15 +79,19 @@ class BranchBatch:
 
     def residuals(self, labels: Labels, k) -> np.ndarray:
         """The state of the other subsystems in the branches of outcome(s)
-        ``k`` that factorize across ``labels``: the top right singular vector.
-        Only outcomes that some input reached are factored; the rows of the
-        others stay 0."""
+        ``k`` that factorize across ``labels``: the top right singular vector."""
+        return self._of_reached(labels, k, lambda rows, cols: (cols,),
+                                lambda m: np.linalg.svd(m, full_matrices=False)[2][..., 0, :])
+
+    def _of_reached(self, labels: Labels, k, shape: Callable, value: Callable) -> np.ndarray:
+        """``value`` of the ``split`` matrices of the outcome(s) ``k`` that some
+        input reached; 0, of ``shape(rows, cols)`` per branch, for the others."""
         m = self.split(labels, k)
-        out = np.zeros(m.shape[:-2] + m.shape[-1:], m.dtype)
+        out = np.zeros(m.shape[:-2] + shape(*m.shape[-2:]), m.dtype)
         # a scalar k gives a 0-d mask, which indexes as a new axis of length 0 or 1
         reached = self.present[:, k].any(axis=0)
         if reached.any():
-            out[:, reached] = np.linalg.svd(m[:, reached], full_matrices=False)[2][..., 0, :]
+            out[:, reached] = value(m[:, reached])
         return out
 
 
@@ -95,10 +100,11 @@ def povm_branches(states: np.ndarray, layout: SystemLayout, roots: np.ndarray,
     """Branches of each pure state in ``states`` (rows, over ``layout``)
     under the update maps ``roots`` on the target subsystems."""
     roots = np.asarray(roots)
-    axes = [layout.axis(lbl) for lbl in targets]
-    amps = _apply_matrix(states.reshape((-1,) + layout.dims), layout.dims, axes, roots)
-    amps = np.ascontiguousarray(amps).reshape(len(states), len(roots), -1)
-    return BranchBatch.of(layout, amps)
+    live = roots.any(axis=(-2, -1))  # a zero root's branches are 0 without a product
+    amps = np.zeros((len(states), len(roots)) + layout.dims, np.result_type(states, roots))
+    amps[:, live] = _apply_matrix(states.reshape((-1,) + layout.dims), layout.dims,
+                                  [layout.axis(lbl) for lbl in targets], roots[live])
+    return BranchBatch.of(layout, amps.reshape(len(states), len(roots), -1))
 
 
 def require_samples(samples: int, name: str = "samples") -> None:

@@ -30,18 +30,17 @@ from .engine import (
     bell_pbt_protocol,
     from_complex_floats,
     from_complex_pairs,
-    load_protocol,
     measure,
-    mixture_residuals,
+    protocol_from_dict,
     protocol_to_dict,
     teleport_report,
-    verify_psi_independence,
+    verify_eq3_and_lemma,
     write_document,
 )
 from .errors import ProtocolError, ToolkitError
 from .nocloning import pointer_form, verify_theorem
 from .optima import p_fixed
-from .pauli import RNG_ALGORITHM, haar_amplitudes, haar_states, sample_haar_state
+from .pauli import RNG_ALGORITHM, haar_states, sample_haar_state
 from .primed import build_primed, primed_to_dict, verify_eq5, verify_failure_marginal_twirl
 from .report import AuditReport
 from .signaling import BOUND_ATOL, bound, compute_chain_exact, monte_carlo_check
@@ -97,8 +96,23 @@ class RunManifest:
 def _output_dir(args) -> Path:
     base = args.out or os.environ.get(OUTPUT_DIR_ENV) or "pbtkit-out"
     path = Path(base)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, or no permission
+        raise UsageError(f"output directory {base}: {exc.strerror}") from exc
     return path
+
+
+def _read_json(path: str, name: str):
+    """The JSON document in the file ``path``; ``UsageError``, opening with
+    ``name``, if the file cannot be read or is not UTF-8 JSON."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:  # missing, a directory, no permission
+        raise UsageError(f"{name}: {exc.strerror}") from exc
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise UsageError(f"{name}: malformed JSON: {exc}") from exc
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -113,12 +127,9 @@ def _load_input_protocol(args) -> tuple[PbtProtocol, list[str]]:
     if args.protocol and args.builtin:
         raise UsageError("give either --protocol or --builtin, not both")
     if args.protocol:
+        doc = _read_json(args.protocol, args.protocol)
         try:
-            return load_protocol(args.protocol), [args.protocol]
-        except FileNotFoundError as exc:
-            raise UsageError(f"{args.protocol}: {exc.strerror}") from exc
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"{args.protocol}: malformed JSON: {exc}") from exc
+            return protocol_from_dict(doc), [args.protocol]
         except ToolkitError as exc:
             raise UsageError(f"{args.protocol}: {exc}") from exc
     if args.builtin == "bell":
@@ -138,14 +149,11 @@ def _psi_state(spec: str, n: int, seed: int) -> StateVector:
         return StateVector(lay, named[spec].astype(complex))
     if spec == "haar":
         return sample_haar_state(d, seed)
+    values = _read_json(spec, f"--psi {spec!r} (not a named state)")
+    pairs = isinstance(values, list) and values and isinstance(values[0], list)
     try:
-        with open(spec) as fh:
-            values = json.load(fh)
-        pairs = isinstance(values, list) and values and isinstance(values[0], list)
         amps = (from_complex_pairs if pairs else from_complex_floats)(values, "--psi")
-    except FileNotFoundError as exc:
-        raise UsageError(f"--psi {spec!r}: no such named state and no such file") from exc
-    except (json.JSONDecodeError, ProtocolError) as exc:
+    except ProtocolError as exc:
         raise UsageError(f"--psi {spec!r}: {exc}") from exc
     if amps.size != d:
         raise UsageError(f"--psi file has dimension {amps.size}, protocol needs {d}")
@@ -189,13 +197,8 @@ def _cmd_simulate(args) -> int:
 
 def _verify_reports(proto: PbtProtocol, samples: int, seed: int,
                     tol: dict[str, float]) -> list[AuditReport]:
-    eq3 = AuditReport(subject="port marginal decomposition", seed=seed)
-    residuals = mixture_residuals(proto, haar_amplitudes(proto.port_dim, samples, seed))
-    eq3.add("decomposition residual over all ports and inputs", "Eq.3",
-            float(residuals.max()), tol["eq3"], ports=proto.N, samples=samples)
-    lemma = verify_psi_independence(proto, samples, seed,
-                                    q_tolerance=tol["lemma_q"],
-                                    fid_tolerance=tol["lemma_residual"])
+    eq3, lemma = verify_eq3_and_lemma(proto, samples, seed, tol["eq3"], tol["lemma_q"],
+                                      tol["lemma_residual"])
     theorem = verify_theorem(pointer_form(proto), samples, seed,
                              q_tolerance=tol["theorem_q"],
                              residual_tolerance=tol["theorem_residual"],
@@ -350,15 +353,14 @@ def _cmd_bound_table(args) -> int:
     paths = args.optimizer_json or []
     filled_by = {}
     for path in paths:
+        doc = _read_json(path, path)
         try:
-            with open(path) as fh:
-                doc = json.load(fh)
             key = (_int_field(doc["n"], "n", 1), _int_field(doc["N"], "N", 1))
             p_opt = _finite_number(doc["p_opt"], "p_opt")
-        except FileNotFoundError as exc:
-            raise UsageError(f"{path}: {exc.strerror}") from exc
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"{path}: not an optimizer output: {exc}") from exc
+        if p_opt < 0:
+            raise UsageError(f"{path}: field 'p_opt': {p_opt!r} is negative")
         if key not in rows:
             raise UsageError(f"{path}: fields 'n', 'N': {key} is outside the table")
         if key in filled_by:

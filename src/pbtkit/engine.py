@@ -113,15 +113,16 @@ class PbtProtocol:
         check_protocol_bytes(self.n, self.N, self.alice_dim)
         d = self.port_dim * self.alice_dim
         total = np.zeros((d, d), dtype=np.complex128)
-        roots = np.empty((self.N + 1, d, d), dtype=np.complex128)
+        roots = np.zeros((self.N + 1, d, d), dtype=np.complex128)
         for k, m in enumerate(self.povm):
             if m.layout.labels != ("a", "A") or m.dim != d:
                 raise ProtocolError(f"POVM element {k} must live on (a, A) with dimension {d}")
-            w, v = np.linalg.eigh(m.entries)
-            if w[0] < -POVM_ATOL:
-                raise ProtocolError(f"POVM element {k} is not PSD: min eigenvalue {w[0]:.3e}")
-            np.matmul(v * np.sqrt(np.clip(w, 0.0, None)), v.conj().T, out=roots[k])
             total += m.entries
+            if m.entries.any():  # an exactly zero element is PSD, and its root stays 0
+                w, v = np.linalg.eigh(m.entries)
+                if w[0] < -POVM_ATOL:
+                    raise ProtocolError(f"POVM element {k} is not PSD: min eigenvalue {w[0]:.3e}")
+                np.matmul(v * np.sqrt(np.clip(w, 0.0, None)), v.conj().T, out=roots[k])
         dev = float(np.max(np.abs(total - np.eye(d))))
         if dev > POVM_ATOL:
             raise ProtocolError(f"POVM completeness violated: max deviation {dev:.3e}")
@@ -180,29 +181,21 @@ def port_marginals(proto: PbtProtocol, inputs: np.ndarray, j: int) -> np.ndarray
     return batch.normalized(batch.marginals(checked_port(j, proto.N)))
 
 
-def mixture_residuals(proto: PbtProtocol, inputs: np.ndarray) -> np.ndarray:
-    """Eq.3 residual per input (rows of ``inputs``) and port j, shape (inputs,
-    N): ``max |eta_j - (q_j psi psi^dag + sum_{i != j} q_i rho_i)|``, with
-    eta_j the resource marginal and rho_i the port-j marginal of branch i."""
-    eta = _resource_marginals(proto)
-    return np.vstack([
-        _batch_mixture_residuals(proto, eta, measure(proto, part), part)
-        for part in input_chunks(inputs, (proto.N + 1) * proto.global_layout().total_dim)])
-
-
 def _resource_marginals(proto: PbtProtocol) -> np.ndarray:
     """The resource marginals eta_1..eta_N, stacked."""
     return np.array([reduced_density(proto.resource, {port_label(j)}).entries
                      for j in range(1, proto.N + 1)])
 
 
-def _batch_mixture_residuals(proto: PbtProtocol, eta: np.ndarray, batch: BranchBatch,
-                             inputs: np.ndarray) -> np.ndarray:
-    """``mixture_residuals`` of the inputs whose branches are ``batch``, with
-    ``eta`` the resource marginals."""
-    others = 1 - np.eye(proto.N, proto.N + 1, 1)
+def _mixture_residuals(eta: np.ndarray, batch: BranchBatch, inputs: np.ndarray,
+                       ports: np.ndarray) -> np.ndarray:
+    """Eq.3 residual per input (rows of ``inputs``, with branches ``batch``
+    and ``port_table`` ``ports``) and port j, shape (inputs, N): ``max |eta_j
+    - (q_j psi psi^dag + sum_{i != j} q_i rho_i)|``, with eta_j the resource
+    marginal and rho_i the port-j marginal of branch i."""
+    others = 1 - np.eye(len(eta), len(eta) + 1, 1)
     proj = inputs[:, None, :, None] * inputs.conj()[:, None, None, :]
-    mix = (np.einsum("jk,skjab->sjab", others, port_table(batch))
+    mix = (np.einsum("jk,skjab->sjab", others, ports)
            + batch.q[:, 1:, None, None] * proj)
     return np.abs(eta - mix).max(axis=(2, 3))
 
@@ -214,52 +207,63 @@ def verify_port_decomposition(proto: PbtProtocol, psi: StateVector, j: int,
     inputs = psi.amplitudes[None]
     batch = measure(proto, inputs)
     rep = AuditReport(subject=f"port marginal decomposition, port {j}")
-    residual = _batch_mixture_residuals(proto, _resource_marginals(proto), batch, inputs)
+    residual = _mixture_residuals(_resource_marginals(proto), batch, inputs, port_table(batch))
     rep.add("eta_j equals success/miss/failure mixture", "Eq.3",
             float(residual[0, j - 1]), tolerance, port=j, q=batch.q[0].tolist())
     return rep
 
 
-def verify_psi_independence(proto: PbtProtocol, sample_count: int, seed: int,
-                            q_tolerance: float = 1e-10,
-                            fid_tolerance: float = 1e-10) -> AuditReport:
-    """Check that success probabilities and residual states do not depend on the input.
+def verify_eq3_and_lemma(proto: PbtProtocol, sample_count: int, seed: int,
+                         eq3_tolerance: float = 1e-10, q_tolerance: float = 1e-10,
+                         fid_tolerance: float = 1e-10) -> tuple[AuditReport, AuditReport]:
+    """The Eq.3 and Lemma reports on ``sample_count`` Haar inputs, each measured once.
 
-    Applies only to perfectly teleporting protocols; the perfection
-    precondition is checked first and a failing protocol is reported as
-    out of scope rather than asserted against.  The failure-branch port
-    marginal is allowed to vary: its spread is reported, never asserted.
-    ``sample_count`` must be at least 1 (``SampleCountError`` otherwise).
+    Eq.3, the port-marginal mixture identity, is checked on every input.  The
+    Lemma (success probabilities and residual states do not depend on the
+    input) applies only to perfectly teleporting protocols; one that is not
+    is reported out of scope, naming the first failing input's first failing
+    outcome.  The failure-branch port marginal's spread is reported, never
+    asserted.  ``SampleCountError`` unless ``sample_count`` is at least 1.
     """
     require_samples(sample_count)
-    rep = AuditReport(subject="input independence of success branches", seed=seed)
-    q_rows, residuals = [], Drift(infidelity)
+    eq3 = AuditReport(subject="port marginal decomposition", seed=seed)
+    lemma = AuditReport(subject="input independence of success branches", seed=seed)
+    eta, eq3_rows, q_rows, residuals = _resource_marginals(proto), [], [], Drift(infidelity)
     omegas = Drift(lambda first, rho: np.abs(rho - first).max(axis=(-2, -1)))
     inputs = haar_amplitudes(proto.port_dim, sample_count, seed)
     for part in input_chunks(inputs, (proto.N + 1) * proto.global_layout().total_dim):
         batch = measure(proto, part)
+        ports = port_table(batch)
+        eq3_rows.append(_mixture_residuals(eta, batch, part, ports))
+        if not lemma.preconditions_met:
+            continue
         fid, purity = teleport_report(batch, part)
         success = batch.present[:, 1:]
         imperfect = (fid < 1.0 - PURITY_ATOL) | (1.0 - purity > PURITY_ATOL)
         failed = np.argwhere(success & imperfect)
         if len(failed):
             s, k = failed[0]
-            return rep.not_applicable(
+            lemma.not_applicable(
                 "not a perfect-PBT protocol; input independence not applicable",
                 "perfect teleportation precondition", "Eq.8",
                 k=int(k) + 1, fidelity=float(fid[s, k]))
+            continue
         q_rows.append(batch.q)
         residuals.add(np.stack([batch.residuals(port_label(k), k)
                                 for k in range(1, proto.N + 1)], axis=1), success)
-        omegas.add(batch.normalized(port_table(batch, 0), 0),
+        omegas.add(batch.normalized(ports[:, 0], 0),
                    np.repeat(batch.present[:, :1], proto.N, axis=1))
-    q = np.vstack(q_rows)
-    rep.add("outcome probabilities constant across inputs", "Lemma",
-            float(np.max(q.max(axis=0) - q.min(axis=0))), q_tolerance, samples=sample_count)
-    rep.add("residual states constant across inputs", "Lemma", residuals.worst, fid_tolerance)
-    rep.add_flag("failure-branch port marginal varies with input (informational)",
-                 "Eq.8.9", True, spread=omegas.worst)
-    return rep
+    eq3.add("decomposition residual over all ports and inputs", "Eq.3",
+            float(np.vstack(eq3_rows).max()), eq3_tolerance, ports=proto.N, samples=sample_count)
+    if lemma.preconditions_met:
+        q = np.vstack(q_rows)
+        lemma.add("outcome probabilities constant across inputs", "Lemma",
+                  float(np.max(q.max(axis=0) - q.min(axis=0))), q_tolerance, samples=sample_count)
+        lemma.add("residual states constant across inputs", "Lemma", residuals.worst,
+                  fid_tolerance)
+        lemma.add_flag("failure-branch port marginal varies with input (informational)",
+                       "Eq.8.9", True, spread=omegas.worst)
+    return eq3, lemma
 
 
 def standard_resource(n: int, N: int) -> StateVector:

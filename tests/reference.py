@@ -2,9 +2,9 @@
 does not need (outer products, operator tensor products and reorderings,
 partial trace, pure-state fidelities, the maximally mixed state), the
 three-step construction of the standard resource, a per-outcome view of
-one input's branches, the optimizer's splitting iteration written with
-fresh arrays at every step, and the [re, im]-pair layout of the earlier
-document formats."""
+one input's branches, branches and marginals formed for every outcome, the
+optimizer's splitting iteration written with fresh arrays at every step, and
+the [re, im]-pair layout of the earlier document formats."""
 
 import functools
 import json
@@ -30,6 +30,7 @@ from pbtkit.tensor import (
     HermitianMatrix,
     StateVector,
     SystemLayout,
+    _apply_matrix,
     maximally_entangled,
     permute_subsystems,
     tensor_product,
@@ -150,6 +151,34 @@ def fidelity(pure: StateVector, rho: HermitianMatrix) -> float:
     if pure.dim != rho.dim:
         raise LayoutError(f"dimension mismatch: state {pure.dim} vs operator {rho.dim}")
     return float(np.vdot(pure.amplitudes, rho.entries @ pure.amplitudes).real)
+
+
+# ---------------------------------------------------------------------------
+# branches and marginals of every outcome, zero roots and unreached outcomes
+# included: the oracle that the reached-outcome rule of ``branches`` must
+# match bit for bit
+
+
+def reference_povm_branches(states: np.ndarray, layout: SystemLayout, roots: np.ndarray,
+                            targets: Sequence[str]) -> BranchBatch:
+    """``branches.povm_branches`` applying every root, zero ones included."""
+    roots = np.asarray(roots)
+    axes = [layout.axis(lbl) for lbl in targets]
+    amps = _apply_matrix(states.reshape((-1,) + layout.dims), layout.dims, axes, roots)
+    amps = np.ascontiguousarray(amps).reshape(len(states), len(roots), -1)
+    return BranchBatch.of(layout, amps)
+
+
+def reference_marginals(batch: BranchBatch, labels, k=slice(None)) -> np.ndarray:
+    """``BranchBatch.marginals`` formed for every outcome, reached or not."""
+    m = batch.split(labels, k)
+    return m @ m.conj().swapaxes(-1, -2)
+
+
+def reference_port_table(batch: BranchBatch, k=slice(None)) -> np.ndarray:
+    """``engine.port_table`` from ``reference_marginals``."""
+    return np.stack([reference_marginals(batch, port_label(j), k)
+                     for j in range(1, batch.q.shape[1])], axis=-3)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pbtkit import branches, cli, primed, signaling, tensor
+from pbtkit import branches, cli, engine, primed, signaling, tensor
 from pbtkit.cli import PRIME_TOLERANCES, VERIFY_TOLERANCES, build_parser, dispatch
 from pbtkit.engine import bell_pbt_protocol, protocol_to_dict
 from pbtkit.optima import p_fixed
@@ -143,6 +143,35 @@ def test_missing_field_names_field(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "resource" in err and "partial.json" in err
+
+
+UNREADABLE = {
+    "a directory": lambda path: path.mkdir(),
+    "non-UTF-8 bytes": lambda path: path.write_bytes(b'{"n": 1, "N": "\xff"}'),
+}
+
+
+@pytest.mark.parametrize("case", UNREADABLE)
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--protocol"],
+    ["simulate", "--builtin", "bell", "--psi"],
+    ["bound-table", "--max-ports", "2", "--optimizer-json"],
+], ids=["--protocol", "--psi", "--optimizer-json"])
+def test_unreadable_input_file_exits_2_naming_it(tmp_path, capsys, argv, case):
+    path = tmp_path / "input.json"
+    UNREADABLE[case](path)
+    assert dispatch([*argv, str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("out", ["taken", "taken/out"], ids=["a file", "below a file"])
+def test_output_directory_that_cannot_be_made_exits_2_naming_it(tmp_path, capsys, out):
+    (tmp_path / "taken").write_bytes(b"\xff")
+    argv = ["simulate", "--builtin", "bell", "--out", str(tmp_path / out)]
+    assert dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path / out) in err and "Traceback" not in err
 
 
 def test_prime_emits_protocol_and_report(tmp_path):
@@ -308,8 +337,9 @@ def test_bound_table_with_optimizer_value(tmp_path):
     ({"n": 2, "N": 2, "p_opt": float("nan")}, "p_opt"),
     ({"n": 2, "N": 2, "p_opt": float("-inf")}, "p_opt"),
     ({"n": 2, "N": 2, "p_opt": 10**400}, "p_opt"),
+    ({"n": 2, "N": 2, "p_opt": -0.5}, "p_opt"),
 ], ids=["fraction n", "string N", "zero n", "negative N", "string p_opt", "boolean p_opt",
-        "null p_opt", "nan p_opt", "infinite p_opt", "huge p_opt"])
+        "null p_opt", "nan p_opt", "infinite p_opt", "huge p_opt", "negative p_opt"])
 def test_bound_table_refuses_a_malformed_optimizer_field(tmp_path, capsys, opt, field):
     path = tmp_path / "opt.json"
     path.write_text(json.dumps(opt))
@@ -617,6 +647,21 @@ def test_verify_factors_only_the_outcomes_an_input_reached(monkeypatch, tmp_path
     argv = ["verify", "--builtin", "bell", "--ports", "4", "--samples", "50"]
     assert dispatch([*argv, "--out", str(tmp_path)]) == 0
     assert factored == {"B1": 50, "a": 50}
+
+
+def test_verify_measures_each_input_once(monkeypatch, tmp_path):
+    # Eq.3 and the Lemma read one measurement of each of the 50 inputs
+    # (measuring them once for each took 100 rows, in 10 calls)
+    rows, real = [], engine.measure
+
+    def counting(proto, inputs):
+        rows.append(len(inputs))
+        return real(proto, inputs)
+
+    monkeypatch.setattr(engine, "measure", counting)
+    argv = ["verify", "--builtin", "bell", "--ports", "5", "--samples", "50"]
+    assert dispatch([*argv, "--out", str(tmp_path)]) == 0
+    assert sum(rows) == 50
 
 
 def test_prime_runs_the_failure_twirl_once(monkeypatch, tmp_path):

@@ -14,15 +14,14 @@ from pbtkit.engine import (
     PbtProtocol,
     bell_pbt_protocol,
     measure,
-    mixture_residuals,
     port_marginals,
     port_table,
     protocol_from_dict,
     protocol_to_dict,
     standard_resource,
     teleport_report,
+    verify_eq3_and_lemma,
     verify_port_decomposition,
-    verify_psi_independence,
 )
 from pbtkit.nocloning import decompose_by_pointer, pointer_form
 from pbtkit.pauli import SIGMA, haar_amplitudes, haar_states
@@ -43,6 +42,9 @@ from reference import (
     in_layout,
     paired_resource,
     permute_operator,
+    reference_marginals,
+    reference_port_table,
+    reference_povm_branches,
     set_part,
     state_fidelity,
     states_equal,
@@ -260,7 +262,7 @@ def test_port_decomposition_detects_corruption():
 
 
 def test_psi_independence_bell():
-    rep = verify_psi_independence(bell_pbt_protocol(1), sample_count=50, seed=5)
+    rep = verify_eq3_and_lemma(bell_pbt_protocol(1), sample_count=50, seed=5)[1]
     assert rep.preconditions_met
     assert rep.passed, rep.to_dict()
     info = [c for c in rep.checks if "informational" in c.name]
@@ -274,7 +276,7 @@ def test_psi_independence_precondition_rejects_non_perfect():
     m1 = np.kron(np.diag([1.0, 0.0]).astype(complex), np.eye(2))
     povm = (HermitianMatrix(lay, np.eye(4) - m1), HermitianMatrix(lay, m1))
     proto = PbtProtocol(n=1, N=1, resource=base.resource, povm=povm)
-    rep = verify_psi_independence(proto, sample_count=5, seed=2)
+    rep = verify_eq3_and_lemma(proto, sample_count=5, seed=2)[1]
     assert not rep.preconditions_met
     assert "not applicable" in rep.note
 
@@ -400,7 +402,8 @@ def test_measure_computes_each_root_once_and_never_revalidates(monkeypatch):
     for psi in haar_states(2, 4, seed=12):
         measure(proto, psi.amplitudes[None])
         port_marginals(proto, psi.amplitudes[None], 1)
-    assert calls == {"eigh": len(proto.povm), "validate": 0}
+    # of bell N=2's three elements one is exactly zero: its root is 0, not decomposed
+    assert len(proto.povm) == 3 and calls == {"eigh": 2, "validate": 0}
     assert proto.kraus is roots
 
 
@@ -432,7 +435,7 @@ def test_each_measurement_routine_names_both_input_widths(run, shape):
 @pytest.mark.parametrize("samples", [0, -3])
 def test_verify_psi_independence_rejects_sample_count_below_one(samples):
     with pytest.raises(SampleCountError, match="samples must be at least 1"):
-        verify_psi_independence(bell_pbt_protocol(1), samples, seed=1)
+        verify_eq3_and_lemma(bell_pbt_protocol(1), samples, seed=1)
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +468,19 @@ def brute_branches(proto, psi_amps):
         q = float(np.vdot(vec, vec).real)
         out.append((q, vec / np.sqrt(q)) if q >= BRANCH_PRUNE else (0.0, None))
     return out
+
+
+def brute_mixture_residual(proto, psi_amps, j):
+    """Eq.3 at port j from the dense branches: ``max |eta_j - (q_j psi psi^dag
+    + sum_{i != j} q_i rho_i)|``, rho_i the port-j marginal of branch i."""
+    label = {f"B{j}"}
+    mix = np.zeros((2, 2), dtype=complex)
+    for i, (q, vec) in enumerate(brute_branches(proto, psi_amps)):
+        if i == j:
+            mix += q * np.outer(psi_amps, psi_amps.conj())
+        elif vec is not None:
+            mix += q * reduced_density(StateVector(proto.global_layout(), vec), label).entries
+    return float(np.max(np.abs(reduced_density(proto.resource, label).entries - mix)))
 
 
 BATCH_CASES = ([("random", N, 40 + N) for N in (1, 2, 3)]
@@ -517,7 +533,7 @@ def test_batched_branches_equal_single_input_and_brute_force_references(kind, N,
                                                atol=1e-13)
             rep = verify_port_decomposition(proto, psi, j)
             assert rep.checks[0].deviation == pytest.approx(
-                mixture_residuals(proto, inputs)[s, j - 1], abs=1e-13)
+                brute_mixture_residual(proto, amps, j), abs=1e-13)
 
 
 def test_branch_matrices_over_a_tuple_of_labels():
@@ -578,23 +594,140 @@ def test_residuals_factor_the_reached_outcomes_and_drift_as_factoring_all():
     assert drifts[0] == drifts[1] > 0.1
 
 
+# ---------------------------------------------------------------------------
+# an outcome no input reaches, and a zero POVM element, cost nothing
+
+
+def test_povm_branches_applies_only_the_nonzero_roots(monkeypatch):
+    applied, real = [], branches._apply_matrix
+
+    def counting(tensorized, dims, axes, matrix):
+        applied.append(len(matrix))
+        return real(tensorized, dims, axes, matrix)
+
+    proto = bell_pbt_protocol(5)
+    monkeypatch.setattr(branches, "_apply_matrix", counting)
+    batch = measure(proto, haar_amplitudes(2, 3, 4))
+    assert applied == [2]  # M_0 and M_1; M_2..M_5 are zero
+    assert not batch.amplitudes[:, 2:].any() and not batch.q[:, 2:].any()
+
+
+class RecordedProducts(np.ndarray):
+    """Branch matrices that record the outcome count of each product they enter."""
+
+    outcomes: list = []
+
+    def __matmul__(self, other):
+        RecordedProducts.outcomes.append(self.shape[1])
+        return np.asarray(self) @ np.asarray(other)
+
+
+def test_port_table_multiplies_only_the_reached_outcomes(monkeypatch):
+    proto = bell_pbt_protocol(4)
+    batch = measure(proto, haar_amplitudes(2, 10, 6))
+    want = reference_port_table(batch)
+    real_split = branches.BranchBatch.split
+    monkeypatch.setattr(RecordedProducts, "outcomes", [])
+    monkeypatch.setattr(branches.BranchBatch, "split",
+                        lambda self, *args: real_split(self, *args).view(RecordedProducts))
+    got = np.asarray(port_table(batch))
+    # outcomes 0 and 1 of the five, once per port
+    assert RecordedProducts.outcomes == [2] * 4
+    np.testing.assert_array_equal(got.view(np.float64), want.view(np.float64))
+
+
+def test_a_zero_element_is_still_checked_for_layout_and_completeness():
+    base = bell_pbt_protocol(2)
+    lay = base.povm[0].layout
+    assert not PbtProtocol(n=1, N=2, resource=base.resource, povm=base.povm).kraus[2].any()
+    wrong = HermitianMatrix(SystemLayout.of(("a", 2), ("A", 2)), np.zeros((4, 4), complex))
+    with pytest.raises(ProtocolError, match="POVM element 2 must live on"):
+        PbtProtocol(n=1, N=2, resource=base.resource, povm=base.povm[:2] + (wrong,))
+    # a zero element adds nothing, so M_0 + M_1 must complete alone
+    povm = (HermitianMatrix(lay, 0.5 * base.povm[0].entries), base.povm[1], base.povm[2])
+    with pytest.raises(ProtocolError, match="completeness violated"):
+        PbtProtocol(n=1, N=2, resource=base.resource, povm=povm)
+
+
+def bits(arr):
+    """The float64 view of an array, so that equality compares every bit."""
+    return np.ascontiguousarray(arr).view(np.float64)
+
+
+ORACLE_CASES = ([("bell", N, 70 + N) for N in range(1, 6)]
+                + [("random", N, 40 + N) for N in (1, 2, 3)])
+
+
+@pytest.mark.parametrize("kind,N,seed", ORACLE_CASES)
+def test_reached_outcome_rule_matches_the_all_outcome_computation_bit_for_bit(
+        monkeypatch, kind, N, seed):
+    proto = batch_case(kind, N, seed)
+    if kind == "random":  # every outcome reached, every root nonzero
+        assert proto.kraus.reshape(N + 1, -1).any(axis=1).all()
+    inputs = haar_amplitudes(2, 10, seed)
+    got = measure(proto, inputs)
+    want = reference_povm_branches(inputs[:, :, None] * proto.resource.amplitudes,
+                                   proto.global_layout(), proto.kraus, ("a", "A"))
+    pairs = [(got.amplitudes, want.amplitudes), (got.q, want.q),
+             (port_table(got), reference_port_table(want)),
+             (port_table(got, 0), reference_port_table(want, 0))]
+    pairs += [(got.residuals(f"B{k}", k), want.residuals(f"B{k}", k)) for k in range(1, N + 1)]
+    reports = [rep.to_dict() for rep in verify_eq3_and_lemma(proto, 10, seed)]
+    fresh = teleport_report(got, inputs)
+    monkeypatch.setattr(branches.BranchBatch, "marginals", reference_marginals)
+    monkeypatch.setattr(engine, "povm_branches", reference_povm_branches)
+    pairs += list(zip(fresh, teleport_report(want, inputs)))
+    for new, old in pairs:
+        np.testing.assert_array_equal(bits(new), bits(old))
+    assert reports == [rep.to_dict() for rep in verify_eq3_and_lemma(proto, 10, seed)]
+
+
+@pytest.mark.parametrize("rows", [None, 1])
+def test_eq3_covers_every_input_after_the_lemma_stops(monkeypatch, rows):
+    proto = second_outcome_imperfect()
+    if rows:
+        shrink_chunks(monkeypatch, proto, rows)
+    residuals, (eq3, lemma) = recorded_verify(monkeypatch, proto, 9, 4)
+    assert not lemma["preconditions_met"] and eq3["preconditions_met"]
+    assert residuals.shape == (9, 2)
+    worst = max(brute_mixture_residual(proto, amps, j)
+                for amps in haar_amplitudes(2, 9, 4) for j in (1, 2))
+    assert eq3["checks"][0]["deviation"] == pytest.approx(worst, abs=1e-13)
+    assert eq3["checks"][0]["details"] == {"ports": 2, "samples": 9}
+
+
 def shrink_chunks(monkeypatch, proto, rows):
     """Make every chunk of a sample set hold ``rows`` inputs of ``proto``."""
     per_row = 16 * (proto.N + 1) * proto.global_layout().total_dim
     monkeypatch.setattr(branches, "BATCH_BYTES", rows * per_row + per_row // 2)
 
 
+def recorded_verify(monkeypatch, proto, count, seed):
+    """``verify_eq3_and_lemma`` on ``count`` inputs: the Eq.3
+    residual of every input and port, (inputs, N), and both reports."""
+    rows, real = [], engine._mixture_residuals
+
+    def recording(*args):
+        rows.append(real(*args))
+        return rows[-1]
+
+    monkeypatch.setattr(engine, "_mixture_residuals", recording)
+    reports = [rep.to_dict() for rep in verify_eq3_and_lemma(proto, count, seed)]
+    monkeypatch.setattr(engine, "_mixture_residuals", real)
+    return np.vstack(rows), reports
+
+
 @pytest.mark.parametrize("kind,N,seed", [("bell", 3, 5), ("random", 2, 6)])
 def test_chunked_sample_sets_match_one_batch(monkeypatch, kind, N, seed):
     proto = batch_case(kind, N, seed)
     inputs = haar_amplitudes(2, 10, seed)
-    whole = (mixture_residuals(proto, inputs),
-             verify_psi_independence(proto, 10, seed).to_dict())
+    whole = recorded_verify(monkeypatch, proto, 10, seed)
     shrink_chunks(monkeypatch, proto, 3)
     assert [len(part) for part in branches.input_chunks(
         inputs, (N + 1) * proto.global_layout().total_dim)] == [3, 3, 3, 1]
-    np.testing.assert_allclose(mixture_residuals(proto, inputs), whole[0], rtol=0, atol=1e-13)
-    assert_reports_close(verify_psi_independence(proto, 10, seed).to_dict(), whole[1])
+    chunked = recorded_verify(monkeypatch, proto, 10, seed)
+    np.testing.assert_allclose(chunked[0], whole[0], rtol=0, atol=1e-13)
+    assert_reports_close(chunked[1], whole[1])
 
 
 def test_resource_marginals_are_formed_once_per_sample_set(monkeypatch):
@@ -609,7 +742,7 @@ def test_resource_marginals_are_formed_once_per_sample_set(monkeypatch):
         return reduced_density(*args)
 
     monkeypatch.setattr(engine, "reduced_density", counted)
-    mixture_residuals(proto, inputs)
+    verify_eq3_and_lemma(proto, 50, 9)
     assert len(list(chunks)) == 5 and len(calls) == proto.N
 
 
@@ -630,9 +763,9 @@ def assert_reports_close(got, want, atol=1e-13):
 
 
 def reference_precondition(proto, inputs):
-    """(k, fidelity) where the per-input loop of ``verify_psi_independence``
-    stopped: the first sample, then the first success branch, whose port
-    marginal is not the input or not pure; None if every one passed."""
+    """(k, fidelity) where a per-input loop of the Lemma stops: the first
+    sample, then the first success branch, whose port marginal is not the
+    input or not pure; None if every one passed."""
     for amps in inputs:
         psi = ket(amps)
         for k, (q, vec) in enumerate(brute_branches(proto, amps)):
@@ -664,7 +797,7 @@ def test_precondition_failure_matches_the_per_input_loop(monkeypatch, proto_of, 
     proto = proto_of()
     if rows:
         shrink_chunks(monkeypatch, proto, rows)
-    rep = verify_psi_independence(proto, 9, seed=4)
+    rep = verify_eq3_and_lemma(proto, 9, seed=4)[1]
     k, fid = reference_precondition(proto, haar_amplitudes(2, 9, 4))
     assert not rep.preconditions_met and len(rep.checks) == 1
     assert rep.checks[0].details["k"] == k
@@ -713,7 +846,7 @@ def test_precondition_failure_is_found_sample_by_sample(monkeypatch, rows):
     monkeypatch.setattr(engine, "haar_amplitudes", lambda dim, count, seed: inputs)
     if rows:
         shrink_chunks(monkeypatch, proto, rows)
-    rep = verify_psi_independence(proto, len(inputs), seed=0)
+    rep = verify_eq3_and_lemma(proto, len(inputs), seed=0)[1]
     k, fid = reference_precondition(proto, inputs)
     assert (k, rep.checks[0].details["k"]) == (2, 2)
     assert rep.checks[0].details["fidelity"] == pytest.approx(fid, abs=1e-13)
